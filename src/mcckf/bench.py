@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correntropy import KernelSpec
-from .filters import ALGORITHMS, RunStatus, run_filter
+from .filters import ALGORITHMS, RunStatus, run_batch, run_filter
 from .model import InitialCondition, StateSpaceModel
-from .sim import SeedSpec, ShotNoiseSpec, Trajectory, simulate
+from .sim import SeedSpec, ShotNoiseSpec, simulate
 
 __all__ = [
     "RadarConstants",
@@ -192,18 +192,32 @@ class RmseReport:
     statuses: list = field(default_factory=list)
 
 
-def _estimates_for(algorithm, scenario: Scenario, trajectory: Trajectory, spec):
-    """Run one estimator over one trajectory; None signals divergence."""
+def _estimates_for(algorithm, scenario: Scenario, trajectories, spec):
+    """Run one estimator over every trajectory: (estimates per run, status
+    per run). All runs of a filter go through one batch; the dense oracle
+    and callables run one trajectory at a time."""
     if callable(algorithm):
-        return np.asarray(
-            algorithm(scenario.model, scenario.init, trajectory, spec), dtype=float
-        ), RunStatus(completed=True, steps_completed=trajectory.horizon)
-    run = run_filter(
-        algorithm, scenario.model, scenario.init, trajectory.measurements, spec
+        estimates = [
+            np.asarray(algorithm(scenario.model, scenario.init, t, spec), dtype=float)
+            for t in trajectories
+        ]
+        return estimates, [
+            RunStatus(completed=True, steps_completed=t.horizon) for t in trajectories
+        ]
+    if algorithm == "kf_reference":
+        runs = [
+            run_filter(algorithm, scenario.model, scenario.init, t.measurements, spec)
+            for t in trajectories
+        ]
+        return [run.estimates() for run in runs], [run.status for run in runs]
+    batch = run_batch(
+        algorithm,
+        scenario.model,
+        scenario.init,
+        np.stack([t.measurements for t in trajectories]),
+        spec,
     )
-    if not run.status.completed:
-        return None, run.status
-    return run.estimates(), run.status
+    return batch.estimates, batch.statuses
 
 
 def _algorithm_name(algorithm) -> str:
@@ -226,7 +240,9 @@ def run_monte_carlo(
     Each run index produces one trajectory from (master_seed, run index) that
     every algorithm consumes identically. ``algorithms`` may mix algorithm
     names and callables ``(model, init, trajectory, spec) -> estimates`` (the
-    latter mainly for test stubs).
+    latter mainly for test stubs). Each filter advances all runs as one batch
+    (``run_batch``), which gives every run the estimates ``run_filter`` gives
+    it alone, bit for bit.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -236,29 +252,28 @@ def run_monte_carlo(
         raise ValueError(f"duplicate algorithm names in {names}")
     n = scenario.model.state_dim
     horizon = scenario.horizon
-    sq_sum = {name: np.zeros((horizon, n)) for name in names}
-    completed = {name: 0 for name in names}
-    statuses = {name: [] for name in names}
-    for run_index in range(runs):
-        trajectory = simulate(
+    trajectories = [
+        simulate(
             scenario.model,
             scenario.init,
             horizon,
             SeedSpec(master_seed, run_index),
             scenario.shot,
         )
-        for algorithm, name in zip(algorithms, names):
-            estimates, status = _estimates_for(algorithm, scenario, trajectory, spec)
-            statuses[name].append(status)
-            if estimates is None:
-                continue
-            err = trajectory.truth - estimates
-            sq_sum[name] += err * err
-            completed[name] += 1
+        for run_index in range(runs)
+    ]
     reports = {}
-    for name in names:
-        if completed[name] > 0:
-            per_component = np.sqrt(sq_sum[name] / completed[name])
+    for algorithm, name in zip(algorithms, names):
+        estimates, statuses = _estimates_for(algorithm, scenario, trajectories, spec)
+        sq_sum = np.zeros((horizon, n))
+        completed = 0
+        for trajectory, run_estimates, status in zip(trajectories, estimates, statuses):
+            if status.completed:
+                err = trajectory.truth - run_estimates
+                sq_sum += err * err
+                completed += 1
+        if completed > 0:
+            per_component = np.sqrt(sq_sum / completed)
             total = np.sqrt((per_component**2).sum(axis=1))
             scalar = float(total.mean())
         else:
@@ -270,9 +285,9 @@ def run_monte_carlo(
             per_component=per_component,
             total=total,
             scalar_summary=scalar,
-            completed_runs=completed[name],
-            diverged_runs=runs - completed[name],
-            statuses=statuses[name],
+            completed_runs=completed,
+            diverged_runs=runs - completed,
+            statuses=statuses,
         )
     return reports
 

@@ -17,10 +17,20 @@ filter (``kf_reference``) serves as an independent oracle: pinning the weight
 to 1 reduces every variant to it. No explicit matrix inverse is materialized
 anywhere except the transposed factor inverse that the sr1a pre-array is
 defined with.
+
+Every step function takes the state of one run or of a batch of runs, in
+which each array of the state gains a leading runs axis; ``run_batch``
+advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
+the runs axis. The batch computes each run's numbers with the same operations,
+in the same order, as that run alone (see ``mcckf.linalg``), so a run's
+estimates do not depend on the batch it ran in, bit for bit. A run that fails
+a check leaves the batch at that step with its own typed reason; the step is
+then recomputed for the runs that remain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +47,7 @@ __all__ = [
     "StepReport",
     "RunStatus",
     "FilterRun",
+    "BatchRun",
     "mcckf_time_update",
     "mcckf_measurement_update",
     "sr_time_update",
@@ -44,11 +55,15 @@ __all__ = [
     "sr1b_measurement_update",
     "kf_reference_step",
     "run_filter",
+    "run_batch",
     "gain_information_form",
     "gain_innovation_form",
 ]
 
 ALGORITHMS = ("conventional", "sr1a", "sr1b", "kf_reference")
+# The algorithms run_batch advances many runs at a time; the dense oracle
+# kf_reference runs one run at a time through run_filter.
+BATCH_ALGORITHMS = ALGORITHMS[:3]
 
 # An estimate component beyond this magnitude marks the run diverged even if
 # still finite; it makes the breakdown sweep deterministic.
@@ -56,12 +71,21 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class Diverged(Exception):
-    """A filter step produced an unusable state (numerical breakdown)."""
+    """A filter step produced an unusable state (numerical breakdown).
 
-    def __init__(self, reason: str, step: int | None = None):
-        self.reason = reason
+    ``reasons`` maps the position in the batch of each run that failed to
+    why it failed; a single run is position 0.
+    """
+
+    def __init__(self, reasons: dict[int, str], step: int | None = None):
+        self.reasons = reasons
         self.step = step
-        super().__init__(reason if step is None else f"step {step}: {reason}")
+        super().__init__("; ".join(self.reason_for(i) for i in reasons))
+
+    def reason_for(self, run: int) -> str:
+        """The reason of the run at ``run``, prefixed with the step."""
+        reason = self.reasons[run]
+        return reason if self.step is None else f"step {self.step}: {reason}"
 
 
 @dataclass
@@ -70,6 +94,8 @@ class FilterState:
 
     Exactly one of ``covariance`` (full symmetric P) or ``factor`` (lower
     Cholesky S with S @ S.T == P) is set, depending on the algorithm family.
+    The state of a batch of runs has a leading runs axis on every array:
+    estimate (runs, n) and covariance or factor (runs, n, n).
     """
 
     step: int
@@ -90,18 +116,38 @@ class FilterState:
     def square_root(cls, step, estimate, factor) -> "FilterState":
         return cls(step, estimate, factor=np.asarray(factor, dtype=float))
 
+    @property
+    def runs(self) -> int | None:
+        """Number of runs of a batch; None for one run's state."""
+        return None if self.estimate.ndim == 1 else len(self.estimate)
+
     def covariance_matrix(self) -> np.ndarray:
         """Full covariance, reconstructing factor @ factor.T if needed."""
         if self.covariance is not None:
             return self.covariance
-        return self.factor @ self.factor.T
+        return self.factor @ self.factor.mT
+
+    def take(self, index) -> "FilterState":
+        """Index the runs axis: an integer gives one run's state, a mask or
+        index array a smaller batch, and ``np.newaxis`` makes one run's state
+        a batch of one."""
+        def pick(a):
+            return None if a is None else a[index]
+
+        return FilterState(
+            self.step, self.estimate[index], pick(self.covariance), pick(self.factor)
+        )
 
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: adjusting weight, gain and innovation."""
+    """Per-step diagnostics: adjusting weight, gain and innovation.
 
-    lam: float
+    For a batch, ``lam`` holds one weight per run and the arrays carry a
+    leading runs axis.
+    """
+
+    lam: float | np.ndarray
     gain: np.ndarray
     innovation: np.ndarray
 
@@ -133,43 +179,94 @@ class FilterRun:
         return np.array([s.estimate for s in self.states])
 
 
+@dataclass
+class BatchRun:
+    """Posterior estimates of a batch of runs plus each run's status.
+
+    ``estimates[i, k - 1]`` is run i's estimate after step k; it is NaN from
+    the step at which the run failed.
+    """
+
+    estimates: np.ndarray
+    statuses: list
+
+
 def _measurement_vector(y) -> np.ndarray:
     if isinstance(y, Measurement):
         return y.value
     return np.asarray(y, dtype=float)
 
 
-def _require_finite(step: int, **named_arrays):
+def _per_run(a: np.ndarray, runs: int | None) -> np.ndarray:
+    """A matrix every run of the batch shares, one copy per run."""
+    if runs is None:
+        return a
+    return a[None] if runs == 1 else a[None].repeat(runs, axis=0)
+
+
+def _times(lam, a: np.ndarray) -> np.ndarray:
+    """lam * a, with one weight per matrix of a batch."""
+    return lam * a if np.ndim(lam) == 0 else lam[:, None, None] * a
+
+
+def _require_finite(step: int, runs: int | None, **named_arrays):
+    """Raise ``Diverged`` for each run with a non-finite entry in one of the
+    arrays (leading runs axis unless ``runs`` is None); its reason names the
+    first such array."""
+    reasons = {}
     for name, arr in named_arrays.items():
-        if not np.isfinite(arr).all():
-            raise Diverged(f"non-finite {name}", step)
+        if np.isfinite(arr).all():
+            continue
+        if runs is None:
+            raise Diverged({0: f"non-finite {name}"}, step)
+        bad = ~np.isfinite(arr).reshape(runs, -1).all(axis=1)
+        for run in np.flatnonzero(bad).tolist():
+            reasons.setdefault(run, f"non-finite {name}")
+    if reasons:
+        raise Diverged(reasons, step)
 
 
-def _lambda_weight(model, spec, pred_factor, innovation, pin_weight, step) -> float:
+def _diverged(exc: linalg.LinalgError, step: int, runs: int | None) -> Diverged:
+    """The runs whose matrices failed a linear-algebra check, with the
+    error class and its message as the reason. A failure of a matrix the
+    runs share (a noise factor of the step) fails every run of the batch."""
+    name = type(exc).__name__
+    failed = exc.failed or dict.fromkeys(range(runs or 1), str(exc))
+    return Diverged({run: f"{name}: {msg}" for run, msg in failed.items()}, step)
+
+
+def _lambda_weight(model, spec, pred_factor, innovation, pin_weight, step, runs):
     if pin_weight is not None:
         if pin_weight < 0.0:
             raise ValueError(f"pinned weight must be nonnegative, got {pin_weight}")
-        return float(pin_weight)
+        return float(pin_weight) if runs is None else np.full(runs, float(pin_weight))
     if spec is None:
         raise ValueError("a KernelSpec is required unless the weight is pinned")
-    n = pred_factor.shape[0]
-    _, r_sqrt = model.noise_factors(step)
+    if math.isinf(spec.sigma):
+        # the kernel is exactly one at every distance
+        return 1.0 if runs is None else np.ones(runs)
     inputs = LambdaInputs(
         innovation=innovation,
-        innovation_weight_factor=r_sqrt,
-        prediction_residual=np.zeros(n),
+        innovation_weight_factor=_per_run(model.step_terms(step).r_sqrt, runs),
+        prediction_residual=np.zeros(pred_factor.shape[:-1]),
         prediction_weight_factor=pred_factor,
     )
     return compute_lambda(spec, inputs)
 
 
+def _innovation(terms, pred: FilterState, y) -> np.ndarray:
+    innovation = _measurement_vector(y) - np.matvec(terms.H, pred.estimate)
+    _require_finite(pred.step, pred.runs, innovation=innovation)
+    return innovation
+
+
 def mcckf_time_update(model, prior: FilterState) -> FilterState:
     """Propagate estimate and full covariance one step forward."""
     step = prior.step + 1
-    f, g, _, q, _ = model.matrices(step)
-    x = f @ prior.estimate
-    p = linalg.symmetrize(f @ prior.covariance @ f.T + g @ q @ g.T)
-    _require_finite(step, predicted_estimate=x, predicted_covariance=p)
+    t = model.step_terms(step)
+    x = np.matvec(t.F, prior.estimate)
+    p = linalg.symmetrize(t.F @ prior.covariance @ t.F.T + t.g_q_g)
+    _require_finite(step, prior.runs, predicted_estimate=x, predicted_covariance=p)
     return FilterState.full(step, x, p)
 
 
@@ -187,41 +284,57 @@ def mcckf_measurement_update(
     is inverted here, which is where this form breaks down first under
     ill-conditioning of P.
     """
-    step = pred.step
-    _, _, h, _, r = model.matrices(step)
-    yv = _measurement_vector(y)
-    innovation = yv - h @ pred.estimate
-    _require_finite(step, innovation=innovation)
+    step, runs = pred.step, pred.runs
+    t = model.step_terms(step)
+    innovation = _innovation(t, pred, y)
     try:
         # pred.covariance is symmetrized by construction; skip the recheck
         p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
-        lam = _lambda_weight(model, spec, p_factor, innovation, pin_weight, step)
+        lam = _lambda_weight(model, spec, p_factor, innovation, pin_weight, step, runs)
         inv_factor = linalg.triangular_inverse(p_factor)
-        p_inv = inv_factor.T @ inv_factor
-        r_inv = model.r_inverse(step)
-        info = linalg.symmetrize(p_inv + lam * (h.T @ r_inv @ h))
+        p_inv = inv_factor.mT @ inv_factor
+        info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
         info_factor = linalg.cholesky_lower(info, check_symmetry=False)
-        rhs = h.T @ r_inv
-        half = linalg.triangular_solve(info_factor, rhs)
-        gain = lam * linalg.triangular_solve(info_factor, half, transposed=True)
+        half = linalg.triangular_solve(info_factor, _per_run(t.ht_r_inv, runs))
+        gain = _times(lam, linalg.triangular_solve(info_factor, half, transposed=True))
     except linalg.LinalgError as exc:
-        raise Diverged(f"{type(exc).__name__}: {exc}", step) from exc
-    i_kh = np.eye(h.shape[1]) - gain @ h
-    p_new = linalg.symmetrize(i_kh @ pred.covariance @ i_kh.T + gain @ r @ gain.T)
-    x_new = pred.estimate + gain @ innovation
-    _require_finite(step, estimate=x_new, covariance=p_new, gain=gain)
+        raise _diverged(exc, step, runs) from exc
+    i_kh = np.eye(t.H.shape[1]) - gain @ t.H
+    p_new = linalg.symmetrize(
+        i_kh @ pred.covariance @ i_kh.mT
+        + gain @ t.R @ gain.mT
+    )
+    x_new = pred.estimate + np.matvec(gain, innovation)
+    _require_finite(step, runs, estimate=x_new, covariance=p_new, gain=gain)
     return FilterState.full(step, x_new, p_new), StepReport(lam, gain, innovation)
 
 
 def sr_time_update(model, prior: FilterState) -> FilterState:
     """Square-root time update via the pre-array [F S, G Q_sqrt]."""
-    step = prior.step + 1
-    f, g, _, _, _ = model.matrices(step)
-    q_sqrt, _ = model.noise_factors(step)
-    x = f @ prior.estimate
-    pre = np.hstack([f @ prior.factor, g @ q_sqrt])
-    _require_finite(step, predicted_estimate=x, time_update_pre_array=pre)
+    step, runs = prior.step + 1, prior.runs
+    t = model.step_terms(step)
+    x = np.matvec(t.F, prior.estimate)
+    try:
+        noise = _per_run(t.g_q_sqrt, runs)
+    except linalg.LinalgError as exc:
+        raise _diverged(exc, step, runs) from exc
+    pre = np.concatenate([t.F @ prior.factor, noise], axis=-1)
+    _require_finite(step, runs, predicted_estimate=x, time_update_pre_array=pre)
     return FilterState.square_root(step, x, linalg.lower_triangularize(pre))
+
+
+def _sr_posterior(t, pred: FilterState, gain, lam, innovation):
+    """Estimate and factor update shared by sr1a and sr1b: the Joseph form
+    triangularized from [(I - K H) S_pred, K R_sqrt]."""
+    step = pred.step
+    x_new = pred.estimate + np.matvec(gain, innovation)
+    i_kh = np.eye(t.H.shape[1]) - gain @ t.H
+    joseph_pre = np.concatenate([i_kh @ pred.factor, gain @ t.r_sqrt], axis=-1)
+    _require_finite(step, pred.runs, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
+    factor_new = linalg.lower_triangularize(joseph_pre)
+    return FilterState.square_root(step, x_new, factor_new), StepReport(
+        lam, gain, innovation
+    )
 
 
 def sr1a_measurement_update(
@@ -239,33 +352,22 @@ def sr1a_measurement_update(
     predicted factor is inverted every step, so conditioning of the n x n
     factors governs this form's breakdown.
     """
-    step = pred.step
-    _, _, h, _, _ = model.matrices(step)
-    yv = _measurement_vector(y)
-    innovation = yv - h @ pred.estimate
-    _require_finite(step, innovation=innovation)
+    step, runs = pred.step, pred.runs
+    t = model.step_terms(step)
+    innovation = _innovation(t, pred, y)
     try:
-        lam = _lambda_weight(model, spec, pred.factor, innovation, pin_weight, step)
+        lam = _lambda_weight(model, spec, pred.factor, innovation, pin_weight, step, runs)
         pred_inv = linalg.triangular_inverse(pred.factor)
-        _, r_sqrt = model.noise_factors(step)
-        weighted_h = linalg.triangular_solve(r_sqrt, h)
-        pre = np.hstack([pred_inv.T, np.sqrt(lam) * weighted_h.T])
-        if not np.isfinite(pre).all():
-            raise Diverged("non-finite information pre-array", step)
+        pre = np.concatenate(
+            [pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.T)], axis=-1
+        )
+        _require_finite(step, runs, **{"information pre-array": pre})
         info_factor = linalg.lower_triangularize(pre)
-        rhs = h.T @ model.r_inverse(step)
-        half = linalg.triangular_solve(info_factor, rhs)
-        gain = lam * linalg.triangular_solve(info_factor, half, transposed=True)
+        half = linalg.triangular_solve(info_factor, _per_run(t.ht_r_inv, runs))
+        gain = _times(lam, linalg.triangular_solve(info_factor, half, transposed=True))
     except linalg.LinalgError as exc:
-        raise Diverged(f"{type(exc).__name__}: {exc}", step) from exc
-    x_new = pred.estimate + gain @ innovation
-    i_kh = np.eye(h.shape[1]) - gain @ h
-    joseph_pre = np.hstack([i_kh @ pred.factor, gain @ r_sqrt])
-    _require_finite(step, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
-    factor_new = linalg.lower_triangularize(joseph_pre)
-    return FilterState.square_root(step, x_new, factor_new), StepReport(
-        lam, gain, innovation
-    )
+        raise _diverged(exc, step, runs) from exc
+    return _sr_posterior(t, pred, gain, lam, innovation)
 
 
 def sr1b_measurement_update(
@@ -282,32 +384,23 @@ def sr1b_measurement_update(
     applied to lam * P_pred H^T, with P_pred reconstructed from its factor.
     No n x n factor is ever inverted.
     """
-    step = pred.step
-    _, _, h, _, _ = model.matrices(step)
-    yv = _measurement_vector(y)
-    innovation = yv - h @ pred.estimate
-    _require_finite(step, innovation=innovation)
+    step, runs = pred.step, pred.runs
+    t = model.step_terms(step)
+    innovation = _innovation(t, pred, y)
     try:
-        lam = _lambda_weight(model, spec, pred.factor, innovation, pin_weight, step)
-        _, r_sqrt = model.noise_factors(step)
-        pre = np.hstack([np.sqrt(lam) * (h @ pred.factor), r_sqrt])
-        if not np.isfinite(pre).all():
-            raise Diverged("non-finite innovation pre-array", step)
+        lam = _lambda_weight(model, spec, pred.factor, innovation, pin_weight, step, runs)
+        pre = np.concatenate(
+            [_times(np.sqrt(lam), t.H @ pred.factor), _per_run(t.r_sqrt, runs)], axis=-1
+        )
+        _require_finite(step, runs, **{"innovation pre-array": pre})
         innov_factor = linalg.lower_triangularize(pre)
-        p_pred = pred.factor @ pred.factor.T
-        weighted = lam * (h @ p_pred)
+        p_pred = pred.factor @ pred.factor.mT
+        weighted = _times(lam, t.H @ p_pred)
         half = linalg.triangular_solve(innov_factor, weighted)
-        gain = linalg.triangular_solve(innov_factor, half, transposed=True).T
+        gain = linalg.triangular_solve(innov_factor, half, transposed=True).mT
     except linalg.LinalgError as exc:
-        raise Diverged(f"{type(exc).__name__}: {exc}", step) from exc
-    x_new = pred.estimate + gain @ innovation
-    i_kh = np.eye(h.shape[1]) - gain @ h
-    joseph_pre = np.hstack([i_kh @ pred.factor, gain @ r_sqrt])
-    _require_finite(step, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
-    factor_new = linalg.lower_triangularize(joseph_pre)
-    return FilterState.square_root(step, x_new, factor_new), StepReport(
-        lam, gain, innovation
-    )
+        raise _diverged(exc, step, runs) from exc
+    return _sr_posterior(t, pred, gain, lam, innovation)
 
 
 def _kf_reference_update(model, prior: FilterState, y):
@@ -315,26 +408,102 @@ def _kf_reference_update(model, prior: FilterState, y):
     f, g, h, q, r = model.matrices(step)
     x_pred = f @ prior.estimate
     p_pred = linalg.symmetrize(f @ prior.covariance @ f.T + g @ q @ g.T)
-    yv = _measurement_vector(y)
-    innovation = yv - h @ x_pred
+    innovation = _measurement_vector(y) - h @ x_pred
     innov_cov = h @ p_pred @ h.T + r
     try:
         gain = np.linalg.solve(innov_cov, h @ p_pred).T
     except np.linalg.LinAlgError as exc:
-        raise Diverged("singular innovation covariance", step) from exc
+        raise Diverged({0: "singular innovation covariance"}, step) from exc
     x_new = x_pred + gain @ innovation
     i_kh = np.eye(h.shape[1]) - gain @ h
     p_new = linalg.symmetrize(i_kh @ p_pred @ i_kh.T + gain @ r @ gain.T)
-    _require_finite(step, estimate=x_new, covariance=p_new, gain=gain)
+    _require_finite(step, None, estimate=x_new, covariance=p_new, gain=gain)
     return FilterState.full(step, x_new, p_new), StepReport(1.0, gain, innovation)
 
 
 def kf_reference_step(model, prior: FilterState, y) -> FilterState:
     """Textbook Kalman filter time plus measurement update, dense arithmetic
     with the Joseph covariance form. Used as an oracle for the weighted
-    algorithms at weight 1."""
+    algorithms at weight 1; one run at a time."""
     state, _ = _kf_reference_update(model, prior, y)
     return state
+
+
+def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
+    """Time plus measurement update of one run or of every run of a batch."""
+    if algorithm == "conventional":
+        pred = mcckf_time_update(model, state)
+        return mcckf_measurement_update(model, pred, y, spec, pin_weight)
+    if algorithm == "sr1a":
+        pred = sr_time_update(model, state)
+        return sr1a_measurement_update(model, pred, y, spec, pin_weight)
+    if algorithm == "sr1b":
+        pred = sr_time_update(model, state)
+        return sr1b_measurement_update(model, pred, y, spec, pin_weight)
+    return _kf_reference_update(model, state, y)
+
+
+def _require_bounded(estimate: np.ndarray, step: int):
+    if np.abs(estimate).max() > DIVERGENCE_LIMIT:
+        big = np.abs(estimate).max(axis=-1) > DIVERGENCE_LIMIT
+        raise Diverged(
+            dict.fromkeys(
+                np.flatnonzero(big).tolist(),
+                f"estimate magnitude exceeded {DIVERGENCE_LIMIT:.0e}",
+            ),
+            step,
+        )
+
+
+def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
+    """Advance ``state``, one run or a batch, over the step-major measurements
+    ``ys`` ((steps, m), or (steps, runs, m) for a batch), yielding
+    ``(live, state, report)`` after each step.
+
+    ``live`` holds the indices of the runs still in the batch, one per row of
+    ``state``. A run that fails a check, or whose estimate leaves
+    ``DIVERGENCE_LIMIT``, gets its status in ``statuses`` and leaves the
+    batch; the step is then recomputed for the others.
+    """
+    live = np.arange(len(statuses))
+    for k in range(1, len(ys) + 1):
+        while True:
+            try:
+                new_state, report = _advance(
+                    algorithm, model, state, ys[k - 1], spec, pin_weight
+                )
+                _require_bounded(new_state.estimate, k)
+                break
+            except Diverged as exc:
+                for row in exc.reasons:
+                    statuses[live[row]] = RunStatus(
+                        completed=False,
+                        steps_completed=k - 1,
+                        failed_step=k,
+                        reason=exc.reason_for(row),
+                    )
+                if len(exc.reasons) == len(live):
+                    return
+                keep = np.ones(len(live), dtype=bool)
+                keep[list(exc.reasons)] = False
+                live, state, ys = live[keep], state.take(keep), ys[:, keep]
+        state = new_state
+        yield live, state, report
+
+
+def _check_inputs(algorithm, model, init, measurements, allowed) -> None:
+    if algorithm not in allowed:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {allowed}")
+    violations = validate_model(
+        model, init, require_spd_init=algorithm in ("sr1a", "sr1b")
+    )
+    if violations:
+        raise ValueError("model validation failed: " + "; ".join(violations))
+    m = model.obs_dim
+    if measurements.shape[-1] != m:
+        raise ValueError(
+            f"measurements must have {m} components each, got shape {measurements.shape}"
+        )
 
 
 def _initial_state(algorithm: str, init: InitialCondition) -> FilterState:
@@ -359,7 +528,7 @@ def run_filter(
         init: initial mean and covariance; must be positive definite for the
             square-root variants.
         measurements: sequence of measurement vectors (or ``Measurement``),
-            one per step k = 1..N.
+            one per step k = 1..N, each with the model's output dimension.
         spec: kernel bandwidth for the adjusting weight; may be omitted when
             ``pin_weight`` is given or for ``kf_reference``.
         pin_weight: fix the adjusting weight (e.g. 1.0 reduces every variant
@@ -371,44 +540,51 @@ def run_filter(
         any component beyond ``DIVERGENCE_LIMIT`` is recorded as divergence,
         never silently propagated.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    violations = validate_model(
-        model, init, require_spd_init=algorithm in ("sr1a", "sr1b")
-    )
-    if violations:
-        raise ValueError("model validation failed: " + "; ".join(violations))
-    state = _initial_state(algorithm, init)
-    run = FilterRun(initial=state)
-    for k, y in enumerate(measurements, start=1):
-        try:
-            if algorithm == "conventional":
-                pred = mcckf_time_update(model, state)
-                state, report = mcckf_measurement_update(model, pred, y, spec, pin_weight)
-            elif algorithm == "sr1a":
-                pred = sr_time_update(model, state)
-                state, report = sr1a_measurement_update(model, pred, y, spec, pin_weight)
-            elif algorithm == "sr1b":
-                pred = sr_time_update(model, state)
-                state, report = sr1b_measurement_update(model, pred, y, spec, pin_weight)
-            else:
-                state, report = _kf_reference_update(model, state, y)
-            if np.abs(state.estimate).max() > DIVERGENCE_LIMIT:
-                raise Diverged(
-                    f"estimate magnitude exceeded {DIVERGENCE_LIMIT:.0e}", k
-                )
-        except Diverged as exc:
-            run.status = RunStatus(
-                completed=False,
-                steps_completed=k - 1,
-                failed_step=k,
-                reason=str(exc),
-            )
-            return run
+    rows = [np.atleast_1d(_measurement_vector(y)) for y in measurements]
+    ys = np.array(rows, dtype=float) if rows else np.zeros((0, model.obs_dim))
+    if ys.ndim != 2:
+        raise ValueError(f"measurements must be one vector per step, got shape {ys.shape}")
+    _check_inputs(algorithm, model, init, ys, ALGORITHMS)
+    run = FilterRun(initial=_initial_state(algorithm, init))
+    statuses = [None]
+    for _, state, report in _steps(
+        algorithm, model, run.initial, ys, spec, pin_weight, statuses
+    ):
         run.states.append(state)
         run.reports.append(report)
-    run.status = RunStatus(completed=True, steps_completed=len(run.states))
+    run.status = statuses[0] or RunStatus(completed=True, steps_completed=len(run.states))
     return run
+
+
+def run_batch(
+    algorithm: str,
+    model,
+    init: InitialCondition,
+    measurements,
+    spec: KernelSpec | None = None,
+) -> BatchRun:
+    """Drive one algorithm over several runs' measurement sequences at once.
+
+    ``measurements`` has shape (runs, steps, m). The runs advance together,
+    one numpy call per operation for the whole batch, and each run's
+    estimates and status equal, bit for bit, what ``run_filter`` returns for
+    it alone. Arguments are as for ``run_filter``, without a pinned weight;
+    ``kf_reference`` is not batched.
+    """
+    ys = np.asarray(measurements, dtype=float)
+    if ys.ndim != 3:
+        raise ValueError(f"measurements must have shape (runs, steps, m), got {ys.shape}")
+    _check_inputs(algorithm, model, init, ys, BATCH_ALGORITHMS)
+    runs, horizon, _ = ys.shape
+    estimates = np.full((runs, horizon, model.state_dim), np.nan)
+    statuses = [None] * runs
+    initial = _initial_state(algorithm, init).take(np.newaxis).take(np.zeros(runs, dtype=int))
+    for k, (live, state, _) in enumerate(
+        _steps(algorithm, model, initial, np.swapaxes(ys, 0, 1), spec, None, statuses)
+    ):
+        estimates[live, k] = state.estimate
+    statuses = [s or RunStatus(completed=True, steps_completed=horizon) for s in statuses]
+    return BatchRun(estimates, statuses)
 
 
 def gain_information_form(p, h, r, lam: float) -> np.ndarray:

@@ -4,6 +4,14 @@ All routines operate on float64 numpy arrays. Triangular factors follow a
 fixed sign convention (nonnegative diagonal), which makes the factor of a
 given SPD matrix unique and therefore directly comparable across the
 filtering algorithms that propagate them.
+
+The factorization, triangularization and solve kernels also take a stack of
+matrices with a leading axis, one matrix per Monte Carlo run. Each matrix of
+a stack gets bit for bit the result of the call on that matrix alone: every
+product is a stacked ``@``, ``np.vecdot``, ``np.matvec`` or ``np.vecmat``
+with the per-matrix shapes and association order of the 2-D call, which
+numpy evaluates with the same BLAS call per matrix, and nothing sums across
+the stack. A stack of one runs the 2-D loop, which is faster for one matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +46,16 @@ PIVOT_FLOOR_FACTOR = 100.0
 
 
 class LinalgError(Exception):
-    """Base class for factorization and solve failures."""
+    """Base class for factorization and solve failures.
+
+    Raised for a stack of matrices, ``failed`` maps the index in the stack of
+    each matrix that failed the check to the message the call on that matrix
+    alone raises; the other matrices passed every check up to that point.
+    """
+
+    def __init__(self, message: str, failed: dict[int, str] | None = None):
+        super().__init__(message)
+        self.failed = {} if failed is None else failed
 
 
 class NotSymmetric(LinalgError):
@@ -57,10 +74,36 @@ class SingularFactor(LinalgError):
     """A triangular factor has a zero or subnormal diagonal entry."""
 
 
+def _raise_where(cls, bad: np.ndarray, message) -> None:
+    """Raise ``cls`` if a check failed: ``bad`` is a flag for one matrix or
+    one flag per matrix of a stack, and ``message(i)`` is the message for
+    matrix i (``i = ()`` for one matrix)."""
+    if not bad.any():
+        return
+    if bad.ndim == 0:
+        raise cls(message(()))
+    failed = {int(i): message(i) for i in np.flatnonzero(bad)}
+    raise cls("; ".join(f"matrix {i}: {m}" for i, m in failed.items()), failed)
+
+
+def _one_of_stack(kernel, *arrays, **kwargs) -> np.ndarray:
+    """Run a 2-D kernel on the only matrix of a stack of one."""
+    try:
+        return kernel(*(a[0] for a in arrays), **kwargs)[None]
+    except LinalgError as exc:
+        raise type(exc)(f"matrix 0: {exc}", {0: str(exc)}) from None
+
+
+def _require_finite(a: np.ndarray, message: str) -> None:
+    if not np.isfinite(a).all():
+        _raise_where(NonFiniteInput, ~np.isfinite(a).all(axis=(-2, -1)), lambda i: message)
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (a + a.T) / 2."""
+    """Return the symmetric part (a + a.T) / 2 of a matrix or of each matrix
+    of a stack."""
     a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
+    return (a + a.mT) / 2.0
 
 
 def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
@@ -73,15 +116,16 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
 
     Parameters
     ----------
-    a : ndarray, shape (n, n)
-        Matrix to factor. Must be symmetric to within ``SYMMETRY_RTOL``
-        (relative, max-norm) unless ``check_symmetry`` is disabled.
+    a : ndarray, shape (n, n) or (runs, n, n)
+        Matrix, or stack of matrices, to factor. Must be symmetric to within
+        ``SYMMETRY_RTOL`` (relative, max-norm) unless ``check_symmetry`` is
+        disabled.
     check_symmetry : bool
         Skip the symmetry precheck when the caller guarantees it.
 
     Returns
     -------
-    ndarray, shape (n, n)
+    ndarray, shape of ``a``
         Lower-triangular L with nonnegative diagonal and L @ L.T == a to
         within roundoff.
 
@@ -93,19 +137,30 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
         If any pivot is at or below the floor.
     NonFiniteInput
         If the input contains NaN or Inf.
+
+    On a stack, each error names the failing matrices in ``failed``.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFiniteInput("matrix contains non-finite entries")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    _require_finite(a, "matrix contains non-finite entries")
     if check_symmetry:
-        scale = np.abs(a).max() if a.size else 0.0
-        if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
-            raise NotSymmetric(
-                f"asymmetry {np.abs(a - a.T).max():.3e} exceeds "
-                f"{SYMMETRY_RTOL:g} * {scale:.3e}"
-            )
+        scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+        asymmetry = np.abs(a - a.mT).max(axis=(-2, -1), initial=0.0)
+        _raise_where(
+            NotSymmetric,
+            asymmetry > SYMMETRY_RTOL * scale,
+            lambda i: f"asymmetry {asymmetry[i]:.3e} exceeds "
+            f"{SYMMETRY_RTOL:g} * {scale[i]:.3e}",
+        )
+    if a.ndim == 2:
+        return _cholesky(a)
+    if len(a) == 1:
+        return _one_of_stack(_cholesky, a)
+    return _cholesky_stack(a)
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
     s = symmetrize(a)
     n = s.shape[0]
     row_norms = np.linalg.norm(s, axis=1)
@@ -125,6 +180,29 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     return lower
 
 
+def _cholesky_stack(a: np.ndarray) -> np.ndarray:
+    """The loop of ``_cholesky`` over every matrix of a stack at once."""
+    s = symmetrize(a)
+    n = s.shape[-1]
+    row_norms = np.linalg.norm(s, axis=-1)
+    lower = np.zeros_like(s)
+    for j in range(n):
+        pivot = s[:, j, j] - np.vecdot(lower[:, j, :j], lower[:, j, :j])
+        floor = PIVOT_FLOOR_FACTOR * _EPS * row_norms[:, j]
+        _raise_where(
+            NotPositiveDefinite,
+            pivot <= floor,
+            lambda i: f"pivot {pivot[i]:.6e} at index {j} is at or below "
+            f"floor {floor[i]:.6e}",
+        )
+        lower[:, j, j] = np.sqrt(pivot)
+        if j + 1 < n:
+            lower[:, j + 1 :, j] = (
+                s[:, j + 1 :, j] - np.matvec(lower[:, j + 1 :, :j], lower[:, j, :j])
+            ) / lower[:, j, j, None]
+    return lower
+
+
 def lower_triangularize(pre_array: np.ndarray) -> np.ndarray:
     """Reduce a wide pre-array A (rows <= cols) to its lower-triangular X.
 
@@ -135,23 +213,25 @@ def lower_triangularize(pre_array: np.ndarray) -> np.ndarray:
     transposed back. Column signs are flipped so the diagonal of X is
     nonnegative; rank-deficient inputs yield zero diagonal entries.
 
+    A stack of pre-arrays (runs, rows, cols) is reduced one pre-array at a
+    time by the same LAPACK call.
+
     Raises
     ------
     NonFiniteInput
-        If the pre-array contains NaN or Inf.
+        If the pre-array contains NaN or Inf; on a stack, ``failed`` names
+        the failing pre-arrays.
     """
     a = np.asarray(pre_array, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D pre-array, got shape {a.shape}")
-    rows, cols = a.shape
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D pre-array or a stack of them, got shape {a.shape}")
+    rows, cols = a.shape[-2:]
     if rows > cols:
         raise ValueError(f"pre-array must have rows <= cols, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFiniteInput("pre-array contains non-finite entries")
-    r = np.linalg.qr(a.T, mode="r")
-    x = r.T
-    signs = np.where(np.diagonal(x) < 0.0, -1.0, 1.0)
-    return x * signs
+    _require_finite(a, "pre-array contains non-finite entries")
+    x = np.linalg.qr(a.mT, mode="r").mT
+    signs = np.where(x.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
+    return x * signs[..., None, :]
 
 
 def triangular_solve(
@@ -163,10 +243,24 @@ def triangular_solve(
     a zero or subnormal diagonal entry raises ``SingularFactor``, the signal
     the ill-conditioning sweep uses to record breakdown. ``b`` may be a vector
     or a matrix of stacked right-hand sides.
+
+    A stack of factors (runs, n, n) solves each run's system: ``b`` is then
+    (runs, n) for vectors or (runs, n, k) for matrices, and ``SingularFactor``
+    names the failing factors in ``failed``.
     """
     l = np.asarray(l, dtype=float)
-    n = l.shape[0]
     b = np.asarray(b, dtype=float)
+    if l.ndim == 2:
+        return _solve(l, b, transposed)
+    if l.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != l.shape[:2]:
+        raise ValueError(f"dimension mismatch: factors {l.shape}, rhs {b.shape}")
+    if len(l) == 1:
+        return _one_of_stack(_solve, l, b, transposed=transposed)
+    return _solve_stack(l, b, transposed)
+
+
+def _solve(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
+    n = l.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"dimension mismatch: factor {l.shape}, rhs {b.shape}")
     vector = b.ndim == 1
@@ -202,10 +296,35 @@ def triangular_solve(
     return x[:, 0] if vector else x
 
 
+def _solve_stack(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
+    """The loop of ``_solve`` over every factor of a stack at once."""
+    n = l.shape[-1]
+    vector = b.ndim == 2
+    _raise_where(
+        SingularFactor,
+        (np.abs(l.diagonal(0, 1, 2)) < _TINY).any(axis=1),
+        lambda i: "factor has a zero or subnormal diagonal entry",
+    )
+    x = b[..., None].copy() if vector else b.copy()
+    if not transposed:
+        for i in range(n):
+            if i:
+                x[:, i] -= np.vecmat(l[:, i, :i], x[:, :i])
+            x[:, i] /= l[:, i, i, None]
+    else:
+        for i in range(n - 1, -1, -1):
+            if i < n - 1:
+                x[:, i] -= np.vecmat(l[:, i + 1 :, i], x[:, i + 1 :])
+            x[:, i] /= l[:, i, i, None]
+    return x[..., 0] if vector else x
+
+
 def triangular_inverse(l: np.ndarray) -> np.ndarray:
-    """Invert a lower-triangular factor; the result is lower triangular."""
+    """Invert a lower-triangular factor, or each factor of a stack; the
+    result is lower triangular."""
     l = np.asarray(l, dtype=float)
-    return triangular_solve(l, np.eye(l.shape[0]))
+    eye = np.eye(l.shape[-1])
+    return triangular_solve(l, eye if l.ndim == 2 else eye[None].repeat(len(l), axis=0))
 
 
 def condition_estimate(m: np.ndarray) -> float:

@@ -9,6 +9,7 @@ concurrent Monte Carlo runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from . import linalg
 
 __all__ = [
+    "StepTerms",
     "StateSpaceModel",
     "TimeVaryingModel",
     "InitialCondition",
@@ -30,6 +32,66 @@ def _frozen(a, shape=None) -> np.ndarray:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+class StepTerms:
+    """System matrices of one step and the products the filters reuse.
+
+    Each product is computed on first use, with the operations and the
+    association order of the filter-step expression it stands for, so
+    reusing it changes no bit of any result. The noise factors are also
+    computed on first use, inside the filter steps, so a Q_k or R_k that is
+    not positive definite fails the runs at step k instead of the call.
+    A time-invariant model keeps one instance for all steps.
+    """
+
+    def __init__(self, model, step: int):
+        self.F, self.G, self.H, self.Q, self.R = model.matrices(step)
+        self._model, self._step = model, step
+
+    @cached_property
+    def _noise_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._model.noise_factors(self._step)
+
+    @property
+    def q_sqrt(self) -> np.ndarray:
+        """Lower Cholesky factor of Q."""
+        return self._noise_factors[0]
+
+    @property
+    def r_sqrt(self) -> np.ndarray:
+        """Lower Cholesky factor of R."""
+        return self._noise_factors[1]
+
+    @cached_property
+    def r_inv(self) -> np.ndarray:
+        """R^{-1}."""
+        return self._model.r_inverse(self._step)
+
+    @cached_property
+    def g_q_sqrt(self) -> np.ndarray:
+        """G Q_sqrt, the noise block of the square-root time update."""
+        return self.G @ self.q_sqrt
+
+    @cached_property
+    def g_q_g(self) -> np.ndarray:
+        """G Q G^T."""
+        return self.G @ self.Q @ self.G.T
+
+    @cached_property
+    def ht_r_inv(self) -> np.ndarray:
+        """H^T R^{-1}, the right-hand side of the information-form gain."""
+        return self.H.T @ self.r_inv
+
+    @cached_property
+    def ht_r_inv_h(self) -> np.ndarray:
+        """H^T R^{-1} H."""
+        return self.ht_r_inv @ self.H
+
+    @cached_property
+    def r_sqrt_inv_h(self) -> np.ndarray:
+        """R_sqrt^{-1} H, the measurement block of the sr1a pre-array."""
+        return linalg.triangular_solve(self.r_sqrt, self.H)
 
 
 @dataclass(eq=False)
@@ -65,6 +127,7 @@ class StateSpaceModel:
         self.R = _frozen(self.R, (m, m))
         self._noise_factors = None
         self._r_inverse = None
+        self._step_terms = None
 
     @property
     def state_dim(self) -> int:
@@ -101,6 +164,12 @@ class StateSpaceModel:
             r_inv.setflags(write=False)
             self._r_inverse = r_inv
         return self._r_inverse
+
+    def step_terms(self, step: int) -> StepTerms:
+        """Cached ``StepTerms``, shared by every step."""
+        if self._step_terms is None:
+            self._step_terms = StepTerms(self, step)
+        return self._step_terms
 
 
 class TimeVaryingModel:
@@ -144,6 +213,9 @@ class TimeVaryingModel:
         _, r_sqrt = self.noise_factors(step)
         inv_factor = linalg.triangular_inverse(r_sqrt)
         return inv_factor.T @ inv_factor
+
+    def step_terms(self, step: int) -> StepTerms:
+        return StepTerms(self, step)
 
 
 @dataclass(eq=False)

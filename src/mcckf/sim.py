@@ -169,36 +169,42 @@ def simulate(
     initial_state = x.copy()
 
     truth = np.zeros((horizon, n))
-    measurements = np.zeros((horizon, m_dim))
-    outlier_log: list = []
-
-    time_invariant = hasattr(model, "F")
-    q_factor = psd_factor(q0)
-    r_factor = psd_factor(r0)
-    f, g, h = f0, g0, h0
-    for k in range(1, horizon + 1):
-        if not time_invariant:
+    if hasattr(model, "F"):
+        # Time-invariant: all noise in one draw, which yields the numbers the
+        # per-step draws below would (w_1, v_1, w_2, v_2, ...), and the
+        # per-step products as stacked ones of the same shapes.
+        z = noise_rng.standard_normal((horizon, q_dim + m_dim))
+        w = np.zeros(q_dim) + np.matvec(psd_factor(q0), z[:, :q_dim])
+        v = np.zeros(m_dim) + np.matvec(psd_factor(r0), z[:, q_dim:])
+        for k, mags in process_impulses.items():
+            w[k - 1] = w[k - 1] + mags
+        for k, mags in measurement_impulses.items():
+            v[k - 1] = v[k - 1] + mags
+        g_w = np.matvec(g0, w)
+        for k in range(horizon):
+            x = f0 @ x + g_w[k]
+            truth[k] = x
+        measurements = np.matvec(h0, truth) + v
+    else:
+        measurements = np.zeros((horizon, m_dim))
+        for k in range(1, horizon + 1):
             f, g, h, qk, rk = model.matrices(k)
-            q_factor = psd_factor(qk)
-            r_factor = psd_factor(rk)
-        w = draw_gaussian(noise_rng, np.zeros(q_dim), q_factor)
-        if k in process_impulses:
-            mags = process_impulses[k]
-            w = w + mags
-            outlier_log.extend(
-                (k, f"w{j + 1}", int(mags[j])) for j in range(q_dim)
-            )
-        x = f @ x + g @ w
-        v = draw_gaussian(noise_rng, np.zeros(m_dim), r_factor)
-        if k in measurement_impulses:
-            mags = measurement_impulses[k]
-            v = v + mags
-            outlier_log.extend(
-                (k, f"v{j + 1}", int(mags[j])) for j in range(m_dim)
-            )
-        truth[k - 1] = x
-        measurements[k - 1] = h @ x + v
+            w = draw_gaussian(noise_rng, np.zeros(q_dim), psd_factor(qk))
+            if k in process_impulses:
+                w = w + process_impulses[k]
+            x = f @ x + g @ w
+            v = draw_gaussian(noise_rng, np.zeros(m_dim), psd_factor(rk))
+            if k in measurement_impulses:
+                v = v + measurement_impulses[k]
+            truth[k - 1] = x
+            measurements[k - 1] = h @ x + v
 
+    outlier_log = [
+        (k, f"{group}{j + 1}", int(mag))
+        for group, impulses in (("w", process_impulses), ("v", measurement_impulses))
+        for k, mags in impulses.items()
+        for j, mag in enumerate(mags)
+    ]
     outlier_log.sort(key=lambda item: (item[0], item[1]))
     return Trajectory(initial_state, truth, measurements, outlier_log)
 

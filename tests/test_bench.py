@@ -19,9 +19,10 @@ from mcckf.bench import (
     write_csv,
 )
 from mcckf.correntropy import KernelSpec
+from mcckf.filters import run_filter
 from mcckf.linalg import condition_estimate
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
-from mcckf.sim import ShotNoiseSpec
+from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
 
 
 class TestBuildExample1:
@@ -175,6 +176,53 @@ class TestRunMonteCarlo:
             assert math.isnan(conv.scalar_summary)
         assert reports["sr1b"].diverged_runs == 0
         assert math.isfinite(reports["sr1b"].scalar_summary)
+
+    @pytest.mark.parametrize(
+        "scenario, spec",
+        [
+            (radar_scenario(), KernelSpec(3e4)),
+            (ill_conditioned_scenario(1e-5), KernelSpec(float("inf"))),
+            (ill_conditioned_scenario(1e-6), KernelSpec(float("inf"))),
+            (ill_conditioned_scenario(1e-13), KernelSpec(float("inf"))),
+        ],
+    )
+    def test_batched_runs_match_per_run_filters(self, scenario, spec):
+        # the per-run loop and RMSE accumulation the harness is defined by
+        runs, algorithms = 4, ("conventional", "sr1a", "sr1b")
+        reports = run_monte_carlo(algorithms, scenario, runs, 1, spec)
+        for algorithm in algorithms:
+            sq_sum, completed, statuses = 0.0, 0, []
+            for i in range(runs):
+                trajectory = simulate(
+                    scenario.model, scenario.init, scenario.horizon, SeedSpec(1, i), scenario.shot
+                )
+                run = run_filter(algorithm, scenario.model, scenario.init, trajectory.measurements, spec)
+                statuses.append(run.status)
+                if run.status.completed:
+                    err = trajectory.truth - run.estimates()
+                    sq_sum = sq_sum + err * err
+                    completed += 1
+            report = reports[algorithm]
+            assert report.statuses == statuses
+            assert report.completed_runs == completed
+            if completed:
+                assert np.array_equal(report.per_component, np.sqrt(sq_sum / completed))
+
+    def test_failure_reasons_stay_typed_per_run(self):
+        reports = run_monte_carlo(
+            ["conventional", "sr1a", "sr1b"],
+            ill_conditioned_scenario(1e-5),
+            4,
+            1,
+            KernelSpec(float("inf")),
+        )
+        for status in reports["conventional"].statuses:
+            assert status.failed_step == 3
+            assert status.reason.startswith("step 3: NotPositiveDefinite: pivot ")
+        for status in reports["sr1a"].statuses:
+            assert status.failed_step == 46
+            assert status.reason == "step 46: estimate magnitude exceeded 1e+12"
+        assert all(status.completed for status in reports["sr1b"].statuses)
 
     def test_rejects_bad_runs_and_duplicates(self):
         with pytest.raises(ValueError):

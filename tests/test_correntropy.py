@@ -96,6 +96,21 @@ class TestComputeLambda:
             prediction_weight_factor=np.eye(n) if p_factor is None else p_factor,
         )
 
+    def test_batch_matches_each_run(self):
+        spec = KernelSpec(1.5)
+        for dim in (1, 2, 5):
+            factors = np.array(
+                [cholesky_lower(np.eye(dim) + 0.1 * np.ones((dim, dim))) for _ in range(4)]
+            )
+            innovations = RNG.standard_normal((4, dim)) * 3
+            innovations[1] = 0.0
+            for residuals in (np.zeros((4, 3)), RNG.standard_normal((4, 3))):
+                batch = LambdaInputs(innovations, factors, residuals, np.array([np.eye(3)] * 4))
+                weights = compute_lambda(spec, batch)
+                for i in range(4):
+                    alone = LambdaInputs(innovations[i], factors[i], residuals[i], np.eye(3))
+                    assert weights[i] == compute_lambda(spec, alone)
+
     def test_both_zero_gives_one(self):
         inputs = self.make_inputs(np.zeros(2), np.eye(2))
         assert compute_lambda(KernelSpec(3.0), inputs) == 1.0

@@ -13,6 +13,7 @@ from mcckf.filters import (
     kf_reference_step,
     mcckf_measurement_update,
     mcckf_time_update,
+    run_batch,
     run_filter,
     sr1a_measurement_update,
     sr1b_measurement_update,
@@ -383,3 +384,98 @@ class TestRunFilter:
             lams[algorithm] = np.array([rep.lam for rep in run.reports])
         np.testing.assert_allclose(lams["conventional"], lams["sr1a"], rtol=1e-9)
         np.testing.assert_allclose(lams["conventional"], lams["sr1b"], rtol=1e-9)
+
+
+def batch_measurements(model, init, horizon, seed, runs, shot=None):
+    return np.stack(
+        [simulate(model, init, horizon, SeedSpec(seed, i), shot).measurements for i in range(runs)]
+    )
+
+
+def assert_batch_matches_each_run(algorithm, model, init, measurements, spec):
+    """run_batch gives every run exactly what run_filter gives it alone."""
+    batch = run_batch(algorithm, model, init, measurements, spec)
+    for i, ys in enumerate(measurements):
+        alone = run_filter(algorithm, model, init, ys, spec)
+        assert batch.statuses[i] == alone.status
+        steps = alone.status.steps_completed
+        assert np.array_equal(batch.estimates[i, :steps], alone.estimates())
+        assert np.isnan(batch.estimates[i, steps:]).all()
+    return batch
+
+
+class TestRunBatch:
+    def test_radar_with_live_weight_is_bit_identical(self):
+        model, init, shot = build_example1()
+        spec = KernelSpec(3e4)
+        ys = batch_measurements(model, init, 300, 1, 4, shot)
+        lams = np.array([rep.lam for rep in run_filter("sr1b", model, init, ys[0], spec).reports])
+        assert 0.0 < lams.min() < 0.9  # the weight is live, neither 0 nor pinned at 1
+        for algorithm in ("conventional", "sr1a", "sr1b"):
+            batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
+            assert all(status.completed for status in batch.statuses)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-13])
+    def test_sweep_model_failures_are_bit_identical(self, delta):
+        model, init = build_example2(delta)
+        ys = batch_measurements(model, init, 300, 1, 4)
+        for algorithm in ("conventional", "sr1a", "sr1b"):
+            batch = assert_batch_matches_each_run(
+                algorithm, model, init, ys, KernelSpec(float("inf"))
+            )
+            if delta == 1e-13 and algorithm == "sr1b":
+                # runs leave the batch at different steps
+                assert {s.failed_step for s in batch.statuses} == {19, 39}
+
+    def test_rejects_kf_reference_and_wrong_shapes(self):
+        model, init, _ = build_example1()
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run_batch("kf_reference", model, init, np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError, match="runs, steps, m"):
+            run_batch("sr1b", model, init, np.zeros((3, 2)), KernelSpec(1.0))
+
+
+class TestNoiseBreakdownAfterStepOne:
+    """validate_model checks a provider at step 1 only; a Q_k or R_k that is
+    not positive definite later is a divergence of the runs at step k."""
+
+    @pytest.mark.parametrize("singular", ["Q", "R"])
+    def test_recorded_as_divergence(self, singular):
+        base, init, shot = build_example1()
+
+        def provider(k):
+            q = base.Q * 0.0 if singular == "Q" and k >= 2 else base.Q
+            r = base.R * 0.0 if singular == "R" and k >= 2 else base.R
+            return base.F, base.G, base.H, q, r
+
+        tv = TimeVaryingModel(provider, 6, 2, 2)
+        ys = batch_measurements(base, init, 5, 3, 2, shot)
+        spec = KernelSpec(3e4)
+        for algorithm in ("conventional", "sr1a", "sr1b"):
+            alone = run_filter(algorithm, tv, init, ys[0], spec)
+            assert alone.status.failed_step == 2
+            assert alone.status.reason.startswith("step 2: NotPositiveDefinite: pivot")
+            batch = run_batch(algorithm, tv, init, ys, spec)
+            assert batch.statuses == [alone.status, alone.status]
+            assert np.array_equal(batch.estimates[0, :1], alone.estimates())
+        # with the weight pinned, conventional still needs R^{-1}
+        pinned = run_filter("conventional", tv, init, ys[0], pin_weight=1.0)
+        assert pinned.status.failed_step == 2
+
+
+class TestMeasurementWidth:
+    def test_run_filter_rejects_wrong_width(self):
+        model, init, _ = build_example1()
+        with pytest.raises(ValueError, match="2 components"):
+            run_filter("sr1b", model, init, np.zeros((300, 1)), KernelSpec(3e4))
+
+    def test_run_batch_rejects_wrong_width(self):
+        model, init, _ = build_example1()
+        with pytest.raises(ValueError, match="2 components"):
+            run_batch("sr1b", model, init, np.zeros((2, 300, 1)), KernelSpec(3e4))
+
+    def test_scalar_measurements_of_a_scalar_model(self):
+        model = scalar_model()
+        init = InitialCondition(np.zeros(1), np.eye(1))
+        run = run_filter("sr1b", model, init, [0.5, 1.0], KernelSpec(1.0))
+        assert run.status.completed and run.estimates().shape == (2, 1)

@@ -229,3 +229,85 @@ class TestConditionEstimate:
         assert estimates[1e-3] / estimates[1e-2] == pytest.approx(100.0, rel=0.05)
         assert estimates[1e-4] / estimates[1e-3] == pytest.approx(100.0, rel=0.05)
         assert estimates[1e-4] >= 1e7
+
+
+def stack_of_factors(rng, runs, dim):
+    return np.array([cholesky_lower(random_spd(rng, dim, 100.0)) for _ in range(runs)])
+
+
+class TestStackedKernels:
+    """A stack gives every matrix the result of the 2-D call, bit for bit."""
+
+    DIMS = (1, 2, 3, 6, 24)
+
+    def test_cholesky_matches_each_slice(self):
+        for dim in self.DIMS:
+            for runs in (1, 2, 5):
+                a = np.array([random_spd(RNG, dim, 1e4) for _ in range(runs)])
+                stacked = cholesky_lower(a)
+                for i in range(runs):
+                    assert np.array_equal(stacked[i], cholesky_lower(a[i]))
+
+    def test_solve_and_inverse_match_each_slice(self):
+        for dim in self.DIMS:
+            for runs in (1, 4):
+                l = stack_of_factors(RNG, runs, dim)
+                inverse = triangular_inverse(l)
+                for rhs_shape in ((runs, dim), (runs, dim, 1), (runs, dim, 3)):
+                    b = RNG.standard_normal(rhs_shape)
+                    for transposed in (False, True):
+                        x = triangular_solve(l, b, transposed=transposed)
+                        for i in range(runs):
+                            assert np.array_equal(
+                                x[i], triangular_solve(l[i], b[i], transposed=transposed)
+                            )
+                for i in range(runs):
+                    assert np.array_equal(inverse[i], triangular_inverse(l[i]))
+
+    def test_lower_triangularize_matches_each_slice(self):
+        for dim in self.DIMS:
+            pre = RNG.standard_normal((3, dim, dim + 4))
+            x = lower_triangularize(pre)
+            for i in range(3):
+                assert np.array_equal(x[i], lower_triangularize(pre[i]))
+
+    def test_pivot_floor_names_the_failing_matrix(self):
+        a = np.array([random_spd(RNG, 4, 10.0) for _ in range(4)])
+        a[2] = np.ones((4, 4))
+        with pytest.raises(NotPositiveDefinite) as stacked:
+            cholesky_lower(a)
+        with pytest.raises(NotPositiveDefinite) as alone:
+            cholesky_lower(a[2])
+        assert stacked.value.failed == {2: str(alone.value)}
+        healthy = np.delete(a, 2, axis=0)
+        for got, want in zip(cholesky_lower(healthy), healthy):
+            assert np.array_equal(got, cholesky_lower(want))
+
+    def test_stack_of_one_names_its_matrix(self):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky_lower(np.ones((1, 3, 3)))
+        assert list(exc.value.failed) == [0]
+
+    def test_singular_diagonal_names_the_failing_factor(self):
+        for dim in (1, 2, 5):
+            l = stack_of_factors(RNG, 3, dim)
+            l[1, dim - 1, dim - 1] = 0.0
+            b = RNG.standard_normal((3, dim))
+            with pytest.raises(SingularFactor) as stacked:
+                triangular_solve(l, b)
+            assert list(stacked.value.failed) == [1]
+            for i in (0, 2):
+                assert np.array_equal(
+                    triangular_solve(l[[i]], b[[i]])[0], triangular_solve(l[i], b[i])
+                )
+
+    def test_non_finite_pre_array_names_the_failing_pre_array(self):
+        pre = RNG.standard_normal((3, 2, 4))
+        pre[0, 1, 3] = np.nan
+        with pytest.raises(NonFiniteInput) as exc:
+            lower_triangularize(pre)
+        assert list(exc.value.failed) == [0]
+
+    def test_rejects_mismatched_stacks(self):
+        with pytest.raises(ValueError):
+            triangular_solve(np.ones((2, 3, 3)), np.ones((3, 3)))
