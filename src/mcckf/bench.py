@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correntropy import KernelSpec
-from .filters import ALGORITHMS, RunStatus, run_batch, run_filter
+from .filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_batch, run_filter
 from .model import InitialCondition, StateSpaceModel
 from .sim import SeedSpec, ShotNoiseSpec, simulate
 
@@ -53,7 +53,7 @@ class RadarConstants:
     the second) maneuvering noise variance.
 
     Maps one-to-one onto the ``[model]`` section of the experiment
-    configuration file plus ``runs``/``horizon`` from ``[monte_carlo]``
+    configuration file plus ``horizon`` from ``[monte_carlo]``
     (see ``mcckf.config`` and the README for the full schema).
     """
 
@@ -64,7 +64,6 @@ class RadarConstants:
     maneuver_var_1: float = (103.0 / 3.0) ** 2
     maneuver_var_2: float = 1.3e-8
     horizon: int = 300
-    runs: int = 100
     init_bearing_entry: float | None = None
     init_bearing_rate_extra: float | None = None
 
@@ -204,7 +203,7 @@ def _estimates_for(algorithm, scenario: Scenario, trajectories, spec):
         return estimates, [
             RunStatus(completed=True, steps_completed=t.horizon) for t in trajectories
         ]
-    if algorithm == "kf_reference":
+    if algorithm not in WEIGHTED_FILTERS:
         runs = [
             run_filter(algorithm, scenario.model, scenario.init, t.measurements, spec)
             for t in trajectories

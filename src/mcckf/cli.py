@@ -9,6 +9,8 @@ merged-config hash, the seed and the library version.
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -24,10 +26,8 @@ from .bench import (
     write_csv,
 )
 from .config import ConfigError, ExperimentConfig
-from .filters import ALGORITHMS
+from .filters import ALGORITHMS, WEIGHTED_FILTERS
 from .sim import SeedSpec, simulate, write_trajectory_csv
-
-MCC_ALGORITHMS = ("conventional", "sr1a", "sr1b")
 
 
 def _add_common(sub, tolerance: bool = False):
@@ -37,7 +37,7 @@ def _add_common(sub, tolerance: bool = False):
     sub.add_argument("--runs", type=int, help="Monte Carlo runs (overrides the config)")
     sub.add_argument(
         "--algorithms",
-        help="comma-separated subset of: " + ",".join(MCC_ALGORITHMS),
+        help="comma-separated subset of: " + ",".join(WEIGHTED_FILTERS),
     )
     sub.add_argument(
         "--set",
@@ -104,7 +104,7 @@ def _algorithm_list(args, minimum: int = 1) -> list[str]:
     if args.algorithms:
         names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     else:
-        names = list(MCC_ALGORITHMS)
+        names = list(WEIGHTED_FILTERS)
     for name in names:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
@@ -141,6 +141,8 @@ def _relative_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cmd_equivalence(args) -> int:
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
     cfg = _load_config(args)
     names = _algorithm_list(args, minimum=2)
     scenario = _radar_scenario_from(cfg)
@@ -155,12 +157,11 @@ def cmd_equivalence(args) -> int:
     diffs = {
         (a, b): _relative_diff(reports[a].total, reports[b].total) for a, b in pairs
     }
-    header = ["step"] + [f"{a}_vs_{b}" for a, b in pairs]
     with open(out / "diff.csv", "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["step"] + [f"{a}_vs_{b}" for a, b in pairs])
         for k in range(scenario.horizon):
-            row = [str(k + 1)] + [f"{diffs[p][k]:.17g}" for p in pairs]
-            fh.write(",".join(row) + "\n")
+            writer.writerow([str(k + 1)] + [f"{diffs[p][k]:.17g}" for p in pairs])
 
     diverged = {name: reports[name].diverged_runs for name in names}
     max_diff = max(float(d.max()) for d in diffs.values()) if pairs else 0.0
@@ -255,7 +256,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,7 +138,6 @@ class ExperimentConfig:
                 maneuver_var_1=self._get("model", "maneuver_var_1", float),
                 maneuver_var_2=self._get("model", "maneuver_var_2", float),
                 horizon=self.horizon(),
-                runs=self.runs(),
                 init_bearing_entry=self._get(
                     "model", "init_bearing_entry", float, required=False
                 ),

@@ -25,7 +25,9 @@ the runs axis. The batch computes each run's numbers with the same operations,
 in the same order, as that run alone (see ``mcckf.linalg``), so a run's
 estimates do not depend on the batch it ran in, bit for bit. A run that fails
 a check leaves the batch at that step with its own typed reason; the step is
-then recomputed for the runs that remain.
+then recomputed for the runs that remain. The drivers record a failed
+linear-algebra check as a ``Diverged`` of the runs concerned; a step function
+called directly raises the ``LinalgError`` itself.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .model import InitialCondition, Measurement, validate_model
 
 __all__ = [
     "ALGORITHMS",
+    "WEIGHTED_FILTERS",
     "DIVERGENCE_LIMIT",
     "Diverged",
     "FilterState",
@@ -53,17 +56,30 @@ __all__ = [
     "sr_time_update",
     "sr1a_measurement_update",
     "sr1b_measurement_update",
-    "kf_reference_step",
     "run_filter",
     "run_batch",
-    "gain_information_form",
-    "gain_innovation_form",
 ]
 
-ALGORITHMS = ("conventional", "sr1a", "sr1b", "kf_reference")
-# The algorithms run_batch advances many runs at a time; the dense oracle
-# kf_reference runs one run at a time through run_filter.
-BATCH_ALGORITHMS = ALGORITHMS[:3]
+
+@dataclass(frozen=True)
+class _WeightedFilter:
+    """A weighted filter's covariance family and its step functions."""
+
+    square_root: bool  # propagates a Cholesky factor, not the full covariance
+    time_update: str
+    measurement_update: str
+
+
+# The weighted filters, which run_batch also advances many runs at a time.
+# The step functions are stored by name and looked up in this module at call
+# time, so a wrapper bound to that name (a tracer, a test double) is called.
+WEIGHTED_FILTERS = {
+    "conventional": _WeightedFilter(False, "mcckf_time_update", "mcckf_measurement_update"),
+    "sr1a": _WeightedFilter(True, "sr_time_update", "sr1a_measurement_update"),
+    "sr1b": _WeightedFilter(True, "sr_time_update", "sr1b_measurement_update"),
+}
+# kf_reference, the dense oracle, runs one run at a time through run_filter.
+ALGORITHMS = (*WEIGHTED_FILTERS, "kf_reference")
 
 # An estimate component beyond this magnitude marks the run diverged even if
 # still finite; it makes the breakdown sweep deterministic.
@@ -199,9 +215,7 @@ def _measurement_vector(y) -> np.ndarray:
 
 def _per_run(a: np.ndarray, runs: int | None) -> np.ndarray:
     """A matrix every run of the batch shares, one copy per run."""
-    if runs is None:
-        return a
-    return a[None] if runs == 1 else a[None].repeat(runs, axis=0)
+    return a if runs is None else a[None].repeat(runs, axis=0)
 
 
 def _times(lam, a: np.ndarray) -> np.ndarray:
@@ -226,16 +240,7 @@ def _require_finite(step: int, runs: int | None, **named_arrays):
         raise Diverged(reasons, step)
 
 
-def _diverged(exc: linalg.LinalgError, step: int, runs: int | None) -> Diverged:
-    """The runs whose matrices failed a linear-algebra check, with the
-    error class and its message as the reason. A failure of a matrix the
-    runs share (a noise factor of the step) fails every run of the batch."""
-    name = type(exc).__name__
-    failed = exc.failed or dict.fromkeys(range(runs or 1), str(exc))
-    return Diverged({run: f"{name}: {msg}" for run, msg in failed.items()}, step)
-
-
-def _lambda_weight(model, spec, pred_factor, innovation, pin_weight, step, runs):
+def _lambda_weight(terms, spec, pred_factor, innovation, pin_weight, runs):
     if pin_weight is not None:
         if pin_weight < 0.0:
             raise ValueError(f"pinned weight must be nonnegative, got {pin_weight}")
@@ -247,7 +252,7 @@ def _lambda_weight(model, spec, pred_factor, innovation, pin_weight, step, runs)
         return 1.0 if runs is None else np.ones(runs)
     inputs = LambdaInputs(
         innovation=innovation,
-        innovation_weight_factor=_per_run(model.step_terms(step).r_sqrt, runs),
+        innovation_weight_factor=_per_run(terms.r_sqrt, runs),
         prediction_residual=np.zeros(pred_factor.shape[:-1]),
         prediction_weight_factor=pred_factor,
     )
@@ -258,6 +263,13 @@ def _innovation(terms, pred: FilterState, y) -> np.ndarray:
     innovation = _measurement_vector(y) - np.matvec(terms.H, pred.estimate)
     _require_finite(pred.step, pred.runs, innovation=innovation)
     return innovation
+
+
+def _information_gain(terms, info_factor, lam, runs) -> np.ndarray:
+    """lam * X^{-T} X^{-1} H^T R^{-1} by two triangular solves, for the lower
+    factor X of the updated information matrix (conventional and sr1a)."""
+    half = linalg.triangular_solve(info_factor, _per_run(terms.ht_r_inv, runs))
+    return _times(lam, linalg.triangular_solve(info_factor, half, transposed=True))
 
 
 def mcckf_time_update(model, prior: FilterState) -> FilterState:
@@ -287,18 +299,14 @@ def mcckf_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.step_terms(step)
     innovation = _innovation(t, pred, y)
-    try:
-        # pred.covariance is symmetrized by construction; skip the recheck
-        p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
-        lam = _lambda_weight(model, spec, p_factor, innovation, pin_weight, step, runs)
-        inv_factor = linalg.triangular_inverse(p_factor)
-        p_inv = inv_factor.mT @ inv_factor
-        info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
-        info_factor = linalg.cholesky_lower(info, check_symmetry=False)
-        half = linalg.triangular_solve(info_factor, _per_run(t.ht_r_inv, runs))
-        gain = _times(lam, linalg.triangular_solve(info_factor, half, transposed=True))
-    except linalg.LinalgError as exc:
-        raise _diverged(exc, step, runs) from exc
+    # pred.covariance is symmetrized by construction; skip the recheck
+    p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
+    lam = _lambda_weight(t, spec, p_factor, innovation, pin_weight, runs)
+    inv_factor = linalg.triangular_inverse(p_factor)
+    p_inv = inv_factor.mT @ inv_factor
+    info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
+    info_factor = linalg.cholesky_lower(info, check_symmetry=False)
+    gain = _information_gain(t, info_factor, lam, runs)
     i_kh = np.eye(t.H.shape[1]) - gain @ t.H
     p_new = linalg.symmetrize(
         i_kh @ pred.covariance @ i_kh.mT
@@ -314,11 +322,7 @@ def sr_time_update(model, prior: FilterState) -> FilterState:
     step, runs = prior.step + 1, prior.runs
     t = model.step_terms(step)
     x = np.matvec(t.F, prior.estimate)
-    try:
-        noise = _per_run(t.g_q_sqrt, runs)
-    except linalg.LinalgError as exc:
-        raise _diverged(exc, step, runs) from exc
-    pre = np.concatenate([t.F @ prior.factor, noise], axis=-1)
+    pre = np.concatenate([t.F @ prior.factor, _per_run(t.g_q_sqrt, runs)], axis=-1)
     _require_finite(step, runs, predicted_estimate=x, time_update_pre_array=pre)
     return FilterState.square_root(step, x, linalg.lower_triangularize(pre))
 
@@ -355,18 +359,12 @@ def sr1a_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.step_terms(step)
     innovation = _innovation(t, pred, y)
-    try:
-        lam = _lambda_weight(model, spec, pred.factor, innovation, pin_weight, step, runs)
-        pred_inv = linalg.triangular_inverse(pred.factor)
-        pre = np.concatenate(
-            [pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.T)], axis=-1
-        )
-        _require_finite(step, runs, **{"information pre-array": pre})
-        info_factor = linalg.lower_triangularize(pre)
-        half = linalg.triangular_solve(info_factor, _per_run(t.ht_r_inv, runs))
-        gain = _times(lam, linalg.triangular_solve(info_factor, half, transposed=True))
-    except linalg.LinalgError as exc:
-        raise _diverged(exc, step, runs) from exc
+    lam = _lambda_weight(t, spec, pred.factor, innovation, pin_weight, runs)
+    pred_inv = linalg.triangular_inverse(pred.factor)
+    pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.T)], axis=-1)
+    _require_finite(step, runs, **{"information pre-array": pre})
+    info_factor = linalg.lower_triangularize(pre)
+    gain = _information_gain(t, info_factor, lam, runs)
     return _sr_posterior(t, pred, gain, lam, innovation)
 
 
@@ -387,19 +385,16 @@ def sr1b_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.step_terms(step)
     innovation = _innovation(t, pred, y)
-    try:
-        lam = _lambda_weight(model, spec, pred.factor, innovation, pin_weight, step, runs)
-        pre = np.concatenate(
-            [_times(np.sqrt(lam), t.H @ pred.factor), _per_run(t.r_sqrt, runs)], axis=-1
-        )
-        _require_finite(step, runs, **{"innovation pre-array": pre})
-        innov_factor = linalg.lower_triangularize(pre)
-        p_pred = pred.factor @ pred.factor.mT
-        weighted = _times(lam, t.H @ p_pred)
-        half = linalg.triangular_solve(innov_factor, weighted)
-        gain = linalg.triangular_solve(innov_factor, half, transposed=True).mT
-    except linalg.LinalgError as exc:
-        raise _diverged(exc, step, runs) from exc
+    lam = _lambda_weight(t, spec, pred.factor, innovation, pin_weight, runs)
+    pre = np.concatenate(
+        [_times(np.sqrt(lam), t.H @ pred.factor), _per_run(t.r_sqrt, runs)], axis=-1
+    )
+    _require_finite(step, runs, **{"innovation pre-array": pre})
+    innov_factor = linalg.lower_triangularize(pre)
+    p_pred = pred.factor @ pred.factor.mT
+    weighted = _times(lam, t.H @ p_pred)
+    half = linalg.triangular_solve(innov_factor, weighted)
+    gain = linalg.triangular_solve(innov_factor, half, transposed=True).mT
     return _sr_posterior(t, pred, gain, lam, innovation)
 
 
@@ -421,26 +416,25 @@ def _kf_reference_update(model, prior: FilterState, y):
     return FilterState.full(step, x_new, p_new), StepReport(1.0, gain, innovation)
 
 
-def kf_reference_step(model, prior: FilterState, y) -> FilterState:
-    """Textbook Kalman filter time plus measurement update, dense arithmetic
-    with the Joseph covariance form. Used as an oracle for the weighted
-    algorithms at weight 1; one run at a time."""
-    state, _ = _kf_reference_update(model, prior, y)
-    return state
-
-
 def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
-    """Time plus measurement update of one run or of every run of a batch."""
-    if algorithm == "conventional":
-        pred = mcckf_time_update(model, state)
-        return mcckf_measurement_update(model, pred, y, spec, pin_weight)
-    if algorithm == "sr1a":
-        pred = sr_time_update(model, state)
-        return sr1a_measurement_update(model, pred, y, spec, pin_weight)
-    if algorithm == "sr1b":
-        pred = sr_time_update(model, state)
-        return sr1b_measurement_update(model, pred, y, spec, pin_weight)
-    return _kf_reference_update(model, state, y)
+    """Time plus measurement update of one run or of every run of a batch.
+
+    A failed linear-algebra check fails the runs whose matrices failed it,
+    with the error class and its message as the reason; a failure of a
+    matrix the runs share (a noise factor of the step) fails every run.
+    """
+    entry = WEIGHTED_FILTERS.get(algorithm)
+    if entry is None:
+        return _kf_reference_update(model, state, y)
+    step_functions = globals()
+    try:
+        pred = step_functions[entry.time_update](model, state)
+        return step_functions[entry.measurement_update](model, pred, y, spec, pin_weight)
+    except linalg.LinalgError as exc:
+        name = type(exc).__name__
+        failed = exc.failed or dict.fromkeys(range(state.runs or 1), str(exc))
+        reasons = {run: f"{name}: {msg}" for run, msg in failed.items()}
+        raise Diverged(reasons, state.step + 1) from exc
 
 
 def _require_bounded(estimate: np.ndarray, step: int):
@@ -491,12 +485,16 @@ def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
         yield live, state, report
 
 
+def _square_root(algorithm: str) -> bool:
+    return algorithm in WEIGHTED_FILTERS and WEIGHTED_FILTERS[algorithm].square_root
+
+
 def _check_inputs(algorithm, model, init, measurements, allowed) -> None:
     if algorithm not in allowed:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {allowed}")
-    violations = validate_model(
-        model, init, require_spd_init=algorithm in ("sr1a", "sr1b")
-    )
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}, expected one of {tuple(allowed)}"
+        )
+    violations = validate_model(model, init, require_spd_init=_square_root(algorithm))
     if violations:
         raise ValueError("model validation failed: " + "; ".join(violations))
     m = model.obs_dim
@@ -507,7 +505,7 @@ def _check_inputs(algorithm, model, init, measurements, allowed) -> None:
 
 
 def _initial_state(algorithm: str, init: InitialCondition) -> FilterState:
-    if algorithm in ("sr1a", "sr1b"):
+    if _square_root(algorithm):
         return FilterState.square_root(0, init.mean, linalg.cholesky_lower(init.covariance))
     return FilterState.full(0, init.mean, init.covariance)
 
@@ -574,37 +572,20 @@ def run_batch(
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim != 3:
         raise ValueError(f"measurements must have shape (runs, steps, m), got {ys.shape}")
-    _check_inputs(algorithm, model, init, ys, BATCH_ALGORITHMS)
+    _check_inputs(algorithm, model, init, ys, WEIGHTED_FILTERS)
     runs, horizon, _ = ys.shape
     estimates = np.full((runs, horizon, model.state_dim), np.nan)
     statuses = [None] * runs
-    initial = _initial_state(algorithm, init).take(np.newaxis).take(np.zeros(runs, dtype=int))
+    initial = _initial_state(algorithm, init)
+    ys = np.swapaxes(ys, 0, 1)
+    if runs == 1:  # one run takes run_filter's path, without the runs axis
+        ys = ys[:, 0]
+    else:
+        initial = initial.take(np.newaxis).take(np.zeros(runs, dtype=int))
     for k, (live, state, _) in enumerate(
-        _steps(algorithm, model, initial, np.swapaxes(ys, 0, 1), spec, None, statuses)
+        _steps(algorithm, model, initial, ys, spec, None, statuses)
     ):
         estimates[live, k] = state.estimate
     statuses = [s or RunStatus(completed=True, steps_completed=horizon) for s in statuses]
     return BatchRun(estimates, statuses)
 
-
-def gain_information_form(p, h, r, lam: float) -> np.ndarray:
-    """Dense gain lam * (P^{-1} + lam H^T R^{-1} H)^{-1} H^T R^{-1}.
-
-    Reference formula for equivalence checks, not used by the filters.
-    """
-    p = np.asarray(p, dtype=float)
-    r_inv = np.linalg.inv(np.asarray(r, dtype=float))
-    h = np.asarray(h, dtype=float)
-    info = np.linalg.inv(p) + lam * (h.T @ r_inv @ h)
-    return lam * np.linalg.solve(info, h.T @ r_inv)
-
-
-def gain_innovation_form(p, h, r, lam: float) -> np.ndarray:
-    """Dense gain lam * P H^T (lam H P H^T + R)^{-1}.
-
-    Reference formula for equivalence checks, not used by the filters.
-    """
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(h, dtype=float)
-    innov_cov = lam * (h @ p @ h.T) + np.asarray(r, dtype=float)
-    return lam * np.linalg.solve(innov_cov.T, h @ p.T).T

@@ -11,7 +11,7 @@ a stack gets bit for bit the result of the call on that matrix alone: every
 product is a stacked ``@``, ``np.vecdot``, ``np.matvec`` or ``np.vecmat``
 with the per-matrix shapes and association order of the 2-D call, which
 numpy evaluates with the same BLAS call per matrix, and nothing sums across
-the stack. A stack of one runs the 2-D loop, which is faster for one matrix.
+the stack.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ def _raise_where(cls, bad: np.ndarray, message) -> None:
     raise cls("; ".join(f"matrix {i}: {m}" for i, m in failed.items()), failed)
 
 
-def _one_of_stack(kernel, *arrays, **kwargs) -> np.ndarray:
-    """Run a 2-D kernel on the only matrix of a stack of one."""
-    try:
-        return kernel(*(a[0] for a in arrays), **kwargs)[None]
-    except LinalgError as exc:
-        raise type(exc)(f"matrix 0: {exc}", {0: str(exc)}) from None
-
-
 def _require_finite(a: np.ndarray, message: str) -> None:
     if not np.isfinite(a).all():
         _raise_where(NonFiniteInput, ~np.isfinite(a).all(axis=(-2, -1)), lambda i: message)
@@ -153,11 +145,7 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
             lambda i: f"asymmetry {asymmetry[i]:.3e} exceeds "
             f"{SYMMETRY_RTOL:g} * {scale[i]:.3e}",
         )
-    if a.ndim == 2:
-        return _cholesky(a)
-    if len(a) == 1:
-        return _one_of_stack(_cholesky, a)
-    return _cholesky_stack(a)
+    return _cholesky(a) if a.ndim == 2 else _cholesky_stack(a)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -254,8 +242,6 @@ def triangular_solve(
         return _solve(l, b, transposed)
     if l.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != l.shape[:2]:
         raise ValueError(f"dimension mismatch: factors {l.shape}, rhs {b.shape}")
-    if len(l) == 1:
-        return _one_of_stack(_solve, l, b, transposed=transposed)
     return _solve_stack(l, b, transposed)
 
 

@@ -35,23 +35,24 @@ def _frozen(a, shape=None) -> np.ndarray:
 
 
 class StepTerms:
-    """System matrices of one step and the products the filters reuse.
+    """System matrices of one step, their noise factors and the products the
+    filters reuse.
 
-    Each product is computed on first use, with the operations and the
+    Each term is computed on first use, with the operations and the
     association order of the filter-step expression it stands for, so
-    reusing it changes no bit of any result. The noise factors are also
-    computed on first use, inside the filter steps, so a Q_k or R_k that is
-    not positive definite fails the runs at step k instead of the call.
-    A time-invariant model keeps one instance for all steps.
+    reusing it changes no bit of any result. The noise factors are computed
+    inside the filter steps, so a Q_k or R_k that is not positive definite
+    fails the runs at step k instead of the call; Q is factored whenever R
+    is, so every filter fails at the same step.
     """
 
     def __init__(self, model, step: int):
+        self.step = step
         self.F, self.G, self.H, self.Q, self.R = model.matrices(step)
-        self._model, self._step = model, step
 
     @cached_property
     def _noise_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._model.noise_factors(self._step)
+        return linalg.cholesky_lower(self.Q), linalg.cholesky_lower(self.R)
 
     @property
     def q_sqrt(self) -> np.ndarray:
@@ -65,8 +66,9 @@ class StepTerms:
 
     @cached_property
     def r_inv(self) -> np.ndarray:
-        """R^{-1}."""
-        return self._model.r_inverse(self._step)
+        """R^{-1}, assembled from the R factor by triangular solves."""
+        inv_factor = linalg.triangular_inverse(self.r_sqrt)
+        return inv_factor.T @ inv_factor
 
     @cached_property
     def g_q_sqrt(self) -> np.ndarray:
@@ -125,8 +127,6 @@ class StateSpaceModel:
         m = self.H.shape[0]
         self.Q = _frozen(self.Q, (q, q))
         self.R = _frozen(self.R, (m, m))
-        self._noise_factors = None
-        self._r_inverse = None
         self._step_terms = None
 
     @property
@@ -145,26 +145,6 @@ class StateSpaceModel:
         """System matrices for the given step (constant here)."""
         return self.F, self.G, self.H, self.Q, self.R
 
-    def noise_factors(self, step: int):
-        """Cached lower Cholesky factors (Q_sqrt, R_sqrt)."""
-        if self._noise_factors is None:
-            q_sqrt = linalg.cholesky_lower(self.Q)
-            r_sqrt = linalg.cholesky_lower(self.R)
-            q_sqrt.setflags(write=False)
-            r_sqrt.setflags(write=False)
-            self._noise_factors = (q_sqrt, r_sqrt)
-        return self._noise_factors
-
-    def r_inverse(self, step: int) -> np.ndarray:
-        """Cached R^{-1}, assembled from the R factor by triangular solves."""
-        if self._r_inverse is None:
-            _, r_sqrt = self.noise_factors(step)
-            inv_factor = linalg.triangular_inverse(r_sqrt)
-            r_inv = inv_factor.T @ inv_factor
-            r_inv.setflags(write=False)
-            self._r_inverse = r_inv
-        return self._r_inverse
-
     def step_terms(self, step: int) -> StepTerms:
         """Cached ``StepTerms``, shared by every step."""
         if self._step_terms is None:
@@ -176,13 +156,13 @@ class TimeVaryingModel:
     """Step-indexed provider of system matrices.
 
     ``provider(step)`` must return (F, G, H, Q, R) for step k >= 1 and be
-    deterministic in k. Factor caches are not kept since the matrices may
-    change every step.
+    deterministic in k.
     """
 
     def __init__(self, provider: Callable, state_dim: int, noise_dim: int, obs_dim: int):
         self.provider = provider
         self._dims = (state_dim, noise_dim, obs_dim)
+        self._step_terms = None
 
     @property
     def state_dim(self) -> int:
@@ -205,17 +185,13 @@ class TimeVaryingModel:
             raise ValueError(f"provider returned inconsistent shapes at step {step}")
         return f, g, h, qc, rc
 
-    def noise_factors(self, step: int):
-        _, _, _, q, r = self.matrices(step)
-        return linalg.cholesky_lower(q), linalg.cholesky_lower(r)
-
-    def r_inverse(self, step: int) -> np.ndarray:
-        _, r_sqrt = self.noise_factors(step)
-        inv_factor = linalg.triangular_inverse(r_sqrt)
-        return inv_factor.T @ inv_factor
-
     def step_terms(self, step: int) -> StepTerms:
-        return StepTerms(self, step)
+        """``StepTerms`` of ``step``; the last one asked for is kept, so the
+        provider is called once per step of a run."""
+        terms = self._step_terms
+        if terms is None or terms.step != step:
+            terms = self._step_terms = StepTerms(self, step)
+        return terms
 
 
 @dataclass(eq=False)

@@ -13,8 +13,6 @@ from mcckf.cli import main
 from mcckf.correntropy import KernelSpec, LambdaInputs, compute_lambda
 from mcckf.filters import (
     FilterState,
-    gain_information_form,
-    gain_innovation_form,
     mcckf_measurement_update,
     mcckf_time_update,
     run_filter,
@@ -24,6 +22,7 @@ from mcckf.filters import (
 )
 from mcckf.linalg import cholesky_lower, lower_triangularize, triangular_solve
 from mcckf.sim import SeedSpec, simulate
+from oracles import gain_information_form, gain_innovation_form
 
 MCC_ALGORITHMS = ("conventional", "sr1a", "sr1b")
 

@@ -46,6 +46,37 @@ def test_equivalence_zero_tolerance_fails(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_equivalence_bad_tolerance_exits_2(tmp_path, capsys, tolerance):
+    out = tmp_path / "eq"
+    code = main(["equivalence", "--out", str(out), "--tolerance", tolerance, *FAST])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --tolerance")
+    assert not out.exists()
+
+
+def test_equivalence_csv_files_end_lines_alike(tmp_path):
+    out = tmp_path / "eq"
+    assert main(["equivalence", "--out", str(out), *FAST]) == 0
+    files = sorted(out.glob("*.csv"))
+    assert [p.name for p in files] == [
+        "diff.csv", "rmse_conventional.csv", "rmse_sr1a.csv", "rmse_sr1b.csv"
+    ]
+    for path in files:
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert all(line.endswith(b"\r") and b"\r" not in line[:-1] for line in lines[:-1])
+
+
+def test_uncreatable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code = main(["simulate", "--out", str(blocker / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_equivalence_missing_sigma_exits_2(tmp_path):
     config = tmp_path / "partial.ini"
     config.write_text("[model]\nrho = 0.5\n")

@@ -8,9 +8,6 @@ from mcckf.correntropy import KernelSpec
 from mcckf.filters import (
     Diverged,
     FilterState,
-    gain_information_form,
-    gain_innovation_form,
-    kf_reference_step,
     mcckf_measurement_update,
     mcckf_time_update,
     run_batch,
@@ -19,9 +16,10 @@ from mcckf.filters import (
     sr1b_measurement_update,
     sr_time_update,
 )
-from mcckf.linalg import cholesky_lower
+from mcckf.linalg import NotPositiveDefinite, cholesky_lower
 from mcckf.model import InitialCondition, StateSpaceModel, TimeVaryingModel
 from mcckf.sim import SeedSpec, simulate
+from oracles import gain_information_form, gain_innovation_form
 
 RNG = np.random.default_rng(7321)
 
@@ -264,8 +262,8 @@ class TestGainFormulaEquivalence:
 class TestKfReference:
     def test_zero_h_is_pure_prediction(self):
         model = StateSpaceModel(F=[[2.0]], G=[[1.0]], H=[[0.0]], Q=[[1.0]], R=[[1.0]])
-        prior = FilterState.full(0, np.array([1.0]), np.array([[1.0]]))
-        state = kf_reference_step(model, prior, np.array([9.0]))
+        init = InitialCondition(np.array([1.0]), np.array([[1.0]]))
+        state = run_filter("kf_reference", model, init, [[9.0]]).states[0]
         assert state.estimate[0] == pytest.approx(2.0)
         assert state.covariance[0, 0] == pytest.approx(5.0)
 
@@ -414,18 +412,20 @@ class TestRunBatch:
         for algorithm in ("conventional", "sr1a", "sr1b"):
             batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
             assert all(status.completed for status in batch.statuses)
+            # one run takes run_filter's path, without the runs axis
+            assert_batch_matches_each_run(algorithm, model, init, ys[:1], spec)
 
     @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-13])
     def test_sweep_model_failures_are_bit_identical(self, delta):
         model, init = build_example2(delta)
         ys = batch_measurements(model, init, 300, 1, 4)
+        spec = KernelSpec(float("inf"))
         for algorithm in ("conventional", "sr1a", "sr1b"):
-            batch = assert_batch_matches_each_run(
-                algorithm, model, init, ys, KernelSpec(float("inf"))
-            )
+            batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
             if delta == 1e-13 and algorithm == "sr1b":
                 # runs leave the batch at different steps
                 assert {s.failed_step for s in batch.statuses} == {19, 39}
+            assert_batch_matches_each_run(algorithm, model, init, ys[:1], spec)
 
     def test_rejects_kf_reference_and_wrong_shapes(self):
         model, init, _ = build_example1()
@@ -461,6 +461,31 @@ class TestNoiseBreakdownAfterStepOne:
         # with the weight pinned, conventional still needs R^{-1}
         pinned = run_filter("conventional", tv, init, ys[0], pin_weight=1.0)
         assert pinned.status.failed_step == 2
+
+    def test_step_function_raises_the_linalg_error(self):
+        base, _, _ = build_example1()
+        tv = TimeVaryingModel(lambda k: (base.F, base.G, base.H, base.Q * 0.0, base.R), 6, 2, 2)
+        prior = FilterState.square_root(0, np.zeros(6), np.eye(6))
+        with pytest.raises(NotPositiveDefinite):
+            sr_time_update(tv, prior)
+
+
+class TestTimeVaryingProviderCalls:
+    @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
+    def test_provider_called_once_per_step(self, algorithm):
+        base, init, shot = build_example1()
+        calls = []
+
+        def provider(k):
+            calls.append(k)
+            return base.F, base.G, base.H, base.Q, base.R
+
+        tv = TimeVaryingModel(provider, 6, 2, 2)
+        ys = simulate(base, init, 20, SeedSpec(5, 0), shot).measurements
+        run = run_filter(algorithm, tv, init, ys, KernelSpec(3e4))
+        assert run.status.completed
+        # the validation call at step 1, then one call per step
+        assert len(calls) <= len(ys) + 1
 
 
 class TestMeasurementWidth:

@@ -87,12 +87,11 @@ def test_matrices_are_frozen():
 
 def test_cached_factors_match_direct_factorization():
     model, _, _ = build_example1()
-    q_sqrt, r_sqrt = model.noise_factors(1)
-    np.testing.assert_array_equal(q_sqrt, cholesky_lower(np.asarray(model.Q)))
-    np.testing.assert_array_equal(r_sqrt, cholesky_lower(np.asarray(model.R)))
-    assert model.noise_factors(5) is model.noise_factors(9)
-    r_inv = model.r_inverse(1)
-    np.testing.assert_allclose(r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
+    terms = model.step_terms(1)
+    np.testing.assert_array_equal(terms.q_sqrt, cholesky_lower(np.asarray(model.Q)))
+    np.testing.assert_array_equal(terms.r_sqrt, cholesky_lower(np.asarray(model.R)))
+    assert model.step_terms(5) is model.step_terms(9)
+    np.testing.assert_allclose(terms.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
 
 
 def test_time_varying_provider_deterministic_shapes():
@@ -101,9 +100,9 @@ def test_time_varying_provider_deterministic_shapes():
     tv = TimeVaryingModel(provider, 6, 2, 2)
     f, g, h, q, r = tv.matrices(3)
     np.testing.assert_array_equal(f, base.F)
-    q_sqrt, r_sqrt = tv.noise_factors(3)
+    q_sqrt = tv.step_terms(3).q_sqrt
     np.testing.assert_allclose(q_sqrt @ q_sqrt.T, base.Q, rtol=1e-14)
-    np.testing.assert_allclose(tv.r_inverse(1) @ base.R, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(tv.step_terms(1).r_inv @ base.R, np.eye(2), atol=1e-12)
 
 
 def test_measurement_finite_and_positive_step():
