@@ -191,32 +191,65 @@ class RmseReport:
     statuses: list = field(default_factory=list)
 
 
-def _estimates_for(algorithm, scenario: Scenario, trajectories, spec):
-    """Run one estimator over every trajectory: (estimates per run, status
-    per run). All runs of a filter go through one batch; the dense oracle
-    and callables run one trajectory at a time."""
+def _estimates_for(algorithm, models, init, trajectories, spec):
+    """Run one estimator over every trajectory, trajectory i with
+    ``models[i]``: (estimates per run, status per run). All runs of a filter
+    go through one batch; the dense oracle and callables run one trajectory
+    at a time."""
+    pairs = list(zip(models, trajectories))
     if callable(algorithm):
         estimates = [
-            np.asarray(algorithm(scenario.model, scenario.init, t, spec), dtype=float)
-            for t in trajectories
+            np.asarray(algorithm(model, init, t, spec), dtype=float) for model, t in pairs
         ]
         return estimates, [
             RunStatus(completed=True, steps_completed=t.horizon) for t in trajectories
         ]
     if algorithm not in WEIGHTED_FILTERS:
-        runs = [
-            run_filter(algorithm, scenario.model, scenario.init, t.measurements, spec)
-            for t in trajectories
-        ]
+        runs = [run_filter(algorithm, model, init, t.measurements, spec) for model, t in pairs]
         return [run.estimates() for run in runs], [run.status for run in runs]
     batch = run_batch(
-        algorithm,
-        scenario.model,
-        scenario.init,
-        np.stack([t.measurements for t in trajectories]),
-        spec,
+        algorithm, models, init, np.stack([t.measurements for t in trajectories]), spec
     )
     return batch.estimates, batch.statuses
+
+
+def _rmse_report(name: str, trajectories, estimates, statuses) -> RmseReport:
+    """Accumulate the RMSE curves of one estimator over its completed runs."""
+    horizon, n = trajectories[0].truth.shape
+    sq_sum = np.zeros((horizon, n))
+    completed = 0
+    for trajectory, run_estimates, status in zip(trajectories, estimates, statuses):
+        if status.completed:
+            err = trajectory.truth - run_estimates
+            sq_sum += err * err
+            completed += 1
+    if completed > 0:
+        per_component = np.sqrt(sq_sum / completed)
+        total = np.sqrt((per_component**2).sum(axis=1))
+        scalar = float(total.mean())
+    else:
+        per_component = np.full((horizon, n), np.nan)
+        total = np.full(horizon, np.nan)
+        scalar = float("nan")
+    return RmseReport(
+        algorithm=name,
+        per_component=per_component,
+        total=total,
+        scalar_summary=scalar,
+        completed_runs=completed,
+        diverged_runs=len(statuses) - completed,
+        statuses=list(statuses),
+    )
+
+
+def _algorithm_names(algorithms, runs: int) -> list[str]:
+    """The report name of each algorithm; rejects runs < 1 and duplicate names."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    names = [_algorithm_name(a) for a in algorithms]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate algorithm names in {names}")
+    return names
 
 
 def _algorithm_name(algorithm) -> str:
@@ -225,6 +258,20 @@ def _algorithm_name(algorithm) -> str:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return algorithm
+
+
+def _simulate_runs(scenario: Scenario, runs: int, master_seed: int) -> list:
+    """The trajectories of run indices 0..runs-1 of a scenario."""
+    return [
+        simulate(
+            scenario.model,
+            scenario.init,
+            scenario.horizon,
+            SeedSpec(master_seed, run_index),
+            scenario.shot,
+        )
+        for run_index in range(runs)
+    ]
 
 
 def run_monte_carlo(
@@ -243,51 +290,16 @@ def run_monte_carlo(
     (``run_batch``), which gives every run the estimates ``run_filter`` gives
     it alone, bit for bit.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
     algorithms = list(algorithms)
-    names = [_algorithm_name(a) for a in algorithms]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate algorithm names in {names}")
-    n = scenario.model.state_dim
-    horizon = scenario.horizon
-    trajectories = [
-        simulate(
-            scenario.model,
-            scenario.init,
-            horizon,
-            SeedSpec(master_seed, run_index),
-            scenario.shot,
-        )
-        for run_index in range(runs)
-    ]
+    names = _algorithm_names(algorithms, runs)
+    trajectories = _simulate_runs(scenario, runs, master_seed)
+    models = [scenario.model] * runs
     reports = {}
     for algorithm, name in zip(algorithms, names):
-        estimates, statuses = _estimates_for(algorithm, scenario, trajectories, spec)
-        sq_sum = np.zeros((horizon, n))
-        completed = 0
-        for trajectory, run_estimates, status in zip(trajectories, estimates, statuses):
-            if status.completed:
-                err = trajectory.truth - run_estimates
-                sq_sum += err * err
-                completed += 1
-        if completed > 0:
-            per_component = np.sqrt(sq_sum / completed)
-            total = np.sqrt((per_component**2).sum(axis=1))
-            scalar = float(total.mean())
-        else:
-            per_component = np.full((horizon, n), np.nan)
-            total = np.full(horizon, np.nan)
-            scalar = float("nan")
-        reports[name] = RmseReport(
-            algorithm=name,
-            per_component=per_component,
-            total=total,
-            scalar_summary=scalar,
-            completed_runs=completed,
-            diverged_runs=runs - completed,
-            statuses=statuses,
+        estimates, statuses = _estimates_for(
+            algorithm, models, scenario.init, trajectories, spec
         )
+        reports[name] = _rmse_report(name, trajectories, estimates, statuses)
     return reports
 
 
@@ -327,29 +339,42 @@ def run_conditioning_sweep(
 ) -> SweepReport:
     """Sweep the ill-conditioning parameter over a descending grid.
 
-    At each delta the full Monte Carlo evaluation runs with shared seeds; an
-    entry is blown up when any run diverged or when its summary RMSE exceeds
-    ``BLOWUP_FACTOR`` times the same algorithm's value at the first (largest)
-    grid point.
+    Every delta gets the Monte Carlo evaluation of ``run_monte_carlo``: the
+    same run indices and seeds, and the same RMSE accumulation. Each filter
+    advances the runs of all deltas as one batch, with one model per run,
+    which gives every run the numbers of its per-delta evaluation, bit for
+    bit. An entry is blown up when any run diverged or when its summary RMSE
+    exceeds ``BLOWUP_FACTOR`` times the same algorithm's value at the first
+    (largest) grid point.
     """
     delta_grid = [float(d) for d in delta_grid]
     if not delta_grid:
         raise ValueError("delta grid must not be empty")
     if any(b >= a for a, b in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
-    names = [_algorithm_name(a) for a in algorithms]
-    per_delta = {}
-    for delta in delta_grid:
-        scenario = ill_conditioned_scenario(delta, constants)
-        per_delta[delta] = run_monte_carlo(algorithms, scenario, runs, master_seed, spec)
-    baseline = {
-        name: per_delta[delta_grid[0]][name].scalar_summary for name in names
-    }
+    algorithms = list(algorithms)
+    names = _algorithm_names(algorithms, runs)
+    scenarios = [ill_conditioned_scenario(delta, constants) for delta in delta_grid]
+    trajectories = [_simulate_runs(sc, runs, master_seed) for sc in scenarios]
+    models = [sc.model for sc in scenarios for _ in range(runs)]
+    # the standard normal initial state of build_example2 is the same at every delta
+    init = scenarios[0].init
+    per_delta = [{} for _ in delta_grid]
+    for algorithm, name in zip(algorithms, names):
+        estimates, statuses = _estimates_for(
+            algorithm, models, init, [t for ts in trajectories for t in ts], spec
+        )
+        for i, delta_trajectories in enumerate(trajectories):
+            rows = slice(i * runs, (i + 1) * runs)
+            per_delta[i][name] = _rmse_report(
+                name, delta_trajectories, estimates[rows], statuses[rows]
+            )
+    baseline = {name: per_delta[0][name].scalar_summary for name in names}
     entries = []
     breakdown: dict = {name: None for name in names}
-    for delta in delta_grid:
+    for delta, reports in zip(delta_grid, per_delta):
         for name in names:
-            report = per_delta[delta][name]
+            report = reports[name]
             scalar = report.scalar_summary
             blown = (
                 report.diverged_runs > 0

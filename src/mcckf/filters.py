@@ -21,18 +21,23 @@ defined with.
 Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
 advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
-the runs axis. The batch computes each run's numbers with the same operations,
-in the same order, as that run alone (see ``mcckf.linalg``), so a run's
-estimates do not depend on the batch it ran in, bit for bit. A run that fails
-a check leaves the batch at that step with its own typed reason; the step is
-then recomputed for the runs that remain. The drivers record a failed
-linear-algebra check as a ``Diverged`` of the runs concerned; a step function
-called directly raises the ``LinalgError`` itself.
+the runs axis. The step functions read the model's terms through
+``step_terms``: one run reads its model's 2-D terms, a batch the stack of
+every run's terms, with a leading runs axis too, whether the runs share one
+model or each has its own. The batch
+computes each run's numbers with the same operations, in the same order, as
+that run alone (see ``mcckf.linalg``), so a run's estimates do not depend on
+the batch it ran in, bit for bit. A run that fails a check leaves the batch
+at that step with its own typed reason; the step is then recomputed for the
+runs that remain. The drivers record a failed linear-algebra check as a
+``Diverged`` of the runs concerned; a step function called directly raises
+the ``LinalgError`` itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,11 +218,6 @@ def _measurement_vector(y) -> np.ndarray:
     return np.asarray(y, dtype=float)
 
 
-def _per_run(a: np.ndarray, runs: int | None) -> np.ndarray:
-    """A matrix every run of the batch shares, one copy per run."""
-    return a if runs is None else a[None].repeat(runs, axis=0)
-
-
 def _times(lam, a: np.ndarray) -> np.ndarray:
     """lam * a, with one weight per matrix of a batch."""
     return lam * a if np.ndim(lam) == 0 else lam[:, None, None] * a
@@ -252,7 +252,7 @@ def _lambda_weight(terms, spec, pred_factor, innovation, pin_weight, runs):
         return 1.0 if runs is None else np.ones(runs)
     inputs = LambdaInputs(
         innovation=innovation,
-        innovation_weight_factor=_per_run(terms.r_sqrt, runs),
+        innovation_weight_factor=terms.r_sqrt,
         prediction_residual=np.zeros(pred_factor.shape[:-1]),
         prediction_weight_factor=pred_factor,
     )
@@ -265,10 +265,10 @@ def _innovation(terms, pred: FilterState, y) -> np.ndarray:
     return innovation
 
 
-def _information_gain(terms, info_factor, lam, runs) -> np.ndarray:
+def _information_gain(terms, info_factor, lam) -> np.ndarray:
     """lam * X^{-T} X^{-1} H^T R^{-1} by two triangular solves, for the lower
     factor X of the updated information matrix (conventional and sr1a)."""
-    half = linalg.triangular_solve(info_factor, _per_run(terms.ht_r_inv, runs))
+    half = linalg.triangular_solve(info_factor, terms.ht_r_inv)
     return _times(lam, linalg.triangular_solve(info_factor, half, transposed=True))
 
 
@@ -277,7 +277,7 @@ def mcckf_time_update(model, prior: FilterState) -> FilterState:
     step = prior.step + 1
     t = model.step_terms(step)
     x = np.matvec(t.F, prior.estimate)
-    p = linalg.symmetrize(t.F @ prior.covariance @ t.F.T + t.g_q_g)
+    p = linalg.symmetrize(t.F @ prior.covariance @ t.F.mT + t.g_q_g)
     _require_finite(step, prior.runs, predicted_estimate=x, predicted_covariance=p)
     return FilterState.full(step, x, p)
 
@@ -306,8 +306,8 @@ def mcckf_measurement_update(
     p_inv = inv_factor.mT @ inv_factor
     info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
     info_factor = linalg.cholesky_lower(info, check_symmetry=False)
-    gain = _information_gain(t, info_factor, lam, runs)
-    i_kh = np.eye(t.H.shape[1]) - gain @ t.H
+    gain = _information_gain(t, info_factor, lam)
+    i_kh = np.eye(t.H.shape[-1]) - gain @ t.H
     p_new = linalg.symmetrize(
         i_kh @ pred.covariance @ i_kh.mT
         + gain @ t.R @ gain.mT
@@ -322,7 +322,7 @@ def sr_time_update(model, prior: FilterState) -> FilterState:
     step, runs = prior.step + 1, prior.runs
     t = model.step_terms(step)
     x = np.matvec(t.F, prior.estimate)
-    pre = np.concatenate([t.F @ prior.factor, _per_run(t.g_q_sqrt, runs)], axis=-1)
+    pre = np.concatenate([t.F @ prior.factor, t.g_q_sqrt], axis=-1)
     _require_finite(step, runs, predicted_estimate=x, time_update_pre_array=pre)
     return FilterState.square_root(step, x, linalg.lower_triangularize(pre))
 
@@ -332,7 +332,7 @@ def _sr_posterior(t, pred: FilterState, gain, lam, innovation):
     triangularized from [(I - K H) S_pred, K R_sqrt]."""
     step = pred.step
     x_new = pred.estimate + np.matvec(gain, innovation)
-    i_kh = np.eye(t.H.shape[1]) - gain @ t.H
+    i_kh = np.eye(t.H.shape[-1]) - gain @ t.H
     joseph_pre = np.concatenate([i_kh @ pred.factor, gain @ t.r_sqrt], axis=-1)
     _require_finite(step, pred.runs, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
     factor_new = linalg.lower_triangularize(joseph_pre)
@@ -361,10 +361,10 @@ def sr1a_measurement_update(
     innovation = _innovation(t, pred, y)
     lam = _lambda_weight(t, spec, pred.factor, innovation, pin_weight, runs)
     pred_inv = linalg.triangular_inverse(pred.factor)
-    pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.T)], axis=-1)
+    pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.mT)], axis=-1)
     _require_finite(step, runs, **{"information pre-array": pre})
     info_factor = linalg.lower_triangularize(pre)
-    gain = _information_gain(t, info_factor, lam, runs)
+    gain = _information_gain(t, info_factor, lam)
     return _sr_posterior(t, pred, gain, lam, innovation)
 
 
@@ -387,7 +387,7 @@ def sr1b_measurement_update(
     innovation = _innovation(t, pred, y)
     lam = _lambda_weight(t, spec, pred.factor, innovation, pin_weight, runs)
     pre = np.concatenate(
-        [_times(np.sqrt(lam), t.H @ pred.factor), _per_run(t.r_sqrt, runs)], axis=-1
+        [_times(np.sqrt(lam), t.H @ pred.factor), t.r_sqrt], axis=-1
     )
     _require_finite(step, runs, **{"innovation pre-array": pre})
     innov_factor = linalg.lower_triangularize(pre)
@@ -437,6 +437,71 @@ def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
         raise Diverged(reasons, state.step + 1) from exc
 
 
+class _StackedTerms:
+    """The ``StepTerms`` of a batch: each term the step functions read is the
+    stack of every run's 2-D term, so a run's term is computed by the code
+    of its model alone.
+
+    ``distinct`` holds the ``StepTerms`` of the distinct models and
+    ``rows`` the position in ``distinct`` of each run's. A term is stacked
+    on first use; a model whose term fails (a noise covariance that is not
+    positive definite) fails only the runs of that model.
+    """
+
+    def __init__(self, distinct: list, rows: np.ndarray):
+        self._distinct = distinct
+        self._rows = rows
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        values, errors = [], {}
+        for i, terms in enumerate(self._distinct):
+            try:
+                values.append(getattr(terms, name))
+            except linalg.LinalgError as exc:
+                errors[i] = exc
+        if errors:
+            # one error class at a time, as a kernel given a stack raises
+            cls = type(next(iter(errors.values())))
+            failed = {
+                int(run): str(exc)
+                for i, exc in errors.items()
+                if type(exc) is cls
+                for run in np.flatnonzero(self._rows == i)
+            }
+            raise cls("; ".join(f"run {r}: {m}" for r, m in failed.items()), failed)
+        value = np.stack(values)[self._rows]
+        setattr(self, name, value)
+        return value
+
+
+class _ModelStack:
+    """The model of each run of a batch, read by the step functions through
+    ``step_terms`` like a single model; runs may share a model."""
+
+    def __init__(self, models: list):
+        self.models = models
+        distinct = {id(m): m for m in models}
+        position = {key: i for i, key in enumerate(distinct)}
+        self.distinct = list(distinct.values())
+        self._rows = np.array([position[id(m)] for m in models])
+        self._terms = None
+
+    def step_terms(self, step: int) -> _StackedTerms:
+        """The stacked terms of ``step``; they are rebuilt only when a model
+        gives new ``StepTerms`` (a time-varying model at a new step)."""
+        terms = [m.step_terms(step) for m in self.distinct]
+        cached = self._terms
+        if cached is None or any(a is not b for a, b in zip(terms, cached._distinct)):
+            cached = self._terms = _StackedTerms(terms, self._rows)
+        return cached
+
+    def take(self, keep: np.ndarray) -> "_ModelStack":
+        """The models of the runs that ``keep`` (a mask) selects."""
+        return _ModelStack([m for m, k in zip(self.models, keep) if k])
+
+
 def _require_bounded(estimate: np.ndarray, step: int):
     if np.abs(estimate).max() > DIVERGENCE_LIMIT:
         big = np.abs(estimate).max(axis=-1) > DIVERGENCE_LIMIT
@@ -457,7 +522,8 @@ def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
     ``live`` holds the indices of the runs still in the batch, one per row of
     ``state``. A run that fails a check, or whose estimate leaves
     ``DIVERGENCE_LIMIT``, gets its status in ``statuses`` and leaves the
-    batch; the step is then recomputed for the others.
+    batch, with its model if each run has its own; the step is then
+    recomputed for the others.
     """
     live = np.arange(len(statuses))
     for k in range(1, len(ys) + 1):
@@ -481,6 +547,7 @@ def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
                 keep = np.ones(len(live), dtype=bool)
                 keep[list(exc.reasons)] = False
                 live, state, ys = live[keep], state.take(keep), ys[:, keep]
+                model = model.take(keep)
         state = new_state
         yield live, state, report
 
@@ -563,25 +630,31 @@ def run_batch(
 ) -> BatchRun:
     """Drive one algorithm over several runs' measurement sequences at once.
 
-    ``measurements`` has shape (runs, steps, m). The runs advance together,
+    ``measurements`` has shape (runs, steps, m). ``model`` is one model for
+    every run, or a sequence with one model per run; per-run models must
+    have equal dimensions and share ``init``. The runs advance together,
     one numpy call per operation for the whole batch, and each run's
     estimates and status equal, bit for bit, what ``run_filter`` returns for
-    it alone. Arguments are as for ``run_filter``, without a pinned weight;
-    ``kf_reference`` is not batched.
+    it alone with its model. Arguments are as for ``run_filter``, without a
+    pinned weight; ``kf_reference`` is not batched.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim != 3:
         raise ValueError(f"measurements must have shape (runs, steps, m), got {ys.shape}")
-    _check_inputs(algorithm, model, init, ys, WEIGHTED_FILTERS)
+    if len(ys) == 0:
+        raise ValueError(f"measurements must hold at least one run, got shape {ys.shape}")
     runs, horizon, _ = ys.shape
-    estimates = np.full((runs, horizon, model.state_dim), np.nan)
+    stack = _ModelStack(_models_of_runs(model, runs))
+    for distinct in stack.distinct:
+        _check_inputs(algorithm, distinct, init, ys, WEIGHTED_FILTERS)
+    estimates = np.full((runs, horizon, stack.distinct[0].state_dim), np.nan)
     statuses = [None] * runs
     initial = _initial_state(algorithm, init)
     ys = np.swapaxes(ys, 0, 1)
     if runs == 1:  # one run takes run_filter's path, without the runs axis
-        ys = ys[:, 0]
+        model, ys = stack.distinct[0], ys[:, 0]
     else:
-        initial = initial.take(np.newaxis).take(np.zeros(runs, dtype=int))
+        model, initial = stack, initial.take(np.newaxis).take(np.zeros(runs, dtype=int))
     for k, (live, state, _) in enumerate(
         _steps(algorithm, model, initial, ys, spec, None, statuses)
     ):
@@ -589,3 +662,18 @@ def run_batch(
     statuses = [s or RunStatus(completed=True, steps_completed=horizon) for s in statuses]
     return BatchRun(estimates, statuses)
 
+
+def _models_of_runs(model, runs: int) -> list:
+    """One model per run, from one shared model or a per-run sequence."""
+    if not isinstance(model, Sequence):
+        return [model] * runs
+    models = list(model)
+    if len(models) != runs:
+        raise ValueError(f"got {len(models)} models for {runs} runs")
+    dims = {(m.state_dim, m.noise_dim, m.obs_dim) for m in models}
+    if len(dims) > 1:
+        raise ValueError(
+            "the models of a batch must have equal (state_dim, noise_dim, obs_dim), "
+            f"got {sorted(dims)}"
+        )
+    return models

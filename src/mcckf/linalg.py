@@ -16,6 +16,8 @@ the stack.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -191,6 +193,14 @@ def _cholesky_stack(a: np.ndarray) -> np.ndarray:
     return lower
 
 
+@functools.cache
+def _upper_mask(n: int) -> np.ndarray:
+    """Read-only mask of the upper triangle, diagonal included, of n x n."""
+    mask = ~np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def lower_triangularize(pre_array: np.ndarray) -> np.ndarray:
     """Reduce a wide pre-array A (rows <= cols) to its lower-triangular X.
 
@@ -217,7 +227,12 @@ def lower_triangularize(pre_array: np.ndarray) -> np.ndarray:
     if rows > cols:
         raise ValueError(f"pre-array must have rows <= cols, got shape {a.shape}")
     _require_finite(a, "pre-array contains non-finite entries")
-    x = np.linalg.qr(a.mT, mode="r").mT
+    # mode="raw" skips the triu copy of mode="r": h.mT is the LAPACK output,
+    # with R on and above the diagonal of its leading rows and reflectors
+    # below. Masking it there, not in h, keeps the memory layout of R^T that
+    # the products downstream were computed with.
+    h, _ = np.linalg.qr(a.mT, mode="raw")
+    x = np.where(_upper_mask(rows), h.mT[..., :rows, :], 0.0).mT
     signs = np.where(x.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
     return x * signs[..., None, :]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcckf.bench import (
+    BLOWUP_FACTOR,
     RadarConstants,
     RmseReport,
     Scenario,
@@ -249,6 +250,48 @@ class TestConditioningSweep:
         assert blown[(1e-1, "conventional")] is False
         assert blown[(1e-5, "conventional")] is True
         assert blown[(1e-5, "sr1b")] is False
+
+    def test_matches_per_delta_monte_carlo(self):
+        # the sweep batches every delta's runs into one run_batch per filter;
+        # it must report what a Monte Carlo evaluation per delta gives
+        def truth_plus_r(model, init, trajectory, spec):
+            return trajectory.truth + model.R[0, 0]  # depends on the delta's model
+
+        algorithms = ["conventional", "sr1a", "sr1b", "kf_reference", truth_plus_r]
+        deltas = [1e-1, 1e-5, 1e-13]
+        constants = RadarConstants(horizon=60)
+        spec = KernelSpec(float("inf"))
+        report = run_conditioning_sweep(algorithms, deltas, 2, 1, spec, constants)
+
+        per_delta = [
+            run_monte_carlo(algorithms, ill_conditioned_scenario(d, constants), 2, 1, spec)
+            for d in deltas
+        ]
+        names = list(per_delta[0])
+        baseline = {name: per_delta[0][name].scalar_summary for name in names}
+        breakdown = dict.fromkeys(names)
+        entries = iter(report.entries)
+        for delta, reports in zip(deltas, per_delta):
+            for name in names:
+                mc, entry = reports[name], next(entries)
+                blown = (
+                    mc.diverged_runs > 0
+                    or not math.isfinite(mc.scalar_summary)
+                    or not math.isfinite(baseline[name])
+                    or mc.scalar_summary > BLOWUP_FACTOR * baseline[name]
+                )
+                assert (entry.delta, entry.algorithm) == (delta, name)
+                assert entry.completed_runs == mc.completed_runs
+                assert entry.diverged_runs == mc.diverged_runs
+                assert entry.blown_up == blown
+                assert np.array_equal(entry.scalar_rmse, mc.scalar_summary, equal_nan=True)
+                if blown and breakdown[name] is None:
+                    breakdown[name] = delta
+        assert next(entries, None) is None
+        assert report.breakdown_delta == breakdown
+        # failing runs are covered: conventional dies at 1e-5, sr1b at 1e-13
+        assert breakdown["conventional"] == 1e-5 and breakdown["sr1b"] == 1e-13
+        assert breakdown["truth_plus_r"] is None
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

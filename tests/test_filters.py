@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcckf.bench import build_example1, build_example2
+from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import (
     Diverged,
@@ -26,6 +27,24 @@ RNG = np.random.default_rng(7321)
 
 def scalar_model(f=1.0, g=1.0, h=1.0, q=1.0, r=1.0):
     return StateSpaceModel(F=[[f]], G=[[g]], H=[[h]], Q=[[q]], R=[[r]])
+
+
+def random_spd(rng, n, low=0.5, high=2.0):
+    o, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return o @ np.diag(rng.uniform(low, high, n)) @ o.T
+
+
+def random_model(rng, n, m, q):
+    """Stable random model (spectral radius 0.9) with SPD Q and R."""
+    f = rng.standard_normal((n, n))
+    f *= 0.9 / np.abs(np.linalg.eigvals(f)).max()
+    return StateSpaceModel(
+        F=f,
+        G=rng.standard_normal((n, q)),
+        H=rng.standard_normal((m, n)),
+        Q=random_spd(rng, q),
+        R=random_spd(rng, m),
+    )
 
 
 def random_instance(rng, n, m):
@@ -391,10 +410,14 @@ def batch_measurements(model, init, horizon, seed, runs, shot=None):
 
 
 def assert_batch_matches_each_run(algorithm, model, init, measurements, spec):
-    """run_batch gives every run exactly what run_filter gives it alone."""
+    """run_batch gives every run exactly what run_filter gives it alone.
+
+    ``model`` is one model for every run or a list with one model per run.
+    """
     batch = run_batch(algorithm, model, init, measurements, spec)
     for i, ys in enumerate(measurements):
-        alone = run_filter(algorithm, model, init, ys, spec)
+        model_i = model[i] if isinstance(model, list) else model
+        alone = run_filter(algorithm, model_i, init, ys, spec)
         assert batch.statuses[i] == alone.status
         steps = alone.status.steps_completed
         assert np.array_equal(batch.estimates[i, :steps], alone.estimates())
@@ -427,12 +450,96 @@ class TestRunBatch:
                 assert {s.failed_step for s in batch.statuses} == {19, 39}
             assert_batch_matches_each_run(algorithm, model, init, ys[:1], spec)
 
+    def test_sweep_deltas_in_one_batch_are_bit_identical(self):
+        # one run per shipped sweep delta, each with its own model (H and R)
+        deltas = ExperimentConfig.load(profile="sweep").sweep_deltas()
+        models, ys = [], []
+        for delta in deltas:
+            model, init = build_example2(delta)
+            models.append(model)
+            ys.append(simulate(model, init, 300, SeedSpec(1, 0)).measurements)
+        ys = np.stack(ys)
+        spec = KernelSpec(float("inf"))
+        failed = {}
+        for algorithm in ("conventional", "sr1a", "sr1b"):
+            batch = assert_batch_matches_each_run(algorithm, models, init, ys, spec)
+            failed[algorithm] = {
+                delta: status.failed_step
+                for delta, status in zip(deltas, batch.statuses)
+                if not status.completed
+            }
+        for algorithm in ("conventional", "sr1a"):
+            assert list(failed[algorithm]) == [d for d in deltas if d <= 1e-5]
+            assert 1 <= min(failed[algorithm].values())
+            assert max(failed[algorithm].values()) <= 96
+        assert failed["sr1b"] == {1e-13: 19, 1e-14: 5}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_models_one_per_run_are_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed == 0:
+            n, m, q = 8, 4, 4
+        else:
+            n, m, q = (int(rng.integers(1, high + 1)) for high in (8, 4, 4))
+        models = [random_model(rng, n, m, q) for _ in range(4)]
+        init = InitialCondition(rng.standard_normal(n), random_spd(rng, n))
+        ys = np.stack(
+            [simulate(mdl, init, 40, SeedSpec(seed, i)).measurements for i, mdl in enumerate(models)]
+        )
+        spec = KernelSpec(2.0)
+        lams = np.array([rep.lam for rep in run_filter("sr1b", models[0], init, ys[0], spec).reports])
+        assert 0.0 < lams.min() < 0.9  # the weight is live
+        for algorithm in ("conventional", "sr1a", "sr1b"):
+            batch = assert_batch_matches_each_run(algorithm, models, init, ys, spec)
+            assert all(status.completed for status in batch.statuses)
+
+    def test_time_varying_noise_breakdown_fails_its_run_only(self):
+        base, init, shot = build_example1()
+        tv = TimeVaryingModel(
+            lambda k: (base.F, base.G, base.H, base.Q, base.R if k < 5 else -base.R), 6, 2, 2
+        )
+        models = [base, tv, base, base]
+        ys = batch_measurements(base, init, 12, 4, 4, shot)
+        for algorithm in ("conventional", "sr1a", "sr1b"):
+            batch = assert_batch_matches_each_run(algorithm, models, init, ys, KernelSpec(3e4))
+            failing = batch.statuses[1]
+            assert failing.failed_step == 5
+            assert failing.reason.startswith("step 5: NotPositiveDefinite: ")
+            assert all(batch.statuses[i].completed for i in (0, 2, 3))
+
     def test_rejects_kf_reference_and_wrong_shapes(self):
         model, init, _ = build_example1()
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_batch("kf_reference", model, init, np.zeros((2, 3, 2)))
         with pytest.raises(ValueError, match="runs, steps, m"):
             run_batch("sr1b", model, init, np.zeros((3, 2)), KernelSpec(1.0))
+
+
+def dims_model(n, q, m):
+    return StateSpaceModel(
+        F=np.eye(n), G=np.ones((n, q)), H=np.ones((m, n)), Q=np.eye(q), R=np.eye(m)
+    )
+
+
+class TestRunBatchInputs:
+    def test_rejects_zero_runs_naming_the_shape(self):
+        model, init, _ = build_example1()
+        with pytest.raises(ValueError, match=r"at least one run, got shape \(0, 3, 2\)"):
+            run_batch("sr1b", model, init, np.zeros((0, 3, 2)), KernelSpec(3e4))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_a_model_count_other_than_the_runs(self, count):
+        model, init, _ = build_example1()
+        with pytest.raises(ValueError, match=f"got {count} models for 2 runs"):
+            run_batch("sr1b", [model] * count, init, np.zeros((2, 3, 2)), KernelSpec(3e4))
+
+    @pytest.mark.parametrize("dims", [(5, 2, 2), (6, 1, 2), (6, 2, 1)])
+    def test_rejects_models_of_unequal_dimensions(self, dims):
+        model, init, _ = build_example1()
+        other = dims_model(*dims)
+        assert (other.state_dim, other.noise_dim, other.obs_dim) == dims
+        with pytest.raises(ValueError, match="equal \\(state_dim, noise_dim, obs_dim\\)"):
+            run_batch("sr1b", [model, other], init, np.zeros((2, 3, 2)), KernelSpec(3e4))
 
 
 class TestNoiseBreakdownAfterStepOne:

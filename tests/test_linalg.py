@@ -123,6 +123,21 @@ class TestLowerTriangularize:
         assert x[1, 1] == 0.0
         np.testing.assert_allclose(x @ x.T, pre @ pre.T, atol=1e-14)
 
+    def test_is_the_signed_qr_factor_in_value_and_layout(self):
+        # X is R^T of the QR of the transposed pre-array, as the transposed
+        # view: products downstream depend on the layout too, since numpy may
+        # take another BLAS path for a C-ordered operand
+        for shape in ((6, 8), (2, 4), (1, 3), (4, 6, 8), (12, 2, 4)):
+            pre = RNG.standard_normal(shape)
+            pre[..., 0, :] = 0.0  # signed zeros on the first row
+            r = np.linalg.qr(pre.mT, mode="r")
+            signs = np.where(r.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
+            expected = r.mT * signs[..., None, :]
+            x = lower_triangularize(pre)
+            assert np.array_equal(x, expected)
+            assert np.array_equal(np.signbit(x), np.signbit(expected))
+            assert x.strides == expected.strides
+
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):
             lower_triangularize(np.array([[1.0, np.inf]]))
