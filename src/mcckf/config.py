@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from importlib import resources
 
 from .bench import RadarConstants
@@ -23,8 +24,16 @@ class ConfigError(Exception):
     """Invalid, unknown or missing configuration."""
 
 
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
 def _defaults() -> dict:
     c = RadarConstants()
+    shot = ShotNoiseSpec()
     return {
         "model": {
             "rho": repr(c.rho),
@@ -36,16 +45,16 @@ def _defaults() -> dict:
         },
         "kernel": {},
         "shot_noise": {
-            "fraction": "0.2",
-            "magnitude_low": "0",
-            "magnitude_high": "5",
-            "window_start": "21",
-            "window_end": "300",
-            "targets": "both",
+            "fraction": repr(shot.corrupted_fraction),
+            "magnitude_low": str(shot.magnitude_low),
+            "magnitude_high": str(shot.magnitude_high),
+            "window_start": str(shot.window_start),
+            "window_end": str(shot.window_end),
+            "targets": shot.targets,
         },
         "monte_carlo": {
             "runs": "100",
-            "horizon": "300",
+            "horizon": str(c.horizon),
             "seed": "1",
         },
         "sweep": {
@@ -131,18 +140,18 @@ class ExperimentConfig:
     def radar_constants(self) -> RadarConstants:
         try:
             return RadarConstants(
-                rho=self._get("model", "rho", float),
-                sampling_period=self._get("model", "sampling_period", float),
-                range_noise_var=self._get("model", "range_noise_var", float),
-                bearing_noise_var=self._get("model", "bearing_noise_var", float),
-                maneuver_var_1=self._get("model", "maneuver_var_1", float),
-                maneuver_var_2=self._get("model", "maneuver_var_2", float),
+                rho=self._get("model", "rho", _finite),
+                sampling_period=self._get("model", "sampling_period", _finite),
+                range_noise_var=self._get("model", "range_noise_var", _finite),
+                bearing_noise_var=self._get("model", "bearing_noise_var", _finite),
+                maneuver_var_1=self._get("model", "maneuver_var_1", _finite),
+                maneuver_var_2=self._get("model", "maneuver_var_2", _finite),
                 horizon=self.horizon(),
                 init_bearing_entry=self._get(
-                    "model", "init_bearing_entry", float, required=False
+                    "model", "init_bearing_entry", _finite, required=False
                 ),
                 init_bearing_rate_extra=self._get(
-                    "model", "init_bearing_rate_extra", float, required=False
+                    "model", "init_bearing_rate_extra", _finite, required=False
                 ),
             )
         except ValueError as exc:

@@ -22,16 +22,17 @@ Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
 advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
 the runs axis. The step functions read the model's terms through
-``step_terms``: one run reads its model's 2-D terms, a batch the stack of
-every run's terms, with a leading runs axis too, whether the runs share one
-model or each has its own. The batch
-computes each run's numbers with the same operations, in the same order, as
-that run alone (see ``mcckf.linalg``), so a run's estimates do not depend on
-the batch it ran in, bit for bit. A run that fails a check leaves the batch
-at that step with its own typed reason; the step is then recomputed for the
-runs that remain. The drivers record a failed linear-algebra check as a
-``Diverged`` of the runs concerned; a step function called directly raises
-the ``LinalgError`` itself.
+``step_terms``: one run reads its model's 2-D ``StepTerms``, a batch the
+``StepTerms`` of every run's matrices stacked with a leading runs axis,
+whether the runs share one model or each has its own. A batch's terms come
+from the stacked kernels, which compute each run's numbers with the same
+operations, in the same order, as that run alone (see ``mcckf.linalg``), so
+a run's estimates do not depend on the batch it ran in, bit for bit, and a
+noise covariance that is not positive definite fails only its runs. A run
+that fails a check leaves the batch at that step with its own typed reason;
+the step is then recomputed for the runs that remain. The drivers record a
+failed linear-algebra check as a ``Diverged`` of the runs concerned; a step
+function called directly raises the ``LinalgError`` itself.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .correntropy import KernelSpec, LambdaInputs, compute_lambda
-from .model import InitialCondition, Measurement, validate_model
+from .model import InitialCondition, Measurement, StepTerms, validate_model
 
 __all__ = [
     "ALGORITHMS",
@@ -419,9 +420,9 @@ def _kf_reference_update(model, prior: FilterState, y):
 def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
     """Time plus measurement update of one run or of every run of a batch.
 
-    A failed linear-algebra check fails the runs whose matrices failed it,
-    with the error class and its message as the reason; a failure of a
-    matrix the runs share (a noise factor of the step) fails every run.
+    A failed linear-algebra check fails the runs whose matrices failed it
+    (``LinalgError.failed``; one run's 2-D error names no matrix), with the
+    error class and its message as the reason.
     """
     entry = WEIGHTED_FILTERS.get(algorithm)
     if entry is None:
@@ -432,48 +433,9 @@ def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
         return step_functions[entry.measurement_update](model, pred, y, spec, pin_weight)
     except linalg.LinalgError as exc:
         name = type(exc).__name__
-        failed = exc.failed or dict.fromkeys(range(state.runs or 1), str(exc))
+        failed = exc.failed or {0: str(exc)}
         reasons = {run: f"{name}: {msg}" for run, msg in failed.items()}
         raise Diverged(reasons, state.step + 1) from exc
-
-
-class _StackedTerms:
-    """The ``StepTerms`` of a batch: each term the step functions read is the
-    stack of every run's 2-D term, so a run's term is computed by the code
-    of its model alone.
-
-    ``distinct`` holds the ``StepTerms`` of the distinct models and
-    ``rows`` the position in ``distinct`` of each run's. A term is stacked
-    on first use; a model whose term fails (a noise covariance that is not
-    positive definite) fails only the runs of that model.
-    """
-
-    def __init__(self, distinct: list, rows: np.ndarray):
-        self._distinct = distinct
-        self._rows = rows
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        values, errors = [], {}
-        for i, terms in enumerate(self._distinct):
-            try:
-                values.append(getattr(terms, name))
-            except linalg.LinalgError as exc:
-                errors[i] = exc
-        if errors:
-            # one error class at a time, as a kernel given a stack raises
-            cls = type(next(iter(errors.values())))
-            failed = {
-                int(run): str(exc)
-                for i, exc in errors.items()
-                if type(exc) is cls
-                for run in np.flatnonzero(self._rows == i)
-            }
-            raise cls("; ".join(f"run {r}: {m}" for r, m in failed.items()), failed)
-        value = np.stack(values)[self._rows]
-        setattr(self, name, value)
-        return value
 
 
 class _ModelStack:
@@ -486,16 +448,24 @@ class _ModelStack:
         position = {key: i for i, key in enumerate(distinct)}
         self.distinct = list(distinct.values())
         self._rows = np.array([position[id(m)] for m in models])
-        self._terms = None
+        self._sources = self._terms = None
 
-    def step_terms(self, step: int) -> _StackedTerms:
-        """The stacked terms of ``step``; they are rebuilt only when a model
-        gives new ``StepTerms`` (a time-varying model at a new step)."""
-        terms = [m.step_terms(step) for m in self.distinct]
-        cached = self._terms
-        if cached is None or any(a is not b for a, b in zip(terms, cached._distinct)):
-            cached = self._terms = _StackedTerms(terms, self._rows)
-        return cached
+    def matrices(self, step: int):
+        """Every run's F, G, H, Q and R of ``step``, stacked; read from each
+        distinct model's ``step_terms``, so a provider is called once per
+        step."""
+        sources = [m.step_terms(step) for m in self.distinct]
+        return tuple(
+            np.stack([getattr(t, name) for t in sources])[self._rows] for name in "FGHQR"
+        )
+
+    def step_terms(self, step: int) -> StepTerms:
+        """The ``StepTerms`` of every run's stacked matrices; rebuilt only when
+        a model gives new ``StepTerms`` (a time-varying model at a new step)."""
+        sources = [m.step_terms(step) for m in self.distinct]
+        if self._sources is None or any(a is not b for a, b in zip(sources, self._sources)):
+            self._sources, self._terms = sources, StepTerms(self, step)
+        return self._terms
 
     def take(self, keep: np.ndarray) -> "_ModelStack":
         """The models of the runs that ``keep`` (a mask) selects."""
@@ -593,7 +563,8 @@ def run_filter(
         init: initial mean and covariance; must be positive definite for the
             square-root variants.
         measurements: sequence of measurement vectors (or ``Measurement``),
-            one per step k = 1..N, each with the model's output dimension.
+            one per step k = 1..N, each with the model's output dimension;
+            the k-th ``Measurement`` must be for step k.
         spec: kernel bandwidth for the adjusting weight; may be omitted when
             ``pin_weight`` is given or for ``kf_reference``.
         pin_weight: fix the adjusting weight (e.g. 1.0 reduces every variant
@@ -605,7 +576,11 @@ def run_filter(
         any component beyond ``DIVERGENCE_LIMIT`` is recorded as divergence,
         never silently propagated.
     """
-    rows = [np.atleast_1d(_measurement_vector(y)) for y in measurements]
+    rows = []
+    for k, y in enumerate(measurements, start=1):
+        if isinstance(y, Measurement) and y.step != k:
+            raise ValueError(f"measurement {k} of the sequence is for step {y.step}, not {k}")
+        rows.append(np.atleast_1d(_measurement_vector(y)))
     ys = np.array(rows, dtype=float) if rows else np.zeros((0, model.obs_dim))
     if ys.ndim != 2:
         raise ValueError(f"measurements must be one vector per step, got shape {ys.shape}")

@@ -31,7 +31,6 @@ __all__ = [
     "lower_triangularize",
     "triangular_solve",
     "triangular_inverse",
-    "condition_estimate",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -327,17 +326,3 @@ def triangular_inverse(l: np.ndarray) -> np.ndarray:
     eye = np.eye(l.shape[-1])
     return triangular_solve(l, eye if l.ndim == 2 else eye[None].repeat(len(l), axis=0))
 
-
-def condition_estimate(m: np.ndarray) -> float:
-    """2-norm condition number of a square matrix; +inf when singular
-    or non-finite."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
-        return float("inf")
-    try:
-        c = float(np.linalg.cond(m, 2))
-    except np.linalg.LinAlgError:
-        return float("inf")
-    return float("inf") if np.isnan(c) else c

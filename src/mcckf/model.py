@@ -38,9 +38,11 @@ class StepTerms:
     """System matrices of one step, their noise factors and the products the
     filters reuse.
 
-    Each term is computed on first use, with the operations and the
-    association order of the filter-step expression it stands for, so
-    reusing it changes no bit of any result. The noise factors are computed
+    ``model.matrices(step)`` gives one model's 2-D matrices or, for a batch,
+    every run's stacked with a leading runs axis; each term is then one
+    run's or the stack of every run's. Each term is computed on first use,
+    with the operations and the association order of the filter-step
+    expression it stands for, so reusing it changes no bit of any result. The noise factors are computed
     inside the filter steps, so a Q_k or R_k that is not positive definite
     fails the runs at step k instead of the call; Q is factored whenever R
     is, so every filter fails at the same step.
@@ -68,7 +70,7 @@ class StepTerms:
     def r_inv(self) -> np.ndarray:
         """R^{-1}, assembled from the R factor by triangular solves."""
         inv_factor = linalg.triangular_inverse(self.r_sqrt)
-        return inv_factor.T @ inv_factor
+        return inv_factor.mT @ inv_factor
 
     @cached_property
     def g_q_sqrt(self) -> np.ndarray:
@@ -78,12 +80,12 @@ class StepTerms:
     @cached_property
     def g_q_g(self) -> np.ndarray:
         """G Q G^T."""
-        return self.G @ self.Q @ self.G.T
+        return self.G @ self.Q @ self.G.mT
 
     @cached_property
     def ht_r_inv(self) -> np.ndarray:
         """H^T R^{-1}, the right-hand side of the information-form gain."""
-        return self.H.T @ self.r_inv
+        return self.H.mT @ self.r_inv
 
     @cached_property
     def ht_r_inv_h(self) -> np.ndarray:

@@ -28,6 +28,11 @@ __all__ = [
 
 SHOT_TARGETS = ("process", "measurement", "both")
 
+# The eigenvalues of an n x n PSD matrix computed in floating point may come
+# out negative by about n * eps times the largest; psd_factor allows 100 times
+# that before it rejects the matrix.
+_ROUNDOFF = 100.0 * float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -105,15 +110,22 @@ def draw_gaussian(stream, mean, covariance_factor) -> np.ndarray:
 def psd_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a PSD matrix, tolerating semidefiniteness.
 
-    Falls back to an eigendecomposition with negative eigenvalues clipped to
-    zero when the strict Cholesky floor rejects the matrix (e.g. a zero noise
-    covariance in a noiseless test model).
+    Falls back to an eigendecomposition when the strict Cholesky floor
+    rejects the matrix (e.g. a zero noise covariance in a noiseless test
+    model). Negative eigenvalues of roundoff size are clipped to zero; a
+    larger one raises ``ValueError``, since the matrix is not a covariance.
     """
     a = np.asarray(a, dtype=float)
     try:
         return linalg.cholesky_lower(a)
     except linalg.NotPositiveDefinite:
         w, v = np.linalg.eigh(linalg.symmetrize(a))
+        floor = -len(w) * _ROUNDOFF * np.abs(w).max(initial=0.0)
+        if w.min(initial=0.0) < floor:
+            raise ValueError(
+                f"covariance is not positive semidefinite: eigenvalue {w.min():.6e} "
+                f"is below {floor:.6e}"
+            ) from None
         root = v * np.sqrt(np.clip(w, 0.0, None))
         return linalg.lower_triangularize(root)
 

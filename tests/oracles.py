@@ -1,4 +1,5 @@
-"""Dense reference formulas for the weighted gain, used as test oracles."""
+"""Dense reference formulas used as test oracles: the weighted gain and the
+condition number."""
 
 import numpy as np
 
@@ -18,3 +19,18 @@ def gain_innovation_form(p, h, r, lam: float) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     innov_cov = lam * (h @ p @ h.T) + np.asarray(r, dtype=float)
     return lam * np.linalg.solve(innov_cov.T, h @ p.T).T
+
+
+def condition_estimate(m: np.ndarray) -> float:
+    """2-norm condition number of a square matrix; +inf when singular
+    or non-finite."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.size and not np.isfinite(m).all():
+        return float("inf")
+    try:
+        c = float(np.linalg.cond(m, 2))
+    except np.linalg.LinAlgError:
+        return float("inf")
+    return float("inf") if np.isnan(c) else c

@@ -21,9 +21,9 @@ from mcckf.bench import (
 )
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import run_filter
-from mcckf.linalg import condition_estimate
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
+from oracles import condition_estimate
 
 
 class TestBuildExample1:

@@ -77,6 +77,25 @@ def test_uncreatable_out_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_simulate_negative_variance_exits_2(tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = main(["simulate", "--out", str(out), "--set", "model.range_noise_var=-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not positive semidefinite" in err
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["equivalence", "example1", "sweep", "simulate"])
+@pytest.mark.parametrize("key", ["range_noise_var", "rho"])
+def test_non_finite_model_value_exits_2(tmp_path, capsys, command, key):
+    code = main([command, "--out", str(tmp_path / "x"), "--set", f"model.{key}=nan", *FAST])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: bad value for model.{key}: 'nan' (must be finite)\n"
+
+
 def test_equivalence_missing_sigma_exits_2(tmp_path):
     config = tmp_path / "partial.ini"
     config.write_text("[model]\nrho = 0.5\n")

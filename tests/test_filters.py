@@ -18,7 +18,7 @@ from mcckf.filters import (
     sr_time_update,
 )
 from mcckf.linalg import NotPositiveDefinite, cholesky_lower
-from mcckf.model import InitialCondition, StateSpaceModel, TimeVaryingModel
+from mcckf.model import InitialCondition, Measurement, StateSpaceModel, TimeVaryingModel
 from mcckf.sim import SeedSpec, simulate
 from oracles import gain_information_form, gain_innovation_form
 
@@ -391,6 +391,18 @@ class TestRunFilter:
             b = run_filter(algorithm, tv, init, traj.measurements, KernelSpec(3e4))
             np.testing.assert_allclose(a.estimates(), b.estimates(), rtol=1e-12)
 
+    def test_measurement_steps_must_be_in_order(self):
+        model, init, shot = build_example1()
+        ys = simulate(model, init, 5, SeedSpec(3, 0), shot).measurements
+        spec = KernelSpec(3e4)
+        stepped = [Measurement(k, y) for k, y in enumerate(ys, start=1)]
+        a = run_filter("sr1b", model, init, stepped, spec)
+        assert np.array_equal(a.estimates(), run_filter("sr1b", model, init, ys, spec).estimates())
+        with pytest.raises(ValueError, match="measurement 1 of the sequence is for step 5"):
+            run_filter("sr1b", model, init, [Measurement(5, ys[0])], spec)
+        with pytest.raises(ValueError, match="is for step 5, not 1"):
+            run_filter("sr1b", model, init, stepped[::-1], spec)
+
     def test_lambda_shared_across_algorithms(self):
         model, init, shot = build_example1()
         traj = simulate(model, init, 60, SeedSpec(2, 0), shot)
@@ -495,17 +507,33 @@ class TestRunBatch:
 
     def test_time_varying_noise_breakdown_fails_its_run_only(self):
         base, init, shot = build_example1()
-        tv = TimeVaryingModel(
-            lambda k: (base.F, base.G, base.H, base.Q, base.R if k < 5 else -base.R), 6, 2, 2
-        )
-        models = [base, tv, base, base]
+
+        def breaking(name):
+            """The radar model with Q_k or R_k not positive definite from step 5."""
+            def provider(k):
+                q = -base.Q if name == "Q" and k >= 5 else base.Q
+                r = -base.R if name == "R" and k >= 5 else base.R
+                return base.F, base.G, base.H, q, r
+
+            return TimeVaryingModel(provider, 6, 2, 2)
+
         ys = batch_measurements(base, init, 12, 4, 4, shot)
-        for algorithm in ("conventional", "sr1a", "sr1b"):
-            batch = assert_batch_matches_each_run(algorithm, models, init, ys, KernelSpec(3e4))
-            failing = batch.statuses[1]
-            assert failing.failed_step == 5
-            assert failing.reason.startswith("step 5: NotPositiveDefinite: ")
-            assert all(batch.statuses[i].completed for i in (0, 2, 3))
+        # run 1's R_k fails alone, then together with run 3's Q_k
+        for models, failing in (
+            ([base, breaking("R"), base, base], {1}),
+            ([base, breaking("R"), base, breaking("Q")], {1, 3}),
+        ):
+            for algorithm in ("conventional", "sr1a", "sr1b"):
+                # each failing run gets the reason run_filter gives it alone
+                batch = assert_batch_matches_each_run(
+                    algorithm, models, init, ys, KernelSpec(3e4)
+                )
+                for i, status in enumerate(batch.statuses):
+                    if i in failing:
+                        assert status.failed_step == 5
+                        assert status.reason.startswith("step 5: NotPositiveDefinite: ")
+                    else:
+                        assert status.completed
 
     def test_rejects_kf_reference_and_wrong_shapes(self):
         model, init, _ = build_example1()

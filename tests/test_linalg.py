@@ -9,12 +9,12 @@ from mcckf.linalg import (
     NotSymmetric,
     SingularFactor,
     cholesky_lower,
-    condition_estimate,
     lower_triangularize,
     symmetrize,
     triangular_inverse,
     triangular_solve,
 )
+from oracles import condition_estimate
 
 RNG = np.random.default_rng(20240517)
 

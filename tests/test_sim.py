@@ -148,6 +148,14 @@ def test_psd_factor_handles_zero_and_semidefinite():
     np.testing.assert_allclose(f @ f.T, a, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "a", [np.diag([1.0, -1.0]), np.diag([1e6, -1e-6]), np.array([[1.0, 2.0], [2.0, 1.0]])]
+)
+def test_psd_factor_rejects_a_negative_eigenvalue(a):
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        psd_factor(a)
+
+
 def test_innovation_whiteness_of_reference_filter():
     # lag-1 autocorrelation of the reference filter's innovations on its own
     # simulated data, averaged over 100 clean runs
