@@ -9,129 +9,35 @@ estimation accuracy and numerical breakdown under ill-conditioning.
 
 __version__ = "0.1.0"
 
-from .bench import (
-    BLOWUP_FACTOR,
-    RadarConstants,
-    RmseReport,
-    Scenario,
-    SweepEntry,
-    SweepReport,
-    build_example1,
-    build_example2,
-    ill_conditioned_scenario,
-    radar_scenario,
-    run_conditioning_sweep,
-    run_monte_carlo,
-    write_csv,
-)
-from .correntropy import (
-    DegenerateWeight,
-    KernelSpec,
-    LambdaInputs,
-    compute_lambda,
-    gaussian_kernel,
-    weighted_norm,
-)
-from .filters import (
-    ALGORITHMS,
-    DIVERGENCE_LIMIT,
-    BatchRun,
-    Diverged,
-    FilterRun,
-    FilterState,
-    RunStatus,
-    StepReport,
-    mcckf_measurement_update,
-    mcckf_time_update,
-    run_batch,
-    run_filter,
-    sr1a_measurement_update,
-    sr1b_measurement_update,
-    sr_time_update,
-)
+# The README's Library names and the error types. Step functions, kernels,
+# run_batch and the rest come from their submodules (mcckf.filters,
+# mcckf.linalg, ...).
+from .bench import build_example1, radar_scenario, run_monte_carlo
+from .correntropy import DegenerateWeight, KernelSpec
+from .filters import Diverged, run_filter
 from .linalg import (
+    LinalgError,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
     SingularFactor,
-    cholesky_lower,
-    lower_triangularize,
-    symmetrize,
-    triangular_inverse,
-    triangular_solve,
 )
-from .model import (
-    InitialCondition,
-    Measurement,
-    StateSpaceModel,
-    TimeVaryingModel,
-    validate_model,
-)
-from .sim import (
-    SeedSpec,
-    ShotNoiseSpec,
-    Trajectory,
-    draw_gaussian,
-    psd_factor,
-    simulate,
-    write_trajectory_csv,
-)
+from .sim import SeedSpec, simulate
 
 __all__ = [
     "__version__",
-    "ALGORITHMS",
-    "BLOWUP_FACTOR",
-    "BatchRun",
-    "DIVERGENCE_LIMIT",
-    "DegenerateWeight",
-    "Diverged",
-    "FilterRun",
-    "FilterState",
-    "InitialCondition",
     "KernelSpec",
-    "LambdaInputs",
-    "Measurement",
-    "NonFiniteInput",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "RadarConstants",
-    "RmseReport",
-    "RunStatus",
-    "Scenario",
     "SeedSpec",
-    "ShotNoiseSpec",
-    "SingularFactor",
-    "StateSpaceModel",
-    "StepReport",
-    "SweepEntry",
-    "SweepReport",
-    "TimeVaryingModel",
-    "Trajectory",
     "build_example1",
-    "build_example2",
-    "cholesky_lower",
-    "compute_lambda",
-    "draw_gaussian",
-    "gaussian_kernel",
-    "ill_conditioned_scenario",
-    "lower_triangularize",
-    "mcckf_measurement_update",
-    "mcckf_time_update",
-    "psd_factor",
     "radar_scenario",
-    "run_batch",
-    "run_conditioning_sweep",
     "run_filter",
     "run_monte_carlo",
     "simulate",
-    "sr1a_measurement_update",
-    "sr1b_measurement_update",
-    "sr_time_update",
-    "symmetrize",
-    "triangular_inverse",
-    "triangular_solve",
-    "validate_model",
-    "weighted_norm",
-    "write_csv",
-    "write_trajectory_csv",
+    "DegenerateWeight",
+    "Diverged",
+    "LinalgError",
+    "NonFiniteInput",
+    "NotPositiveDefinite",
+    "NotSymmetric",
+    "SingularFactor",
 ]

@@ -140,56 +140,55 @@ def _relative_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / scale
 
 
-def cmd_equivalence(args) -> int:
-    if not 0.0 <= args.tolerance < math.inf:
-        raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
+def _monte_carlo(args, command: str, minimum: int = 1):
+    """The radar Monte Carlo of ``equivalence`` and ``example1``: writes
+    ``rmse_<algorithm>.csv`` and ``meta.txt`` and returns the output
+    directory, the reports and a status of 1 when any run diverged."""
     cfg = _load_config(args)
-    names = _algorithm_list(args, minimum=2)
+    names = _algorithm_list(args, minimum)
     scenario = _radar_scenario_from(cfg)
     spec = cfg.kernel_spec()
     out = _out_dir(args)
     reports = run_monte_carlo(names, scenario, cfg.runs(), cfg.seed(), spec)
     for name, report in reports.items():
         write_csv(report, out / f"rmse_{name}.csv")
-    _write_meta(out, "equivalence", cfg, cfg.seed())
+    _write_meta(out, command, cfg, cfg.seed())
+    diverged = {name: report.diverged_runs for name, report in reports.items()}
+    if any(diverged.values()):
+        print(f"diverged runs: {diverged}", file=sys.stderr)
+    return out, reports, int(any(diverged.values()))
 
-    pairs = list(combinations(names, 2))
+
+def cmd_equivalence(args) -> int:
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
+    out, reports, status = _monte_carlo(args, "equivalence", minimum=2)
+    pairs = list(combinations(reports, 2))
     diffs = {
         (a, b): _relative_diff(reports[a].total, reports[b].total) for a, b in pairs
     }
     with open(out / "diff.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step"] + [f"{a}_vs_{b}" for a, b in pairs])
-        for k in range(scenario.horizon):
-            writer.writerow([str(k + 1)] + [f"{diffs[p][k]:.17g}" for p in pairs])
+        for k, row in enumerate(zip(*diffs.values()), start=1):
+            writer.writerow([str(k)] + [f"{d:.17g}" for d in row])
 
-    diverged = {name: reports[name].diverged_runs for name in names}
     max_diff = max(float(d.max()) for d in diffs.values()) if pairs else 0.0
     if args.verbose:
         for (a, b), d in diffs.items():
             print(f"  {a} vs {b}: max relative difference {float(d.max()):.3e}")
     print(f"max relative total-RMSE difference: {max_diff:.3e} (tolerance {args.tolerance:g})")
-    if any(diverged.values()):
-        print(f"diverged runs: {diverged}", file=sys.stderr)
-        return 1
-    return 0 if max_diff < args.tolerance else 1
+    return status or (0 if max_diff < args.tolerance else 1)
 
 
 def cmd_example1(args) -> int:
-    cfg = _load_config(args)
-    names = _algorithm_list(args)
-    scenario = _radar_scenario_from(cfg)
-    spec = cfg.kernel_spec()
-    out = _out_dir(args)
-    reports = run_monte_carlo(names, scenario, cfg.runs(), cfg.seed(), spec)
+    _, reports, status = _monte_carlo(args, "example1")
     for name, report in reports.items():
-        write_csv(report, out / f"rmse_{name}.csv")
         print(
             f"{name}: mean total RMSE {report.scalar_summary:.6g} "
             f"({report.completed_runs} completed, {report.diverged_runs} diverged)"
         )
-    _write_meta(out, "example1", cfg, cfg.seed())
-    return 0
+    return status
 
 
 def cmd_sweep(args) -> int:

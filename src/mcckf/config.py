@@ -31,6 +31,13 @@ def _finite(value: str) -> float:
     return number
 
 
+def _positive(value: str) -> float:
+    number = _finite(value)
+    if not number > 0.0:
+        raise ValueError("must be positive")
+    return number
+
+
 def _defaults() -> dict:
     c = RadarConstants()
     shot = ShotNoiseSpec()
@@ -141,7 +148,7 @@ class ExperimentConfig:
         try:
             return RadarConstants(
                 rho=self._get("model", "rho", _finite),
-                sampling_period=self._get("model", "sampling_period", _finite),
+                sampling_period=self._get("model", "sampling_period", _positive),
                 range_noise_var=self._get("model", "range_noise_var", _finite),
                 bearing_noise_var=self._get("model", "bearing_noise_var", _finite),
                 maneuver_var_1=self._get("model", "maneuver_var_1", _finite),

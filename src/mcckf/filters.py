@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .correntropy import KernelSpec, LambdaInputs, compute_lambda
+from .correntropy import KernelSpec, gaussian_kernel, weighted_norm
 from .model import InitialCondition, Measurement, StepTerms, validate_model
 
 __all__ = [
@@ -241,7 +241,9 @@ def _require_finite(step: int, runs: int | None, **named_arrays):
         raise Diverged(reasons, step)
 
 
-def _lambda_weight(terms, spec, pred_factor, innovation, pin_weight, runs):
+def _lambda_weight(terms, spec, innovation, pin_weight, runs):
+    """The kernel of the innovation's R^{-1} norm; the weight's denominator,
+    the kernel of the zero prediction residual, is exactly one."""
     if pin_weight is not None:
         if pin_weight < 0.0:
             raise ValueError(f"pinned weight must be nonnegative, got {pin_weight}")
@@ -251,17 +253,14 @@ def _lambda_weight(terms, spec, pred_factor, innovation, pin_weight, runs):
     if math.isinf(spec.sigma):
         # the kernel is exactly one at every distance
         return 1.0 if runs is None else np.ones(runs)
-    inputs = LambdaInputs(
-        innovation=innovation,
-        innovation_weight_factor=terms.r_sqrt,
-        prediction_residual=np.zeros(pred_factor.shape[:-1]),
-        prediction_weight_factor=pred_factor,
-    )
-    return compute_lambda(spec, inputs)
+    return gaussian_kernel(spec, weighted_norm(innovation, terms.r_sqrt))
 
 
 def _innovation(terms, pred: FilterState, y) -> np.ndarray:
-    innovation = _measurement_vector(y) - np.matvec(terms.H, pred.estimate)
+    y, m = _measurement_vector(y), terms.H.shape[-2]
+    if y.shape[-1:] != (m,):
+        raise ValueError(f"measurement must have {m} components, got shape {y.shape}")
+    innovation = y - np.matvec(terms.H, pred.estimate)
     _require_finite(pred.step, pred.runs, innovation=innovation)
     return innovation
 
@@ -302,7 +301,7 @@ def mcckf_measurement_update(
     innovation = _innovation(t, pred, y)
     # pred.covariance is symmetrized by construction; skip the recheck
     p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
-    lam = _lambda_weight(t, spec, p_factor, innovation, pin_weight, runs)
+    lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
     inv_factor = linalg.triangular_inverse(p_factor)
     p_inv = inv_factor.mT @ inv_factor
     info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
@@ -360,7 +359,7 @@ def sr1a_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.step_terms(step)
     innovation = _innovation(t, pred, y)
-    lam = _lambda_weight(t, spec, pred.factor, innovation, pin_weight, runs)
+    lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
     pred_inv = linalg.triangular_inverse(pred.factor)
     pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.mT)], axis=-1)
     _require_finite(step, runs, **{"information pre-array": pre})
@@ -386,7 +385,7 @@ def sr1b_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.step_terms(step)
     innovation = _innovation(t, pred, y)
-    lam = _lambda_weight(t, spec, pred.factor, innovation, pin_weight, runs)
+    lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
     pre = np.concatenate(
         [_times(np.sqrt(lam), t.H @ pred.factor), t.r_sqrt], axis=-1
     )

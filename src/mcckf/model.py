@@ -241,32 +241,23 @@ def validate_model(
 ) -> list[str]:
     """Check model assumptions; return a list of violations (empty = usable).
 
-    Verifies dimensional consistency, symmetry and positive definiteness of
-    Q and R, and of the initial covariance when ``require_spd_init`` is set
-    (the square-root algorithms factor it). Pure report, never raises for a
-    bad model.
+    Verifies symmetry and positive definiteness of Q and R, and of the
+    initial covariance when ``require_spd_init`` is set (the square-root
+    algorithms factor it), and the initial condition's dimension. The
+    matrices' shapes are checked where they are made: by ``StateSpaceModel``
+    at construction, by ``TimeVaryingModel.matrices``, whose ``ValueError``
+    is reported here. Pure report, never raises for a bad model.
     """
-    violations: list[str] = []
     try:
         f, g, h, q, r = model.matrices(1)
     except ValueError as exc:
         return [str(exc)]
     n = f.shape[0]
-    if f.ndim != 2 or f.shape != (n, n):
-        violations.append(f"F must be square, got shape {f.shape}")
-    if g.ndim != 2 or g.shape[0] != n:
-        violations.append(f"G must have {n} rows, got shape {g.shape}")
-    if h.ndim != 2 or h.shape[1] != n:
-        violations.append(f"H must have {n} columns, got shape {h.shape}")
-    if q.shape != (g.shape[1], g.shape[1]):
-        violations.append(f"Q shape {q.shape} does not match G columns {g.shape[1]}")
-    if r.shape != (h.shape[0], h.shape[0]):
-        violations.append(f"R shape {r.shape} does not match H rows {h.shape[0]}")
-    if not violations:
-        for name, mat in (("Q", q), ("R", r)):
-            msg = _spd_violation(name, mat)
-            if msg:
-                violations.append(msg)
+    violations: list[str] = []
+    for name, mat in (("Q", q), ("R", r)):
+        msg = _spd_violation(name, mat)
+        if msg:
+            violations.append(msg)
     if init.mean.shape[0] != n:
         violations.append(
             f"initial mean length {init.mean.shape[0]} does not match state dim {n}"

@@ -88,12 +88,38 @@ def test_simulate_negative_variance_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["equivalence", "example1", "sweep", "simulate"])
-@pytest.mark.parametrize("key", ["range_noise_var", "rho"])
-def test_non_finite_model_value_exits_2(tmp_path, capsys, command, key):
-    code = main([command, "--out", str(tmp_path / "x"), "--set", f"model.{key}=nan", *FAST])
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        pytest.param("range_noise_var", "nan", "must be finite", id="range_noise_var"),
+        pytest.param("rho", "nan", "must be finite", id="rho"),
+        # the radar model divides by the sampling period
+        pytest.param("sampling_period", "0", "must be positive", id="sampling_period_zero"),
+        pytest.param(
+            "sampling_period", "-10", "must be positive", id="sampling_period_negative"
+        ),
+    ],
+)
+def test_non_finite_model_value_exits_2(tmp_path, capsys, command, key, value, reason):
+    code = main([command, "--out", str(tmp_path / "x"), "--set", f"model.{key}={value}", *FAST])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == f"config error: bad value for model.{key}: 'nan' (must be finite)\n"
+    assert err == f"config error: bad value for model.{key}: {value!r} ({reason})\n"
+
+
+def test_example1_exits_1_when_runs_diverge(tmp_path, capsys):
+    out = tmp_path / "ex1"
+    code = main([
+        "example1", "--out", str(out), "--runs", "2",
+        "--set", "model.rho=1e200", "--set", "monte_carlo.horizon=40",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "diverged runs: {'conventional': 2, 'sr1a': 2, 'sr1b': 2}" in captured.err
+    assert "sr1b: mean total RMSE nan (0 completed, 2 diverged)" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "meta.txt", "rmse_conventional.csv", "rmse_sr1a.csv", "rmse_sr1b.csv"
+    ]
 
 
 def test_equivalence_missing_sigma_exits_2(tmp_path):

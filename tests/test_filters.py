@@ -206,6 +206,25 @@ class TestMeasurementUpdates:
         assert np.all(rep.gain == 0.0)
         np.testing.assert_array_equal(st.factor, pred.factor)
 
+    @pytest.mark.parametrize(
+        "update", [mcckf_measurement_update, sr1a_measurement_update, sr1b_measurement_update]
+    )
+    @pytest.mark.parametrize(
+        "y_shape", [(), (1,), (3,), (1, 1), (1, 3)], ids=["0d", "1", "3", "batch_1", "batch_3"]
+    )
+    def test_wrong_measurement_width_rejected(self, update, y_shape):
+        # the radar model measures 2 components, so no y may broadcast against
+        # H x. A 2-D y is the measurements of a batch of one run.
+        model, init, _ = build_example1()
+        if update is mcckf_measurement_update:
+            pred = FilterState.full(1, init.mean, init.covariance)
+        else:
+            pred = FilterState.square_root(1, init.mean, cholesky_lower(init.covariance))
+        if len(y_shape) == 2:
+            pred = pred.take(np.newaxis)
+        with pytest.raises(ValueError, match="measurement must have 2 components"):
+            update(model, pred, np.full(y_shape, 5.0), KernelSpec(3e4))
+
     def test_cross_implementation_agreement_random(self):
         # conventional, sr1a and sr1b applied to the same predicted state
         for _ in range(60):
