@@ -27,6 +27,7 @@ from .bench import (
 )
 from .config import ConfigError, ExperimentConfig
 from .filters import ALGORITHMS, WEIGHTED_FILTERS
+from .model import validate_model
 from .sim import SeedSpec, simulate, write_trajectory_csv
 
 
@@ -233,14 +234,24 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     scenario = _radar_scenario_from(cfg)
+    # overflow is reported below as the first step that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajectory = simulate(
+            scenario.model,
+            scenario.init,
+            scenario.horizon,
+            SeedSpec(cfg.seed(), 0),
+            scenario.shot,
+        )
+    violations = validate_model(scenario.model, scenario.init)
+    if violations:
+        raise ValueError("model validation failed: " + "; ".join(violations))
+    finite = np.isfinite(np.hstack([trajectory.truth, trajectory.measurements])).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        print(f"error: simulated trajectory is not finite at step {step}", file=sys.stderr)
+        return 1
     out = _out_dir(args)
-    trajectory = simulate(
-        scenario.model,
-        scenario.init,
-        scenario.horizon,
-        SeedSpec(cfg.seed(), 0),
-        scenario.shot,
-    )
     write_trajectory_csv(trajectory, out / "trajectory.csv")
     _write_meta(out, "simulate", cfg, cfg.seed())
     print(f"wrote {trajectory.horizon} steps to {out / 'trajectory.csv'}")

@@ -1,7 +1,17 @@
-"""Dense reference formulas used as test oracles: the weighted gain and the
-condition number."""
+"""Reference formulas used as test oracles: the weighted gain, the condition
+number, and the one-matrix Cholesky and substitution loops as they were
+first written, one ``@`` per element or row."""
 
 import numpy as np
+
+from mcckf.linalg import (
+    _EPS,
+    _TINY,
+    PIVOT_FLOOR_FACTOR,
+    NotPositiveDefinite,
+    SingularFactor,
+    symmetrize,
+)
 
 
 def gain_information_form(p, h, r, lam: float) -> np.ndarray:
@@ -34,3 +44,46 @@ def condition_estimate(m: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         return float("inf")
     return float("inf") if np.isnan(c) else c
+
+
+def cholesky_loop(a: np.ndarray) -> np.ndarray:
+    """The column-by-column Cholesky loop behind ``cholesky_lower`` for one
+    matrix, with its pivot floor and message, without the input checks."""
+    s = symmetrize(a)
+    n = s.shape[0]
+    row_norms = np.linalg.norm(s, axis=1)
+    lower = np.zeros_like(s)
+    for j in range(n):
+        pivot = s[j, j] - lower[j, :j] @ lower[j, :j]
+        floor = PIVOT_FLOOR_FACTOR * _EPS * row_norms[j]
+        if pivot <= floor:
+            raise NotPositiveDefinite(
+                f"pivot {pivot:.6e} at index {j} is at or below floor {floor:.6e}"
+            )
+        lower[j, j] = np.sqrt(pivot)
+        if j + 1 < n:
+            lower[j + 1 :, j] = (
+                s[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
+            ) / lower[j, j]
+    return lower
+
+
+def solve_loop(l: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """The row-by-row substitution loop behind ``triangular_solve`` for one
+    factor, at every n (the kernel has closed forms for n = 1 and 2)."""
+    n = l.shape[0]
+    vector = b.ndim == 1
+    if np.any(np.abs(np.diagonal(l)) < _TINY):
+        raise SingularFactor("factor has a zero or subnormal diagonal entry")
+    x = b[:, None].copy() if vector else b.copy()
+    if not transposed:
+        for i in range(n):
+            if i:
+                x[i] -= l[i, :i] @ x[:i]
+            x[i] /= l[i, i]
+    else:
+        for i in range(n - 1, -1, -1):
+            if i < n - 1:
+                x[i] -= l[i + 1 :, i] @ x[i + 1 :]
+            x[i] /= l[i, i]
+    return x[:, 0] if vector else x

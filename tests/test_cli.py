@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -85,6 +86,28 @@ def test_simulate_negative_variance_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not positive semidefinite" in err
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("key, name", [("bearing_noise_var", "R"), ("maneuver_var_2", "Q")])
+def test_simulate_singular_noise_covariance_exits_2(tmp_path, capsys, key, name):
+    # the semidefinite covariance simulates; the filters would reject it
+    out = tmp_path / "sim"
+    code = main(["simulate", "--out", str(out), "--set", f"model.{key}=0"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: model validation failed: {name} not positive definite\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_non_finite_trajectory_exits_1(tmp_path, capsys):
+    out = tmp_path / "sim"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--out", str(out), "--set", "model.rho=1e200"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: simulated trajectory is not finite at step 2\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["equivalence", "example1", "sweep", "simulate"])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from mcckf.linalg import (
+    LinalgError,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
@@ -326,3 +328,83 @@ class TestStackedKernels:
     def test_rejects_mismatched_stacks(self):
         with pytest.raises(ValueError):
             triangular_solve(np.ones((2, 3, 3)), np.ones((3, 3)))
+
+
+def outcome(call, *args):
+    """What a call returns, or the class and message of the LinalgError it
+    raises."""
+    try:
+        return call(*args)
+    except LinalgError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestLoopOracles:
+    """The one-matrix kernels give the bits, the error class and the message
+    of the loops they replaced, which made one ``@`` per row or element."""
+
+    DIMS = range(1, 31)
+    CONDITIONS = (1.0, 1e4, 1e8, 1e12, 1e15, 1e17)
+
+    def test_cholesky(self):
+        rng = np.random.default_rng(71)
+        failures = 0
+        for dim in self.DIMS:
+            for cond in self.CONDITIONS:
+                a = random_spd(rng, dim, cond) * 10.0 ** rng.uniform(-3.0, 3.0)
+                want = outcome(oracles.cholesky_loop, a)
+                assert_same_outcome(outcome(cholesky_lower, a), want)
+                failures += isinstance(want, tuple)
+        for a in (-np.eye(4), np.ones((5, 5)), np.zeros((3, 3))):
+            assert_same_outcome(outcome(cholesky_lower, a), outcome(oracles.cholesky_loop, a))
+        # the pivot floor rejects part of the ill-conditioned matrices
+        assert 0 < failures < len(self.DIMS) * len(self.CONDITIONS)
+
+    @staticmethod
+    def factors(rng, dim, cond):
+        """A C-ordered factor and the transposed view lower_triangularize
+        returns, with columns scaled to a condition number of about cond."""
+        scale = np.logspace(0.0, -np.log10(cond), dim)
+        l = cholesky_lower(random_spd(rng, dim, 10.0)) * scale
+        view = lower_triangularize(np.hstack([l, 1e-3 * rng.standard_normal((dim, 2))]))
+        assert l.flags.c_contiguous and view.flags.f_contiguous
+        return l, view
+
+    def test_solve_and_inverse(self):
+        rng = np.random.default_rng(72)
+        for dim in self.DIMS:
+            for cond in self.CONDITIONS:
+                for l in self.factors(rng, dim, cond):
+                    for shape in ((dim,), (dim, 1), (dim, 3)):
+                        b = rng.standard_normal(shape)
+                        for transposed in (False, True):
+                            assert_same_outcome(
+                                triangular_solve(l, b, transposed),
+                                oracles.solve_loop(l, b, transposed),
+                            )
+                    assert_same_outcome(
+                        triangular_inverse(l), oracles.solve_loop(l, np.eye(dim))
+                    )
+
+    def test_singular_factor(self):
+        rng = np.random.default_rng(73)
+        for dim in self.DIMS:
+            for bad in (0.0, -0.0, 1e-310):
+                for l in self.factors(rng, dim, 1e4):
+                    l = l.copy(order="K")
+                    k = int(rng.integers(dim))
+                    l[k, k] = bad
+                    b = rng.standard_normal(dim)
+                    for transposed in (False, True):
+                        want = outcome(oracles.solve_loop, l, b, transposed)
+                        assert want[0] is SingularFactor
+                        assert outcome(triangular_solve, l, b, transposed) == want
+                    assert outcome(triangular_inverse, l) == want
