@@ -47,10 +47,10 @@ class RadarConstants:
 
     The state is (range, range rate, maneuver noise 1, bearing, bearing rate,
     maneuver noise 2); range and bearing are measured directly. Two quirks of
-    the initial covariance are deliberate and individually overridable: the
-    bearing slot (4,4) carries the bearing noise standard deviation rather
-    than the variance, and the bearing-rate slot (5,5) adds the first (not
-    the second) maneuvering noise variance.
+    the initial covariance are deliberate and fixed: the bearing slot (4,4)
+    carries the bearing noise standard deviation rather than the variance,
+    and the bearing-rate slot (5,5) adds the first (not the second)
+    maneuvering noise variance.
 
     Maps one-to-one onto the ``[model]`` section of the experiment
     configuration file plus ``horizon`` from ``[monte_carlo]``
@@ -64,18 +64,6 @@ class RadarConstants:
     maneuver_var_1: float = (103.0 / 3.0) ** 2
     maneuver_var_2: float = 1.3e-8
     horizon: int = 300
-    init_bearing_entry: float | None = None
-    init_bearing_rate_extra: float | None = None
-
-    def bearing_entry(self) -> float:
-        if self.init_bearing_entry is not None:
-            return self.init_bearing_entry
-        return math.sqrt(self.bearing_noise_var)
-
-    def bearing_rate_extra(self) -> float:
-        if self.init_bearing_rate_extra is not None:
-            return self.init_bearing_rate_extra
-        return self.maneuver_var_1
 
 
 def _radar_dynamics(c: RadarConstants):
@@ -115,14 +103,16 @@ def build_example1(
     r = np.diag([c.range_noise_var, c.bearing_noise_var])
     t = c.sampling_period
     sr2 = c.range_noise_var
-    stheta = c.bearing_entry()
+    # the deliberate quirks of RadarConstants: a standard deviation at (4,4)
+    # and the first maneuvering variance at (5,5)
+    stheta = math.sqrt(c.bearing_noise_var)
     pi0 = np.array(
         [
             [sr2, sr2 / t, 0.0, 0.0, 0.0, 0.0],
             [sr2 / t, 2.0 * sr2 / t**2 + c.maneuver_var_1, 0.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, c.maneuver_var_1, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, stheta, stheta / t, 0.0],
-            [0.0, 0.0, 0.0, stheta / t, 2.0 * stheta / t**2 + c.bearing_rate_extra(), 0.0],
+            [0.0, 0.0, 0.0, stheta / t, 2.0 * stheta / t**2 + c.maneuver_var_1, 0.0],
             [0.0, 0.0, 0.0, 0.0, 0.0, c.maneuver_var_2],
         ]
     )
@@ -159,8 +149,10 @@ class Scenario:
     shot: ShotNoiseSpec | None = None
 
 
-def radar_scenario(constants: RadarConstants = RadarConstants()) -> Scenario:
-    model, init, shot = build_example1(constants)
+def radar_scenario(
+    constants: RadarConstants = RadarConstants(), shot: ShotNoiseSpec = ShotNoiseSpec()
+) -> Scenario:
+    model, init, _ = build_example1(constants)
     return Scenario("radar_tracking", model, init, constants.horizon, shot)
 
 

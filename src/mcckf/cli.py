@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (
-    Scenario,
-    build_example1,
-    run_conditioning_sweep,
-    run_monte_carlo,
-    write_csv,
-)
+from .bench import radar_scenario, run_conditioning_sweep, run_monte_carlo, write_csv
 from .config import ConfigError, ExperimentConfig
 from .filters import ALGORITHMS, WEIGHTED_FILTERS
 from .model import validate_model
@@ -94,10 +88,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         overrides.append(f"monte_carlo.seed={args.seed}")
     if args.runs is not None:
-        if args.profile == "sweep":
-            overrides.append(f"sweep.runs={args.runs}")
-        else:
-            overrides.append(f"monte_carlo.runs={args.runs}")
+        overrides.append(f"monte_carlo.runs={args.runs}")
     return ExperimentConfig.load(args.config, overrides, profile=args.profile)
 
 
@@ -130,12 +121,6 @@ def _write_meta(out: Path, command: str, cfg: ExperimentConfig, seed: int) -> No
     (out / "meta.txt").write_text("\n".join(lines) + "\n")
 
 
-def _radar_scenario_from(cfg: ExperimentConfig) -> Scenario:
-    constants = cfg.radar_constants()
-    model, init, _ = build_example1(constants)
-    return Scenario("radar_tracking", model, init, cfg.horizon(), cfg.shot_spec())
-
-
 def _relative_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
     return np.abs(a - b) / scale
@@ -147,7 +132,7 @@ def _monte_carlo(args, command: str, minimum: int = 1):
     directory, the reports and a status of 1 when any run diverged."""
     cfg = _load_config(args)
     names = _algorithm_list(args, minimum)
-    scenario = _radar_scenario_from(cfg)
+    scenario = radar_scenario(cfg.radar_constants(), cfg.shot_spec())
     spec = cfg.kernel_spec()
     out = _out_dir(args)
     reports = run_monte_carlo(names, scenario, cfg.runs(), cfg.seed(), spec)
@@ -199,7 +184,7 @@ def cmd_sweep(args) -> int:
     deltas = cfg.sweep_deltas()
     out = _out_dir(args)
     report = run_conditioning_sweep(
-        names, deltas, cfg.sweep_runs(), cfg.seed(), spec, cfg.radar_constants()
+        names, deltas, cfg.runs(), cfg.seed(), spec, cfg.radar_constants()
     )
     write_csv(report, out / "sweep.csv")
     _write_meta(out, "sweep", cfg, cfg.seed())
@@ -233,16 +218,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    scenario = _radar_scenario_from(cfg)
-    # overflow is reported below as the first step that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        trajectory = simulate(
-            scenario.model,
-            scenario.init,
-            scenario.horizon,
-            SeedSpec(cfg.seed(), 0),
-            scenario.shot,
-        )
+    scenario = radar_scenario(cfg.radar_constants(), cfg.shot_spec())
+    trajectory = simulate(
+        scenario.model, scenario.init, scenario.horizon, SeedSpec(cfg.seed(), 0), scenario.shot
+    )
     violations = validate_model(scenario.model, scenario.init)
     if violations:
         raise ValueError("model validation failed: " + "; ".join(violations))
@@ -262,7 +241,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every command reports overflowing runs or trajectories itself
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -66,20 +66,14 @@ def _defaults() -> dict:
         },
         "sweep": {
             "deltas": " ".join(f"1e-{i}" for i in range(1, 15)),
-            "runs": "20",
         },
     }
 
 
 DEFAULTS = _defaults()
 
-_KNOWN_KEYS = {
-    "model": set(DEFAULTS["model"]) | {"init_bearing_entry", "init_bearing_rate_extra"},
-    "kernel": {"sigma"},
-    "shot_noise": set(DEFAULTS["shot_noise"]),
-    "monte_carlo": set(DEFAULTS["monte_carlo"]),
-    "sweep": set(DEFAULTS["sweep"]),
-}
+_KNOWN_KEYS = {section: set(keys) for section, keys in DEFAULTS.items()}
+_KNOWN_KEYS["kernel"].add("sigma")
 
 
 def shipped_config_path(profile: str):
@@ -133,12 +127,10 @@ class ExperimentConfig:
             raw[section][key] = value
         return cls(raw)
 
-    def _get(self, section: str, key: str, parse, required: bool = True):
+    def _get(self, section: str, key: str, parse):
         value = self.raw.get(section, {}).get(key)
         if value is None:
-            if required:
-                raise ConfigError(f"missing config key {section}.{key}")
-            return None
+            raise ConfigError(f"missing config key {section}.{key}")
         try:
             return parse(value)
         except (TypeError, ValueError) as exc:
@@ -154,12 +146,6 @@ class ExperimentConfig:
                 maneuver_var_1=self._get("model", "maneuver_var_1", _finite),
                 maneuver_var_2=self._get("model", "maneuver_var_2", _finite),
                 horizon=self.horizon(),
-                init_bearing_entry=self._get(
-                    "model", "init_bearing_entry", _finite, required=False
-                ),
-                init_bearing_rate_extra=self._get(
-                    "model", "init_bearing_rate_extra", _finite, required=False
-                ),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -212,12 +198,6 @@ class ExperimentConfig:
         ):
             raise ConfigError("sweep.deltas must be positive and strictly decreasing")
         return deltas
-
-    def sweep_runs(self) -> int:
-        runs = self._get("sweep", "runs", int)
-        if runs < 1:
-            raise ConfigError(f"sweep.runs must be >= 1, got {runs}")
-        return runs
 
     def sha256(self) -> str:
         lines = [

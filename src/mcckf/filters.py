@@ -45,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .correntropy import KernelSpec, gaussian_kernel, weighted_norm
-from .model import InitialCondition, Measurement, StepTerms, validate_model
+from .model import InitialCondition, StepTerms, validate_model
 
 __all__ = [
     "ALGORITHMS",
@@ -213,12 +213,6 @@ class BatchRun:
     statuses: list
 
 
-def _measurement_vector(y) -> np.ndarray:
-    if isinstance(y, Measurement):
-        return y.value
-    return np.asarray(y, dtype=float)
-
-
 def _times(lam, a: np.ndarray) -> np.ndarray:
     """lam * a, with one weight per matrix of a batch."""
     return lam * a if np.ndim(lam) == 0 else lam[:, None, None] * a
@@ -257,7 +251,7 @@ def _lambda_weight(terms, spec, innovation, pin_weight, runs):
 
 
 def _innovation(terms, pred: FilterState, y) -> np.ndarray:
-    y, m = _measurement_vector(y), terms.H.shape[-2]
+    y, m = np.asarray(y, dtype=float), terms.H.shape[-2]
     if y.shape[-1:] != (m,):
         raise ValueError(f"measurement must have {m} components, got shape {y.shape}")
     innovation = y - np.matvec(terms.H, pred.estimate)
@@ -403,7 +397,7 @@ def _kf_reference_update(model, prior: FilterState, y):
     f, g, h, q, r = model.matrices(step)
     x_pred = f @ prior.estimate
     p_pred = linalg.symmetrize(f @ prior.covariance @ f.T + g @ q @ g.T)
-    innovation = _measurement_vector(y) - h @ x_pred
+    innovation = np.asarray(y, dtype=float) - h @ x_pred
     innov_cov = h @ p_pred @ h.T + r
     try:
         gain = np.linalg.solve(innov_cov, h @ p_pred).T
@@ -561,9 +555,9 @@ def run_filter(
         model: state-space model (or step-indexed provider).
         init: initial mean and covariance; must be positive definite for the
             square-root variants.
-        measurements: sequence of measurement vectors (or ``Measurement``),
-            one per step k = 1..N, each with the model's output dimension;
-            the k-th ``Measurement`` must be for step k.
+        measurements: sequence of measurement vectors, one per step
+            k = 1..N, each with the model's output dimension (or a scalar
+            per step for a one-output model).
         spec: kernel bandwidth for the adjusting weight; may be omitted when
             ``pin_weight`` is given or for ``kf_reference``.
         pin_weight: fix the adjusting weight (e.g. 1.0 reduces every variant
@@ -575,11 +569,7 @@ def run_filter(
         any component beyond ``DIVERGENCE_LIMIT`` is recorded as divergence,
         never silently propagated.
     """
-    rows = []
-    for k, y in enumerate(measurements, start=1):
-        if isinstance(y, Measurement) and y.step != k:
-            raise ValueError(f"measurement {k} of the sequence is for step {y.step}, not {k}")
-        rows.append(np.atleast_1d(_measurement_vector(y)))
+    rows = [np.atleast_1d(np.asarray(y, dtype=float)) for y in measurements]
     ys = np.array(rows, dtype=float) if rows else np.zeros((0, model.obs_dim))
     if ys.ndim != 2:
         raise ValueError(f"measurements must be one vector per step, got shape {ys.shape}")

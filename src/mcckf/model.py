@@ -21,7 +21,6 @@ __all__ = [
     "StateSpaceModel",
     "TimeVaryingModel",
     "InitialCondition",
-    "Measurement",
     "validate_model",
 ]
 
@@ -209,21 +208,6 @@ class InitialCondition:
         self.covariance = _frozen(self.covariance, (n, n))
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One observation y_k at step k >= 1."""
-
-    step: int
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _frozen(np.ravel(self.value)))
-        if self.step < 1:
-            raise ValueError(f"measurement step must be >= 1, got {self.step}")
-        if not np.isfinite(self.value).all():
-            raise ValueError("measurement value must be finite")
-
-
 def _spd_violation(name: str, a: np.ndarray) -> str | None:
     try:
         linalg.cholesky_lower(a)
@@ -268,7 +252,8 @@ def validate_model(
         )
     else:
         scale = np.abs(init.covariance).max(initial=0.0)
-        if np.abs(init.covariance - init.covariance.T).max(initial=0.0) > 1e-9 * scale:
+        asymmetry = np.abs(init.covariance - init.covariance.T).max(initial=0.0)
+        if asymmetry > linalg.SYMMETRY_RTOL * scale:
             violations.append("initial covariance not symmetric")
         elif require_spd_init:
             msg = _spd_violation("initial covariance", init.covariance)

@@ -70,13 +70,6 @@ class TestBuildExample1:
         assert shot == ShotNoiseSpec()
         assert shot.corrupted_count(300) == 56
 
-    def test_init_quirks_overridable(self):
-        c = RadarConstants(init_bearing_entry=0.017**2, init_bearing_rate_extra=1.3e-8)
-        _, init, _ = build_example1(c)
-        pi0 = np.asarray(init.covariance)
-        assert pi0[3, 3] == pytest.approx(0.017**2)
-        assert pi0[4, 4] == pytest.approx(2 * 0.017**2 / 100.0 + 1.3e-8)
-
 
 class TestBuildExample2:
     def test_measurement_rows(self):
@@ -230,6 +223,8 @@ class TestRunMonteCarlo:
             run_monte_carlo(["sr1b"], tiny_scenario(), 0, 1, KernelSpec(1.0))
         with pytest.raises(ValueError):
             run_monte_carlo(["sr1b", "sr1b"], tiny_scenario(), 1, 1, KernelSpec(1.0))
+        with pytest.raises(ValueError, match="unknown algorithm 'fancy'"):
+            run_monte_carlo(["fancy"], tiny_scenario(), 1, 1, KernelSpec(1.0))
 
 
 class TestConditioningSweep:

@@ -145,6 +145,30 @@ def test_example1_exits_1_when_runs_diverge(tmp_path, capsys):
     ]
 
 
+DIVERGED_ALL = "diverged runs: {'conventional': 2, 'sr1a': 2, 'sr1b': 2}\n"
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    [
+        ("example1", DIVERGED_ALL),
+        ("equivalence", DIVERGED_ALL),
+        ("sweep", "ordering violated: sr1b broke at 0.1, conventional at 0.1\n"),
+    ],
+    ids=["example1", "equivalence", "sweep"],
+)
+def test_overflowing_runs_exit_1_without_numpy_warnings(tmp_path, capsys, command, err):
+    # every run overflows; the command reports that itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([
+            command, "--out", str(tmp_path / "x"), "--runs", "2",
+            "--set", "model.rho=1e200", "--set", "monte_carlo.horizon=40",
+        ])
+    assert code == 1
+    assert capsys.readouterr().err == err
+
+
 def test_equivalence_missing_sigma_exits_2(tmp_path):
     config = tmp_path / "partial.ini"
     config.write_text("[model]\nrho = 0.5\n")
@@ -157,6 +181,56 @@ def test_unknown_config_key_exits_2(tmp_path):
     config.write_text("[kernel]\nsigma = 10\nbandwidth = 3\n")
     assert main(["example1", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert main(["example1", "--set", "kernel.bogus=1", "--out", str(tmp_path / "y")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("sweep", "sweep.runs"),
+        ("example1", "model.init_bearing_entry"),
+        ("example1", "model.init_bearing_rate_extra"),
+    ],
+)
+def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
+    out = tmp_path / "x"
+    code = main([
+        command, "--out", str(out), "--set", f"{key}=2",
+        "--set", "sweep.deltas=1e-1", *FAST,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("example1", ["--set", "monte_carlo.runs"], "is not of the form section.key=value"),
+        ("example1", ["--set", "runs=2"], "is not of the form section.key"),
+        ("example1", ["--set", "monte_carlo.runs="], "monte_carlo.runs has an empty value"),
+        ("example1", ["--config", "{tmp}/missing.ini"], "cannot read config file"),
+        ("example1", ["--config", "{tmp}/unknown.ini"], "unknown config section [filter]"),
+        ("simulate", ["--set", "monte_carlo.horizon=0"], "monte_carlo.horizon must be >= 1"),
+        ("sweep", ["--set", "sweep.deltas=abc"], "bad sweep.deltas 'abc'"),
+        ("sweep", ["--set", "sweep.deltas=1e-2 1e-1"], "positive and strictly decreasing"),
+        ("example1", ["--algorithms", "fancy"], "unknown algorithm 'fancy'"),
+        ("equivalence", ["--algorithms", "sr1b"], "need at least 2 algorithm(s)"),
+    ],
+    ids=[
+        "no_equals", "no_dot", "empty_value", "unreadable_config", "unknown_section",
+        "zero_horizon", "bad_deltas", "increasing_deltas", "unknown_algorithm",
+        "too_few_algorithms",
+    ],
+)
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, message):
+    (tmp_path / "unknown.ini").write_text("[filter]\nname = sr1b\n")
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    out = tmp_path / "x"
+    assert main([command, "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_example1_single_algorithm(tmp_path):
@@ -200,6 +274,39 @@ def test_sweep_ordering_exit_code(tmp_path):
         "--set", "monte_carlo.horizon=60",
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "algorithms, code, err",
+    [
+        # sr1b and conventional both break at the only delta
+        (
+            "sr1b,conventional", 1,
+            "ordering violated: sr1b broke at 1e-13, conventional at 1e-13\n",
+        ),
+        # without sr1b there is no ordering to check
+        ("conventional,sr1a", 0, ""),
+    ],
+    ids=["with_sr1b", "without_sr1b"],
+)
+def test_sweep_ordering_at_a_breaking_delta(tmp_path, capsys, algorithms, code, err):
+    assert main([
+        "sweep", "--out", str(tmp_path / "sw"), "--runs", "1",
+        "--algorithms", algorithms, "--set", "sweep.deltas=1e-13",
+    ]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_sweep_runs_per_delta_come_from_monte_carlo_runs(tmp_path):
+    out = tmp_path / "sw"
+    assert main([
+        "sweep", "--out", str(out), "--algorithms", "conventional",
+        "--set", "sweep.deltas=1e-13", "--set", "monte_carlo.runs=2",
+    ]) == 0
+    assert (out / "sweep.csv").read_text().splitlines() == [
+        "delta,algorithm,scalar_rmse,status,breakdown_flag",
+        "1e-13,conventional,nan,diverged 2/2,1",
+    ]
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):

@@ -18,7 +18,7 @@ from mcckf.filters import (
     sr_time_update,
 )
 from mcckf.linalg import NotPositiveDefinite, cholesky_lower
-from mcckf.model import InitialCondition, Measurement, StateSpaceModel, TimeVaryingModel
+from mcckf.model import InitialCondition, StateSpaceModel, TimeVaryingModel
 from mcckf.sim import SeedSpec, simulate
 from oracles import gain_information_form, gain_innovation_form
 
@@ -142,6 +142,14 @@ class TestTimeUpdate:
         model = scalar_model()
         with pytest.raises(Diverged):
             mcckf_time_update(model, FilterState.full(0, np.array([np.inf]), np.eye(1)))
+
+
+@pytest.mark.parametrize(
+    "representations", [{}, {"covariance": np.eye(1), "factor": np.eye(1)}]
+)
+def test_filter_state_needs_exactly_one_representation(representations):
+    with pytest.raises(ValueError, match="exactly one of covariance/factor"):
+        FilterState(0, np.zeros(1), **representations)
 
 
 class TestMeasurementUpdates:
@@ -400,6 +408,18 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="KernelSpec"):
             run_filter("sr1b", model, init, np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
+    def test_rejects_negative_pinned_weight(self, algorithm):
+        model = scalar_model()
+        init = InitialCondition(np.zeros(1), np.eye(1))
+        with pytest.raises(ValueError, match="pinned weight must be nonnegative"):
+            run_filter(algorithm, model, init, np.zeros((2, 1)), None, pin_weight=-0.5)
+
+    def test_rejects_measurements_that_are_not_one_vector_per_step(self):
+        model, init, _ = build_example1()
+        with pytest.raises(ValueError, match=r"one vector per step, got shape \(3, 2, 2\)"):
+            run_filter("sr1b", model, init, np.zeros((3, 2, 2)), KernelSpec(3e4))
+
     def test_time_varying_provider_matches_invariant_model(self):
         base, init, shot = build_example1()
         provider = lambda k: (base.F, base.G, base.H, base.Q, base.R)
@@ -409,18 +429,6 @@ class TestRunFilter:
             a = run_filter(algorithm, base, init, traj.measurements, KernelSpec(3e4))
             b = run_filter(algorithm, tv, init, traj.measurements, KernelSpec(3e4))
             np.testing.assert_allclose(a.estimates(), b.estimates(), rtol=1e-12)
-
-    def test_measurement_steps_must_be_in_order(self):
-        model, init, shot = build_example1()
-        ys = simulate(model, init, 5, SeedSpec(3, 0), shot).measurements
-        spec = KernelSpec(3e4)
-        stepped = [Measurement(k, y) for k, y in enumerate(ys, start=1)]
-        a = run_filter("sr1b", model, init, stepped, spec)
-        assert np.array_equal(a.estimates(), run_filter("sr1b", model, init, ys, spec).estimates())
-        with pytest.raises(ValueError, match="measurement 1 of the sequence is for step 5"):
-            run_filter("sr1b", model, init, [Measurement(5, ys[0])], spec)
-        with pytest.raises(ValueError, match="is for step 5, not 1"):
-            run_filter("sr1b", model, init, stepped[::-1], spec)
 
     def test_lambda_shared_across_algorithms(self):
         model, init, shot = build_example1()

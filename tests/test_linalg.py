@@ -78,6 +78,11 @@ class TestCholeskyLower:
         with pytest.raises(NonFiniteInput):
             cholesky_lower(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            cholesky_lower(np.ones(shape))
+
     def test_pivot_floor(self):
         # PD in exact arithmetic but far below the floor relative to its row
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-17]])
@@ -147,6 +152,10 @@ class TestLowerTriangularize:
     def test_rejects_tall(self):
         with pytest.raises(ValueError):
             lower_triangularize(np.zeros((3, 2)))
+
+    def test_rejects_one_dimensional(self):
+        with pytest.raises(ValueError, match="expected a 2-D pre-array"):
+            lower_triangularize(np.zeros(3))
 
 
 class TestTriangularSolve:

@@ -7,7 +7,6 @@ from mcckf.bench import build_example1
 from mcckf.linalg import cholesky_lower
 from mcckf.model import (
     InitialCondition,
-    Measurement,
     StateSpaceModel,
     TimeVaryingModel,
     validate_model,
@@ -52,12 +51,45 @@ def test_wrong_h_shape_rejected_at_construction():
         StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.ones((2, 3)), Q=np.eye(2), R=np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("F", np.ones((2, 3)), r"F must be square, got shape \(2, 3\)"),
+        ("G", np.ones((3, 2)), r"G must have 2 rows, got shape \(3, 2\)"),
+        ("Q", np.eye(3), r"expected shape \(2, 2\), got \(3, 3\)"),
+    ],
+)
+def test_other_wrong_shapes_rejected_at_construction(name, value, message):
+    matrices = dict(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    matrices[name] = value
+    with pytest.raises(ValueError, match=message):
+        StateSpaceModel(**matrices)
+
+
 def test_dimension_violation_reported_for_provider():
     provider = lambda k: (np.eye(2), np.eye(2), np.ones((3, 2)), np.eye(2), np.eye(2))
     model = TimeVaryingModel(provider, state_dim=2, noise_dim=2, obs_dim=2)
     init = InitialCondition(np.zeros(2), np.eye(2))
     report = validate_model(model, init)
     assert report and "shape" in report[0]
+    # a Q of the wrong shape
+    provider = lambda k: (np.eye(2), np.eye(2), np.eye(2), np.eye(3), np.eye(2))
+    model = TimeVaryingModel(provider, state_dim=2, noise_dim=2, obs_dim=2)
+    assert validate_model(model, init) == ["provider returned inconsistent shapes at step 1"]
+
+
+@pytest.mark.parametrize(
+    "q, init_cov, violation",
+    [
+        ([[1.0, 0.5], [0.0, 1.0]], np.eye(2), "Q not symmetric"),
+        ([[1.0, 0.0], [0.0, np.nan]], np.eye(2), "Q contains non-finite entries"),
+        (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], "initial covariance not symmetric"),
+    ],
+)
+def test_asymmetric_or_non_finite_covariance_reported(q, init_cov, violation):
+    model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=q, R=np.eye(2))
+    init = InitialCondition(np.zeros(2), init_cov)
+    assert validate_model(model, init) == [violation]
 
 
 def test_init_dimension_mismatch_reported():
@@ -103,11 +135,3 @@ def test_time_varying_provider_deterministic_shapes():
     q_sqrt = tv.step_terms(3).q_sqrt
     np.testing.assert_allclose(q_sqrt @ q_sqrt.T, base.Q, rtol=1e-14)
     np.testing.assert_allclose(tv.step_terms(1).r_inv @ base.R, np.eye(2), atol=1e-12)
-
-
-def test_measurement_finite_and_positive_step():
-    Measurement(1, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        Measurement(0, [1.0])
-    with pytest.raises(ValueError):
-        Measurement(1, [np.nan])

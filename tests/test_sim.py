@@ -107,6 +107,12 @@ def test_targets_selection():
     assert all(ch.startswith("v") for _, ch, _ in only_v.outlier_log)
 
 
+def test_simulate_rejects_zero_horizon():
+    model, init, shot = build_example1()
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        simulate(model, init, 0, SeedSpec(1, 0), shot)
+
+
 def test_shot_spec_validation():
     with pytest.raises(ValueError):
         ShotNoiseSpec(corrupted_fraction=1.5)
