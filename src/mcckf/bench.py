@@ -4,11 +4,13 @@ Two scenarios are provided: a six-state radar tracking problem with impulsive
 (shot) measurement and process noise, and an ill-conditioned variant of the
 same dynamics whose nearly collinear measurement rows and delta-scaled noise
 drive the innovation covariance toward singularity as delta shrinks.
+Both experiments, the radar Monte Carlo and the sweep over delta, go through
+one evaluation (``_evaluate``): the sweep is ``run_monte_carlo`` with one
+scenario per delta.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +19,7 @@ import numpy as np
 from .correntropy import KernelSpec
 from .filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_batch, run_filter
 from .model import InitialCondition, StateSpaceModel
-from .sim import SeedSpec, ShotNoiseSpec, simulate
+from .sim import SeedSpec, ShotNoiseSpec, simulate, write_rows
 
 __all__ = [
     "RadarConstants",
@@ -235,21 +237,17 @@ def _rmse_report(name: str, trajectories, estimates, statuses) -> RmseReport:
 
 
 def _algorithm_names(algorithms, runs: int) -> list[str]:
-    """The report name of each algorithm; rejects runs < 1 and duplicate names."""
+    """The report name of each algorithm; rejects runs < 1, unknown names and
+    duplicate names."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    names = [_algorithm_name(a) for a in algorithms]
+    for algorithm in algorithms:
+        if not callable(algorithm) and algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+    names = [getattr(a, "__name__", "custom") if callable(a) else a for a in algorithms]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate algorithm names in {names}")
     return names
-
-
-def _algorithm_name(algorithm) -> str:
-    if callable(algorithm):
-        return getattr(algorithm, "__name__", "custom")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return algorithm
 
 
 def _simulate_runs(scenario: Scenario, runs: int, master_seed: int) -> list:
@@ -264,6 +262,29 @@ def _simulate_runs(scenario: Scenario, runs: int, master_seed: int) -> list:
         )
         for run_index in range(runs)
     ]
+
+
+def _evaluate(algorithms, scenarios, runs: int, master_seed: int, spec) -> list[dict]:
+    """One dict of ``RmseReport`` per scenario, each over run indices
+    0..runs-1 of ``master_seed``. Each filter advances the runs of all
+    scenarios as one batch, with one model per run and the initial condition
+    the scenarios share; every run gets the numbers it gets alone, bit for bit.
+    """
+    algorithms = list(algorithms)
+    names = _algorithm_names(algorithms, runs)
+    trajectories = [_simulate_runs(sc, runs, master_seed) for sc in scenarios]
+    models = [sc.model for sc in scenarios for _ in range(runs)]
+    per_scenario = [{} for _ in scenarios]
+    for algorithm, name in zip(algorithms, names):
+        estimates, statuses = _estimates_for(
+            algorithm, models, scenarios[0].init, [t for ts in trajectories for t in ts], spec
+        )
+        for i, scenario_trajectories in enumerate(trajectories):
+            rows = slice(i * runs, (i + 1) * runs)
+            per_scenario[i][name] = _rmse_report(
+                name, scenario_trajectories, estimates[rows], statuses[rows]
+            )
+    return per_scenario
 
 
 def run_monte_carlo(
@@ -282,17 +303,7 @@ def run_monte_carlo(
     (``run_batch``), which gives every run the estimates ``run_filter`` gives
     it alone, bit for bit.
     """
-    algorithms = list(algorithms)
-    names = _algorithm_names(algorithms, runs)
-    trajectories = _simulate_runs(scenario, runs, master_seed)
-    models = [scenario.model] * runs
-    reports = {}
-    for algorithm, name in zip(algorithms, names):
-        estimates, statuses = _estimates_for(
-            algorithm, models, scenario.init, trajectories, spec
-        )
-        reports[name] = _rmse_report(name, trajectories, estimates, statuses)
-    return reports
+    return _evaluate(algorithms, [scenario], runs, master_seed, spec)[0]
 
 
 @dataclass(frozen=True)
@@ -331,12 +342,11 @@ def run_conditioning_sweep(
 ) -> SweepReport:
     """Sweep the ill-conditioning parameter over a descending grid.
 
-    Every delta gets the Monte Carlo evaluation of ``run_monte_carlo``: the
-    same run indices and seeds, and the same RMSE accumulation. Each filter
-    advances the runs of all deltas as one batch, with one model per run,
-    which gives every run the numbers of its per-delta evaluation, bit for
-    bit. An entry is blown up when any run diverged or when its summary RMSE
-    exceeds ``BLOWUP_FACTOR`` times the same algorithm's value at the first
+    Every delta is one scenario of ``run_monte_carlo``'s evaluation, which
+    advances the runs of all deltas as one batch per filter: the same run
+    indices and seeds at every delta, and the same RMSE accumulation. An
+    entry is blown up when any run diverged or when its summary RMSE exceeds
+    ``BLOWUP_FACTOR`` times the same algorithm's value at the first
     (largest) grid point.
     """
     delta_grid = [float(d) for d in delta_grid]
@@ -344,29 +354,14 @@ def run_conditioning_sweep(
         raise ValueError("delta grid must not be empty")
     if any(b >= a for a, b in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
-    algorithms = list(algorithms)
-    names = _algorithm_names(algorithms, runs)
-    scenarios = [ill_conditioned_scenario(delta, constants) for delta in delta_grid]
-    trajectories = [_simulate_runs(sc, runs, master_seed) for sc in scenarios]
-    models = [sc.model for sc in scenarios for _ in range(runs)]
     # the standard normal initial state of build_example2 is the same at every delta
-    init = scenarios[0].init
-    per_delta = [{} for _ in delta_grid]
-    for algorithm, name in zip(algorithms, names):
-        estimates, statuses = _estimates_for(
-            algorithm, models, init, [t for ts in trajectories for t in ts], spec
-        )
-        for i, delta_trajectories in enumerate(trajectories):
-            rows = slice(i * runs, (i + 1) * runs)
-            per_delta[i][name] = _rmse_report(
-                name, delta_trajectories, estimates[rows], statuses[rows]
-            )
-    baseline = {name: per_delta[0][name].scalar_summary for name in names}
+    scenarios = [ill_conditioned_scenario(delta, constants) for delta in delta_grid]
+    per_delta = _evaluate(algorithms, scenarios, runs, master_seed, spec)
+    baseline = {name: report.scalar_summary for name, report in per_delta[0].items()}
     entries = []
-    breakdown: dict = {name: None for name in names}
+    breakdown: dict = {name: None for name in baseline}
     for delta, reports in zip(delta_grid, per_delta):
-        for name in names:
-            report = reports[name]
+        for name, report in reports.items():
             scalar = report.scalar_summary
             blown = (
                 report.diverged_runs > 0
@@ -384,7 +379,8 @@ def run_conditioning_sweep(
                     blown_up=blown,
                 )
             )
-            if blown and (breakdown[name] is None or delta > breakdown[name]):
+            # the grid is decreasing, so the first blown delta is the largest
+            if blown and breakdown[name] is None:
                 breakdown[name] = delta
     return SweepReport(
         delta_grid=delta_grid,
@@ -394,51 +390,31 @@ def run_conditioning_sweep(
     )
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_csv(report, path) -> None:
     """Write an RmseReport or SweepReport as CSV with 17 significant digits.
 
     Deterministic row ordering; parsing the file back recovers the in-memory
     values exactly.
     """
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if isinstance(report, RmseReport):
-                n = report.per_component.shape[1]
-                writer.writerow(
-                    ["step"] + [f"rmse_x{i + 1}" for i in range(n)] + ["total"]
-                )
-                for k in range(report.per_component.shape[0]):
-                    writer.writerow(
-                        [str(k + 1)]
-                        + [_format(v) for v in report.per_component[k]]
-                        + [_format(report.total[k])]
-                    )
-            elif isinstance(report, SweepReport):
-                writer.writerow(
-                    ["delta", "algorithm", "scalar_rmse", "status", "breakdown_flag"]
-                )
-                for entry in report.entries:
-                    status = (
-                        "ok"
-                        if entry.diverged_runs == 0
-                        else f"diverged {entry.diverged_runs}/"
-                        f"{entry.diverged_runs + entry.completed_runs}"
-                    )
-                    writer.writerow(
-                        [
-                            _format(entry.delta),
-                            entry.algorithm,
-                            _format(entry.scalar_rmse),
-                            status,
-                            str(int(entry.blown_up)),
-                        ]
-                    )
-            else:
-                raise TypeError(f"cannot serialize report of type {type(report)!r}")
-    except OSError as exc:
-        raise OSError(f"failed writing CSV to {path}: {exc}") from exc
+    if isinstance(report, RmseReport):
+        n = report.per_component.shape[1]
+        header = ["step"] + [f"rmse_x{i + 1}" for i in range(n)] + ["total"]
+        pairs = zip(report.per_component, report.total)
+        rows = ([k, *cells, total] for k, (cells, total) in enumerate(pairs, start=1))
+    elif isinstance(report, SweepReport):
+        header = ["delta", "algorithm", "scalar_rmse", "status", "breakdown_flag"]
+        rows = (
+            [
+                e.delta,
+                e.algorithm,
+                e.scalar_rmse,
+                f"diverged {e.diverged_runs}/{e.diverged_runs + e.completed_runs}"
+                if e.diverged_runs
+                else "ok",
+                int(e.blown_up),
+            ]
+            for e in report.entries
+        )
+    else:
+        raise TypeError(f"cannot serialize report of type {type(report)!r}")
+    write_rows(path, header, rows)

@@ -9,7 +9,6 @@ merged-config hash, the seed and the library version.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from itertools import combinations
@@ -22,7 +21,7 @@ from .bench import radar_scenario, run_conditioning_sweep, run_monte_carlo, writ
 from .config import ConfigError, ExperimentConfig
 from .filters import ALGORITHMS, WEIGHTED_FILTERS
 from .model import validate_model
-from .sim import SeedSpec, simulate, write_trajectory_csv
+from .sim import SeedSpec, simulate, write_rows, write_trajectory_csv
 
 
 def _add_common(sub, tolerance: bool = False):
@@ -32,7 +31,8 @@ def _add_common(sub, tolerance: bool = False):
     sub.add_argument("--runs", type=int, help="Monte Carlo runs (overrides the config)")
     sub.add_argument(
         "--algorithms",
-        help="comma-separated subset of: " + ",".join(WEIGHTED_FILTERS),
+        help=f"comma-separated subset of: {','.join(ALGORITHMS)} "
+        f"(default: {','.join(WEIGHTED_FILTERS)})",
     )
     sub.add_argument(
         "--set",
@@ -153,13 +153,12 @@ def cmd_equivalence(args) -> int:
     diffs = {
         (a, b): _relative_diff(reports[a].total, reports[b].total) for a, b in pairs
     }
-    with open(out / "diff.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"{a}_vs_{b}" for a, b in pairs])
-        for k, row in enumerate(zip(*diffs.values()), start=1):
-            writer.writerow([str(k)] + [f"{d:.17g}" for d in row])
-
-    max_diff = max(float(d.max()) for d in diffs.values()) if pairs else 0.0
+    write_rows(
+        out / "diff.csv",
+        ["step"] + [f"{a}_vs_{b}" for a, b in pairs],
+        ([k, *row] for k, row in enumerate(zip(*diffs.values()), start=1)),
+    )
+    max_diff = max(float(d.max()) for d in diffs.values())
     if args.verbose:
         for (a, b), d in diffs.items():
             print(f"  {a} vs {b}: max relative difference {float(d.max()):.3e}")

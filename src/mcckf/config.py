@@ -137,18 +137,15 @@ class ExperimentConfig:
             raise ConfigError(f"bad value for {section}.{key}: {value!r} ({exc})") from exc
 
     def radar_constants(self) -> RadarConstants:
-        try:
-            return RadarConstants(
-                rho=self._get("model", "rho", _finite),
-                sampling_period=self._get("model", "sampling_period", _positive),
-                range_noise_var=self._get("model", "range_noise_var", _finite),
-                bearing_noise_var=self._get("model", "bearing_noise_var", _finite),
-                maneuver_var_1=self._get("model", "maneuver_var_1", _finite),
-                maneuver_var_2=self._get("model", "maneuver_var_2", _finite),
-                horizon=self.horizon(),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return RadarConstants(
+            rho=self._get("model", "rho", _finite),
+            sampling_period=self._get("model", "sampling_period", _positive),
+            range_noise_var=self._get("model", "range_noise_var", _finite),
+            bearing_noise_var=self._get("model", "bearing_noise_var", _finite),
+            maneuver_var_1=self._get("model", "maneuver_var_1", _finite),
+            maneuver_var_2=self._get("model", "maneuver_var_2", _finite),
+            horizon=self.horizon(),
+        )
 
     def kernel_spec(self) -> KernelSpec:
         sigma = self._get("kernel", "sigma", float)

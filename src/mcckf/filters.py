@@ -239,15 +239,25 @@ def _lambda_weight(terms, spec, innovation, pin_weight, runs):
     """The kernel of the innovation's R^{-1} norm; the weight's denominator,
     the kernel of the zero prediction residual, is exactly one."""
     if pin_weight is not None:
-        if pin_weight < 0.0:
-            raise ValueError(f"pinned weight must be nonnegative, got {pin_weight}")
+        if not 0.0 <= pin_weight < math.inf:
+            raise ValueError(f"pinned weight must be nonnegative and finite, got {pin_weight}")
         return float(pin_weight) if runs is None else np.full(runs, float(pin_weight))
     if spec is None:
         raise ValueError("a KernelSpec is required unless the weight is pinned")
     if math.isinf(spec.sigma):
         # the kernel is exactly one at every distance
         return 1.0 if runs is None else np.ones(runs)
-    return gaussian_kernel(spec, weighted_norm(innovation, terms.r_sqrt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = weighted_norm(innovation, terms.r_sqrt)
+    try:
+        return gaussian_kernel(spec, distance)
+    except ValueError:
+        # the innovation and the R factor are finite, so a norm that is not
+        # finite overflowed: it lies beyond the kernel's support, where the
+        # kernel is 0
+        inside = distance < math.inf
+        lam = np.where(inside, gaussian_kernel(spec, np.where(inside, distance, 0.0)), 0.0)
+        return float(lam) if runs is None else lam
 
 
 def _innovation(terms, pred: FilterState, y) -> np.ndarray:

@@ -227,7 +227,8 @@ def validate_model(
 
     Verifies symmetry and positive definiteness of Q and R, and of the
     initial covariance when ``require_spd_init`` is set (the square-root
-    algorithms factor it), and the initial condition's dimension. The
+    algorithms factor it), and the initial condition's dimension and
+    finiteness. The
     matrices' shapes are checked where they are made: by ``StateSpaceModel``
     at construction, by ``TimeVaryingModel.matrices``, whose ``ValueError``
     is reported here. Pure report, never raises for a bad model.
@@ -246,10 +247,14 @@ def validate_model(
         violations.append(
             f"initial mean length {init.mean.shape[0]} does not match state dim {n}"
         )
+    if not np.isfinite(init.mean).all():
+        violations.append("initial mean contains non-finite entries")
     if init.covariance.shape != (n, n):
         violations.append(
             f"initial covariance shape {init.covariance.shape} does not match state dim {n}"
         )
+    elif not np.isfinite(init.covariance).all():
+        violations.append("initial covariance contains non-finite entries")
     else:
         scale = np.abs(init.covariance).max(initial=0.0)
         asymmetry = np.abs(init.covariance - init.covariance.T).max(initial=0.0)

@@ -23,6 +23,7 @@ __all__ = [
     "draw_gaussian",
     "psd_factor",
     "simulate",
+    "write_rows",
     "write_trajectory_csv",
 ]
 
@@ -134,9 +135,9 @@ def _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, channels):
     """(step -> magnitudes) map for one noise group, fully seed-determined."""
     window = shot.window_steps(horizon)
     count = shot.corrupted_count(horizon)
-    if count == 0 or len(window) == 0 or channels == 0:
+    if count == 0 or channels == 0:
         return {}
-    steps = np.sort(schedule_rng.choice(window, size=min(count, len(window)), replace=False))
+    steps = np.sort(schedule_rng.choice(window, size=count, replace=False))
     magnitudes = magnitude_rng.integers(
         shot.magnitude_low, shot.magnitude_high + 1, size=(len(steps), channels)
     )
@@ -221,29 +222,31 @@ def simulate(
     return Trajectory(initial_state, truth, measurements, outlier_log)
 
 
+def write_rows(path, header, rows) -> None:
+    """Write a header and rows as CSV. Floats get 17 significant digits, so
+    parsing the file back recovers them exactly; other cells go through
+    ``str``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(
+                [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+                for row in rows
+            )
+    except OSError as exc:
+        raise OSError(f"failed writing CSV to {path}: {exc}") from exc
+
+
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write step, truth components, measurement components and outlier flags."""
     n = trajectory.truth.shape[1]
     m = trajectory.measurements.shape[1]
     process_steps = {s for s, ch, _ in trajectory.outlier_log if ch.startswith("w")}
     measurement_steps = {s for s, ch, _ in trajectory.outlier_log if ch.startswith("v")}
-    header = (
-        ["step"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"y{j + 1}" for j in range(m)]
-        + ["shot_w", "shot_v"]
+    header = ["step"] + [f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(m)]
+    rows = (
+        [k, *x, *y, int(k in process_steps), int(k in measurement_steps)]
+        for k, (x, y) in enumerate(zip(trajectory.truth, trajectory.measurements), start=1)
     )
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(1, trajectory.horizon + 1):
-                row = (
-                    [str(k)]
-                    + [f"{v:.17g}" for v in trajectory.truth[k - 1]]
-                    + [f"{v:.17g}" for v in trajectory.measurements[k - 1]]
-                    + [str(int(k in process_steps)), str(int(k in measurement_steps))]
-                )
-                writer.writerow(row)
-    except OSError as exc:
-        raise OSError(f"failed writing trajectory CSV to {path}: {exc}") from exc
+    write_rows(path, header + ["shot_w", "shot_v"], rows)

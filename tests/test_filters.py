@@ -1,5 +1,7 @@
 """Step updates, cross-implementation equivalence and the run driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -412,8 +414,9 @@ class TestRunFilter:
     def test_rejects_negative_pinned_weight(self, algorithm):
         model = scalar_model()
         init = InitialCondition(np.zeros(1), np.eye(1))
-        with pytest.raises(ValueError, match="pinned weight must be nonnegative"):
-            run_filter(algorithm, model, init, np.zeros((2, 1)), None, pin_weight=-0.5)
+        for pin_weight in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="pinned weight must be nonnegative"):
+                run_filter(algorithm, model, init, np.zeros((2, 1)), None, pin_weight=pin_weight)
 
     def test_rejects_measurements_that_are_not_one_vector_per_step(self):
         model, init, _ = build_example1()
@@ -561,6 +564,22 @@ class TestRunBatch:
                         assert status.reason.startswith("step 5: NotPositiveDefinite: ")
                     else:
                         assert status.completed
+
+    @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
+    def test_overflowing_innovation_norm_rejects_that_measurement_only(self, algorithm):
+        model, init, shot = build_example1()
+        spec = KernelSpec(3e4)
+        ys = batch_measurements(model, init, 30, 1, 3, shot)
+        ys[1, 2] = [1e200, 0.0]  # the R^-1 norm of run 1's step-3 innovation overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
+            alone = run_filter(algorithm, model, init, ys[1], spec)
+        assert all(status.completed for status in batch.statuses)
+        # a zero weight rejects the measurement: the estimate is the prediction
+        assert alone.reports[2].lam == 0.0
+        prediction = np.matvec(model.F, alone.states[1].estimate)
+        assert np.array_equal(alone.states[2].estimate, prediction)
 
     def test_rejects_kf_reference_and_wrong_shapes(self):
         model, init, _ = build_example1()

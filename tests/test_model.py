@@ -92,6 +92,22 @@ def test_asymmetric_or_non_finite_covariance_reported(q, init_cov, violation):
     assert validate_model(model, init) == [violation]
 
 
+@pytest.mark.parametrize(
+    "mean, cov, violation",
+    [
+        ([np.nan, 0.0], np.eye(2), "initial mean contains non-finite entries"),
+        ([0.0, np.inf], np.eye(2), "initial mean contains non-finite entries"),
+        (np.zeros(2), [[1.0, 0.0], [0.0, np.nan]], "initial covariance contains non-finite entries"),
+        (np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]], "initial covariance contains non-finite entries"),
+    ],
+)
+def test_non_finite_initial_condition_reported_once(mean, cov, violation):
+    model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    init = InitialCondition(mean, cov)
+    for require_spd_init in (False, True):
+        assert validate_model(model, init, require_spd_init) == [violation]
+
+
 def test_init_dimension_mismatch_reported():
     model = tiny_model()
     report = validate_model(model, InitialCondition(np.zeros(2), np.eye(2)))
