@@ -104,6 +104,8 @@ def build_example1(
     h[1, 3] = 1.0
     r = np.diag([c.range_noise_var, c.bearing_noise_var])
     t = c.sampling_period
+    if t**2 == 0.0:  # the 1/t**2 entries below would divide by zero
+        raise ValueError(f"initial covariance is not finite: sampling period {t:g} squared is 0")
     sr2 = c.range_noise_var
     # the deliberate quirks of RadarConstants: a standard deviation at (4,4)
     # and the first maneuvering variance at (5,5)
@@ -118,6 +120,8 @@ def build_example1(
             [0.0, 0.0, 0.0, 0.0, 0.0, c.maneuver_var_2],
         ]
     )
+    if not np.isfinite(pi0).all():
+        raise ValueError("initial covariance is not finite")
     model = StateSpaceModel(F=f, G=g, H=h, Q=q, R=r)
     init = InitialCondition(mean=np.zeros(6), covariance=pi0)
     # the eligible window is clamped to the horizon at simulation time
@@ -129,12 +133,16 @@ def build_example2(
 ) -> tuple[StateSpaceModel, InitialCondition]:
     """Ill-conditioned variant: all-ones measurement rows differing by delta
     in the last column, R = delta^2 I, standard normal initial state."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    try:
+        variance = delta**2
+    except OverflowError:
+        variance = math.inf
+    if not 0.0 < delta < math.inf or variance == math.inf:
+        raise ValueError(f"delta must be positive with a finite square, got {delta:g}")
     f, g, q = _radar_dynamics(constants)
     h = np.ones((2, 6))
     h[1, 5] = 1.0 + delta
-    r = delta**2 * np.eye(2)
+    r = variance * np.eye(2)
     model = StateSpaceModel(F=f, G=g, H=h, Q=q, R=r)
     init = InitialCondition(mean=np.zeros(6), covariance=np.eye(6))
     return model, init

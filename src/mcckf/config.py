@@ -190,10 +190,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad sweep.deltas {text!r}: {exc}") from exc
         if not deltas:
             raise ConfigError("sweep.deltas must not be empty")
-        if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(
-            d <= 0 for d in deltas
+        if any(b >= a for a, b in zip(deltas, deltas[1:])) or not all(
+            0.0 < d < math.inf for d in deltas
         ):
-            raise ConfigError("sweep.deltas must be positive and strictly decreasing")
+            raise ConfigError("sweep.deltas must be finite, positive and strictly decreasing")
         return deltas
 
     def sha256(self) -> str:

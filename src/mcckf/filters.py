@@ -21,18 +21,17 @@ defined with.
 Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
 advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
-the runs axis. The step functions read the model's terms through
-``step_terms``: one run reads its model's 2-D ``StepTerms``, a batch the
-``StepTerms`` of every run's matrices stacked with a leading runs axis,
-whether the runs share one model or each has its own. A batch's terms come
-from the stacked kernels, which compute each run's numbers with the same
-operations, in the same order, as that run alone (see ``mcckf.linalg``), so
-a run's estimates do not depend on the batch it ran in, bit for bit, and a
-noise covariance that is not positive definite fails only its runs. A run
-that fails a check leaves the batch at that step with its own typed reason;
-the step is then recomputed for the runs that remain. The drivers record a
-failed linear-algebra check as a ``Diverged`` of the runs concerned; a step
-function called directly raises the ``LinalgError`` itself.
+the runs axis. The step functions read the model's ``terms``: one run reads
+its model's 2-D ``StepTerms``, a batch the ``StepTerms`` of every run's
+matrices stacked with a leading runs axis, whether the runs share one model
+or each has its own. A batch's terms come from the stacked kernels, which
+compute each run's numbers with the same operations, in the same order, as
+that run alone (see ``mcckf.linalg``), so a run's estimates do not depend on
+the batch it ran in, bit for bit. A run that fails a check leaves the batch
+at that step with its own typed reason; the step is then recomputed for the
+runs that remain. The drivers record a failed linear-algebra check as a
+``Diverged`` of the runs concerned; a step function called directly raises
+the ``LinalgError`` itself.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -279,7 +279,7 @@ def _information_gain(terms, info_factor, lam) -> np.ndarray:
 def mcckf_time_update(model, prior: FilterState) -> FilterState:
     """Propagate estimate and full covariance one step forward."""
     step = prior.step + 1
-    t = model.step_terms(step)
+    t = model.terms
     x = np.matvec(t.F, prior.estimate)
     p = linalg.symmetrize(t.F @ prior.covariance @ t.F.mT + t.g_q_g)
     _require_finite(step, prior.runs, predicted_estimate=x, predicted_covariance=p)
@@ -301,7 +301,7 @@ def mcckf_measurement_update(
     ill-conditioning of P.
     """
     step, runs = pred.step, pred.runs
-    t = model.step_terms(step)
+    t = model.terms
     innovation = _innovation(t, pred, y)
     # pred.covariance is symmetrized by construction; skip the recheck
     p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
@@ -324,7 +324,7 @@ def mcckf_measurement_update(
 def sr_time_update(model, prior: FilterState) -> FilterState:
     """Square-root time update via the pre-array [F S, G Q_sqrt]."""
     step, runs = prior.step + 1, prior.runs
-    t = model.step_terms(step)
+    t = model.terms
     x = np.matvec(t.F, prior.estimate)
     pre = np.concatenate([t.F @ prior.factor, t.g_q_sqrt], axis=-1)
     _require_finite(step, runs, predicted_estimate=x, time_update_pre_array=pre)
@@ -361,7 +361,7 @@ def sr1a_measurement_update(
     factors governs this form's breakdown.
     """
     step, runs = pred.step, pred.runs
-    t = model.step_terms(step)
+    t = model.terms
     innovation = _innovation(t, pred, y)
     lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
     pred_inv = linalg.triangular_inverse(pred.factor)
@@ -387,7 +387,7 @@ def sr1b_measurement_update(
     No n x n factor is ever inverted.
     """
     step, runs = pred.step, pred.runs
-    t = model.step_terms(step)
+    t = model.terms
     innovation = _innovation(t, pred, y)
     lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
     pre = np.concatenate(
@@ -404,7 +404,7 @@ def sr1b_measurement_update(
 
 def _kf_reference_update(model, prior: FilterState, y):
     step = prior.step + 1
-    f, g, h, q, r = model.matrices(step)
+    f, g, h, q, r = model.F, model.G, model.H, model.Q, model.R
     x_pred = f @ prior.estimate
     p_pred = linalg.symmetrize(f @ prior.covariance @ f.T + g @ q @ g.T)
     innovation = np.asarray(y, dtype=float) - h @ x_pred
@@ -443,32 +443,22 @@ def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
 
 class _ModelStack:
     """The model of each run of a batch, read by the step functions through
-    ``step_terms`` like a single model; runs may share a model."""
+    ``terms`` like a single model; runs may share a model."""
 
     def __init__(self, models: list):
         self.models = models
         distinct = {id(m): m for m in models}
         position = {key: i for i, key in enumerate(distinct)}
         self.distinct = list(distinct.values())
-        self._rows = np.array([position[id(m)] for m in models])
-        self._sources = self._terms = None
-
-    def matrices(self, step: int):
-        """Every run's F, G, H, Q and R of ``step``, stacked; read from each
-        distinct model's ``step_terms``, so a provider is called once per
-        step."""
-        sources = [m.step_terms(step) for m in self.distinct]
-        return tuple(
-            np.stack([getattr(t, name) for t in sources])[self._rows] for name in "FGHQR"
+        rows = np.array([position[id(m)] for m in models])
+        self.F, self.G, self.H, self.Q, self.R = (
+            np.stack([getattr(m, name) for m in self.distinct])[rows] for name in "FGHQR"
         )
 
-    def step_terms(self, step: int) -> StepTerms:
-        """The ``StepTerms`` of every run's stacked matrices; rebuilt only when
-        a model gives new ``StepTerms`` (a time-varying model at a new step)."""
-        sources = [m.step_terms(step) for m in self.distinct]
-        if self._sources is None or any(a is not b for a, b in zip(sources, self._sources)):
-            self._sources, self._terms = sources, StepTerms(self, step)
-        return self._terms
+    @cached_property
+    def terms(self) -> StepTerms:
+        """The ``StepTerms`` of every run's stacked matrices."""
+        return StepTerms(self)
 
     def take(self, keep: np.ndarray) -> "_ModelStack":
         """The models of the runs that ``keep`` (a mask) selects."""
@@ -562,7 +552,7 @@ def run_filter(
 
     Args:
         algorithm: one of ``conventional``, ``sr1a``, ``sr1b``, ``kf_reference``.
-        model: state-space model (or step-indexed provider).
+        model: state-space model.
         init: initial mean and covariance; must be positive definite for the
             square-root variants.
         measurements: sequence of measurement vectors, one per step

@@ -153,10 +153,28 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     return _cholesky(a) if a.ndim == 2 else _cholesky_stack(a)
 
 
+def _pivot_floors(s: np.ndarray) -> np.ndarray:
+    """``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row of s, or of
+    each matrix of a stack. The norm is ``np.linalg.norm``'s formula; a row
+    of finite entries whose sum of squares overflows is scaled by its
+    largest entry first. A row with an infinite entry keeps an infinite
+    floor, which no pivot passes."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(s * s, axis=-1))
+    floors = PIVOT_FLOOR_FACTOR * _EPS * norms
+    if np.isinf(norms).any():
+        big = np.isinf(norms) & np.isfinite(s).all(axis=-1)
+        rows = s[big]
+        scale = np.abs(rows).max(axis=-1)
+        unit_norms = np.linalg.norm(rows / scale[:, None], axis=-1)
+        floors[big] = PIVOT_FLOOR_FACTOR * _EPS * scale * unit_norms
+    return floors
+
+
 def _cholesky(a: np.ndarray) -> np.ndarray:
     s = symmetrize(a)
     n = s.shape[0]
-    floors = (PIVOT_FLOOR_FACTOR * _EPS * np.linalg.norm(s, axis=1)).tolist()
+    floors = _pivot_floors(s).tolist()
     diag = s.diagonal().tolist()
     lower = np.zeros_like(s)
     for j, full_row in enumerate(lower):
@@ -176,11 +194,11 @@ def _cholesky_stack(a: np.ndarray) -> np.ndarray:
     """The loop of ``_cholesky`` over every matrix of a stack at once."""
     s = symmetrize(a)
     n = s.shape[-1]
-    row_norms = np.linalg.norm(s, axis=-1)
+    floors = _pivot_floors(s)
     lower = np.zeros_like(s)
     for j in range(n):
         pivot = s[:, j, j] - np.vecdot(lower[:, j, :j], lower[:, j, :j])
-        floor = PIVOT_FLOOR_FACTOR * _EPS * row_norms[:, j]
+        floor = floors[:, j]
         _raise_where(
             NotPositiveDefinite,
             pivot <= floor,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from . import linalg
 __all__ = [
     "StepTerms",
     "StateSpaceModel",
-    "TimeVaryingModel",
     "InitialCondition",
     "validate_model",
 ]
@@ -34,36 +32,28 @@ def _frozen(a, shape=None) -> np.ndarray:
 
 
 class StepTerms:
-    """System matrices of one step, their noise factors and the products the
-    filters reuse.
+    """System matrices, their noise factors and the products the filters
+    reuse.
 
-    ``model.matrices(step)`` gives one model's 2-D matrices or, for a batch,
-    every run's stacked with a leading runs axis; each term is then one
-    run's or the stack of every run's. Each term is computed on first use,
-    with the operations and the association order of the filter-step
-    expression it stands for, so reusing it changes no bit of any result. The noise factors are computed
-    inside the filter steps, so a Q_k or R_k that is not positive definite
-    fails the runs at step k instead of the call; Q is factored whenever R
-    is, so every filter fails at the same step.
+    ``model`` is one ``StateSpaceModel``, whose terms are 2-D, or a batch's
+    stack of every run's matrices with a leading runs axis, whose terms are
+    stacked the same way. Each term is computed on first use, with the
+    operations and the association order of the filter-step expression it
+    stands for, so reusing it changes no bit of any result.
     """
 
-    def __init__(self, model, step: int):
-        self.step = step
-        self.F, self.G, self.H, self.Q, self.R = model.matrices(step)
+    def __init__(self, model):
+        self.F, self.G, self.H, self.Q, self.R = model.F, model.G, model.H, model.Q, model.R
 
     @cached_property
-    def _noise_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        return linalg.cholesky_lower(self.Q), linalg.cholesky_lower(self.R)
-
-    @property
     def q_sqrt(self) -> np.ndarray:
         """Lower Cholesky factor of Q."""
-        return self._noise_factors[0]
+        return linalg.cholesky_lower(self.Q)
 
-    @property
+    @cached_property
     def r_sqrt(self) -> np.ndarray:
         """Lower Cholesky factor of R."""
-        return self._noise_factors[1]
+        return linalg.cholesky_lower(self.R)
 
     @cached_property
     def r_inv(self) -> np.ndarray:
@@ -128,7 +118,6 @@ class StateSpaceModel:
         m = self.H.shape[0]
         self.Q = _frozen(self.Q, (q, q))
         self.R = _frozen(self.R, (m, m))
-        self._step_terms = None
 
     @property
     def state_dim(self) -> int:
@@ -142,57 +131,10 @@ class StateSpaceModel:
     def obs_dim(self) -> int:
         return self.H.shape[0]
 
-    def matrices(self, step: int):
-        """System matrices for the given step (constant here)."""
-        return self.F, self.G, self.H, self.Q, self.R
-
-    def step_terms(self, step: int) -> StepTerms:
-        """Cached ``StepTerms``, shared by every step."""
-        if self._step_terms is None:
-            self._step_terms = StepTerms(self, step)
-        return self._step_terms
-
-
-class TimeVaryingModel:
-    """Step-indexed provider of system matrices.
-
-    ``provider(step)`` must return (F, G, H, Q, R) for step k >= 1 and be
-    deterministic in k.
-    """
-
-    def __init__(self, provider: Callable, state_dim: int, noise_dim: int, obs_dim: int):
-        self.provider = provider
-        self._dims = (state_dim, noise_dim, obs_dim)
-        self._step_terms = None
-
-    @property
-    def state_dim(self) -> int:
-        return self._dims[0]
-
-    @property
-    def noise_dim(self) -> int:
-        return self._dims[1]
-
-    @property
-    def obs_dim(self) -> int:
-        return self._dims[2]
-
-    def matrices(self, step: int):
-        n, q, m = self._dims
-        f, g, h, qc, rc = (np.asarray(x, dtype=float) for x in self.provider(step))
-        if f.shape != (n, n) or g.shape != (n, q) or h.shape != (m, n):
-            raise ValueError(f"provider returned inconsistent shapes at step {step}")
-        if qc.shape != (q, q) or rc.shape != (m, m):
-            raise ValueError(f"provider returned inconsistent shapes at step {step}")
-        return f, g, h, qc, rc
-
-    def step_terms(self, step: int) -> StepTerms:
-        """``StepTerms`` of ``step``; the last one asked for is kept, so the
-        provider is called once per step of a run."""
-        terms = self._step_terms
-        if terms is None or terms.step != step:
-            terms = self._step_terms = StepTerms(self, step)
-        return terms
+    @cached_property
+    def terms(self) -> StepTerms:
+        """The ``StepTerms`` shared by every step."""
+        return StepTerms(self)
 
 
 @dataclass(eq=False)
@@ -228,18 +170,12 @@ def validate_model(
     Verifies symmetry and positive definiteness of Q and R, and of the
     initial covariance when ``require_spd_init`` is set (the square-root
     algorithms factor it), and the initial condition's dimension and
-    finiteness. The
-    matrices' shapes are checked where they are made: by ``StateSpaceModel``
-    at construction, by ``TimeVaryingModel.matrices``, whose ``ValueError``
-    is reported here. Pure report, never raises for a bad model.
+    finiteness. The matrices' shapes are checked by ``StateSpaceModel`` at
+    construction. Pure report, never raises for a bad model.
     """
-    try:
-        f, g, h, q, r = model.matrices(1)
-    except ValueError as exc:
-        return [str(exc)]
-    n = f.shape[0]
+    n = model.state_dim
     violations: list[str] = []
-    for name, mat in (("Q", q), ("R", r)):
+    for name, mat in (("Q", model.Q), ("R", model.R)):
         msg = _spd_violation(name, mat)
         if msg:
             violations.append(msg)

@@ -162,8 +162,7 @@ def simulate(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     noise_rng, schedule_rng, magnitude_rng = seed.streams()
 
-    f0, g0, h0, q0, r0 = model.matrices(1)
-    n, q_dim, m_dim = f0.shape[0], g0.shape[1], h0.shape[0]
+    n, q_dim, m_dim = model.state_dim, model.noise_dim, model.obs_dim
 
     process_impulses: dict = {}
     measurement_impulses: dict = {}
@@ -181,36 +180,22 @@ def simulate(
     x = draw_gaussian(noise_rng, init.mean, init_factor)
     initial_state = x.copy()
 
+    # all noise in one draw, which yields the numbers per-step draws would
+    # (w_1, v_1, w_2, v_2, ...), and the per-step products as stacked ones of
+    # the same shapes
+    z = noise_rng.standard_normal((horizon, q_dim + m_dim))
+    w = np.zeros(q_dim) + np.matvec(psd_factor(model.Q), z[:, :q_dim])
+    v = np.zeros(m_dim) + np.matvec(psd_factor(model.R), z[:, q_dim:])
+    for k, mags in process_impulses.items():
+        w[k - 1] = w[k - 1] + mags
+    for k, mags in measurement_impulses.items():
+        v[k - 1] = v[k - 1] + mags
+    g_w = np.matvec(model.G, w)
     truth = np.zeros((horizon, n))
-    if hasattr(model, "F"):
-        # Time-invariant: all noise in one draw, which yields the numbers the
-        # per-step draws below would (w_1, v_1, w_2, v_2, ...), and the
-        # per-step products as stacked ones of the same shapes.
-        z = noise_rng.standard_normal((horizon, q_dim + m_dim))
-        w = np.zeros(q_dim) + np.matvec(psd_factor(q0), z[:, :q_dim])
-        v = np.zeros(m_dim) + np.matvec(psd_factor(r0), z[:, q_dim:])
-        for k, mags in process_impulses.items():
-            w[k - 1] = w[k - 1] + mags
-        for k, mags in measurement_impulses.items():
-            v[k - 1] = v[k - 1] + mags
-        g_w = np.matvec(g0, w)
-        for k in range(horizon):
-            x = f0 @ x + g_w[k]
-            truth[k] = x
-        measurements = np.matvec(h0, truth) + v
-    else:
-        measurements = np.zeros((horizon, m_dim))
-        for k in range(1, horizon + 1):
-            f, g, h, qk, rk = model.matrices(k)
-            w = draw_gaussian(noise_rng, np.zeros(q_dim), psd_factor(qk))
-            if k in process_impulses:
-                w = w + process_impulses[k]
-            x = f @ x + g @ w
-            v = draw_gaussian(noise_rng, np.zeros(m_dim), psd_factor(rk))
-            if k in measurement_impulses:
-                v = v + measurement_impulses[k]
-            truth[k - 1] = x
-            measurements[k - 1] = h @ x + v
+    for k in range(horizon):
+        x = model.F @ x + g_w[k]
+        truth[k] = x
+    measurements = np.matvec(model.H, truth) + v
 
     outlier_log = [
         (k, f"{group}{j + 1}", int(mag))

@@ -1,6 +1,7 @@
 """Reference formulas used as test oracles: the weighted gain, the condition
-number, and the one-matrix Cholesky and substitution loops as they were
-first written, one ``@`` per element or row."""
+number, the one-matrix Cholesky and substitution loops as they were first
+written, one ``@`` per element or row, and the simulation's per-step noise
+draws."""
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from mcckf.linalg import (
     SingularFactor,
     symmetrize,
 )
+from mcckf.sim import _impulse_schedule, draw_gaussian, psd_factor
 
 
 def gain_information_form(p, h, r, lam: float) -> np.ndarray:
@@ -87,3 +89,35 @@ def solve_loop(l: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.nda
                 x[i] -= l[i + 1 :, i] @ x[i + 1 :]
             x[i] /= l[i, i]
     return x[:, 0] if vector else x
+
+
+def simulate_per_step(model, init, horizon: int, seed, shot=None):
+    """The trajectory ``simulate`` draws, one w_k and one v_k per step in
+    the order w_1, v_1, w_2, v_2, ...; returns (initial state, truth,
+    measurements)."""
+    noise_rng, schedule_rng, magnitude_rng = seed.streams()
+    process, measurement = {}, {}
+    if shot is not None:
+        if shot.targets in ("process", "both"):
+            process = _impulse_schedule(
+                shot, horizon, schedule_rng, magnitude_rng, model.noise_dim
+            )
+        if shot.targets in ("measurement", "both"):
+            measurement = _impulse_schedule(
+                shot, horizon, schedule_rng, magnitude_rng, model.obs_dim
+            )
+    x = draw_gaussian(noise_rng, init.mean, psd_factor(init.covariance))
+    initial_state = x.copy()
+    truth = np.zeros((horizon, model.state_dim))
+    measurements = np.zeros((horizon, model.obs_dim))
+    for k in range(1, horizon + 1):
+        w = draw_gaussian(noise_rng, np.zeros(model.noise_dim), psd_factor(model.Q))
+        if k in process:
+            w = w + process[k]
+        x = model.F @ x + model.G @ w
+        v = draw_gaussian(noise_rng, np.zeros(model.obs_dim), psd_factor(model.R))
+        if k in measurement:
+            v = v + measurement[k]
+        truth[k - 1] = x
+        measurements[k - 1] = model.H @ x + v
+    return initial_state, truth, measurements

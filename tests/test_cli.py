@@ -213,12 +213,15 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("simulate", ["--set", "monte_carlo.horizon=0"], "monte_carlo.horizon must be >= 1"),
         ("sweep", ["--set", "sweep.deltas=abc"], "bad sweep.deltas 'abc'"),
         ("sweep", ["--set", "sweep.deltas=1e-2 1e-1"], "positive and strictly decreasing"),
+        ("sweep", ["--set", "sweep.deltas=inf"], "finite, positive and strictly decreasing"),
+        ("sweep", ["--set", "sweep.deltas=1e-1 nan"], "finite, positive and strictly decreasing"),
         ("example1", ["--algorithms", "fancy"], "unknown algorithm 'fancy'"),
         ("equivalence", ["--algorithms", "sr1b"], "need at least 2 algorithm(s)"),
     ],
     ids=[
         "no_equals", "no_dot", "empty_value", "unreadable_config", "unknown_section",
-        "zero_horizon", "bad_deltas", "increasing_deltas", "unknown_algorithm",
+        "zero_horizon", "bad_deltas", "increasing_deltas", "infinite_delta", "nan_delta",
+        "unknown_algorithm",
         "too_few_algorithms",
     ],
 )
@@ -231,6 +234,33 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, mes
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, message",
+    [
+        ("sweep", "sweep.deltas=1e200", "finite square, got 1e+200"),
+        *(
+            (command, "model.sampling_period=1e-200", "sampling period 1e-200 squared is 0")
+            for command in ("example1", "simulate")
+        ),
+        *(
+            (command, "model.sampling_period=1e-160", "initial covariance is not finite")
+            for command in ("equivalence", "example1", "simulate")
+        ),
+    ],
+    ids=[
+        "huge_delta", "tiny_period-example1", "tiny_period-simulate",
+        "small_period-equivalence", "small_period-example1", "small_period-simulate",
+    ],
+)
+def test_unusable_model_values_exit_2_with_one_line(tmp_path, capsys, command, key, message):
+    # each of these once escaped as a traceback from building the model
+    code = main([command, "--out", str(tmp_path / "x"), "--runs", "1", "--set", key])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_example1_single_algorithm(tmp_path):

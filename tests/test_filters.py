@@ -20,7 +20,7 @@ from mcckf.filters import (
     sr_time_update,
 )
 from mcckf.linalg import NotPositiveDefinite, cholesky_lower
-from mcckf.model import InitialCondition, StateSpaceModel, TimeVaryingModel
+from mcckf.model import InitialCondition, StateSpaceModel
 from mcckf.sim import SeedSpec, simulate
 from oracles import gain_information_form, gain_innovation_form
 
@@ -423,16 +423,6 @@ class TestRunFilter:
         with pytest.raises(ValueError, match=r"one vector per step, got shape \(3, 2, 2\)"):
             run_filter("sr1b", model, init, np.zeros((3, 2, 2)), KernelSpec(3e4))
 
-    def test_time_varying_provider_matches_invariant_model(self):
-        base, init, shot = build_example1()
-        provider = lambda k: (base.F, base.G, base.H, base.Q, base.R)
-        tv = TimeVaryingModel(provider, 6, 2, 2)
-        traj = simulate(base, init, 40, SeedSpec(13, 0), shot)
-        for algorithm in ("conventional", "sr1b"):
-            a = run_filter(algorithm, base, init, traj.measurements, KernelSpec(3e4))
-            b = run_filter(algorithm, tv, init, traj.measurements, KernelSpec(3e4))
-            np.testing.assert_allclose(a.estimates(), b.estimates(), rtol=1e-12)
-
     def test_lambda_shared_across_algorithms(self):
         model, init, shot = build_example1()
         traj = simulate(model, init, 60, SeedSpec(2, 0), shot)
@@ -535,35 +525,12 @@ class TestRunBatch:
             batch = assert_batch_matches_each_run(algorithm, models, init, ys, spec)
             assert all(status.completed for status in batch.statuses)
 
-    def test_time_varying_noise_breakdown_fails_its_run_only(self):
+    def test_rejects_a_run_model_with_r_not_positive_definite(self):
         base, init, shot = build_example1()
-
-        def breaking(name):
-            """The radar model with Q_k or R_k not positive definite from step 5."""
-            def provider(k):
-                q = -base.Q if name == "Q" and k >= 5 else base.Q
-                r = -base.R if name == "R" and k >= 5 else base.R
-                return base.F, base.G, base.H, q, r
-
-            return TimeVaryingModel(provider, 6, 2, 2)
-
-        ys = batch_measurements(base, init, 12, 4, 4, shot)
-        # run 1's R_k fails alone, then together with run 3's Q_k
-        for models, failing in (
-            ([base, breaking("R"), base, base], {1}),
-            ([base, breaking("R"), base, breaking("Q")], {1, 3}),
-        ):
-            for algorithm in ("conventional", "sr1a", "sr1b"):
-                # each failing run gets the reason run_filter gives it alone
-                batch = assert_batch_matches_each_run(
-                    algorithm, models, init, ys, KernelSpec(3e4)
-                )
-                for i, status in enumerate(batch.statuses):
-                    if i in failing:
-                        assert status.failed_step == 5
-                        assert status.reason.startswith("step 5: NotPositiveDefinite: ")
-                    else:
-                        assert status.completed
+        bad = StateSpaceModel(F=base.F, G=base.G, H=base.H, Q=base.Q, R=-base.R)
+        ys = batch_measurements(base, init, 5, 4, 2, shot)
+        with pytest.raises(ValueError, match="R not positive definite"):
+            run_batch("sr1b", [base, bad], init, ys, KernelSpec(3e4))
 
     @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
     def test_overflowing_innovation_norm_rejects_that_measurement_only(self, algorithm):
@@ -617,56 +584,12 @@ class TestRunBatchInputs:
 
 
 class TestNoiseBreakdownAfterStepOne:
-    """validate_model checks a provider at step 1 only; a Q_k or R_k that is
-    not positive definite later is a divergence of the runs at step k."""
-
-    @pytest.mark.parametrize("singular", ["Q", "R"])
-    def test_recorded_as_divergence(self, singular):
-        base, init, shot = build_example1()
-
-        def provider(k):
-            q = base.Q * 0.0 if singular == "Q" and k >= 2 else base.Q
-            r = base.R * 0.0 if singular == "R" and k >= 2 else base.R
-            return base.F, base.G, base.H, q, r
-
-        tv = TimeVaryingModel(provider, 6, 2, 2)
-        ys = batch_measurements(base, init, 5, 3, 2, shot)
-        spec = KernelSpec(3e4)
-        for algorithm in ("conventional", "sr1a", "sr1b"):
-            alone = run_filter(algorithm, tv, init, ys[0], spec)
-            assert alone.status.failed_step == 2
-            assert alone.status.reason.startswith("step 2: NotPositiveDefinite: pivot")
-            batch = run_batch(algorithm, tv, init, ys, spec)
-            assert batch.statuses == [alone.status, alone.status]
-            assert np.array_equal(batch.estimates[0, :1], alone.estimates())
-        # with the weight pinned, conventional still needs R^{-1}
-        pinned = run_filter("conventional", tv, init, ys[0], pin_weight=1.0)
-        assert pinned.status.failed_step == 2
-
     def test_step_function_raises_the_linalg_error(self):
         base, _, _ = build_example1()
-        tv = TimeVaryingModel(lambda k: (base.F, base.G, base.H, base.Q * 0.0, base.R), 6, 2, 2)
+        model = StateSpaceModel(F=base.F, G=base.G, H=base.H, Q=base.Q * 0.0, R=base.R)
         prior = FilterState.square_root(0, np.zeros(6), np.eye(6))
         with pytest.raises(NotPositiveDefinite):
-            sr_time_update(tv, prior)
-
-
-class TestTimeVaryingProviderCalls:
-    @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
-    def test_provider_called_once_per_step(self, algorithm):
-        base, init, shot = build_example1()
-        calls = []
-
-        def provider(k):
-            calls.append(k)
-            return base.F, base.G, base.H, base.Q, base.R
-
-        tv = TimeVaryingModel(provider, 6, 2, 2)
-        ys = simulate(base, init, 20, SeedSpec(5, 0), shot).measurements
-        run = run_filter(algorithm, tv, init, ys, KernelSpec(3e4))
-        assert run.status.completed
-        # the validation call at step 1, then one call per step
-        assert len(calls) <= len(ys) + 1
+            sr_time_update(model, prior)
 
 
 class TestMeasurementWidth:

@@ -1,5 +1,7 @@
 """Factorization, triangularization and solve kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,13 @@ class TestCholeskyLower:
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-17]])
         with pytest.raises(NotPositiveDefinite):
             cholesky_lower(a)
+
+    def test_pivot_floor_of_entries_whose_squares_overflow(self):
+        # the row norm of 1e200 overflows when summed as squares
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l = cholesky_lower(np.diag([1.0, 1e200]))
+        assert np.array_equal(l, np.diag([1.0, 1e100]))
 
 
 class TestLowerTriangularize:
@@ -308,6 +317,13 @@ class TestStackedKernels:
         healthy = np.delete(a, 2, axis=0)
         for got, want in zip(cholesky_lower(healthy), healthy):
             assert np.array_equal(got, cholesky_lower(want))
+
+    def test_pivot_floor_of_entries_whose_squares_overflow(self):
+        a = np.array([np.diag([1.0, 1e200]), np.diag([4.0, 9.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l = cholesky_lower(a)
+        assert np.array_equal(l, [np.diag([1.0, 1e100]), np.diag([2.0, 3.0])])
 
     def test_stack_of_one_names_its_matrix(self):
         with pytest.raises(NotPositiveDefinite) as exc:

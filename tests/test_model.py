@@ -8,7 +8,6 @@ from mcckf.linalg import cholesky_lower
 from mcckf.model import (
     InitialCondition,
     StateSpaceModel,
-    TimeVaryingModel,
     validate_model,
 )
 
@@ -64,18 +63,6 @@ def test_other_wrong_shapes_rejected_at_construction(name, value, message):
     matrices[name] = value
     with pytest.raises(ValueError, match=message):
         StateSpaceModel(**matrices)
-
-
-def test_dimension_violation_reported_for_provider():
-    provider = lambda k: (np.eye(2), np.eye(2), np.ones((3, 2)), np.eye(2), np.eye(2))
-    model = TimeVaryingModel(provider, state_dim=2, noise_dim=2, obs_dim=2)
-    init = InitialCondition(np.zeros(2), np.eye(2))
-    report = validate_model(model, init)
-    assert report and "shape" in report[0]
-    # a Q of the wrong shape
-    provider = lambda k: (np.eye(2), np.eye(2), np.eye(2), np.eye(3), np.eye(2))
-    model = TimeVaryingModel(provider, state_dim=2, noise_dim=2, obs_dim=2)
-    assert validate_model(model, init) == ["provider returned inconsistent shapes at step 1"]
 
 
 @pytest.mark.parametrize(
@@ -135,19 +122,8 @@ def test_matrices_are_frozen():
 
 def test_cached_factors_match_direct_factorization():
     model, _, _ = build_example1()
-    terms = model.step_terms(1)
+    terms = model.terms
     np.testing.assert_array_equal(terms.q_sqrt, cholesky_lower(np.asarray(model.Q)))
     np.testing.assert_array_equal(terms.r_sqrt, cholesky_lower(np.asarray(model.R)))
-    assert model.step_terms(5) is model.step_terms(9)
+    assert model.terms is model.terms
     np.testing.assert_allclose(terms.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
-
-
-def test_time_varying_provider_deterministic_shapes():
-    base, _, _ = build_example1()
-    provider = lambda k: (base.F, base.G, base.H, base.Q, base.R)
-    tv = TimeVaryingModel(provider, 6, 2, 2)
-    f, g, h, q, r = tv.matrices(3)
-    np.testing.assert_array_equal(f, base.F)
-    q_sqrt = tv.step_terms(3).q_sqrt
-    np.testing.assert_allclose(q_sqrt @ q_sqrt.T, base.Q, rtol=1e-14)
-    np.testing.assert_allclose(tv.step_terms(1).r_inv @ base.R, np.eye(2), atol=1e-12)
