@@ -181,10 +181,12 @@ def cmd_sweep(args) -> int:
     names = _algorithm_list(args)
     spec = cfg.kernel_spec()
     deltas = cfg.sweep_deltas()
-    out = _out_dir(args)
+    # the sweep builds and checks each delta's model, so a bad delta leaves
+    # no output directory behind
     report = run_conditioning_sweep(
         names, deltas, cfg.runs(), cfg.seed(), spec, cfg.radar_constants()
     )
+    out = _out_dir(args)
     write_csv(report, out / "sweep.csv")
     _write_meta(out, "sweep", cfg, cfg.seed())
     if args.verbose:

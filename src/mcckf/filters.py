@@ -269,11 +269,12 @@ def _innovation(terms, pred: FilterState, y) -> np.ndarray:
     return innovation
 
 
-def _information_gain(terms, info_factor, lam) -> np.ndarray:
-    """lam * X^{-T} X^{-1} H^T R^{-1} by two triangular solves, for the lower
-    factor X of the updated information matrix (conventional and sr1a)."""
-    half = linalg.triangular_solve(info_factor, terms.ht_r_inv)
-    return _times(lam, linalg.triangular_solve(info_factor, half, transposed=True))
+def _information_gain(terms, info_factor, lam, solve) -> np.ndarray:
+    """lam * X^{-T} X^{-1} H^T R^{-1} by two triangular solves with ``solve``,
+    for the lower factor X of the updated information matrix (conventional
+    and sr1a)."""
+    half = solve(info_factor, terms.ht_r_inv)
+    return _times(lam, solve(info_factor, half, transposed=True))
 
 
 def mcckf_time_update(model, prior: FilterState) -> FilterState:
@@ -306,12 +307,17 @@ def mcckf_measurement_update(
     # pred.covariance is symmetrized by construction; skip the recheck
     p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
     lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
-    inv_factor = linalg.triangular_inverse(p_factor)
+    # p_factor and info_factor skip the singular-diagonal check: a pivot above
+    # its floor (>= 0) is at least 4.9e-324, so its root, the diagonal entry,
+    # is at least 2.2e-162, far above the smallest normal double.
+    inv_factor = linalg._inverse_unchecked(p_factor)
     p_inv = inv_factor.mT @ inv_factor
     info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
-    info_factor = linalg.cholesky_lower(info, check_symmetry=False)
-    gain = _information_gain(t, info_factor, lam)
-    i_kh = np.eye(t.H.shape[-1]) - gain @ t.H
+    # info is exactly symmetric on the line above, and symmetrizing it again
+    # would return the same bits; its finiteness is still checked
+    info_factor = linalg._cholesky_symmetric(info)
+    gain = _information_gain(t, info_factor, lam, linalg._solve_unchecked)
+    i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
     p_new = linalg.symmetrize(
         i_kh @ pred.covariance @ i_kh.mT
         + gain @ t.R @ gain.mT
@@ -328,7 +334,8 @@ def sr_time_update(model, prior: FilterState) -> FilterState:
     x = np.matvec(t.F, prior.estimate)
     pre = np.concatenate([t.F @ prior.factor, t.g_q_sqrt], axis=-1)
     _require_finite(step, runs, predicted_estimate=x, time_update_pre_array=pre)
-    return FilterState.square_root(step, x, linalg.lower_triangularize(pre))
+    # pre is finite on the line above: lower_triangularize's check would repeat it
+    return FilterState.square_root(step, x, linalg._triangularize(pre))
 
 
 def _sr_posterior(t, pred: FilterState, gain, lam, innovation):
@@ -336,10 +343,11 @@ def _sr_posterior(t, pred: FilterState, gain, lam, innovation):
     triangularized from [(I - K H) S_pred, K R_sqrt]."""
     step = pred.step
     x_new = pred.estimate + np.matvec(gain, innovation)
-    i_kh = np.eye(t.H.shape[-1]) - gain @ t.H
+    i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
     joseph_pre = np.concatenate([i_kh @ pred.factor, gain @ t.r_sqrt], axis=-1)
     _require_finite(step, pred.runs, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
-    factor_new = linalg.lower_triangularize(joseph_pre)
+    # joseph_pre is finite on the line above
+    factor_new = linalg._triangularize(joseph_pre)
     return FilterState.square_root(step, x_new, factor_new), StepReport(
         lam, gain, innovation
     )
@@ -367,8 +375,10 @@ def sr1a_measurement_update(
     pred_inv = linalg.triangular_inverse(pred.factor)
     pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.mT)], axis=-1)
     _require_finite(step, runs, **{"information pre-array": pre})
-    info_factor = linalg.lower_triangularize(pre)
-    gain = _information_gain(t, info_factor, lam)
+    # pre is finite on the line above; a rank-deficient pre gives a zero
+    # diagonal in info_factor, which the solves still check
+    info_factor = linalg._triangularize(pre)
+    gain = _information_gain(t, info_factor, lam, linalg.triangular_solve)
     return _sr_posterior(t, pred, gain, lam, innovation)
 
 
@@ -394,7 +404,8 @@ def sr1b_measurement_update(
         [_times(np.sqrt(lam), t.H @ pred.factor), t.r_sqrt], axis=-1
     )
     _require_finite(step, runs, **{"innovation pre-array": pre})
-    innov_factor = linalg.lower_triangularize(pre)
+    # pre is finite on the line above; the solves below check the diagonal
+    innov_factor = linalg._triangularize(pre)
     p_pred = pred.factor @ pred.factor.mT
     weighted = _times(lam, t.H @ p_pred)
     half = linalg.triangular_solve(innov_factor, weighted)

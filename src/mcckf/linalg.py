@@ -15,6 +15,31 @@ the stack. The one-matrix loops write their products as ``ndarray.dot``,
 which calls the same BLAS routine over the same slices as ``@`` with less
 interpreter work; the tests compare them with the ``@`` loops they replaced
 (``tests/oracles.py``) bit for bit.
+
+Checks. Every public kernel checks its input for a direct caller:
+
+* ``cholesky_lower``: shape, finiteness, symmetry (unless
+  ``check_symmetry`` is off), then the pivot floor at every column;
+* ``lower_triangularize``: shape, rows <= cols, finiteness;
+* ``triangular_solve`` and ``triangular_inverse``: shapes, and a zero or
+  subnormal diagonal entry (``SingularFactor``).
+
+The filters check each matrix once per step. Where the same step has just
+established what a check tests, they call a private entry point without it:
+
+* ``_triangularize`` for the four pre-arrays, which the step checked for
+  finiteness on the line before;
+* ``_cholesky_symmetric`` for the conventional filter's information matrix,
+  which ``symmetrize`` has just made exactly symmetric: symmetrizing it
+  again would return the same bits. Its finiteness is still checked;
+* ``_solve_unchecked`` and ``_inverse_unchecked`` against the conventional
+  filter's two Cholesky factors: a pivot above its floor (which is at least
+  0) is at least 4.9e-324, so its root on the diagonal is at least 2.2e-162
+  and cannot trip the singular-diagonal check.
+
+A stacked Cholesky compares all pivots with their floors once, after its
+loop; ``NotPositiveDefinite.failed`` then names every failing matrix of the
+stack, each with the message of its own first failed pivot.
 """
 
 from __future__ import annotations
@@ -40,6 +65,9 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
+_NON_FINITE_MATRIX = "matrix contains non-finite entries"
+_SINGULAR = "factor has a zero or subnormal diagonal entry"
+
 # Relative tolerance for the symmetry precheck in cholesky_lower. Joseph-form
 # covariance updates accumulate asymmetry of roundoff order, so the check must
 # not be exact.
@@ -54,8 +82,9 @@ class LinalgError(Exception):
     """Base class for factorization and solve failures.
 
     Raised for a stack of matrices, ``failed`` maps the index in the stack of
-    each matrix that failed the check to the message the call on that matrix
-    alone raises; the other matrices passed every check up to that point.
+    every matrix that failed the check to the message the call on that
+    matrix alone raises; the other matrices passed every check up to that
+    point.
     """
 
     def __init__(self, message: str, failed: dict[int, str] | None = None):
@@ -79,6 +108,11 @@ class SingularFactor(LinalgError):
     """A triangular factor has a zero or subnormal diagonal entry."""
 
 
+def _stack_error(cls, failed: dict[int, str]) -> LinalgError:
+    """``cls`` for a stack whose matrices ``failed`` maps to their messages."""
+    return cls("; ".join(f"matrix {i}: {m}" for i, m in failed.items()), failed)
+
+
 def _raise_where(cls, bad: np.ndarray, message) -> None:
     """Raise ``cls`` if a check failed: ``bad`` is a flag for one matrix or
     one flag per matrix of a stack, and ``message(i)`` is the message for
@@ -87,8 +121,7 @@ def _raise_where(cls, bad: np.ndarray, message) -> None:
         return
     if bad.ndim == 0:
         raise cls(message(()))
-    failed = {int(i): message(i) for i in np.flatnonzero(bad)}
-    raise cls("; ".join(f"matrix {i}: {m}" for i, m in failed.items()), failed)
+    raise _stack_error(cls, {int(i): message(i) for i in np.flatnonzero(bad)})
 
 
 def _require_finite(a: np.ndarray, message: str) -> None:
@@ -135,12 +168,14 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     NonFiniteInput
         If the input contains NaN or Inf.
 
-    On a stack, each error names the failing matrices in ``failed``.
+    On a stack, each error names the failing matrices in ``failed``; a
+    ``NotPositiveDefinite`` names every matrix with a failed pivot, each
+    with the message of its first one.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    _require_finite(a, "matrix contains non-finite entries")
+    _require_finite(a, _NON_FINITE_MATRIX)
     if check_symmetry:
         scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
         asymmetry = np.abs(a - a.mT).max(axis=(-2, -1), initial=0.0)
@@ -150,66 +185,99 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
             lambda i: f"asymmetry {asymmetry[i]:.3e} exceeds "
             f"{SYMMETRY_RTOL:g} * {scale[i]:.3e}",
         )
-    return _cholesky(a) if a.ndim == 2 else _cholesky_stack(a)
+    return _factor(a, symmetric=False)
 
 
-def _pivot_floors(s: np.ndarray) -> np.ndarray:
-    """``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row of s, or of
-    each matrix of a stack. The norm is ``np.linalg.norm``'s formula; a row
-    of finite entries whose sum of squares overflows is scaled by its
-    largest entry first. A row with an infinite entry keeps an infinite
-    floor, which no pivot passes."""
+def _cholesky_symmetric(s: np.ndarray) -> np.ndarray:
+    """``cholesky_lower(s, check_symmetry=False)`` of an exactly symmetric
+    matrix or stack, without the symmetrization: ``(s + s.T) / 2`` of such
+    an s is s bit for bit. The finiteness check stays."""
+    _require_finite(s, _NON_FINITE_MATRIX)
+    return _factor(s, symmetric=True)
+
+
+def _symmetric_part(a: np.ndarray, symmetric: bool):
+    """The symmetric part of a finite a (a itself if ``symmetric``), and its
+    pivot floors: ``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row.
+
+    The norm is ``np.linalg.norm``'s formula; a row whose sum of squares
+    overflows is scaled by its largest entry first. An entry whose
+    ``a_ij + a_ji`` overflows is taken as ``a_ij / 2 + a_ji / 2``: both terms
+    are then far above the subnormals, so the halves are exact and their sum
+    rounds the same value as ``(a_ij + a_ji) / 2``. Any such entry makes an
+    infinite row norm, so the one ``isinf`` check covers both cases.
+    """
     with np.errstate(over="ignore"):
+        s = a if symmetric else (a + a.mT) / 2.0
         norms = np.sqrt(np.add.reduce(s * s, axis=-1))
     floors = PIVOT_FLOOR_FACTOR * _EPS * norms
-    if np.isinf(norms).any():
-        big = np.isinf(norms) & np.isfinite(s).all(axis=-1)
+    big = np.isinf(norms)
+    if big.any():
+        s = np.where(np.isinf(s), a / 2.0 + a.mT / 2.0, s)
         rows = s[big]
         scale = np.abs(rows).max(axis=-1)
         unit_norms = np.linalg.norm(rows / scale[:, None], axis=-1)
         floors[big] = PIVOT_FLOOR_FACTOR * _EPS * scale * unit_norms
-    return floors
+    return s, floors
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    s = symmetrize(a)
+def _factor(a: np.ndarray, symmetric: bool) -> np.ndarray:
+    s, floors = _symmetric_part(a, symmetric)
+    return _cholesky(s, floors) if s.ndim == 2 else _cholesky_stack(s, floors)
+
+
+def _pivot_failure(pivot: float, j: int, floor: float) -> str:
+    return f"pivot {pivot:.6e} at index {j} is at or below floor {floor:.6e}"
+
+
+def _cholesky(s: np.ndarray, floors: np.ndarray) -> np.ndarray:
     n = s.shape[0]
-    floors = _pivot_floors(s).tolist()
+    floors = floors.tolist()
     diag = s.diagonal().tolist()
     lower = np.zeros_like(s)
     for j, full_row in enumerate(lower):
         row = full_row[:j]
         pivot = diag[j] - float(row.dot(row))
         if pivot <= floors[j]:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.6e} at index {j} is at or below floor {floors[j]:.6e}"
-            )
+            raise NotPositiveDefinite(_pivot_failure(pivot, j, floors[j]))
         root = lower[j, j] = math.sqrt(pivot)
         if j + 1 < n:
             lower[j + 1 :, j] = (s[j + 1 :, j] - lower[j + 1 :, :j].dot(row)) / root
     return lower
 
 
-def _cholesky_stack(a: np.ndarray) -> np.ndarray:
-    """The loop of ``_cholesky`` over every matrix of a stack at once."""
-    s = symmetrize(a)
+def _cholesky_stack(s: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """The loop of ``_cholesky`` over every matrix of a stack at once.
+
+    The loop runs to the end and the pivots are compared with their floors
+    once, after it. A failed pivot's root is NaN, zero or tiny, and what
+    follows from it in its own matrix is ignored: each matrix's columns up
+    to its first failed pivot are exactly those of the one-matrix call,
+    which raises at that pivot with the same message.
+    """
     n = s.shape[-1]
-    floors = _pivot_floors(s)
     lower = np.zeros_like(s)
-    for j in range(n):
-        pivot = s[:, j, j] - np.vecdot(lower[:, j, :j], lower[:, j, :j])
-        floor = floors[:, j]
-        _raise_where(
+    pivots = np.empty(s.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(n):
+            row = lower[:, j, :j]
+            pivot = pivots[:, j] = s[:, j, j] - np.vecdot(row, row)
+            root = lower[:, j, j] = np.sqrt(pivot)
+            if j + 1 < n:
+                lower[:, j + 1 :, j] = (
+                    s[:, j + 1 :, j] - np.matvec(lower[:, j + 1 :, :j], row)
+                ) / root[:, None]
+    bad = pivots <= floors
+    if bad.any():
+        first = bad.argmax(axis=1).tolist()
+        raise _stack_error(
             NotPositiveDefinite,
-            pivot <= floor,
-            lambda i: f"pivot {pivot[i]:.6e} at index {j} is at or below "
-            f"floor {floor[i]:.6e}",
+            {
+                i: _pivot_failure(pivots[i, j], j, floors[i, j])
+                for i, j in enumerate(first)
+                if bad[i, j]
+            },
         )
-        lower[:, j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[:, j + 1 :, j] = (
-                s[:, j + 1 :, j] - np.matvec(lower[:, j + 1 :, :j], lower[:, j, :j])
-            ) / lower[:, j, j, None]
     return lower
 
 
@@ -219,6 +287,14 @@ def _upper_mask(n: int) -> np.ndarray:
     mask = ~np.tri(n, k=-1, dtype=bool)
     mask.setflags(write=False)
     return mask
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def lower_triangularize(pre_array: np.ndarray) -> np.ndarray:
@@ -247,6 +323,13 @@ def lower_triangularize(pre_array: np.ndarray) -> np.ndarray:
     if rows > cols:
         raise ValueError(f"pre-array must have rows <= cols, got shape {a.shape}")
     _require_finite(a, "pre-array contains non-finite entries")
+    return _triangularize(a)
+
+
+def _triangularize(a: np.ndarray) -> np.ndarray:
+    """``lower_triangularize`` of a finite float pre-array or stack of them,
+    rows <= cols, without the checks."""
+    rows = a.shape[-2]
     # mode="raw" skips the triu copy of mode="r": h.mT is the LAPACK output,
     # with R on and above the diagonal of its leading rows and reflectors
     # below. Masking it there, not in h, keeps the memory layout of R^T that
@@ -274,25 +357,42 @@ def triangular_solve(
     l = np.asarray(l, dtype=float)
     b = np.asarray(b, dtype=float)
     if l.ndim == 2:
+        n = l.shape[0]
+        if b.shape[0] != n:
+            raise ValueError(f"dimension mismatch: factor {l.shape}, rhs {b.shape}")
+        # the tiny systems of the filters' inner loop read their diagonal as
+        # Python floats, cheaper than a numpy call
+        if n == 1:
+            singular = abs(l[0, 0]) < _TINY
+        elif n == 2:
+            singular = abs(l[0, 0]) < _TINY or abs(l[1, 1]) < _TINY
+        else:
+            singular = np.any(np.abs(np.diagonal(l)) < _TINY)
+        if singular:
+            raise SingularFactor(_SINGULAR)
         return _solve(l, b, transposed)
     if l.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != l.shape[:2]:
         raise ValueError(f"dimension mismatch: factors {l.shape}, rhs {b.shape}")
+    magnitude = np.abs(l.diagonal(0, 1, 2))
+    if magnitude.min(initial=math.inf) < _TINY:
+        _raise_where(SingularFactor, (magnitude < _TINY).any(axis=1), lambda i: _SINGULAR)
     return _solve_stack(l, b, transposed)
+
+
+def _solve_unchecked(l: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """``triangular_solve`` of float arrays of matching shapes, without the
+    singular-diagonal check, for a factor whose diagonal the caller knows to
+    be normal."""
+    return _solve(l, b, transposed) if l.ndim == 2 else _solve_stack(l, b, transposed)
 
 
 def _solve(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
     n = l.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"dimension mismatch: factor {l.shape}, rhs {b.shape}")
     vector = b.ndim == 1
     # closed forms for the tiny systems the filters solve in their inner loop
     if n == 1:
-        if abs(l[0, 0]) < _TINY:
-            raise SingularFactor("factor has a zero or subnormal diagonal entry")
         return b / l[0, 0]
     if n == 2:
-        if abs(l[0, 0]) < _TINY or abs(l[1, 1]) < _TINY:
-            raise SingularFactor("factor has a zero or subnormal diagonal entry")
         x = np.empty_like(b)
         if not transposed:
             x[0] = b[0] / l[0, 0]
@@ -301,8 +401,6 @@ def _solve(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
             x[1] = b[1] / l[1, 1]
             x[0] = (b[0] - l[1, 0] * x[1]) / l[0, 0]
         return x
-    if np.any(np.abs(np.diagonal(l)) < _TINY):
-        raise SingularFactor("factor has a zero or subnormal diagonal entry")
     x = b[:, None].copy() if vector else b.copy()
     rows = list(x)
     diag = l.diagonal().tolist()
@@ -325,11 +423,6 @@ def _solve_stack(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
     """The loop of ``_solve`` over every factor of a stack at once."""
     n = l.shape[-1]
     vector = b.ndim == 2
-    _raise_where(
-        SingularFactor,
-        (np.abs(l.diagonal(0, 1, 2)) < _TINY).any(axis=1),
-        lambda i: "factor has a zero or subnormal diagonal entry",
-    )
     x = b[..., None].copy() if vector else b.copy()
     if not transposed:
         for i in range(n):
@@ -344,10 +437,20 @@ def _solve_stack(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
     return x[..., 0] if vector else x
 
 
+def _eye_like(l: np.ndarray) -> np.ndarray:
+    """The identity right-hand side that inverts l, or each factor of a stack."""
+    eye = _identity(l.shape[-1])
+    return eye if l.ndim == 2 else np.broadcast_to(eye, l.shape)
+
+
 def triangular_inverse(l: np.ndarray) -> np.ndarray:
     """Invert a lower-triangular factor, or each factor of a stack; the
     result is lower triangular."""
     l = np.asarray(l, dtype=float)
-    eye = np.eye(l.shape[-1])
-    return triangular_solve(l, eye if l.ndim == 2 else eye[None].repeat(len(l), axis=0))
+    return triangular_solve(l, _eye_like(l))
 
+
+def _inverse_unchecked(l: np.ndarray) -> np.ndarray:
+    """``triangular_inverse`` of a float factor or stack without the
+    singular-diagonal check, as ``_solve_unchecked``."""
+    return _solve_unchecked(l, _eye_like(l))

@@ -256,11 +256,14 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, mes
 )
 def test_unusable_model_values_exit_2_with_one_line(tmp_path, capsys, command, key, message):
     # each of these once escaped as a traceback from building the model
-    code = main([command, "--out", str(tmp_path / "x"), "--runs", "1", "--set", key])
+    out = tmp_path / "od" / "x"
+    code = main([command, "--out", str(out), "--runs", "1", "--set", key])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    # the model is built before the output directory is made
+    assert not (tmp_path / "od").exists()
 
 
 def test_example1_single_algorithm(tmp_path):

@@ -56,6 +56,27 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gaussian_kernel(KernelSpec(1.0), np.inf)
 
+    # few distances are checked by a Python loop, many by numpy reductions
+    @pytest.mark.parametrize("size", [4, 32, 33, 1000])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -0.5e-300, np.inf, -np.inf])
+    def test_rejects_a_bad_distance_in_a_batch_of_any_size(self, size, bad):
+        spec = KernelSpec(2.0)
+        distances = RNG.uniform(0.0, 5.0, size)
+        for position in (0, size // 2, size - 1):
+            d = distances.copy()
+            d[position] = bad
+            with pytest.raises(ValueError, match="distance must be finite and nonnegative"):
+                gaussian_kernel(spec, d)
+
+    @pytest.mark.parametrize("size", [4, 32, 33, 1000])
+    def test_a_batch_of_any_size_gives_each_distance_its_value(self, size):
+        spec = KernelSpec(2.0)
+        distances = RNG.uniform(0.0, 5.0, size)
+        distances[0] = 0.0
+        values = gaussian_kernel(spec, distances)
+        assert values[0] == 1.0
+        assert np.array_equal(values, [gaussian_kernel(spec, d) for d in distances])
+
 
 class TestWeightedNorm:
     def test_zero_residual(self):

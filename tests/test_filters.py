@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mcckf import filters as filters_module
 from mcckf.bench import build_example1, build_example2
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
@@ -524,6 +525,39 @@ class TestRunBatch:
         for algorithm in ("conventional", "sr1a", "sr1b"):
             batch = assert_batch_matches_each_run(algorithm, models, init, ys, spec)
             assert all(status.completed for status in batch.statuses)
+
+    def test_runs_failing_one_cholesky_at_different_columns(self, monkeypatch):
+        # conventional's first Cholesky factors the predicted covariance
+        # F P F^T + G Q G^T: zeroing row k of F and G zeroes its pivot k
+        def model(zero_row):
+            keep = np.ones(4)
+            if zero_row is not None:
+                keep[zero_row] = 0.0
+            return StateSpaceModel(
+                F=np.diag(0.9 * keep), G=np.diag(keep), H=np.ones((2, 4)), Q=np.eye(4), R=np.eye(2)
+            )
+
+        models = [model(None), model(3), model(None), model(1)]
+        init = InitialCondition(np.zeros(4), np.eye(4))
+        ys = np.random.default_rng(5).standard_normal((4, 6, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = assert_batch_matches_each_run("conventional", models, init, ys, KernelSpec(2.0))
+        assert [s.completed for s in batch.statuses] == [True, False, True, False]
+        assert "NotPositiveDefinite: pivot 0.000000e+00 at index 3" in batch.statuses[1].reason
+        assert "NotPositiveDefinite: pivot 0.000000e+00 at index 1" in batch.statuses[3].reason
+        assert batch.statuses[1].failed_step == batch.statuses[3].failed_step == 1
+        # both runs leave the batch together: step 1 is computed twice, not three times
+        calls = []
+        update = mcckf_measurement_update
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].runs)
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(filters_module, "mcckf_measurement_update", counted)
+        run_batch("conventional", models, init, ys, KernelSpec(2.0))
+        assert calls == [4] + [2] * 6
 
     def test_rejects_a_run_model_with_r_not_positive_definite(self):
         base, init, shot = build_example1()

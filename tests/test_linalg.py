@@ -98,6 +98,50 @@ class TestCholeskyLower:
             l = cholesky_lower(np.diag([1.0, 1e200]))
         assert np.array_equal(l, np.diag([1.0, 1e100]))
 
+    def test_entries_whose_doubled_sum_overflows(self):
+        # a + a.T overflows above about 9e307, its halves do not
+        big = np.diag([1.0, 1.5e308])
+        coupled = np.array([[1e308, 1e308], [1e308, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l = cholesky_lower(big)
+            c = cholesky_lower(coupled)
+        assert np.array_equal(l, np.diag([1.0, np.sqrt(1.5e308)]))
+        assert np.array_equal(c[:, 0], [1e154, 1e154])
+        assert c[1, 1] == np.sqrt(1.5e308 - 1e308)
+
+
+class TestStackedCholeskyFailures:
+    def test_entries_whose_doubled_sum_overflows(self):
+        a = np.array([np.diag([1.0, 1.5e308]), np.diag([4.0, 9.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l = cholesky_lower(a)
+        assert np.array_equal(l, [np.diag([1.0, np.sqrt(1.5e308)]), np.diag([2.0, 3.0])])
+
+    def test_every_failing_matrix_is_named_with_its_first_failed_pivot(self):
+        a = np.array([random_spd(RNG, 4, 10.0) for _ in range(5)])
+        # a negative pivot at index 2: its root is NaN
+        a[1] = np.diag([1.0, 2.0, -1.0, 3.0])
+        # a zero pivot at index 1 with a nonzero entry below it: the column
+        # divides by a zero root
+        a[3] = [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        alone = {}
+        for i in (1, 3):
+            with pytest.raises(NotPositiveDefinite) as exc:
+                cholesky_lower(a[i])
+            alone[i] = str(exc.value)
+        assert "at index 2" in alone[1] and "at index 1" in alone[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite) as stacked:
+                cholesky_lower(a)
+        assert stacked.value.failed == alone
+        assert str(stacked.value) == f"matrix 1: {alone[1]}; matrix 3: {alone[3]}"
+        healthy = a[[0, 2, 4]]
+        for got, want in zip(cholesky_lower(healthy), healthy):
+            assert np.array_equal(got, cholesky_lower(want))
+
 
 class TestLowerTriangularize:
     def test_already_triangular_padded(self):
