@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import radar_scenario, run_conditioning_sweep, run_monte_carlo, write_csv
+from .bench import (
+    build_example2,
+    radar_scenario,
+    run_conditioning_sweep,
+    run_monte_carlo,
+    write_csv,
+)
 from .config import ConfigError, ExperimentConfig
 from .filters import ALGORITHMS, WEIGHTED_FILTERS
 from .model import validate_model
@@ -181,12 +187,13 @@ def cmd_sweep(args) -> int:
     names = _algorithm_list(args)
     spec = cfg.kernel_spec()
     deltas = cfg.sweep_deltas()
-    # the sweep builds and checks each delta's model, so a bad delta leaves
-    # no output directory behind
-    report = run_conditioning_sweep(
-        names, deltas, cfg.runs(), cfg.seed(), spec, cfg.radar_constants()
-    )
+    constants = cfg.radar_constants()
+    # build each delta's model first, so a bad delta leaves no output
+    # directory behind, and an unusable --out fails before the sweep runs
+    for delta in deltas:
+        build_example2(delta, constants)
     out = _out_dir(args)
+    report = run_conditioning_sweep(names, deltas, cfg.runs(), cfg.seed(), spec, constants)
     write_csv(report, out / "sweep.csv")
     _write_meta(out, "sweep", cfg, cfg.seed())
     if args.verbose:

@@ -313,9 +313,7 @@ def mcckf_measurement_update(
     inv_factor = linalg._inverse_unchecked(p_factor)
     p_inv = inv_factor.mT @ inv_factor
     info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
-    # info is exactly symmetric on the line above, and symmetrizing it again
-    # would return the same bits; its finiteness is still checked
-    info_factor = linalg._cholesky_symmetric(info)
+    info_factor = linalg.cholesky_lower(info, check_symmetry=False)
     gain = _information_gain(t, info_factor, lam, linalg._solve_unchecked)
     i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
     p_new = linalg.symmetrize(

@@ -29,9 +29,6 @@ established what a check tests, they call a private entry point without it:
 
 * ``_triangularize`` for the four pre-arrays, which the step checked for
   finiteness on the line before;
-* ``_cholesky_symmetric`` for the conventional filter's information matrix,
-  which ``symmetrize`` has just made exactly symmetric: symmetrizing it
-  again would return the same bits. Its finiteness is still checked;
 * ``_solve_unchecked`` and ``_inverse_unchecked`` against the conventional
   filter's two Cholesky factors: a pivot above its floor (which is at least
   0) is at least 4.9e-324, so its root on the diagonal is at least 2.2e-162
@@ -65,7 +62,6 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
-_NON_FINITE_MATRIX = "matrix contains non-finite entries"
 _SINGULAR = "factor has a zero or subnormal diagonal entry"
 
 # Relative tolerance for the symmetry precheck in cholesky_lower. Joseph-form
@@ -175,7 +171,7 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    _require_finite(a, _NON_FINITE_MATRIX)
+    _require_finite(a, "matrix contains non-finite entries")
     if check_symmetry:
         scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
         asymmetry = np.abs(a - a.mT).max(axis=(-2, -1), initial=0.0)
@@ -185,20 +181,13 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
             lambda i: f"asymmetry {asymmetry[i]:.3e} exceeds "
             f"{SYMMETRY_RTOL:g} * {scale[i]:.3e}",
         )
-    return _factor(a, symmetric=False)
+    s, floors = _symmetric_part(a)
+    return _cholesky(s, floors) if s.ndim == 2 else _cholesky_stack(s, floors)
 
 
-def _cholesky_symmetric(s: np.ndarray) -> np.ndarray:
-    """``cholesky_lower(s, check_symmetry=False)`` of an exactly symmetric
-    matrix or stack, without the symmetrization: ``(s + s.T) / 2`` of such
-    an s is s bit for bit. The finiteness check stays."""
-    _require_finite(s, _NON_FINITE_MATRIX)
-    return _factor(s, symmetric=True)
-
-
-def _symmetric_part(a: np.ndarray, symmetric: bool):
-    """The symmetric part of a finite a (a itself if ``symmetric``), and its
-    pivot floors: ``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row.
+def _symmetric_part(a: np.ndarray):
+    """The symmetric part of a finite a, and its pivot floors:
+    ``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row.
 
     The norm is ``np.linalg.norm``'s formula; a row whose sum of squares
     overflows is scaled by its largest entry first. An entry whose
@@ -208,7 +197,7 @@ def _symmetric_part(a: np.ndarray, symmetric: bool):
     infinite row norm, so the one ``isinf`` check covers both cases.
     """
     with np.errstate(over="ignore"):
-        s = a if symmetric else (a + a.mT) / 2.0
+        s = (a + a.mT) / 2.0
         norms = np.sqrt(np.add.reduce(s * s, axis=-1))
     floors = PIVOT_FLOOR_FACTOR * _EPS * norms
     big = np.isinf(norms)
@@ -219,11 +208,6 @@ def _symmetric_part(a: np.ndarray, symmetric: bool):
         unit_norms = np.linalg.norm(rows / scale[:, None], axis=-1)
         floors[big] = PIVOT_FLOOR_FACTOR * _EPS * scale * unit_norms
     return s, floors
-
-
-def _factor(a: np.ndarray, symmetric: bool) -> np.ndarray:
-    s, floors = _symmetric_part(a, symmetric)
-    return _cholesky(s, floors) if s.ndim == 2 else _cholesky_stack(s, floors)
 
 
 def _pivot_failure(pivot: float, j: int, floor: float) -> str:
@@ -373,9 +357,11 @@ def triangular_solve(
         return _solve(l, b, transposed)
     if l.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != l.shape[:2]:
         raise ValueError(f"dimension mismatch: factors {l.shape}, rhs {b.shape}")
-    magnitude = np.abs(l.diagonal(0, 1, 2))
-    if magnitude.min(initial=math.inf) < _TINY:
-        _raise_where(SingularFactor, (magnitude < _TINY).any(axis=1), lambda i: _SINGULAR)
+    # a NaN diagonal entry compares False here, as in the 2-D check, and
+    # does not hide a zero entry elsewhere in the stack
+    tiny = np.abs(l.diagonal(0, 1, 2)) < _TINY
+    if tiny.any():
+        _raise_where(SingularFactor, tiny.any(axis=1), lambda i: _SINGULAR)
     return _solve_stack(l, b, transposed)
 
 

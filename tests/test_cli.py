@@ -266,6 +266,18 @@ def test_unusable_model_values_exit_2_with_one_line(tmp_path, capsys, command, k
     assert not (tmp_path / "od").exists()
 
 
+def test_sweep_unusable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was made")
+
+    monkeypatch.setattr("mcckf.cli.run_conditioning_sweep", sweep)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["sweep", "--out", str(out), "--runs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_example1_single_algorithm(tmp_path):
     out = tmp_path / "ex1"
     code = main(["example1", "--algorithms", "sr1b", "--out", str(out), *FAST])

@@ -56,7 +56,7 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gaussian_kernel(KernelSpec(1.0), np.inf)
 
-    # few distances are checked by a Python loop, many by numpy reductions
+    # a bad distance is found at the start, middle and end of small and large batches
     @pytest.mark.parametrize("size", [4, 32, 33, 1000])
     @pytest.mark.parametrize("bad", [np.nan, -1.0, -0.5e-300, np.inf, -np.inf])
     def test_rejects_a_bad_distance_in_a_batch_of_any_size(self, size, bad):

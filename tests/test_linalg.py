@@ -143,6 +143,22 @@ class TestStackedCholeskyFailures:
             assert np.array_equal(got, cholesky_lower(want))
 
 
+class TestStackedSolveChecks:
+    def test_nan_diagonal_does_not_hide_a_zero_one(self):
+        l = stack_of_factors(RNG, 3, 3)
+        l[0, 0, 0] = np.nan
+        l[2, 1, 1] = 0.0
+        b = RNG.standard_normal((3, 3))
+        with pytest.raises(SingularFactor) as alone:
+            triangular_solve(np.diag([np.nan, 0.0, 1.0]), b[0])
+        with pytest.raises(SingularFactor) as stacked:
+            triangular_solve(l, b)
+        assert stacked.value.failed == {2: str(alone.value)}
+        with pytest.raises(SingularFactor) as inverse:
+            triangular_inverse(l)
+        assert inverse.value.failed == {2: str(alone.value)}
+
+
 class TestLowerTriangularize:
     def test_already_triangular_padded(self):
         l = np.array([[2.0, 0.0], [1.0, 3.0]])
