@@ -19,7 +19,7 @@ import numpy as np
 from .correntropy import KernelSpec
 from .filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_batch, run_filter
 from .model import InitialCondition, StateSpaceModel
-from .sim import SeedSpec, ShotNoiseSpec, simulate, write_rows
+from .sim import SeedSpec, ShotNoiseSpec, simulate_batch, write_rows
 
 __all__ = [
     "RadarConstants",
@@ -258,39 +258,29 @@ def _algorithm_names(algorithms, runs: int) -> list[str]:
     return names
 
 
-def _simulate_runs(scenario: Scenario, runs: int, master_seed: int) -> list:
-    """The trajectories of run indices 0..runs-1 of a scenario."""
-    return [
-        simulate(
-            scenario.model,
-            scenario.init,
-            scenario.horizon,
-            SeedSpec(master_seed, run_index),
-            scenario.shot,
-        )
-        for run_index in range(runs)
-    ]
-
-
 def _evaluate(algorithms, scenarios, runs: int, master_seed: int, spec) -> list[dict]:
     """One dict of ``RmseReport`` per scenario, each over run indices
-    0..runs-1 of ``master_seed``. Each filter advances the runs of all
-    scenarios as one batch, with one model per run and the initial condition
-    the scenarios share; every run gets the numbers it gets alone, bit for bit.
+    0..runs-1 of ``master_seed``. One ``simulate_batch`` call draws the
+    trajectories of every run of every scenario, and each filter advances
+    them as one batch, with one model per run. The scenarios must share the
+    initial condition, the horizon and the shot spec. Every run gets the
+    numbers it gets alone, bit for bit.
     """
     algorithms = list(algorithms)
     names = _algorithm_names(algorithms, runs)
-    trajectories = [_simulate_runs(sc, runs, master_seed) for sc in scenarios]
+    first = scenarios[0]
+    if any(sc.horizon != first.horizon or sc.shot != first.shot for sc in scenarios):
+        raise ValueError("the scenarios of one evaluation must share the horizon and shot spec")
     models = [sc.model for sc in scenarios for _ in range(runs)]
+    seeds = [SeedSpec(master_seed, run_index) for _ in scenarios for run_index in range(runs)]
+    trajectories = simulate_batch(models, first.init, first.horizon, seeds, first.shot)
     per_scenario = [{} for _ in scenarios]
     for algorithm, name in zip(algorithms, names):
-        estimates, statuses = _estimates_for(
-            algorithm, models, scenarios[0].init, [t for ts in trajectories for t in ts], spec
-        )
-        for i, scenario_trajectories in enumerate(trajectories):
+        estimates, statuses = _estimates_for(algorithm, models, first.init, trajectories, spec)
+        for i, report in enumerate(per_scenario):
             rows = slice(i * runs, (i + 1) * runs)
-            per_scenario[i][name] = _rmse_report(
-                name, scenario_trajectories, estimates[rows], statuses[rows]
+            report[name] = _rmse_report(
+                name, trajectories[rows], estimates[rows], statuses[rows]
             )
     return per_scenario
 

@@ -37,6 +37,16 @@ established what a check tests, they call a private entry point without it:
 A stacked Cholesky compares all pivots with their floors once, after its
 loop; ``NotPositiveDefinite.failed`` then names every failing matrix of the
 stack, each with the message of its own first failed pivot.
+
+QR. ``_triangularize`` makes one LAPACK Householder QR (``dgeqrf``) per
+pre-array or stack, through numpy's ``qr_r_raw`` gufunc, on the buffer that
+``np.linalg.qr(a.mT, mode="raw")`` makes: a float64 copy of the transposed
+pre-array. It skips that wrapper's dtype dispatch and ``errstate``, which
+cost about as much per call as the factorization itself on these small
+pre-arrays. Neither is needed. Every pre-array is a finite float64 array,
+so the wrapper's ``LinAlgError`` path (LAPACK rejecting an argument)
+cannot fire, and the gufunc clears the floating-point flags that LAPACK
+raises, so no warning can escape either.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "LinalgError",
@@ -314,12 +325,13 @@ def _triangularize(a: np.ndarray) -> np.ndarray:
     """``lower_triangularize`` of a finite float pre-array or stack of them,
     rows <= cols, without the checks."""
     rows = a.shape[-2]
-    # mode="raw" skips the triu copy of mode="r": h.mT is the LAPACK output,
-    # with R on and above the diagonal of its leading rows and reflectors
-    # below. Masking it there, not in h, keeps the memory layout of R^T that
-    # the products downstream were computed with.
-    h, _ = np.linalg.qr(a.mT, mode="raw")
-    x = np.where(_upper_mask(rows), h.mT[..., :rows, :], 0.0).mT
+    # the buffer and call of np.linalg.qr(a.mT, mode="raw") (see the module
+    # docstring): LAPACK overwrites h with R on and above the diagonal of its
+    # leading rows and reflectors below. Masking h there keeps the memory
+    # layout of R^T that the products downstream were computed with.
+    h = a.mT.astype(np.float64, copy=True)
+    _umath_linalg.qr_r_raw(h, signature="d->d")
+    x = np.where(_upper_mask(rows), h[..., :rows, :], 0.0).mT
     signs = np.where(x.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
     return x * signs[..., None, :]
 

@@ -3,7 +3,9 @@
 Noise, outlier placement and outlier magnitudes come from three independent
 child streams spawned from one seed, so the impulse schedule depends only on
 the seed and the shot-noise parameters, never on model values, and disabling
-shot noise leaves the Gaussian draws untouched.
+shot noise leaves the Gaussian draws untouched. ``simulate_batch`` simulates
+many runs at once, each from its own seed, and ``simulate`` is its one-run
+case.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "draw_gaussian",
     "psd_factor",
     "simulate",
+    "simulate_batch",
     "write_rows",
     "write_trajectory_csv",
 ]
@@ -89,12 +92,13 @@ class ShotNoiseSpec:
 
 @dataclass
 class Trajectory:
-    """Simulated truth, measurements and the injected-outlier log."""
+    """Simulated truth, measurements and the injected-outlier log; the log
+    is None for the runs of ``simulate_batch``, which does not build it."""
 
     initial_state: np.ndarray
     truth: np.ndarray
     measurements: np.ndarray
-    outlier_log: list = field(default_factory=list)
+    outlier_log: list | None = field(default_factory=list)
 
     @property
     def horizon(self) -> int:
@@ -132,16 +136,102 @@ def psd_factor(a: np.ndarray) -> np.ndarray:
 
 
 def _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, channels):
-    """(step -> magnitudes) map for one noise group, fully seed-determined."""
+    """The corrupted steps of one noise group, ascending, and their
+    magnitudes (one row per step), fully seed-determined."""
     window = shot.window_steps(horizon)
     count = shot.corrupted_count(horizon)
     if count == 0 or channels == 0:
-        return {}
+        return np.empty(0, dtype=int), np.empty((0, channels), dtype=int)
     steps = np.sort(schedule_rng.choice(window, size=count, replace=False))
     magnitudes = magnitude_rng.integers(
         shot.magnitude_low, shot.magnitude_high + 1, size=(len(steps), channels)
     )
-    return {int(step): magnitudes[i] for i, step in enumerate(steps)}
+    return steps, magnitudes
+
+
+def _simulate(models, init, horizon, seeds, shot):
+    """The trajectories of ``simulate_batch`` and each run's
+    ``((process steps, magnitudes), (measurement steps, magnitudes))``."""
+    models, seeds = list(models), list(seeds)
+    if len(models) != len(seeds):
+        raise ValueError(f"got {len(models)} models for {len(seeds)} seeds")
+    if not models:
+        raise ValueError("at least one run is required")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    dims = {(m.state_dim, m.noise_dim, m.obs_dim) for m in models}
+    if len(dims) > 1:
+        raise ValueError(f"the models of one batch must share their dimensions, got {sorted(dims)}")
+    ((n, q_dim, m_dim),) = dims
+    runs = len(models)
+    no_shots = (np.empty(0, dtype=int), np.empty((0, 0), dtype=int))
+
+    init_factor = psd_factor(init.covariance)
+    noise_factors = {}
+    initial_state = np.empty((runs, n))
+    g_w = np.empty((runs, horizon, n))
+    v = np.empty((runs, horizon, m_dim))
+    impulses = []
+    for i, (model, seed) in enumerate(zip(models, seeds)):
+        if id(model) not in noise_factors:
+            noise_factors[id(model)] = psd_factor(model.Q), psd_factor(model.R)
+        q_factor, r_factor = noise_factors[id(model)]
+        # each run draws from its own streams: its initial state, then all of
+        # its noise in one draw, which yields the numbers per-step draws would
+        # (w_1, v_1, w_2, v_2, ...), and the per-step products as stacked ones
+        # of the same shapes
+        noise_rng, schedule_rng, magnitude_rng = seed.streams()
+        initial_state[i] = draw_gaussian(noise_rng, init.mean, init_factor)
+        z = noise_rng.standard_normal((horizon, q_dim + m_dim))
+        w = np.zeros(q_dim) + np.matvec(q_factor, z[:, :q_dim])
+        v[i] = np.zeros(m_dim) + np.matvec(r_factor, z[:, q_dim:])
+        process = measurement = no_shots
+        if shot is not None:
+            if shot.targets in ("process", "both"):
+                process = _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, q_dim)
+                w[process[0] - 1] += process[1]
+            if shot.targets in ("measurement", "both"):
+                measurement = _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, m_dim)
+                v[i, measurement[0] - 1] += measurement[1]
+        impulses.append((process, measurement))
+        g_w[i] = np.matvec(model.G, w)
+
+    f = np.stack([model.F for model in models])
+    truth = np.empty((runs, horizon, n))
+    x = initial_state
+    for k in range(horizon):
+        x = np.matvec(f, x) + g_w[:, k]
+        truth[:, k] = x
+    # the measurements overwrite v: H x_k + v_k
+    for i, model in enumerate(models):
+        v[i] += np.matvec(model.H, truth[i])
+    trajectories = [
+        Trajectory(initial_state[i], truth[i], v[i], outlier_log=None) for i in range(runs)
+    ]
+    return trajectories, impulses
+
+
+def simulate_batch(
+    models,
+    init: InitialCondition,
+    horizon: int,
+    seeds,
+    shot: ShotNoiseSpec | None = None,
+) -> list[Trajectory]:
+    """Simulate run i with ``models[i]`` and ``seeds[i]``, every run at once.
+
+    Each run draws from the streams of its own ``SeedSpec``, so its
+    trajectory is bit for bit the one ``simulate`` gives it alone. Q, R and
+    the initial covariance are factored once per distinct model (runs share
+    a model by passing the same object), and the truth recursion advances
+    every run per ``np.matvec``. The outlier log is not built: each
+    trajectory's ``outlier_log`` is None.
+
+    Raises ``ValueError`` when the counts of models and seeds differ, when
+    there are no runs, when the models' dimensions differ, or when
+    ``horizon < 1``.
+    """
+    return _simulate(models, init, horizon, seeds, shot)[0]
 
 
 def simulate(
@@ -155,56 +245,19 @@ def simulate(
 
     Truth follows x_k = F x_{k-1} + G w_{k-1} with w ~ N(0, Q), measurements
     y_k = H x_k + v_k with v ~ N(0, R); when ``shot`` is given, the targeted
-    noise groups receive additive integer impulses on the scheduled steps.
-    Identical ``SeedSpec`` inputs reproduce the trajectory bit for bit.
+    noise groups receive additive integer impulses on the scheduled steps,
+    which ``outlier_log`` lists as (step, channel, magnitude). Identical
+    ``SeedSpec`` inputs reproduce the trajectory bit for bit. This is the
+    one-run case of ``simulate_batch``.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    noise_rng, schedule_rng, magnitude_rng = seed.streams()
-
-    n, q_dim, m_dim = model.state_dim, model.noise_dim, model.obs_dim
-
-    process_impulses: dict = {}
-    measurement_impulses: dict = {}
-    if shot is not None:
-        if shot.targets in ("process", "both"):
-            process_impulses = _impulse_schedule(
-                shot, horizon, schedule_rng, magnitude_rng, q_dim
-            )
-        if shot.targets in ("measurement", "both"):
-            measurement_impulses = _impulse_schedule(
-                shot, horizon, schedule_rng, magnitude_rng, m_dim
-            )
-
-    init_factor = psd_factor(init.covariance)
-    x = draw_gaussian(noise_rng, init.mean, init_factor)
-    initial_state = x.copy()
-
-    # all noise in one draw, which yields the numbers per-step draws would
-    # (w_1, v_1, w_2, v_2, ...), and the per-step products as stacked ones of
-    # the same shapes
-    z = noise_rng.standard_normal((horizon, q_dim + m_dim))
-    w = np.zeros(q_dim) + np.matvec(psd_factor(model.Q), z[:, :q_dim])
-    v = np.zeros(m_dim) + np.matvec(psd_factor(model.R), z[:, q_dim:])
-    for k, mags in process_impulses.items():
-        w[k - 1] = w[k - 1] + mags
-    for k, mags in measurement_impulses.items():
-        v[k - 1] = v[k - 1] + mags
-    g_w = np.matvec(model.G, w)
-    truth = np.zeros((horizon, n))
-    for k in range(horizon):
-        x = model.F @ x + g_w[k]
-        truth[k] = x
-    measurements = np.matvec(model.H, truth) + v
-
-    outlier_log = [
-        (k, f"{group}{j + 1}", int(mag))
-        for group, impulses in (("w", process_impulses), ("v", measurement_impulses))
-        for k, mags in impulses.items()
-        for j, mag in enumerate(mags)
-    ]
-    outlier_log.sort(key=lambda item: (item[0], item[1]))
-    return Trajectory(initial_state, truth, measurements, outlier_log)
+    (trajectory,), ((process, measurement),) = _simulate([model], init, horizon, [seed], shot)
+    trajectory.outlier_log = sorted(
+        (int(k), f"{group}{j + 1}", int(mag))
+        for group, (steps, magnitudes) in (("w", process), ("v", measurement))
+        for k, row in zip(steps, magnitudes)
+        for j, mag in enumerate(row)
+    )
+    return trajectory
 
 
 def write_rows(path, header, rows) -> None:

@@ -97,15 +97,18 @@ def simulate_per_step(model, init, horizon: int, seed, shot=None):
     measurements)."""
     noise_rng, schedule_rng, magnitude_rng = seed.streams()
     process, measurement = {}, {}
+
+    def schedule(channels):
+        steps, magnitudes = _impulse_schedule(
+            shot, horizon, schedule_rng, magnitude_rng, channels
+        )
+        return dict(zip(steps.tolist(), magnitudes))
+
     if shot is not None:
         if shot.targets in ("process", "both"):
-            process = _impulse_schedule(
-                shot, horizon, schedule_rng, magnitude_rng, model.noise_dim
-            )
+            process = schedule(model.noise_dim)
         if shot.targets in ("measurement", "both"):
-            measurement = _impulse_schedule(
-                shot, horizon, schedule_rng, magnitude_rng, model.obs_dim
-            )
+            measurement = schedule(model.obs_dim)
     x = draw_gaussian(noise_rng, init.mean, psd_factor(init.covariance))
     initial_state = x.copy()
     truth = np.zeros((horizon, model.state_dim))

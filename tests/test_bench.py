@@ -11,6 +11,7 @@ from mcckf.bench import (
     RmseReport,
     Scenario,
     SweepReport,
+    _evaluate,
     build_example1,
     build_example2,
     ill_conditioned_scenario,
@@ -293,6 +294,21 @@ class TestConditioningSweep:
             run_conditioning_sweep(["sr1b"], [], 1, 1, KernelSpec(1.0))
         with pytest.raises(ValueError):
             run_conditioning_sweep(["sr1b"], [1e-3, 1e-2], 1, 1, KernelSpec(1.0))
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        ill_conditioned_scenario(1e-2, RadarConstants(horizon=50)),
+        Scenario("shot", *build_example2(1e-2), 60, ShotNoiseSpec()),
+    ],
+    ids=["horizon", "shot"],
+)
+def test_evaluation_scenarios_share_horizon_and_shot(other):
+    # one simulate_batch call draws every scenario's runs
+    with pytest.raises(ValueError, match="must share the horizon and shot spec"):
+        first = ill_conditioned_scenario(1e-1, RadarConstants(horizon=60))
+        _evaluate(["sr1b"], [first, other], 1, 1, KernelSpec(1.0))
 
 
 class TestWriteCsv:

@@ -202,17 +202,31 @@ class TestLowerTriangularize:
     def test_is_the_signed_qr_factor_in_value_and_layout(self):
         # X is R^T of the QR of the transposed pre-array, as the transposed
         # view: products downstream depend on the layout too, since numpy may
-        # take another BLAS path for a C-ordered operand
-        for shape in ((6, 8), (2, 4), (1, 3), (4, 6, 8), (12, 2, 4)):
-            pre = RNG.standard_normal(shape)
-            pre[..., 0, :] = 0.0  # signed zeros on the first row
-            r = np.linalg.qr(pre.mT, mode="r")
-            signs = np.where(r.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
-            expected = r.mT * signs[..., None, :]
-            x = lower_triangularize(pre)
-            assert np.array_equal(x, expected)
-            assert np.array_equal(np.signbit(x), np.signbit(expected))
-            assert x.strides == expected.strides
+        # take another BLAS path for a C-ordered operand. The kernel calls
+        # LAPACK without np.linalg.qr's errstate, so extreme scales must not
+        # warn either.
+        rank_deficient = RNG.standard_normal((3, 6, 8))
+        rank_deficient[1, 3] = rank_deficient[1, 1]
+        pre_arrays = [
+            RNG.standard_normal(shape)
+            for shape in (
+                (6, 8), (2, 4), (1, 3), (4, 6, 8), (12, 2, 4),
+                (24, 28), (24, 32), (8, 32), (14, 6, 8),
+            )
+        ] + [rank_deficient]
+        for base in pre_arrays:
+            for scale in (1.0, 1e300, 1e-300, 1e-310):
+                pre = base * scale
+                pre[..., 0, :] = 0.0  # signed zeros on the first row
+                r = np.linalg.qr(pre.mT, mode="r")
+                signs = np.where(r.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
+                expected = r.mT * signs[..., None, :]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x = lower_triangularize(pre)
+                assert np.array_equal(x, expected), (base.shape, scale)
+                assert np.array_equal(np.signbit(x), np.signbit(expected))
+                assert x.strides == expected.strides
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):

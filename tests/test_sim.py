@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcckf.bench import build_example1
+from mcckf.bench import build_example1, build_example2
 from mcckf.model import InitialCondition, StateSpaceModel
 from mcckf.sim import (
     SeedSpec,
@@ -11,6 +11,7 @@ from mcckf.sim import (
     draw_gaussian,
     psd_factor,
     simulate,
+    simulate_batch,
     write_trajectory_csv,
 )
 from mcckf.filters import run_filter
@@ -38,6 +39,67 @@ def test_one_noise_draw_matches_per_step_draws(targets):
         assert np.array_equal(a.initial_state, initial_state)
         assert np.array_equal(a.truth, truth)
         assert np.array_equal(a.measurements, measurements)
+
+
+def assert_per_step_draws(trajectory, model, init, horizon, seed, shot):
+    """The trajectory equals the per-step oracle's in value and sign bit."""
+    expected = simulate_per_step(model, init, horizon, seed, shot)
+    got = (trajectory.initial_state, trajectory.truth, trajectory.measurements)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("targets", ["both", "process", "measurement", None])
+    def test_radar_runs_match_the_per_step_oracle(self, targets):
+        model, init, _ = build_example1()
+        shot = None if targets is None else ShotNoiseSpec(targets=targets)
+        seeds = [SeedSpec(13, i) for i in range(3)]
+        batch = simulate_batch([model] * 3, init, 300, seeds, shot)
+        assert len(batch) == 3
+        for trajectory, seed in zip(batch, seeds):
+            assert trajectory.outlier_log is None
+            assert_per_step_draws(trajectory, model, init, 300, seed, shot)
+
+    def test_one_sweep_model_per_run(self):
+        deltas = [10.0**-k for k in range(1, 15)]
+        pairs = [build_example2(delta) for delta in deltas]
+        init = pairs[0][1]
+        seeds = [SeedSpec(4, 0)] * len(pairs)
+        batch = simulate_batch([model for model, _ in pairs], init, 300, seeds)
+        for trajectory, (model, _), seed in zip(batch, pairs, seeds):
+            assert_per_step_draws(trajectory, model, init, 300, seed, None)
+
+    def test_one_run_is_simulate(self):
+        model, init, shot = build_example1()
+        (trajectory,) = simulate_batch([model], init, 80, [SeedSpec(6, 2)], shot)
+        assert_per_step_draws(trajectory, model, init, 80, SeedSpec(6, 2), shot)
+        alone = simulate(model, init, 80, SeedSpec(6, 2), shot)
+        assert np.array_equal(trajectory.truth, alone.truth)
+        assert np.array_equal(trajectory.measurements, alone.measurements)
+
+    def test_zero_process_noise_takes_the_eigh_factor(self):
+        model = StateSpaceModel(
+            F=[[0.9, 0.1], [0.0, 0.8]], G=[[1.0], [0.5]], H=[[1.0, -1.0]], Q=[[0.0]], R=[[0.5]]
+        )
+        init = InitialCondition(np.ones(2), np.eye(2))
+        shot = ShotNoiseSpec(window_start=2, window_end=40)
+        seeds = [SeedSpec(8, i) for i in range(2)]
+        for trajectory, seed in zip(simulate_batch([model] * 2, init, 40, seeds, shot), seeds):
+            assert_per_step_draws(trajectory, model, init, 40, seed, shot)
+
+    def test_rejects_bad_batches(self):
+        model, init, _ = build_example1()
+        wide = StateSpaceModel(F=np.eye(6), G=np.ones((6, 1)), H=np.eye(6), Q=[[1.0]], R=np.eye(6))
+        with pytest.raises(ValueError, match="got 2 models for 1 seeds"):
+            simulate_batch([model, model], init, 10, [SeedSpec(1, 0)])
+        with pytest.raises(ValueError, match="at least one run"):
+            simulate_batch([], init, 10, [])
+        with pytest.raises(ValueError, match="must share their dimensions"):
+            simulate_batch([model, wide], init, 10, [SeedSpec(1, 0), SeedSpec(1, 1)])
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            simulate_batch([model], init, 0, [SeedSpec(1, 0)])
 
 
 def test_different_run_indices_differ():
