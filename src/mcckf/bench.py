@@ -6,12 +6,18 @@ same dynamics whose nearly collinear measurement rows and delta-scaled noise
 drive the innovation covariance toward singularity as delta shrinks.
 Both experiments, the radar Monte Carlo and the sweep over delta, go through
 one evaluation (``_evaluate``): the sweep is ``run_monte_carlo`` with one
-scenario per delta.
+scenario per delta. An evaluation runs its filters in up to as many processes
+as the process may use CPUs (``_all_estimates``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,6 +221,135 @@ def _estimates_for(algorithm, models, init, trajectories, spec):
     return batch.estimates, batch.statuses
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_share(algorithm, args, inherited) -> tuple[int, object]:
+    """Fork a child that runs ``_estimates_for(algorithm, *args)`` and sends
+    its result, or the exception it raised, back pickled through a pipe:
+    (child pid, read end of the pipe). The child closes the ``inherited``
+    read ends of its siblings' pipes and leaves only through ``os._exit``.
+    Raises ``OSError`` and leaves no descriptor open if no child was made.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for pipe in inherited:
+                pipe.close()
+            try:
+                result = _estimates_for(algorithm, *args)
+            except Exception as exc:
+                result = exc
+            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            if isinstance(result, Exception):
+                pickle.loads(payload)  # an error the parent cannot rebuild is no result
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _wait(pid: int) -> int | None:
+    """Wait for a child to exit: its exit code, or None if it was reaped
+    already (while SIGCHLD is ignored, the kernel reaps children itself)."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:
+        return None
+
+
+def _kill(pid: int) -> None:
+    """Kill and reap a child, unless it is gone already (a gone child's pid
+    may belong to another process by now)."""
+    with contextlib.suppress(ChildProcessError):
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running
+            import signal  # only here: importing mcckf stays as cheap as before
+
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _all_estimates(algorithms, models, init, trajectories, spec) -> list:
+    """``_estimates_for`` of each algorithm, in ``algorithms`` order.
+
+    With P = min(usable CPUs, named algorithms), the first P-1 named
+    algorithms in ``ALGORITHMS`` order (the weighted filters costliest first)
+    each run in a forked child; this process runs the other algorithms,
+    callables included, and any share whose fork fails. A process without
+    ``os.fork`` or with other Python threads (a child could block forever on
+    a lock one of them held) forks nothing. Each run's numbers are those of
+    the serial loop, bit for bit, and an error is the one the serial loop
+    raises: the first in ``algorithms`` order. Every child is reaped before
+    this returns or raises.
+    """
+    args = (models, init, trajectories, spec)
+    named = sorted((a for a in algorithms if not callable(a)), key=ALGORITHMS.index)
+    processes = min(_usable_cpus(), len(named))
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    shares = named[: processes - 1] if forkable else []
+    results = {}  # position in algorithms -> (estimates, statuses) or the exception
+    children = {}  # position in algorithms -> (pid, read end of its pipe)
+    reaped = set()
+    sys.stdout.flush()  # a child must not inherit, and later print, buffered text
+    sys.stderr.flush()
+    try:
+        for algorithm in shares:
+            inherited = [pipe for _, pipe in children.values()]
+            try:
+                children[algorithms.index(algorithm)] = _fork_share(algorithm, args, inherited)
+            except OSError:  # no process to spare: this process runs the rest
+                break
+        for i, algorithm in enumerate(algorithms):
+            if i not in children:
+                try:
+                    results[i] = _estimates_for(algorithm, *args)
+                except Exception as exc:
+                    results[i] = exc  # the serial loop would stop here
+                    break
+        for i, (pid, pipe) in children.items():
+            with pipe:
+                payload = pipe.read()
+            code = _wait(pid)
+            reaped.add(pid)
+            try:
+                results[i] = pickle.loads(payload)
+            except Exception:  # the child died before it sent all of its result
+                exit_code = "" if code is None else f" (exit code {code})"
+                results[i] = RuntimeError(
+                    f"the process running {algorithms[i]!r} exited without a result{exit_code}"
+                )
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            if pid not in reaped:
+                _kill(pid)
+    estimates = []
+    for i in range(len(algorithms)):
+        if isinstance(results[i], Exception):
+            raise results[i]
+        estimates.append(results[i])
+    return estimates
+
+
 def _rmse_report(name: str, trajectories, estimates, statuses) -> RmseReport:
     """Accumulate the RMSE curves of one estimator over its completed runs."""
     horizon, n = trajectories[0].truth.shape
@@ -262,21 +397,28 @@ def _evaluate(algorithms, scenarios, runs: int, master_seed: int, spec) -> list[
     """One dict of ``RmseReport`` per scenario, each over run indices
     0..runs-1 of ``master_seed``. One ``simulate_batch`` call draws the
     trajectories of every run of every scenario, and each filter advances
-    them as one batch, with one model per run. The scenarios must share the
-    initial condition, the horizon and the shot spec. Every run gets the
-    numbers it gets alone, bit for bit.
+    them as one batch, with one model per run; the filters run in parallel
+    processes where the CPUs allow (``_all_estimates``). The scenarios must
+    share the initial condition, the horizon and the shot spec. Every run
+    gets the numbers it gets alone, bit for bit.
     """
     algorithms = list(algorithms)
     names = _algorithm_names(algorithms, runs)
     first = scenarios[0]
     if any(sc.horizon != first.horizon or sc.shot != first.shot for sc in scenarios):
         raise ValueError("the scenarios of one evaluation must share the horizon and shot spec")
+    if any(
+        not np.array_equal(sc.init.mean, first.init.mean)
+        or not np.array_equal(sc.init.covariance, first.init.covariance)
+        for sc in scenarios
+    ):
+        raise ValueError("the scenarios of one evaluation must share the initial condition")
     models = [sc.model for sc in scenarios for _ in range(runs)]
     seeds = [SeedSpec(master_seed, run_index) for _ in scenarios for run_index in range(runs)]
     trajectories = simulate_batch(models, first.init, first.horizon, seeds, first.shot)
     per_scenario = [{} for _ in scenarios]
-    for algorithm, name in zip(algorithms, names):
-        estimates, statuses = _estimates_for(algorithm, models, first.init, trajectories, spec)
+    results = _all_estimates(algorithms, models, first.init, trajectories, spec)
+    for name, (estimates, statuses) in zip(names, results):
         for i, report in enumerate(per_scenario):
             rows = slice(i * runs, (i + 1) * runs)
             report[name] = _rmse_report(

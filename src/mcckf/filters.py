@@ -104,6 +104,9 @@ class Diverged(Exception):
         self.step = step
         super().__init__("; ".join(self.reason_for(i) for i in reasons))
 
+    def __reduce__(self):  # rebuilt from its arguments, e.g. sent from another process
+        return type(self), (self.reasons, self.step)
+
     def reason_for(self, run: int) -> str:
         """The reason of the run at ``run``, prefixed with the step."""
         reason = self.reasons[run]

@@ -1,10 +1,20 @@
 """Scenario builders, Monte Carlo harness and CSV reports."""
 
+import errno
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mcckf import bench
 from mcckf.bench import (
     BLOWUP_FACTOR,
     RadarConstants,
@@ -20,8 +30,9 @@ from mcckf.bench import (
     run_monte_carlo,
     write_csv,
 )
+from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
-from mcckf.filters import run_filter
+from mcckf.filters import Diverged, run_filter
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
 from oracles import condition_estimate
@@ -297,18 +308,325 @@ class TestConditioningSweep:
 
 
 @pytest.mark.parametrize(
-    "other",
+    "other, message",
     [
-        ill_conditioned_scenario(1e-2, RadarConstants(horizon=50)),
-        Scenario("shot", *build_example2(1e-2), 60, ShotNoiseSpec()),
+        (ill_conditioned_scenario(1e-2, RadarConstants(horizon=50)), "horizon and shot spec"),
+        (Scenario("shot", *build_example2(1e-2), 60, ShotNoiseSpec()), "horizon and shot spec"),
+        (
+            Scenario(
+                "init",
+                build_example2(1e-2)[0],
+                InitialCondition(np.full(6, 1e6), np.eye(6)),
+                60,
+            ),
+            "initial condition",
+        ),
     ],
-    ids=["horizon", "shot"],
+    ids=["horizon", "shot", "init"],
 )
-def test_evaluation_scenarios_share_horizon_and_shot(other):
-    # one simulate_batch call draws every scenario's runs
-    with pytest.raises(ValueError, match="must share the horizon and shot spec"):
-        first = ill_conditioned_scenario(1e-1, RadarConstants(horizon=60))
+def test_evaluation_scenarios_share_horizon_and_shot(other, message):
+    # one simulate_batch call draws every scenario's runs from one initial condition
+    first = ill_conditioned_scenario(1e-1, RadarConstants(horizon=60))
+    with pytest.raises(ValueError, match=f"must share the {message}"):
         _evaluate(["sr1b"], [first, other], 1, 1, KernelSpec(1.0))
+    # the sweep builds a new initial condition per delta, equal in value
+    second = ill_conditioned_scenario(1e-2, RadarConstants(horizon=60))
+    assert second.init is not first.init
+    _evaluate(["sr1b"], [first, second], 1, 1, KernelSpec(1.0))
+
+
+def assert_same_reports(a: dict, b: dict) -> None:
+    """Equal reports, in value and sign bit, with equal statuses and reasons."""
+    assert list(a) == list(b)
+    for name in a:
+        x, y = a[name], b[name]
+        for u, v in (
+            (x.per_component, y.per_component),
+            (x.total, y.total),
+            (x.scalar_summary, y.scalar_summary),
+        ):
+            assert np.array_equal(u, v, equal_nan=True)
+            assert np.array_equal(np.signbit(u), np.signbit(v))
+        assert (x.completed_runs, x.diverged_runs) == (y.completed_runs, y.diverged_runs)
+        assert x.statuses == y.statuses
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+class TestParallelEvaluation:
+    """An evaluation runs the first P-1 named algorithms (costliest first) in
+    forked children, P = min(usable CPUs, named algorithms); one usable CPU
+    gives the serial loop."""
+
+    @staticmethod
+    def with_cpus(monkeypatch, cpus, function, *args):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        return function(*args)
+
+    @pytest.mark.parametrize(
+        "sigma, algorithms",
+        [
+            (3e4, ["conventional", "sr1a", "sr1b", "kf_reference"]),
+            (math.inf, ["kf_reference", "sr1b", "sr1a", "conventional"]),
+        ],
+    )
+    def test_monte_carlo_matches_serial(self, monkeypatch, forks, sigma, algorithms):
+        args = (algorithms, radar_scenario(), 4, 1, KernelSpec(sigma))
+        usable = bench._usable_cpus()
+        reports = run_monte_carlo(*args)
+        assert len(forks) == min(usable, 4) - 1
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        assert list(serial) == algorithms
+        assert_same_reports(reports, serial)
+        for cpus in (2, 3, 4, 8):
+            forks.clear()
+            assert_same_reports(self.with_cpus(monkeypatch, cpus, run_monte_carlo, *args), serial)
+            assert len(forks) == min(cpus, 4) - 1
+            assert_no_children()
+
+    def test_sweep_matches_serial(self, monkeypatch, forks):
+        cfg = ExperimentConfig.load(profile="sweep")
+        algorithms, deltas = ["conventional", "sr1a", "sr1b"], cfg.sweep_deltas()
+        args = (algorithms, deltas, 2, cfg.seed(), cfg.kernel_spec(), cfg.radar_constants())
+        serial = self.with_cpus(monkeypatch, 1, run_conditioning_sweep, *args)
+        assert forks == []
+        # the shipped grid covers the failure paths
+        assert serial.breakdown_delta == {"conventional": 1e-5, "sr1a": 1e-5, "sr1b": 1e-13}
+        failed = [e.delta for e in serial.entries if e.algorithm == "sr1b" and e.diverged_runs]
+        assert failed == [1e-13, 1e-14]
+        parallel = self.with_cpus(monkeypatch, 2, run_conditioning_sweep, *args)
+        assert len(forks) == 1
+        assert (parallel.baseline, parallel.breakdown_delta) == (
+            serial.baseline,
+            serial.breakdown_delta,
+        )
+        assert len(parallel.entries) == len(serial.entries)
+        for p, s in zip(parallel.entries, serial.entries):
+            assert (p.delta, p.algorithm, p.completed_runs, p.diverged_runs, p.blown_up) == (
+                s.delta,
+                s.algorithm,
+                s.completed_runs,
+                s.diverged_runs,
+                s.blown_up,
+            )
+            assert np.array_equal(p.scalar_rmse, s.scalar_rmse, equal_nan=True)
+            assert np.signbit(p.scalar_rmse) == np.signbit(s.scalar_rmse)
+        # the statuses the sweep summarizes, reasons included
+        scenarios = [ill_conditioned_scenario(d, cfg.radar_constants()) for d in deltas]
+        evaluation = (algorithms, scenarios, 2, cfg.seed(), cfg.kernel_spec())
+        serial = self.with_cpus(monkeypatch, 1, _evaluate, *evaluation)
+        parallel = self.with_cpus(monkeypatch, 2, _evaluate, *evaluation)
+        for p, s in zip(parallel, serial, strict=True):
+            assert_same_reports(p, s)
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            lambda algorithm: ValueError(f"{algorithm} cannot run"),
+            lambda algorithm: Diverged({1: f"{algorithm} cannot run"}, 3),
+        ],
+        ids=["ValueError", "Diverged"],
+    )
+    def test_error_surfaces_as_in_the_serial_loop(self, monkeypatch, forks, error):
+        estimates_for = bench._estimates_for
+
+        def failing(algorithm, *args):
+            if algorithm in ("conventional", "sr1b"):
+                raise error(algorithm)
+            return estimates_for(algorithm, *args)
+
+        monkeypatch.setattr(bench, "_estimates_for", failing)
+        scenario = radar_scenario(RadarConstants(horizon=20))
+        for algorithms in (["conventional", "sr1a", "sr1b"], ["sr1b", "sr1a", "conventional"]):
+            args = (algorithms, scenario, 2, 1, KernelSpec(3e4))
+            raised = []
+            for cpus in (1, 2, 3):
+                with pytest.raises(type(error("x"))) as info:
+                    self.with_cpus(monkeypatch, cpus, run_monte_carlo, *args)
+                raised.append((type(info.value), str(info.value), vars(info.value)))
+            # the first failing algorithm in the caller's order, as the serial loop raises it
+            assert raised[0][1] == str(error(algorithms[0]))
+            assert raised == [raised[0]] * 3
+        # conventional, then conventional and sr1a ran in children
+        assert len(forks) == 2 * (1 + 2)
+        assert_no_children()
+
+    def test_child_without_result(self, monkeypatch, forks):
+        parent, estimates_for = os.getpid(), bench._estimates_for
+
+        def exiting(algorithm, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return estimates_for(algorithm, *args)
+
+        monkeypatch.setattr(bench, "_estimates_for", exiting)
+        message = r"'conventional' exited without a result \(exit code 3\)"
+        with pytest.raises(RuntimeError, match=message):
+            self.with_cpus(
+                monkeypatch,
+                2,
+                run_monte_carlo,
+                ["sr1b", "conventional"],
+                radar_scenario(RadarConstants(horizon=20)),
+                2,
+                1,
+                KernelSpec(3e4),
+            )
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_children_reaped_when_interrupted(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def interrupted(algorithm, *args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "_estimates_for", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.with_cpus(
+                monkeypatch,
+                3,
+                run_monte_carlo,
+                ["conventional", "sr1a", "sr1b"],
+                tiny_scenario(),
+                1,
+                1,
+                KernelSpec(1.0),
+            )
+        assert len(forks) == 2
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert_no_children()
+
+    @pytest.fixture
+    def sigchld_ignored(self):
+        """SIGCHLD ignored, as in many daemons: the kernel reaps each child
+        itself, so waiting on it raises ChildProcessError."""
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        yield
+        signal.signal(signal.SIGCHLD, previous)
+
+    def test_sigchld_ignored(self, monkeypatch, forks, sigchld_ignored):
+        args = (["sr1b", "sr1a", "conventional"], radar_scenario(), 4, 1, KernelSpec(3e4))
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        assert_same_reports(self.with_cpus(monkeypatch, 3, run_monte_carlo, *args), serial)
+        assert len(forks) == 2
+        assert_no_children()
+        parent, estimates_for = os.getpid(), bench._estimates_for
+
+        def failing(algorithm, *args):
+            if os.getpid() != parent:
+                if algorithm == "sr1a":
+                    os._exit(3)
+                raise ValueError(f"{algorithm} cannot run")
+            return estimates_for(algorithm, *args)
+
+        monkeypatch.setattr(bench, "_estimates_for", failing)
+        # the child's error, then the child without a result, whose exit code is gone
+        no_result = "^the process running 'sr1a' exited without a result$"
+        for algorithms, error, message in (
+            (["conventional", "sr1b"], ValueError, "^conventional cannot run$"),
+            (["sr1a", "conventional", "sr1b"], RuntimeError, no_result),
+        ):
+            args = (algorithms, tiny_scenario(), 2, 1, KernelSpec(1.0))
+            with pytest.raises(error, match=message):
+                self.with_cpus(monkeypatch, 3, run_monte_carlo, *args)
+            assert_no_children()
+
+    @pytest.mark.parametrize("failing_fork", [1, 2], ids=["first", "second"])
+    def test_fork_failure_runs_the_share_here(self, monkeypatch, failing_fork):
+        fork, calls = os.fork, []
+
+        def fork_until_the_limit():
+            calls.append(None)
+            if len(calls) >= failing_fork:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        args = (["conventional", "sr1a", "sr1b"], radar_scenario(), 4, 1, KernelSpec(3e4))
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        descriptors = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        monkeypatch.setattr(os, "fork", fork_until_the_limit)
+        assert_same_reports(self.with_cpus(monkeypatch, 3, run_monte_carlo, *args), serial)
+        assert len(calls) == failing_fork  # no fork is tried after one failed
+        assert_no_children()
+        if descriptors is not None:  # the failed fork's pipe is closed
+            assert set(os.listdir("/proc/self/fd")) == descriptors
+
+    def test_other_threads_mean_serial(self, monkeypatch, forks):
+        args = (["conventional", "sr1a", "sr1b"], tiny_scenario(), 3, 1, KernelSpec(1.0))
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert_same_reports(self.with_cpus(monkeypatch, 3, run_monte_carlo, *args), serial)
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        assert_same_reports(self.with_cpus(monkeypatch, 3, run_monte_carlo, *args), serial)
+        assert len(forks) == 2
+
+    def test_callables_and_no_fork_stay_in_this_process(self, monkeypatch, forks):
+        pids = set()
+
+        def perfect(model, init, trajectory, spec):
+            pids.add(os.getpid())
+            return trajectory.truth.copy()
+
+        args = ([perfect, "sr1b", "conventional"], tiny_scenario(), 3, 1, KernelSpec(1.0))
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        assert_same_reports(self.with_cpus(monkeypatch, 4, run_monte_carlo, *args), serial)
+        assert len(forks) == 1
+        assert pids == {os.getpid()}
+        monkeypatch.delattr(os, "fork")
+        assert_same_reports(run_monte_carlo(*args), serial)
+        assert len(forks) == 1
+
+    def test_buffered_output_printed_once(self):
+        # text buffered before the fork must not be inherited and printed twice
+        code = textwrap.dedent(
+            """
+            from mcckf import bench
+            from mcckf.correntropy import KernelSpec
+
+            bench._usable_cpus = lambda: 3
+            scenario = bench.radar_scenario(bench.RadarConstants(horizon=20))
+            print("before", end="")
+            bench.run_monte_carlo(["conventional", "sr1b"], scenario, 2, 1, KernelSpec(3e4))
+            print("|after", end="")
+            """
+        )
+        src = str(Path(bench.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout is a block-buffered pipe
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "before|after"
 
 
 class TestWriteCsv:
