@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # run_batch and the rest come from their submodules (mcckf.filters,
 # mcckf.linalg, ...).
 from .bench import build_example1, radar_scenario, run_monte_carlo
-from .correntropy import DegenerateWeight, KernelSpec
+from .correntropy import KernelSpec
 from .filters import Diverged, run_filter
 from .linalg import (
     LinalgError,
@@ -33,7 +33,6 @@ __all__ = [
     "run_filter",
     "run_monte_carlo",
     "simulate",
-    "DegenerateWeight",
     "Diverged",
     "LinalgError",
     "NonFiniteInput",

@@ -1,10 +1,9 @@
 """Gaussian-kernel weighting that rescales the Kalman gain to reject outliers.
 
-The scalar adjusting weight is the ratio of kernel values of two weighted
-residual norms: the innovation in the R^{-1} metric over the prediction
-residual in the P^{-1} metric. With the standard one-iterate update the
-prediction residual is identically zero, so the denominator is exactly one
-and the weight lies in [0, 1].
+Every filter scales its gain by one scalar weight, ``compute_lambda``: the
+kernel of the innovation's norm in the R^{-1} metric. It lies in [0, 1],
+equals 1 iff the innovation is zero and is exactly 0 where the norm is
+beyond the kernel's support.
 
 The functions also take a batch of runs (a leading runs axis on every input)
 and then return one value per run, each equal bit for bit to the value of
@@ -14,6 +13,7 @@ that run alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,27 +22,31 @@ from . import linalg
 
 __all__ = [
     "KernelSpec",
-    "LambdaInputs",
-    "DegenerateWeight",
     "gaussian_kernel",
     "weighted_norm",
     "compute_lambda",
 ]
 
 
-class DegenerateWeight(Exception):
-    """The weight denominator underflowed to zero."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian kernel bandwidth. ``sigma = inf`` pins the weight to 1."""
+    """Gaussian kernel bandwidth. ``sigma = inf`` pins the weight to 1.
+
+    A finite bandwidth must keep the kernel's scale 2 sigma^2 a finite normal
+    double (sigma between about 1.05e-154 and 9.48e153): outside that range
+    the kernel of a zero or an infinite distance is 0/0 or inf/inf.
+    """
 
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"kernel bandwidth must be positive, got {self.sigma}")
+        sigma = float(self.sigma)  # a Python float overflows without a warning
+        finite = sigma > 0.0 and sys.float_info.min <= 2.0 * sigma * sigma < math.inf
+        if not (finite or sigma == math.inf):
+            raise ValueError(
+                "kernel bandwidth must be inf or positive with 2 sigma^2 a finite "
+                f"normal double, got {self.sigma}"
+            )
 
 
 def gaussian_kernel(spec: KernelSpec, distance):
@@ -50,12 +54,13 @@ def gaussian_kernel(spec: KernelSpec, distance):
 
     May underflow to exactly 0 for extreme distances, which is permitted:
     downstream it yields a zero gain, i.e. full rejection of the measurement.
-    A 1-D array of distances gives an array of kernel values.
+    An infinite distance gives the kernel's limit, 0. A 1-D array of
+    distances gives an array of kernel values.
     """
     d = np.asarray(distance, dtype=float)
     # a Python loop is the cheapest check for the few distances of a batch
-    if not all(0.0 <= v < math.inf for v in d.ravel().tolist()):
-        raise ValueError(f"distance must be finite and nonnegative, got {distance}")
+    if not all(0.0 <= v <= math.inf for v in d.ravel().tolist()):
+        raise ValueError(f"distance must be nonnegative, got {distance}")
     if math.isinf(spec.sigma):
         return 1.0 if d.ndim == 0 else np.ones(d.shape)
     # equals -(d * d) / (2 sigma^2) bit for bit: rounding is sign-symmetric
@@ -78,34 +83,26 @@ def weighted_norm(residual: np.ndarray, weight_factor: np.ndarray):
     return float(norm) if r.ndim == 1 else norm
 
 
-@dataclass
-class LambdaInputs:
-    """Residuals and the Cholesky factors of their weighting matrices."""
+def compute_lambda(spec: KernelSpec | None, innovation, r_factor, pin_weight=None):
+    """The filters' weight: the kernel of the innovation's R^{-1} norm.
 
-    innovation: np.ndarray
-    innovation_weight_factor: np.ndarray
-    prediction_residual: np.ndarray
-    prediction_weight_factor: np.ndarray
-
-
-def compute_lambda(spec: KernelSpec, inputs: LambdaInputs) -> float:
-    """Scalar adjusting weight: kernel(innovation norm) / kernel(prediction norm).
-
-    Raises ``DegenerateWeight`` if the denominator underflows to zero; this
-    cannot happen in the filters, where the prediction residual is zero and
-    the denominator is exactly one. Batched inputs give one weight per run.
+    ``r_factor`` is the lower Cholesky factor of R. ``pin_weight`` replaces
+    the weight by a fixed value, and then ``spec`` may be None. Innovations
+    (runs, m) with factors (runs, m, m) give one weight per run.
     """
-    num = gaussian_kernel(
-        spec, weighted_norm(inputs.innovation, inputs.innovation_weight_factor)
-    )
-    if not np.any(inputs.prediction_residual):
-        return num  # the denominator is the kernel of a zero norm: exactly one
-    den = gaussian_kernel(
-        spec,
-        weighted_norm(inputs.prediction_residual, inputs.prediction_weight_factor),
-    )
-    if np.any(den == 0.0):
-        raise DegenerateWeight(
-            "prediction-residual kernel underflowed to zero; weight is undefined"
-        )
-    return num / den
+    batch = np.ndim(innovation) == 2
+    if pin_weight is not None:
+        if not 0.0 <= pin_weight < math.inf:
+            raise ValueError(f"pinned weight must be nonnegative and finite, got {pin_weight}")
+        return np.full(len(innovation), float(pin_weight)) if batch else float(pin_weight)
+    if spec is None:
+        raise ValueError("a KernelSpec is required unless the weight is pinned")
+    if math.isinf(spec.sigma):
+        # the kernel is exactly one at every distance
+        return np.ones(len(innovation)) if batch else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = weighted_norm(innovation, r_factor)
+    # the innovation and the R factor are finite, so a norm that is not
+    # finite overflowed (a NaN is inf - inf in the substitution): it lies
+    # beyond the kernel's support, where the kernel is 0
+    return gaussian_kernel(spec, np.fmin(distance, math.inf))

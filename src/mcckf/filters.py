@@ -11,12 +11,12 @@ Three algebraically equivalent measurement updates are provided:
   m x m innovation-covariance factor only, which is what makes it robust in
   ill-conditioned problems.
 
-All three compute the scalar adjusting weight through the same code path, so
-equivalence tests isolate linear-algebra differences. A dense textbook Kalman
-filter (``kf_reference``) serves as an independent oracle: pinning the weight
-to 1 reduces every variant to it. No explicit matrix inverse is materialized
-anywhere except the transposed factor inverse that the sr1a pre-array is
-defined with.
+All three compute the scalar adjusting weight through the same function,
+``correntropy.compute_lambda``, so equivalence tests isolate linear-algebra
+differences. A dense textbook Kalman filter (``kf_reference``) serves as an
+independent oracle: pinning the weight to 1 reduces every variant to it. No
+explicit matrix inverse is materialized anywhere except the transposed factor
+inverse that the sr1a pre-array is defined with.
 
 Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
@@ -36,7 +36,6 @@ the ``LinalgError`` itself.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,7 +43,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .correntropy import KernelSpec, gaussian_kernel, weighted_norm
+# the steps call the weight by this module-level name, so a wrapper bound to
+# it (a tracer, a test double) sees every call
+from .correntropy import KernelSpec, compute_lambda
 from .model import InitialCondition, StepTerms, validate_model
 
 __all__ = [
@@ -238,31 +239,6 @@ def _require_finite(step: int, runs: int | None, **named_arrays):
         raise Diverged(reasons, step)
 
 
-def _lambda_weight(terms, spec, innovation, pin_weight, runs):
-    """The kernel of the innovation's R^{-1} norm; the weight's denominator,
-    the kernel of the zero prediction residual, is exactly one."""
-    if pin_weight is not None:
-        if not 0.0 <= pin_weight < math.inf:
-            raise ValueError(f"pinned weight must be nonnegative and finite, got {pin_weight}")
-        return float(pin_weight) if runs is None else np.full(runs, float(pin_weight))
-    if spec is None:
-        raise ValueError("a KernelSpec is required unless the weight is pinned")
-    if math.isinf(spec.sigma):
-        # the kernel is exactly one at every distance
-        return 1.0 if runs is None else np.ones(runs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        distance = weighted_norm(innovation, terms.r_sqrt)
-    try:
-        return gaussian_kernel(spec, distance)
-    except ValueError:
-        # the innovation and the R factor are finite, so a norm that is not
-        # finite overflowed: it lies beyond the kernel's support, where the
-        # kernel is 0
-        inside = distance < math.inf
-        lam = np.where(inside, gaussian_kernel(spec, np.where(inside, distance, 0.0)), 0.0)
-        return float(lam) if runs is None else lam
-
-
 def _innovation(terms, pred: FilterState, y) -> np.ndarray:
     y, m = np.asarray(y, dtype=float), terms.H.shape[-2]
     if y.shape[-1:] != (m,):
@@ -309,7 +285,7 @@ def mcckf_measurement_update(
     innovation = _innovation(t, pred, y)
     # pred.covariance is symmetrized by construction; skip the recheck
     p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
-    lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
+    lam = compute_lambda(spec, innovation, t.r_sqrt, pin_weight)
     # p_factor and info_factor skip the singular-diagonal check: a pivot above
     # its floor (>= 0) is at least 4.9e-324, so its root, the diagonal entry,
     # is at least 2.2e-162, far above the smallest normal double.
@@ -372,7 +348,7 @@ def sr1a_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
-    lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
+    lam = compute_lambda(spec, innovation, t.r_sqrt, pin_weight)
     pred_inv = linalg.triangular_inverse(pred.factor)
     pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.mT)], axis=-1)
     _require_finite(step, runs, **{"information pre-array": pre})
@@ -400,7 +376,7 @@ def sr1b_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
-    lam = _lambda_weight(t, spec, innovation, pin_weight, runs)
+    lam = compute_lambda(spec, innovation, t.r_sqrt, pin_weight)
     pre = np.concatenate(
         [_times(np.sqrt(lam), t.H @ pred.factor), t.r_sqrt], axis=-1
     )

@@ -10,7 +10,7 @@ import numpy as np
 
 from mcckf.bench import build_example1, run_conditioning_sweep
 from mcckf.cli import main
-from mcckf.correntropy import KernelSpec, LambdaInputs, compute_lambda
+from mcckf.correntropy import KernelSpec, compute_lambda
 from mcckf.filters import (
     FilterState,
     mcckf_measurement_update,
@@ -216,18 +216,14 @@ def test_criterion_6_weight_properties():
     in_range = True
     for _ in range(500):
         dim = int(rng.integers(1, 4))
-        inputs = LambdaInputs(
-            innovation=rng.standard_normal(dim) * 10.0 ** rng.integers(-2, 3),
-            innovation_weight_factor=cholesky_lower(random_spd(rng, dim, 50.0)),
-            prediction_residual=np.zeros(3),
-            prediction_weight_factor=np.eye(3),
+        lam = compute_lambda(
+            spec,
+            rng.standard_normal(dim) * 10.0 ** rng.integers(-2, 3),
+            cholesky_lower(random_spd(rng, dim, 50.0)),
         )
-        lam = compute_lambda(spec, inputs)
         in_range &= 0.0 <= lam <= 1.0
-    zero_innov = LambdaInputs(np.zeros(2), np.eye(2), np.zeros(2), np.eye(2))
-    one_at_zero = compute_lambda(spec, zero_innov) == 1.0
-    small_innov = LambdaInputs(np.array([0.1, 0.0]), np.eye(2), np.zeros(2), np.eye(2))
-    below_one = compute_lambda(spec, small_innov) < 1.0
+    one_at_zero = compute_lambda(spec, np.zeros(2), np.eye(2)) == 1.0
+    below_one = compute_lambda(spec, np.array([0.1, 0.0]), np.eye(2)) < 1.0
 
     # zero weight rejects the measurement identically in all three algorithms
     model, init, _ = build_example1()
@@ -252,7 +248,7 @@ def test_criterion_6_weight_properties():
     _report(
         "criterion 6: correntropy weight properties",
         {
-            "weight in [0, 1] with zero prediction residual": in_range,
+            "weight in [0, 1]": in_range,
             "weight is 1 at zero innovation": one_at_zero,
             "weight below 1 for nonzero innovation": below_one,
             "zero weight yields zero gain in all three algorithms": zero_gains,

@@ -217,12 +217,15 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("sweep", ["--set", "sweep.deltas=1e-1 nan"], "finite, positive and strictly decreasing"),
         ("example1", ["--algorithms", "fancy"], "unknown algorithm 'fancy'"),
         ("equivalence", ["--algorithms", "sr1b"], "need at least 2 algorithm(s)"),
+        ("example1", ["--set", "kernel.sigma=1e-170"], "kernel bandwidth must be"),
+        ("example1", ["--set", "kernel.sigma=1e200"], "kernel bandwidth must be"),
     ],
     ids=[
         "no_equals", "no_dot", "empty_value", "unreadable_config", "unknown_section",
         "zero_horizon", "bad_deltas", "increasing_deltas", "infinite_delta", "nan_delta",
         "unknown_algorithm",
         "too_few_algorithms",
+        "underflowing_sigma", "overflowing_sigma",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, message):

@@ -1,17 +1,12 @@
 """Gaussian kernel, weighted norms and the adjusting weight."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mcckf.bench import build_example1
-from mcckf.correntropy import (
-    DegenerateWeight,
-    KernelSpec,
-    LambdaInputs,
-    compute_lambda,
-    gaussian_kernel,
-    weighted_norm,
-)
+from mcckf.correntropy import KernelSpec, compute_lambda, gaussian_kernel, weighted_norm
 from mcckf.linalg import SingularFactor, cholesky_lower
 from mcckf.sim import SeedSpec, simulate
 
@@ -54,19 +49,46 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gaussian_kernel(KernelSpec(1.0), -1.0)
         with pytest.raises(ValueError):
-            gaussian_kernel(KernelSpec(1.0), np.inf)
+            gaussian_kernel(KernelSpec(1.0), np.nan)
+
+    # 2 sigma^2 underflows below the smallest normal double, or overflows
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-154, 9.5e153, 1e200, -np.inf, np.nan])
+    def test_rejects_a_bandwidth_whose_scale_is_not_a_finite_normal_double(self, sigma):
+        with pytest.raises(ValueError, match="kernel bandwidth must be"):
+            KernelSpec(sigma)
+
+    @pytest.mark.parametrize("sigma", [1.1e-154, 9.4e153])
+    def test_bandwidth_at_either_end_keeps_the_kernel_defined(self, sigma):
+        spec = KernelSpec(sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert gaussian_kernel(spec, 0.0) == 1.0
+            assert gaussian_kernel(spec, np.inf) == 0.0
+            assert gaussian_kernel(spec, 1.0) == (0.0 if sigma < 1.0 else 1.0)
 
     # a bad distance is found at the start, middle and end of small and large batches
     @pytest.mark.parametrize("size", [4, 32, 33, 1000])
-    @pytest.mark.parametrize("bad", [np.nan, -1.0, -0.5e-300, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -0.5e-300, -np.inf])
     def test_rejects_a_bad_distance_in_a_batch_of_any_size(self, size, bad):
         spec = KernelSpec(2.0)
         distances = RNG.uniform(0.0, 5.0, size)
         for position in (0, size // 2, size - 1):
             d = distances.copy()
             d[position] = bad
-            with pytest.raises(ValueError, match="distance must be finite and nonnegative"):
+            with pytest.raises(ValueError, match="distance must be nonnegative"):
                 gaussian_kernel(spec, d)
+
+    # +inf gives the kernel's limit, 0, at the start, middle and end of a batch
+    @pytest.mark.parametrize("size", [4, 32, 33, 1000])
+    def test_infinite_distance_is_zero_in_a_batch_of_any_size(self, size):
+        spec = KernelSpec(2.0)
+        distances = RNG.uniform(0.0, 5.0, size)
+        for position in (0, size // 2, size - 1):
+            d = distances.copy()
+            d[position] = np.inf
+            values = gaussian_kernel(spec, d)
+            assert values[position] == 0.0
+            assert np.array_equal(values, [gaussian_kernel(spec, v) for v in d])
 
     @pytest.mark.parametrize("size", [4, 32, 33, 1000])
     def test_a_batch_of_any_size_gives_each_distance_its_value(self, size):
@@ -108,15 +130,6 @@ class TestWeightedNorm:
 
 
 class TestComputeLambda:
-    def make_inputs(self, innovation, r_factor, pred_residual=None, p_factor=None):
-        n = 4
-        return LambdaInputs(
-            innovation=np.atleast_1d(innovation),
-            innovation_weight_factor=r_factor,
-            prediction_residual=np.zeros(n) if pred_residual is None else pred_residual,
-            prediction_weight_factor=np.eye(n) if p_factor is None else p_factor,
-        )
-
     def test_batch_matches_each_run(self):
         spec = KernelSpec(1.5)
         for dim in (1, 2, 5):
@@ -125,20 +138,15 @@ class TestComputeLambda:
             )
             innovations = RNG.standard_normal((4, dim)) * 3
             innovations[1] = 0.0
-            for residuals in (np.zeros((4, 3)), RNG.standard_normal((4, 3))):
-                batch = LambdaInputs(innovations, factors, residuals, np.array([np.eye(3)] * 4))
-                weights = compute_lambda(spec, batch)
-                for i in range(4):
-                    alone = LambdaInputs(innovations[i], factors[i], residuals[i], np.eye(3))
-                    assert weights[i] == compute_lambda(spec, alone)
+            weights = compute_lambda(spec, innovations, factors)
+            for i in range(4):
+                assert weights[i] == compute_lambda(spec, innovations[i], factors[i])
 
     def test_both_zero_gives_one(self):
-        inputs = self.make_inputs(np.zeros(2), np.eye(2))
-        assert compute_lambda(KernelSpec(3.0), inputs) == 1.0
+        assert compute_lambda(KernelSpec(3.0), np.zeros(2), np.eye(2)) == 1.0
 
     def test_closed_form_scalar(self):
-        inputs = self.make_inputs(np.array([1.0]), np.eye(1))
-        assert compute_lambda(KernelSpec(1.0), inputs) == pytest.approx(
+        assert compute_lambda(KernelSpec(1.0), np.array([1.0]), np.eye(1)) == pytest.approx(
             np.exp(-0.5), rel=1e-15
         )
 
@@ -146,62 +154,88 @@ class TestComputeLambda:
         spec = KernelSpec(0.7)
         for _ in range(200):
             dim = int(RNG.integers(1, 4))
-            inputs = self.make_inputs(RNG.standard_normal(dim) * 10, np.eye(dim))
-            lam = compute_lambda(spec, inputs)
+            lam = compute_lambda(spec, RNG.standard_normal(dim) * 10, np.eye(dim))
             assert 0.0 <= lam <= 1.0
 
     def test_one_iff_innovation_zero(self):
         spec = KernelSpec(2.0)
-        assert compute_lambda(spec, self.make_inputs(np.zeros(2), np.eye(2))) == 1.0
+        assert compute_lambda(spec, np.zeros(2), np.eye(2)) == 1.0
         # any innovation that does not underflow the exponent drops it below 1
-        lam = compute_lambda(spec, self.make_inputs(np.array([1e-3, 0.0]), np.eye(2)))
+        lam = compute_lambda(spec, np.array([1e-3, 0.0]), np.eye(2))
         assert lam < 1.0
 
     def test_scale_consistency(self):
-        # replacing (residual, factor) by (c r, c factor) leaves the weight alone
+        # replacing (innovation, factor) by (c e, c factor) leaves the weight alone
         spec = KernelSpec(1.3)
         e = np.array([0.4, -1.1])
         factor = cholesky_lower(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        base = compute_lambda(spec, self.make_inputs(e, factor))
+        base = compute_lambda(spec, e, factor)
         for c in (0.01, 3.0, 1e4):
-            scaled = compute_lambda(spec, self.make_inputs(c * e, c * factor))
+            scaled = compute_lambda(spec, c * e, c * factor)
             assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_limit_sigma_to_infinity_is_one(self):
         e = np.array([5.0, -2.0])
-        inputs = self.make_inputs(e, np.eye(2))
-        values = [
-            compute_lambda(KernelSpec(s), inputs) for s in (1e2, 1e4, 1e8, 1e12)
-        ]
+        values = [compute_lambda(KernelSpec(s), e, np.eye(2)) for s in (1e2, 1e4, 1e8, 1e12)]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == 1.0
-        assert compute_lambda(KernelSpec(float("inf")), inputs) == 1.0
+        assert compute_lambda(KernelSpec(float("inf")), e, np.eye(2)) == 1.0
 
-    def test_degenerate_denominator(self):
-        inputs = LambdaInputs(
-            innovation=np.array([0.1]),
-            innovation_weight_factor=np.eye(1),
-            prediction_residual=np.array([1e6]),
-            prediction_weight_factor=np.eye(1),
-        )
-        with pytest.raises(DegenerateWeight):
-            compute_lambda(KernelSpec(1.0), inputs)
+    def test_infinite_bandwidth_skips_the_norm(self):
+        # a singular factor would fail the solve: the norm is never computed
+        spec = KernelSpec(float("inf"))
+        assert compute_lambda(spec, np.ones(2), np.zeros((2, 2))) == 1.0
+        batch = compute_lambda(spec, np.ones((3, 2)), np.zeros((3, 2, 2)))
+        assert np.array_equal(batch, [1.0] * 3)
+
+    def test_pinned_weight(self):
+        assert compute_lambda(None, np.ones(2), np.eye(2), pin_weight=0.25) == 0.25
+        pinned = compute_lambda(KernelSpec(1.0), np.ones((3, 2)), np.eye(2), pin_weight=0)
+        assert np.array_equal(pinned, np.zeros(3))
+        for pin_weight in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="pinned weight must be nonnegative and finite"):
+                compute_lambda(None, np.ones(2), np.eye(2), pin_weight=pin_weight)
+        with pytest.raises(ValueError, match="KernelSpec is required unless the weight is pinned"):
+            compute_lambda(None, np.ones(2), np.eye(2))
+
+    # finite inputs whose norm overflows: to inf (the square of 1e200), or to
+    # NaN (the forward substitution's second row subtracts inf from inf)
+    @pytest.mark.parametrize(
+        "factor, innovation",
+        [
+            (np.eye(3), [1e200, 0.0, 0.0]),
+            ([[1e-300, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [1e10, 0.0, 0.0]),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_a_norm_that_is_not_finite_gives_weight_zero(self, factor, innovation):
+        spec = KernelSpec(1.5)
+        factor, innovation = np.array(factor), np.array(innovation)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = weighted_norm(innovation, factor)
+        assert not np.isfinite(norm)
+        factors = np.array([cholesky_lower(np.eye(3) + 0.1 * np.ones((3, 3)))] * 4)
+        factors[2] = factor
+        innovations = RNG.standard_normal((4, 3))
+        innovations[2] = innovation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert compute_lambda(spec, innovation, factor) == 0.0
+            weights = compute_lambda(spec, innovations, factors)
+            alone = [compute_lambda(spec, innovations[i], factors[i]) for i in range(4)]
+        assert weights[2] == 0.0
+        assert np.array_equal(weights, alone)
+        assert (weights[[0, 1, 3]] > 0.0).all()
 
     def test_radar_step1_dense_inverse_oracle(self):
         # straight-line transcription with an explicit matrix inverse; the
-        # prediction residual is zero at step 1 so the denominator is one
+        # estimate before step 1 is zero, so the innovation is the measurement
         model, init, shot = build_example1()
         traj = simulate(model, init, 300, SeedSpec(42, 0), shot)
         innovation = traj.measurements[0]  # x_pred = F @ 0 = 0
         sigma = 3e4
         d2 = innovation @ np.linalg.inv(np.asarray(model.R)) @ innovation
-        oracle = np.exp(-d2 / (2.0 * sigma**2)) / np.exp(0.0)
-        inputs = LambdaInputs(
-            innovation=innovation,
-            innovation_weight_factor=cholesky_lower(np.asarray(model.R)),
-            prediction_residual=np.zeros(6),
-            prediction_weight_factor=cholesky_lower(np.asarray(init.covariance)),
-        )
-        lam = compute_lambda(KernelSpec(sigma), inputs)
+        oracle = np.exp(-d2 / (2.0 * sigma**2))
+        lam = compute_lambda(KernelSpec(sigma), innovation, cholesky_lower(np.asarray(model.R)))
         assert lam == pytest.approx(oracle, rel=1e-12)
         assert lam == pytest.approx(0.5369533117480962, rel=1e-9)

@@ -8,7 +8,7 @@ import pytest
 from mcckf import filters as filters_module
 from mcckf.bench import build_example1, build_example2
 from mcckf.config import ExperimentConfig
-from mcckf.correntropy import KernelSpec
+from mcckf.correntropy import KernelSpec, compute_lambda
 from mcckf.filters import (
     Diverged,
     FilterState,
@@ -558,6 +558,33 @@ class TestRunBatch:
         monkeypatch.setattr(filters_module, "mcckf_measurement_update", counted)
         run_batch("conventional", models, init, ys, KernelSpec(2.0))
         assert calls == [4] + [2] * 6
+
+    @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
+    def test_each_step_calls_the_weight_by_its_module_name(self, monkeypatch, algorithm):
+        # the weight is looked up in mcckf.filters at call time, so a wrapper
+        # bound to that name (a tracer, this double) sees every call
+        model, init, shot = build_example1()
+        spec = KernelSpec(3e4)
+        ys = batch_measurements(model, init, 20, 6, 3, shot)
+        alone = run_filter(algorithm, model, init, ys[0], spec)
+        batch = run_batch(algorithm, model, init, ys, spec)
+        calls = []
+
+        def counted(spec, innovation, *args, **kwargs):
+            calls.append(np.shape(innovation))
+            return compute_lambda(spec, innovation, *args, **kwargs)
+
+        monkeypatch.setattr(filters_module, "compute_lambda", counted)
+        counted_alone = run_filter(algorithm, model, init, ys[0], spec)
+        assert calls == [(2,)] * 20
+        calls.clear()
+        counted_batch = run_batch(algorithm, model, init, ys, spec)
+        assert calls == [(3, 2)] * 20
+        assert counted_alone.status == alone.status
+        assert np.array_equal(counted_alone.estimates(), alone.estimates())
+        assert [r.lam for r in counted_alone.reports] == [r.lam for r in alone.reports]
+        assert counted_batch.statuses == batch.statuses
+        assert np.array_equal(counted_batch.estimates, batch.estimates)
 
     def test_rejects_a_run_model_with_r_not_positive_definite(self):
         base, init, shot = build_example1()

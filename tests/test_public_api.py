@@ -13,7 +13,6 @@ ERRORS = {
     "NotPositiveDefinite",
     "NonFiniteInput",
     "SingularFactor",
-    "DegenerateWeight",
 }
 
 
