@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correntropy import KernelSpec
-from .filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_batch, run_filter
+# called by this module-level name, so a test double bound to it runs every filter
+from .filters import ALGORITHMS, run_batch
 from .model import InitialCondition, StateSpaceModel
 from .sim import SeedSpec, ShotNoiseSpec, simulate_batch, write_rows
 
@@ -199,28 +200,6 @@ class RmseReport:
     statuses: list = field(default_factory=list)
 
 
-def _estimates_for(algorithm, models, init, trajectories, spec):
-    """Run one estimator over every trajectory, trajectory i with
-    ``models[i]``: (estimates per run, status per run). All runs of a filter
-    go through one batch; the dense oracle and callables run one trajectory
-    at a time."""
-    pairs = list(zip(models, trajectories))
-    if callable(algorithm):
-        estimates = [
-            np.asarray(algorithm(model, init, t, spec), dtype=float) for model, t in pairs
-        ]
-        return estimates, [
-            RunStatus(completed=True, steps_completed=t.horizon) for t in trajectories
-        ]
-    if algorithm not in WEIGHTED_FILTERS:
-        runs = [run_filter(algorithm, model, init, t.measurements, spec) for model, t in pairs]
-        return [run.estimates() for run in runs], [run.status for run in runs]
-    batch = run_batch(
-        algorithm, models, init, np.stack([t.measurements for t in trajectories]), spec
-    )
-    return batch.estimates, batch.statuses
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform
     has one, else the machine's count."""
@@ -230,7 +209,7 @@ def _usable_cpus() -> int:
 
 
 def _fork_share(algorithm, args, inherited) -> tuple[int, object]:
-    """Fork a child that runs ``_estimates_for(algorithm, *args)`` and sends
+    """Fork a child that runs ``run_batch(algorithm, *args)`` and sends
     its result, or the exception it raised, back pickled through a pipe:
     (child pid, read end of the pipe). The child closes the ``inherited``
     read ends of its siblings' pipes and leaves only through ``os._exit``.
@@ -250,7 +229,7 @@ def _fork_share(algorithm, args, inherited) -> tuple[int, object]:
             for pipe in inherited:
                 pipe.close()
             try:
-                result = _estimates_for(algorithm, *args)
+                result = run_batch(algorithm, *args)
             except Exception as exc:
                 result = exc
             payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
@@ -288,25 +267,24 @@ def _kill(pid: int) -> None:
             os.waitpid(pid, 0)
 
 
-def _all_estimates(algorithms, models, init, trajectories, spec) -> list:
-    """``_estimates_for`` of each algorithm, in ``algorithms`` order.
+def _all_estimates(algorithms, models, init, measurements, spec) -> list:
+    """The ``run_batch(algorithm, models, init, measurements, spec)`` of each
+    algorithm, in ``algorithms`` order.
 
-    With P = min(usable CPUs, named algorithms), the first P-1 named
-    algorithms in ``ALGORITHMS`` order (the weighted filters costliest first)
-    each run in a forked child; this process runs the other algorithms,
-    callables included, and any share whose fork fails. A process without
-    ``os.fork`` or with other Python threads (a child could block forever on
-    a lock one of them held) forks nothing. Each run's numbers are those of
-    the serial loop, bit for bit, and an error is the one the serial loop
-    raises: the first in ``algorithms`` order. Every child is reaped before
-    this returns or raises.
+    With P = min(usable CPUs, algorithms), the first P-1 algorithms in
+    ``ALGORITHMS`` order (the weighted filters costliest first) each run in a
+    forked child; this process runs the others and any share whose fork
+    fails. A process without ``os.fork`` or with other Python threads (a
+    child could block forever on a lock one of them held) forks nothing.
+    Each run's numbers are those of the serial loop, bit for bit, and an
+    error is the one the serial loop raises: the first in ``algorithms``
+    order. Every child is reaped before this returns or raises.
     """
-    args = (models, init, trajectories, spec)
-    named = sorted((a for a in algorithms if not callable(a)), key=ALGORITHMS.index)
-    processes = min(_usable_cpus(), len(named))
+    args = (models, init, measurements, spec)
+    processes = min(_usable_cpus(), len(algorithms))
     forkable = hasattr(os, "fork") and threading.active_count() == 1
-    shares = named[: processes - 1] if forkable else []
-    results = {}  # position in algorithms -> (estimates, statuses) or the exception
+    shares = sorted(algorithms, key=ALGORITHMS.index)[: processes - 1] if forkable else []
+    results = {}  # position in algorithms -> its BatchRun or the exception
     children = {}  # position in algorithms -> (pid, read end of its pipe)
     reaped = set()
     sys.stdout.flush()  # a child must not inherit, and later print, buffered text
@@ -321,7 +299,7 @@ def _all_estimates(algorithms, models, init, trajectories, spec) -> list:
         for i, algorithm in enumerate(algorithms):
             if i not in children:
                 try:
-                    results[i] = _estimates_for(algorithm, *args)
+                    results[i] = run_batch(algorithm, *args)
                 except Exception as exc:
                     results[i] = exc  # the serial loop would stop here
                     break
@@ -342,12 +320,12 @@ def _all_estimates(algorithms, models, init, trajectories, spec) -> list:
             pipe.close()
             if pid not in reaped:
                 _kill(pid)
-    estimates = []
+    batches = []
     for i in range(len(algorithms)):
         if isinstance(results[i], Exception):
             raise results[i]
-        estimates.append(results[i])
-    return estimates
+        batches.append(results[i])
+    return batches
 
 
 def _rmse_report(name: str, trajectories, estimates, statuses) -> RmseReport:
@@ -379,18 +357,15 @@ def _rmse_report(name: str, trajectories, estimates, statuses) -> RmseReport:
     )
 
 
-def _algorithm_names(algorithms, runs: int) -> list[str]:
-    """The report name of each algorithm; rejects runs < 1, unknown names and
-    duplicate names."""
+def _check_algorithms(algorithms: list, runs: int) -> None:
+    """Reject runs < 1, unknown names and duplicate names."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     for algorithm in algorithms:
-        if not callable(algorithm) and algorithm not in ALGORITHMS:
+        if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-    names = [getattr(a, "__name__", "custom") if callable(a) else a for a in algorithms]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate algorithm names in {names}")
-    return names
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"duplicate algorithm names in {algorithms}")
 
 
 def _evaluate(algorithms, scenarios, runs: int, master_seed: int, spec) -> list[dict]:
@@ -403,7 +378,7 @@ def _evaluate(algorithms, scenarios, runs: int, master_seed: int, spec) -> list[
     gets the numbers it gets alone, bit for bit.
     """
     algorithms = list(algorithms)
-    names = _algorithm_names(algorithms, runs)
+    _check_algorithms(algorithms, runs)
     first = scenarios[0]
     if any(sc.horizon != first.horizon or sc.shot != first.shot for sc in scenarios):
         raise ValueError("the scenarios of one evaluation must share the horizon and shot spec")
@@ -416,13 +391,14 @@ def _evaluate(algorithms, scenarios, runs: int, master_seed: int, spec) -> list[
     models = [sc.model for sc in scenarios for _ in range(runs)]
     seeds = [SeedSpec(master_seed, run_index) for _ in scenarios for run_index in range(runs)]
     trajectories = simulate_batch(models, first.init, first.horizon, seeds, first.shot)
+    measurements = np.stack([t.measurements for t in trajectories])
     per_scenario = [{} for _ in scenarios]
-    results = _all_estimates(algorithms, models, first.init, trajectories, spec)
-    for name, (estimates, statuses) in zip(names, results):
+    batches = _all_estimates(algorithms, models, first.init, measurements, spec)
+    for name, batch in zip(algorithms, batches):
         for i, report in enumerate(per_scenario):
             rows = slice(i * runs, (i + 1) * runs)
             report[name] = _rmse_report(
-                name, trajectories[rows], estimates[rows], statuses[rows]
+                name, trajectories[rows], batch.estimates[rows], batch.statuses[rows]
             )
     return per_scenario
 
@@ -437,11 +413,10 @@ def run_monte_carlo(
     """Monte Carlo RMSE evaluation under equal conditions.
 
     Each run index produces one trajectory from (master_seed, run index) that
-    every algorithm consumes identically. ``algorithms`` may mix algorithm
-    names and callables ``(model, init, trajectory, spec) -> estimates`` (the
-    latter mainly for test stubs). Each filter advances all runs as one batch
-    (``run_batch``), which gives every run the estimates ``run_filter`` gives
-    it alone, bit for bit.
+    every algorithm consumes identically. ``algorithms`` are names from
+    ``filters.ALGORITHMS``. Each filter, the dense oracle included, advances
+    all runs as one batch (``run_batch``), which gives every run the
+    estimates ``run_filter`` gives it alone, bit for bit.
     """
     return _evaluate(algorithms, [scenario], runs, master_seed, spec)[0]
 

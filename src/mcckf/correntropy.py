@@ -54,8 +54,9 @@ def gaussian_kernel(spec: KernelSpec, distance):
 
     May underflow to exactly 0 for extreme distances, which is permitted:
     downstream it yields a zero gain, i.e. full rejection of the measurement.
-    An infinite distance gives the kernel's limit, 0. A 1-D array of
-    distances gives an array of kernel values.
+    A distance whose square overflows, or an infinite one, gives the
+    kernel's limit, 0, without a warning. A 1-D array of distances gives an
+    array of kernel values.
     """
     d = np.asarray(distance, dtype=float)
     # a Python loop is the cheapest check for the few distances of a batch
@@ -63,21 +64,21 @@ def gaussian_kernel(spec: KernelSpec, distance):
         raise ValueError(f"distance must be nonnegative, got {distance}")
     if math.isinf(spec.sigma):
         return 1.0 if d.ndim == 0 else np.ones(d.shape)
-    # equals -(d * d) / (2 sigma^2) bit for bit: rounding is sign-symmetric
-    value = np.exp(d * d / (-2.0 * spec.sigma * spec.sigma))
+    # equals -(d * d) / (2 sigma^2) bit for bit: rounding is sign-symmetric;
+    # an exponent that overflows to -inf gives exactly 0
+    with np.errstate(over="ignore"):
+        value = np.exp(d * d / (-2.0 * spec.sigma * spec.sigma))
     return float(value) if d.ndim == 0 else value
 
 
 def weighted_norm(residual: np.ndarray, weight_factor: np.ndarray):
     """sqrt(e^T W^{-1} e) with W = factor @ factor.T, without forming W^{-1}.
 
-    Solves factor @ z = residual by forward substitution and returns ||z||.
-    An exactly zero residual short-circuits to 0.0. Residuals (runs, m) with
-    factors (runs, m, m) give one norm per run.
+    Solves factor @ z = residual by forward substitution and returns ||z||;
+    a singular factor raises ``SingularFactor`` whatever the residual.
+    Residuals (runs, m) with factors (runs, m, m) give one norm per run.
     """
     r = np.asarray(residual, dtype=float)
-    if not np.any(r):
-        return 0.0 if r.ndim == 1 else np.zeros(len(r))
     z = linalg.triangular_solve(weight_factor, r)
     norm = np.sqrt(np.vecdot(z, z))
     return float(norm) if r.ndim == 1 else norm

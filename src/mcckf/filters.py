@@ -21,17 +21,19 @@ inverse that the sr1a pre-array is defined with.
 Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
 advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
-the runs axis. The step functions read the model's ``terms``: one run reads
+the runs axis. One table maps each algorithm to its two step functions. The
+weighted filters' step functions read the model's ``terms``: one run reads
 its model's 2-D ``StepTerms``, a batch the ``StepTerms`` of every run's
 matrices stacked with a leading runs axis, whether the runs share one model
-or each has its own. A batch's terms come from the stacked kernels, which
-compute each run's numbers with the same operations, in the same order, as
-that run alone (see ``mcckf.linalg``), so a run's estimates do not depend on
-the batch it ran in, bit for bit. A run that fails a check leaves the batch
-at that step with its own typed reason; the step is then recomputed for the
-runs that remain. The drivers record a failed linear-algebra check as a
-``Diverged`` of the runs concerned; a step function called directly raises
-the ``LinalgError`` itself.
+or each has its own. The dense oracle reads the matrices themselves, stacked
+the same way. A batch's numbers come from stacked kernels and numpy calls
+that compute each run's numbers with the same operations, in the same
+order, as that run alone (see ``mcckf.linalg``), so a run's estimates do not
+depend on the batch it ran in, bit for bit. A run that fails a check leaves
+the batch at that step with its own typed reason; the step is then
+recomputed for the runs that remain. The drivers record a failed
+linear-algebra check as a ``Diverged`` of the runs concerned; a step
+function called directly raises the ``LinalgError`` itself.
 """
 
 from __future__ import annotations
@@ -69,24 +71,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class _WeightedFilter:
-    """A weighted filter's covariance family and its step functions."""
+class _Filter:
+    """An algorithm's covariance family and its step functions."""
 
     square_root: bool  # propagates a Cholesky factor, not the full covariance
     time_update: str
     measurement_update: str
 
 
-# The weighted filters, which run_batch also advances many runs at a time.
-# The step functions are stored by name and looked up in this module at call
-# time, so a wrapper bound to that name (a tracer, a test double) is called.
-WEIGHTED_FILTERS = {
-    "conventional": _WeightedFilter(False, "mcckf_time_update", "mcckf_measurement_update"),
-    "sr1a": _WeightedFilter(True, "sr_time_update", "sr1a_measurement_update"),
-    "sr1b": _WeightedFilter(True, "sr_time_update", "sr1b_measurement_update"),
+# Every algorithm's step functions, which run_filter and run_batch drive. They
+# are stored by name and looked up in this module at call time, so a wrapper
+# bound to that name (a tracer, a test double) is called.
+_FILTERS = {
+    "conventional": _Filter(False, "mcckf_time_update", "mcckf_measurement_update"),
+    "sr1a": _Filter(True, "sr_time_update", "sr1a_measurement_update"),
+    "sr1b": _Filter(True, "sr_time_update", "sr1b_measurement_update"),
+    "kf_reference": _Filter(False, "_kf_time_update", "_kf_measurement_update"),
 }
-# kf_reference, the dense oracle, runs one run at a time through run_filter.
-ALGORITHMS = (*WEIGHTED_FILTERS, "kf_reference")
+ALGORITHMS = tuple(_FILTERS)
+# the paper's three weighted forms: every algorithm but the dense oracle
+WEIGHTED_FILTERS = ALGORITHMS[:-1]
 
 # An estimate component beyond this magnitude marks the run diverged even if
 # still finite; it makes the breakdown sweep deterministic.
@@ -390,22 +394,48 @@ def sr1b_measurement_update(
     return _sr_posterior(t, pred, gain, lam, innovation)
 
 
-def _kf_reference_update(model, prior: FilterState, y):
-    step = prior.step + 1
-    f, g, h, q, r = model.F, model.G, model.H, model.Q, model.R
-    x_pred = f @ prior.estimate
-    p_pred = linalg.symmetrize(f @ prior.covariance @ f.T + g @ q @ g.T)
-    innovation = np.asarray(y, dtype=float) - h @ x_pred
-    innov_cov = h @ p_pred @ h.T + r
+def _kf_time_update(model, prior: FilterState) -> FilterState:
+    """The dense oracle's prediction, from the model's own matrices; its
+    measurement update checks the result."""
+    f, g, q = model.F, model.G, model.Q
+    x_pred = np.matvec(f, prior.estimate)
+    p_pred = linalg.symmetrize(f @ prior.covariance @ f.mT + g @ q @ g.mT)
+    return FilterState.full(prior.step + 1, x_pred, p_pred)
+
+
+def _singular_runs(a: np.ndarray, b: np.ndarray) -> list[int]:
+    """The runs of a stack whose own ``np.linalg.solve`` fails."""
+    singular = []
+    for run, (a_run, b_run) in enumerate(zip(a, b)):
+        try:
+            np.linalg.solve(a_run, b_run)
+        except np.linalg.LinAlgError:
+            singular.append(run)
+    return singular
+
+
+def _kf_measurement_update(model, pred: FilterState, y, spec, pin_weight):
+    """The dense oracle's update: the classical Kalman filter, whose weight
+    is 1 whatever ``spec`` and ``pin_weight`` say. The gain is solved by LU
+    from the model's own matrices, and only the step's results are checked.
+    """
+    step, runs = pred.step, pred.runs
+    h, r, p_pred = model.H, model.R, pred.covariance
+    innovation = y - np.matvec(h, pred.estimate)
+    innov_cov = h @ p_pred @ h.mT + r
+    rhs = h @ p_pred
     try:
-        gain = np.linalg.solve(innov_cov, h @ p_pred).T
+        # a stack's solve fails as a whole; each run's own solve finds its runs
+        gain = np.linalg.solve(innov_cov, rhs).mT
     except np.linalg.LinAlgError as exc:
-        raise Diverged({0: "singular innovation covariance"}, step) from exc
-    x_new = x_pred + gain @ innovation
-    i_kh = np.eye(h.shape[1]) - gain @ h
-    p_new = linalg.symmetrize(i_kh @ p_pred @ i_kh.T + gain @ r @ gain.T)
-    _require_finite(step, None, estimate=x_new, covariance=p_new, gain=gain)
-    return FilterState.full(step, x_new, p_new), StepReport(1.0, gain, innovation)
+        singular = [0] if runs is None else _singular_runs(innov_cov, rhs)
+        raise Diverged(dict.fromkeys(singular, "singular innovation covariance"), step) from exc
+    x_new = pred.estimate + np.matvec(gain, innovation)
+    i_kh = linalg._identity(h.shape[-1]) - gain @ h
+    p_new = linalg.symmetrize(i_kh @ p_pred @ i_kh.mT + gain @ r @ gain.mT)
+    _require_finite(step, runs, estimate=x_new, covariance=p_new, gain=gain)
+    lam = 1.0 if runs is None else np.ones(runs)
+    return FilterState.full(step, x_new, p_new), StepReport(lam, gain, innovation)
 
 
 def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
@@ -415,9 +445,7 @@ def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
     (``LinalgError.failed``; one run's 2-D error names no matrix), with the
     error class and its message as the reason.
     """
-    entry = WEIGHTED_FILTERS.get(algorithm)
-    if entry is None:
-        return _kf_reference_update(model, state, y)
+    entry = _FILTERS[algorithm]
     step_functions = globals()
     try:
         pred = step_functions[entry.time_update](model, state)
@@ -503,16 +531,10 @@ def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
         yield live, state, report
 
 
-def _square_root(algorithm: str) -> bool:
-    return algorithm in WEIGHTED_FILTERS and WEIGHTED_FILTERS[algorithm].square_root
-
-
-def _check_inputs(algorithm, model, init, measurements, allowed) -> None:
-    if algorithm not in allowed:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}, expected one of {tuple(allowed)}"
-        )
-    violations = validate_model(model, init, require_spd_init=_square_root(algorithm))
+def _check_inputs(algorithm, model, init, measurements) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    violations = validate_model(model, init, require_spd_init=_FILTERS[algorithm].square_root)
     if violations:
         raise ValueError("model validation failed: " + "; ".join(violations))
     m = model.obs_dim
@@ -523,7 +545,7 @@ def _check_inputs(algorithm, model, init, measurements, allowed) -> None:
 
 
 def _initial_state(algorithm: str, init: InitialCondition) -> FilterState:
-    if _square_root(algorithm):
+    if _FILTERS[algorithm].square_root:
         return FilterState.square_root(0, init.mean, linalg.cholesky_lower(init.covariance))
     return FilterState.full(0, init.mean, init.covariance)
 
@@ -561,7 +583,7 @@ def run_filter(
     ys = np.array(rows, dtype=float) if rows else np.zeros((0, model.obs_dim))
     if ys.ndim != 2:
         raise ValueError(f"measurements must be one vector per step, got shape {ys.shape}")
-    _check_inputs(algorithm, model, init, ys, ALGORITHMS)
+    _check_inputs(algorithm, model, init, ys)
     run = FilterRun(initial=_initial_state(algorithm, init))
     statuses = [None]
     for _, state, report in _steps(
@@ -588,7 +610,7 @@ def run_batch(
     one numpy call per operation for the whole batch, and each run's
     estimates and status equal, bit for bit, what ``run_filter`` returns for
     it alone with its model. Arguments are as for ``run_filter``, without a
-    pinned weight; ``kf_reference`` is not batched.
+    pinned weight.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim != 3:
@@ -598,7 +620,7 @@ def run_batch(
     runs, horizon, _ = ys.shape
     stack = _ModelStack(_models_of_runs(model, runs))
     for distinct in stack.distinct:
-        _check_inputs(algorithm, distinct, init, ys, WEIGHTED_FILTERS)
+        _check_inputs(algorithm, distinct, init, ys)
     estimates = np.full((runs, horizon, stack.distinct[0].state_dim), np.nan)
     statuses = [None] * runs
     initial = _initial_state(algorithm, init)

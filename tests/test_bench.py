@@ -22,6 +22,7 @@ from mcckf.bench import (
     Scenario,
     SweepReport,
     _evaluate,
+    _rmse_report,
     build_example1,
     build_example2,
     ill_conditioned_scenario,
@@ -32,7 +33,7 @@ from mcckf.bench import (
 )
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
-from mcckf.filters import Diverged, run_filter
+from mcckf.filters import Diverged, RunStatus, run_filter
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
 from oracles import condition_estimate
@@ -112,57 +113,53 @@ def tiny_scenario(horizon=4):
     return Scenario("tiny", model, init, horizon)
 
 
-class TestRunMonteCarlo:
-    def test_perfect_estimator_scores_zero(self):
-        def perfect(model, init, trajectory, spec):
-            return trajectory.truth.copy()
+def tiny_trajectories(runs, horizon=4):
+    sc = tiny_scenario(horizon)
+    return [simulate(sc.model, sc.init, horizon, SeedSpec(2, i)) for i in range(runs)]
 
-        reports = run_monte_carlo([perfect], tiny_scenario(), 5, 2, KernelSpec(1.0))
-        report = reports["perfect"]
+
+def completed(trajectories):
+    return [RunStatus(completed=True, steps_completed=t.horizon) for t in trajectories]
+
+
+class TestRmseReport:
+    def test_perfect_estimates_score_zero(self):
+        trajectories = tiny_trajectories(5)
+        estimates = [t.truth.copy() for t in trajectories]
+        report = _rmse_report("perfect", trajectories, estimates, completed(trajectories))
         assert np.all(report.per_component == 0.0)
         assert np.all(report.total == 0.0)
         assert report.scalar_summary == 0.0
+        assert (report.completed_runs, report.diverged_runs) == (5, 0)
 
     def test_single_run_identity(self):
-        def offset(model, init, trajectory, spec):
-            est = trajectory.truth.copy()
-            est[0, 0] -= 3.0
-            est[1, 0] -= 4.0
-            return est
+        trajectories = tiny_trajectories(1, horizon=2)
+        offset = trajectories[0].truth.copy()
+        offset[0, 0] -= 3.0
+        offset[1, 0] -= 4.0
+        report = _rmse_report("offset", trajectories, [offset], completed(trajectories))
+        np.testing.assert_allclose(report.total, [3.0, 4.0])
+        assert report.scalar_summary == pytest.approx(3.5)
 
-        reports = run_monte_carlo([offset], tiny_scenario(horizon=2), 1, 2, KernelSpec(1.0))
-        np.testing.assert_allclose(reports["offset"].total, [3.0, 4.0])
-        assert reports["offset"].scalar_summary == pytest.approx(3.5)
 
-    def test_perfect_beats_real_filter(self):
-        def perfect(model, init, trajectory, spec):
-            return trajectory.truth.copy()
+class TestRunMonteCarlo:
+    def test_equal_conditions_same_measurements(self, monkeypatch):
+        # every algorithm filters the one stack of measurements, run i drawn
+        # from SeedSpec(master seed, i)
+        seen, batch = {}, bench.run_batch
 
-        reports = run_monte_carlo(
-            [perfect, "kf_reference"], tiny_scenario(horizon=30), 10, 2, KernelSpec(1.0)
-        )
-        assert reports["perfect"].scalar_summary < reports["kf_reference"].scalar_summary
+        def recorder(algorithm, models, init, measurements, spec):
+            seen[algorithm] = measurements
+            return batch(algorithm, models, init, measurements, spec)
 
-    def test_equal_conditions_same_trajectory_objects(self):
-        seen = {"a": [], "b": []}
-
-        def make_recorder(tag):
-            def recorder(model, init, trajectory, spec):
-                seen[tag].append(id(trajectory))
-                return trajectory.truth.copy()
-
-            recorder.__name__ = tag
-            return recorder
-
-        run_monte_carlo(
-            [make_recorder("a"), make_recorder("b")],
-            tiny_scenario(),
-            4,
-            2,
-            KernelSpec(1.0),
-        )
-        assert seen["a"] == seen["b"]
-        assert len(set(seen["a"])) == 4
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # record in this process
+        monkeypatch.setattr(bench, "run_batch", recorder)
+        scenario = tiny_scenario()
+        run_monte_carlo(["sr1b", "kf_reference"], scenario, 4, 2, KernelSpec(1.0))
+        assert seen["sr1b"] is seen["kf_reference"]
+        for i, ys in enumerate(seen["sr1b"]):
+            trajectory = simulate(scenario.model, scenario.init, scenario.horizon, SeedSpec(2, i))
+            assert np.array_equal(ys, trajectory.measurements)
 
     def test_deterministic_with_same_seed(self):
         scenario = radar_scenario(RadarConstants(horizon=40))
@@ -194,7 +191,7 @@ class TestRunMonteCarlo:
     )
     def test_batched_runs_match_per_run_filters(self, scenario, spec):
         # the per-run loop and RMSE accumulation the harness is defined by
-        runs, algorithms = 4, ("conventional", "sr1a", "sr1b")
+        runs, algorithms = 4, ("conventional", "sr1a", "sr1b", "kf_reference")
         reports = run_monte_carlo(algorithms, scenario, runs, 1, spec)
         for algorithm in algorithms:
             sq_sum, completed, statuses = 0.0, 0, []
@@ -261,10 +258,7 @@ class TestConditioningSweep:
     def test_matches_per_delta_monte_carlo(self):
         # the sweep batches every delta's runs into one run_batch per filter;
         # it must report what a Monte Carlo evaluation per delta gives
-        def truth_plus_r(model, init, trajectory, spec):
-            return trajectory.truth + model.R[0, 0]  # depends on the delta's model
-
-        algorithms = ["conventional", "sr1a", "sr1b", "kf_reference", truth_plus_r]
+        algorithms = ["conventional", "sr1a", "sr1b", "kf_reference"]
         deltas = [1e-1, 1e-5, 1e-13]
         constants = RadarConstants(horizon=60)
         spec = KernelSpec(float("inf"))
@@ -298,7 +292,6 @@ class TestConditioningSweep:
         assert report.breakdown_delta == breakdown
         # failing runs are covered: conventional dies at 1e-5, sr1b at 1e-13
         assert breakdown["conventional"] == 1e-5 and breakdown["sr1b"] == 1e-13
-        assert breakdown["truth_plus_r"] is None
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -447,14 +440,14 @@ class TestParallelEvaluation:
         ids=["ValueError", "Diverged"],
     )
     def test_error_surfaces_as_in_the_serial_loop(self, monkeypatch, forks, error):
-        estimates_for = bench._estimates_for
+        batch = bench.run_batch
 
         def failing(algorithm, *args):
             if algorithm in ("conventional", "sr1b"):
                 raise error(algorithm)
-            return estimates_for(algorithm, *args)
+            return batch(algorithm, *args)
 
-        monkeypatch.setattr(bench, "_estimates_for", failing)
+        monkeypatch.setattr(bench, "run_batch", failing)
         scenario = radar_scenario(RadarConstants(horizon=20))
         for algorithms in (["conventional", "sr1a", "sr1b"], ["sr1b", "sr1a", "conventional"]):
             args = (algorithms, scenario, 2, 1, KernelSpec(3e4))
@@ -471,14 +464,14 @@ class TestParallelEvaluation:
         assert_no_children()
 
     def test_child_without_result(self, monkeypatch, forks):
-        parent, estimates_for = os.getpid(), bench._estimates_for
+        parent, batch = os.getpid(), bench.run_batch
 
         def exiting(algorithm, *args):
             if os.getpid() != parent:
                 os._exit(3)
-            return estimates_for(algorithm, *args)
+            return batch(algorithm, *args)
 
-        monkeypatch.setattr(bench, "_estimates_for", exiting)
+        monkeypatch.setattr(bench, "run_batch", exiting)
         message = r"'conventional' exited without a result \(exit code 3\)"
         with pytest.raises(RuntimeError, match=message):
             self.with_cpus(
@@ -502,7 +495,7 @@ class TestParallelEvaluation:
                 time.sleep(60)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(bench, "_estimates_for", interrupted)
+        monkeypatch.setattr(bench, "run_batch", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             self.with_cpus(
@@ -533,16 +526,16 @@ class TestParallelEvaluation:
         assert_same_reports(self.with_cpus(monkeypatch, 3, run_monte_carlo, *args), serial)
         assert len(forks) == 2
         assert_no_children()
-        parent, estimates_for = os.getpid(), bench._estimates_for
+        parent, batch = os.getpid(), bench.run_batch
 
         def failing(algorithm, *args):
             if os.getpid() != parent:
                 if algorithm == "sr1a":
                     os._exit(3)
                 raise ValueError(f"{algorithm} cannot run")
-            return estimates_for(algorithm, *args)
+            return batch(algorithm, *args)
 
-        monkeypatch.setattr(bench, "_estimates_for", failing)
+        monkeypatch.setattr(bench, "run_batch", failing)
         # the child's error, then the child without a result, whose exit code is gone
         no_result = "^the process running 'sr1a' exited without a result$"
         for algorithms, error, message in (
@@ -589,21 +582,14 @@ class TestParallelEvaluation:
         assert_same_reports(self.with_cpus(monkeypatch, 3, run_monte_carlo, *args), serial)
         assert len(forks) == 2
 
-    def test_callables_and_no_fork_stay_in_this_process(self, monkeypatch, forks):
-        pids = set()
-
-        def perfect(model, init, trajectory, spec):
-            pids.add(os.getpid())
-            return trajectory.truth.copy()
-
-        args = ([perfect, "sr1b", "conventional"], tiny_scenario(), 3, 1, KernelSpec(1.0))
+    def test_no_fork_stays_in_this_process(self, monkeypatch, forks):
+        args = (["kf_reference", "sr1b", "conventional"], tiny_scenario(), 3, 1, KernelSpec(1.0))
         serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
         assert_same_reports(self.with_cpus(monkeypatch, 4, run_monte_carlo, *args), serial)
-        assert len(forks) == 1
-        assert pids == {os.getpid()}
+        assert len(forks) == 2
         monkeypatch.delattr(os, "fork")
         assert_same_reports(run_monte_carlo(*args), serial)
-        assert len(forks) == 1
+        assert len(forks) == 2
 
     def test_buffered_output_printed_once(self):
         # text buffered before the fork must not be inherited and printed twice

@@ -90,6 +90,17 @@ class TestGaussianKernel:
             assert values[position] == 0.0
             assert np.array_equal(values, [gaussian_kernel(spec, v) for v in d])
 
+    def test_a_distance_whose_square_overflows_is_zero_without_a_warning(self):
+        spec = KernelSpec(9.4e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_kernel(spec, 1e300) == 0.0
+            values = gaussian_kernel(spec, np.array([1e300, 0.0, 1.3e154, np.inf]))
+            # 2 sigma^2 underflows no further than the smallest normal double
+            assert gaussian_kernel(KernelSpec(1.1e-154), 1.0) == 0.0
+        assert np.array_equal(values, [0.0, 1.0, gaussian_kernel(spec, 1.3e154), 0.0])
+        assert 0.0 < values[2] < 1.0
+
     @pytest.mark.parametrize("size", [4, 32, 33, 1000])
     def test_a_batch_of_any_size_gives_each_distance_its_value(self, size):
         spec = KernelSpec(2.0)
@@ -127,6 +138,9 @@ class TestWeightedNorm:
     def test_singular_factor_propagates(self):
         with pytest.raises(SingularFactor):
             weighted_norm(np.ones(2), np.diag([1.0, 0.0]))
+        # whatever the residual: a zero one takes the substitution too
+        with pytest.raises(SingularFactor):
+            weighted_norm(np.zeros(2), np.zeros((2, 2)))
 
 
 class TestComputeLambda:

@@ -465,7 +465,7 @@ class TestRunBatch:
         ys = batch_measurements(model, init, 300, 1, 4, shot)
         lams = np.array([rep.lam for rep in run_filter("sr1b", model, init, ys[0], spec).reports])
         assert 0.0 < lams.min() < 0.9  # the weight is live, neither 0 nor pinned at 1
-        for algorithm in ("conventional", "sr1a", "sr1b"):
+        for algorithm in ("conventional", "sr1a", "sr1b", "kf_reference"):
             batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
             assert all(status.completed for status in batch.statuses)
             # one run takes run_filter's path, without the runs axis
@@ -476,7 +476,7 @@ class TestRunBatch:
         model, init = build_example2(delta)
         ys = batch_measurements(model, init, 300, 1, 4)
         spec = KernelSpec(float("inf"))
-        for algorithm in ("conventional", "sr1a", "sr1b"):
+        for algorithm in ("conventional", "sr1a", "sr1b", "kf_reference"):
             batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
             if delta == 1e-13 and algorithm == "sr1b":
                 # runs leave the batch at different steps
@@ -494,7 +494,7 @@ class TestRunBatch:
         ys = np.stack(ys)
         spec = KernelSpec(float("inf"))
         failed = {}
-        for algorithm in ("conventional", "sr1a", "sr1b"):
+        for algorithm in ("conventional", "sr1a", "sr1b", "kf_reference"):
             batch = assert_batch_matches_each_run(algorithm, models, init, ys, spec)
             failed[algorithm] = {
                 delta: status.failed_step
@@ -522,7 +522,7 @@ class TestRunBatch:
         spec = KernelSpec(2.0)
         lams = np.array([rep.lam for rep in run_filter("sr1b", models[0], init, ys[0], spec).reports])
         assert 0.0 < lams.min() < 0.9  # the weight is live
-        for algorithm in ("conventional", "sr1a", "sr1b"):
+        for algorithm in ("conventional", "sr1a", "sr1b", "kf_reference"):
             batch = assert_batch_matches_each_run(algorithm, models, init, ys, spec)
             assert all(status.completed for status in batch.statuses)
 
@@ -609,10 +609,21 @@ class TestRunBatch:
         prediction = np.matvec(model.F, alone.states[1].estimate)
         assert np.array_equal(alone.states[2].estimate, prediction)
 
-    def test_rejects_kf_reference_and_wrong_shapes(self):
+    def test_kf_reference_fails_only_the_run_with_a_singular_innovation_covariance(self):
+        # H P H^T + R rounds to [[1, 1], [1, 1]] at step 1 for run 1 only
+        def model(h, r):
+            return StateSpaceModel(F=[[0.5]], G=[[1.0]], H=h, Q=[[0.75]], R=r)
+
+        singular = model([[1.0], [1.0]], np.diag([1e-300, 1e-300]))
+        models = [model([[1.0], [2.0]], np.eye(2)), singular, model([[1.0], [1.0]], np.eye(2))]
+        init = InitialCondition(np.zeros(1), np.eye(1))
+        ys = np.random.default_rng(3).standard_normal((3, 5, 2))
+        batch = assert_batch_matches_each_run("kf_reference", models, init, ys, None)
+        assert [s.completed for s in batch.statuses] == [True, False, True]
+        assert batch.statuses[1].reason == "step 1: singular innovation covariance"
+
+    def test_rejects_wrong_shapes(self):
         model, init, _ = build_example1()
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            run_batch("kf_reference", model, init, np.zeros((2, 3, 2)))
         with pytest.raises(ValueError, match="runs, steps, m"):
             run_batch("sr1b", model, init, np.zeros((3, 2)), KernelSpec(1.0))
 
