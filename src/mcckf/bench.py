@@ -7,7 +7,9 @@ drive the innovation covariance toward singularity as delta shrinks.
 Both experiments, the radar Monte Carlo and the sweep over delta, go through
 one evaluation (``_evaluate``): the sweep is ``run_monte_carlo`` with one
 scenario per delta. An evaluation runs its filters in up to as many processes
-as the process may use CPUs (``_all_estimates``).
+as the process may use CPUs (``_all_estimates``). A filter whose child sends
+no result runs in the calling process, so a crashed child costs time, not an
+error.
 """
 
 from __future__ import annotations
@@ -208,12 +210,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_share(algorithm, args, inherited) -> tuple[int, object]:
-    """Fork a child that runs ``run_batch(algorithm, *args)`` and sends
-    its result, or the exception it raised, back pickled through a pipe:
-    (child pid, read end of the pipe). The child closes the ``inherited``
-    read ends of its siblings' pipes and leaves only through ``os._exit``.
-    Raises ``OSError`` and leaves no descriptor open if no child was made.
+def _fork_share(algorithm, args) -> tuple[int, object]:
+    """Fork a child that sends ``run_batch(algorithm, *args)`` back pickled
+    through a pipe: (child pid, read end of the pipe). A child whose
+    ``run_batch`` raises sends nothing, and a child leaves only through
+    ``os._exit``. Raises ``OSError`` and leaves no descriptor open if no
+    child was made.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -223,41 +225,23 @@ def _fork_share(algorithm, args, inherited) -> tuple[int, object]:
         os.close(write_fd)
         raise
     if pid == 0:
-        status = 1
         try:
             os.close(read_fd)
-            for pipe in inherited:
-                pipe.close()
-            try:
-                result = run_batch(algorithm, *args)
-            except Exception as exc:
-                result = exc
-            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            if isinstance(result, Exception):
-                pickle.loads(payload)  # an error the parent cannot rebuild is no result
+            payload = pickle.dumps(run_batch(algorithm, *args), pickle.HIGHEST_PROTOCOL)
+            sys.stdout.flush()  # before the result: once it has that, the parent may kill this
+            sys.stderr.flush()
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
-            sys.stdout.flush()
-            sys.stderr.flush()
-            status = 0
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
 
-def _wait(pid: int) -> int | None:
-    """Wait for a child to exit: its exit code, or None if it was reaped
-    already (while SIGCHLD is ignored, the kernel reaps children itself)."""
-    try:
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    except ChildProcessError:
-        return None
-
-
-def _kill(pid: int) -> None:
-    """Kill and reap a child, unless it is gone already (a gone child's pid
-    may belong to another process by now)."""
+def _reap(pid: int) -> None:
+    """Kill a child unless it has exited, and wait for it. A child reaped
+    already (while SIGCHLD is ignored, the kernel reaps children itself) is
+    left alone: its pid may belong to another process by now."""
     with contextlib.suppress(ChildProcessError):
         if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running
             import signal  # only here: importing mcckf stays as cheap as before
@@ -269,62 +253,52 @@ def _kill(pid: int) -> None:
 
 def _all_estimates(algorithms, models, init, measurements, spec) -> list:
     """The ``run_batch(algorithm, models, init, measurements, spec)`` of each
-    algorithm, in ``algorithms`` order.
+    algorithm, in ``algorithms`` order, as the serial loop returns or raises
+    them.
 
     With P = min(usable CPUs, algorithms), the first P-1 algorithms in
     ``ALGORITHMS`` order (the weighted filters costliest first) each run in a
-    forked child; this process runs the others and any share whose fork
-    fails. A process without ``os.fork`` or with other Python threads (a
-    child could block forever on a lock one of them held) forks nothing.
-    Each run's numbers are those of the serial loop, bit for bit, and an
-    error is the one the serial loop raises: the first in ``algorithms``
-    order. Every child is reaped before this returns or raises.
+    forked child while this process runs the others. A process without
+    ``os.fork`` or with other Python threads (a child could block forever on
+    a lock one of them held) forks nothing. A share whose fork fails, or
+    whose child sends no result for any reason (it raised, exited or was
+    killed), runs in this process, so every result and every error is the
+    serial loop's: the error is the first in ``algorithms`` order. Every
+    child is reaped before this returns or raises.
     """
     args = (models, init, measurements, spec)
     processes = min(_usable_cpus(), len(algorithms))
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     shares = sorted(algorithms, key=ALGORITHMS.index)[: processes - 1] if forkable else []
-    results = {}  # position in algorithms -> its BatchRun or the exception
-    children = {}  # position in algorithms -> (pid, read end of its pipe)
-    reaped = set()
+    results = {}  # algorithm -> its BatchRun, or the exception it raised here
+    children = {}  # algorithm -> (pid, read end of its pipe)
     sys.stdout.flush()  # a child must not inherit, and later print, buffered text
     sys.stderr.flush()
     try:
         for algorithm in shares:
-            inherited = [pipe for _, pipe in children.values()]
             try:
-                children[algorithms.index(algorithm)] = _fork_share(algorithm, args, inherited)
+                children[algorithm] = _fork_share(algorithm, args)
             except OSError:  # no process to spare: this process runs the rest
                 break
-        for i, algorithm in enumerate(algorithms):
-            if i not in children:
+        for algorithm in algorithms:
+            if algorithm not in children:
                 try:
-                    results[i] = run_batch(algorithm, *args)
+                    results[algorithm] = run_batch(algorithm, *args)
                 except Exception as exc:
-                    results[i] = exc  # the serial loop would stop here
+                    results[algorithm] = exc  # the serial loop would stop here
                     break
-        for i, (pid, pipe) in children.items():
-            with pipe:
-                payload = pipe.read()
-            code = _wait(pid)
-            reaped.add(pid)
-            try:
-                results[i] = pickle.loads(payload)
-            except Exception:  # the child died before it sent all of its result
-                exit_code = "" if code is None else f" (exit code {code})"
-                results[i] = RuntimeError(
-                    f"the process running {algorithms[i]!r} exited without a result{exit_code}"
-                )
+        for algorithm, (_, pipe) in children.items():
+            with contextlib.suppress(Exception):  # no result, or bytes that do not unpickle
+                results[algorithm] = pickle.loads(pipe.read())
     finally:
         for pid, pipe in children.values():
             pipe.close()
-            if pid not in reaped:
-                _kill(pid)
+            _reap(pid)
     batches = []
-    for i in range(len(algorithms)):
-        if isinstance(results[i], Exception):
-            raise results[i]
-        batches.append(results[i])
+    for algorithm in algorithms:
+        if isinstance(results.get(algorithm), Exception):
+            raise results[algorithm]
+        batches.append(results[algorithm] if algorithm in results else run_batch(algorithm, *args))
     return batches
 
 

@@ -109,9 +109,6 @@ class Diverged(Exception):
         self.step = step
         super().__init__("; ".join(self.reason_for(i) for i in reasons))
 
-    def __reduce__(self):  # rebuilt from its arguments, e.g. sent from another process
-        return type(self), (self.reasons, self.step)
-
     def reason_for(self, run: int) -> str:
         """The reason of the run at ``run``, prefixed with the step."""
         reason = self.reasons[run]
@@ -295,7 +292,8 @@ def mcckf_measurement_update(
     # is at least 2.2e-162, far above the smallest normal double.
     inv_factor = linalg._inverse_unchecked(p_factor)
     p_inv = inv_factor.mT @ inv_factor
-    info = linalg.symmetrize(p_inv + _times(lam, t.ht_r_inv_h))
+    # cholesky_lower factors the symmetric part of info
+    info = p_inv + _times(lam, t.ht_r_inv_h)
     info_factor = linalg.cholesky_lower(info, check_symmetry=False)
     gain = _information_gain(t, info_factor, lam, linalg._solve_unchecked)
     i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
@@ -416,9 +414,12 @@ def _singular_runs(a: np.ndarray, b: np.ndarray) -> list[int]:
 
 def _kf_measurement_update(model, pred: FilterState, y, spec, pin_weight):
     """The dense oracle's update: the classical Kalman filter, whose weight
-    is 1 whatever ``spec`` and ``pin_weight`` say. The gain is solved by LU
-    from the model's own matrices, and only the step's results are checked.
+    is 1 whatever ``spec`` says; a ``pin_weight`` other than 1 is rejected.
+    The gain is solved by LU from the model's own matrices, and only the
+    step's results are checked.
     """
+    if pin_weight is not None and pin_weight != 1.0:
+        raise ValueError(f"kf_reference's weight is 1, got a pinned weight of {pin_weight}")
     step, runs = pred.step, pred.runs
     h, r, p_pred = model.H, model.R, pred.covariance
     innovation = y - np.matvec(h, pred.estimate)
@@ -571,7 +572,8 @@ def run_filter(
         spec: kernel bandwidth for the adjusting weight; may be omitted when
             ``pin_weight`` is given or for ``kf_reference``.
         pin_weight: fix the adjusting weight (e.g. 1.0 reduces every variant
-            to the classical filter, 0.0 rejects every measurement).
+            to the classical filter, 0.0 rejects every measurement);
+            ``kf_reference`` accepts only 1.0.
 
     Returns:
         ``FilterRun`` with per-step posterior states and reports up to

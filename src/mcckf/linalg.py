@@ -138,9 +138,17 @@ def _require_finite(a: np.ndarray, message: str) -> None:
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the symmetric part (a + a.T) / 2 of a matrix or of each matrix
-    of a stack."""
+    of a stack. An entry whose ``a_ij + a_ji`` overflows is taken as
+    ``a_ij / 2 + a_ji / 2``: both terms are then far above the subnormals, so
+    the halves are exact and their sum rounds to the value of
+    ``(a_ij + a_ji) / 2``, which every other entry keeps bit for bit.
+    """
     a = np.asarray(a, dtype=float)
-    return (a + a.mT) / 2.0
+    with np.errstate(over="ignore"):
+        s = (a + a.mT) / 2.0
+    if np.isinf(s).any():
+        s = np.where(np.isinf(s), a / 2.0 + a.mT / 2.0, s)
+    return s
 
 
 def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
@@ -197,23 +205,18 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
 
 
 def _symmetric_part(a: np.ndarray):
-    """The symmetric part of a finite a, and its pivot floors:
-    ``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row.
+    """The symmetric part (``symmetrize``) of a finite a, and its pivot
+    floors: ``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row.
 
     The norm is ``np.linalg.norm``'s formula; a row whose sum of squares
-    overflows is scaled by its largest entry first. An entry whose
-    ``a_ij + a_ji`` overflows is taken as ``a_ij / 2 + a_ji / 2``: both terms
-    are then far above the subnormals, so the halves are exact and their sum
-    rounds the same value as ``(a_ij + a_ji) / 2``. Any such entry makes an
-    infinite row norm, so the one ``isinf`` check covers both cases.
+    overflows is scaled by its largest entry first.
     """
+    s = symmetrize(a)
     with np.errstate(over="ignore"):
-        s = (a + a.mT) / 2.0
         norms = np.sqrt(np.add.reduce(s * s, axis=-1))
     floors = PIVOT_FLOOR_FACTOR * _EPS * norms
     big = np.isinf(norms)
     if big.any():
-        s = np.where(np.isinf(s), a / 2.0 + a.mT / 2.0, s)
         rows = s[big]
         scale = np.abs(rows).max(axis=-1)
         unit_norms = np.linalg.norm(rows / scale[:, None], axis=-1)

@@ -33,7 +33,7 @@ from mcckf.bench import (
 )
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
-from mcckf.filters import Diverged, RunStatus, run_filter
+from mcckf.filters import ALGORITHMS, Diverged, RunStatus, run_filter
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
 from oracles import condition_estimate
@@ -464,6 +464,7 @@ class TestParallelEvaluation:
         assert_no_children()
 
     def test_child_without_result(self, monkeypatch, forks):
+        # the share of a child that sends nothing runs here, as in the serial loop
         parent, batch = os.getpid(), bench.run_batch
 
         def exiting(algorithm, *args):
@@ -472,19 +473,58 @@ class TestParallelEvaluation:
             return batch(algorithm, *args)
 
         monkeypatch.setattr(bench, "run_batch", exiting)
-        message = r"'conventional' exited without a result \(exit code 3\)"
-        with pytest.raises(RuntimeError, match=message):
-            self.with_cpus(
-                monkeypatch,
-                2,
-                run_monte_carlo,
-                ["sr1b", "conventional"],
-                radar_scenario(RadarConstants(horizon=20)),
-                2,
-                1,
-                KernelSpec(3e4),
-            )
+        scenario = radar_scenario(RadarConstants(horizon=20))
+        args = (["sr1b", "conventional"], scenario, 2, 1, KernelSpec(3e4))
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        assert_same_reports(self.with_cpus(monkeypatch, 2, run_monte_carlo, *args), serial)
         assert len(forks) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_parent_runs_only_the_shares_not_forked(self, monkeypatch, forks, cpus):
+        # a child that always failed would only cost time; this catches it
+        calls, batch = [], bench.run_batch
+
+        def counting(algorithm, *args):
+            calls.append(algorithm)  # a child's append stays in the child
+            return batch(algorithm, *args)
+
+        algorithms = ["kf_reference", "sr1b", "sr1a", "conventional"]
+        args = (algorithms, tiny_scenario(), 2, 1, KernelSpec(1.0))
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        monkeypatch.setattr(bench, "run_batch", counting)
+        assert_same_reports(self.with_cpus(monkeypatch, cpus, run_monte_carlo, *args), serial)
+        assert len(forks) == cpus - 1
+        assert calls == [a for a in algorithms if a not in ALGORITHMS[: cpus - 1]]
+        assert_no_children()
+
+    def test_middle_child_without_result(self, monkeypatch, forks):
+        # a sibling's copy of a read end must not delay the end of a pipe
+        parent, batch, calls = os.getpid(), bench.run_batch, []
+
+        def exiting(algorithm, *args):
+            if os.getpid() != parent and algorithm == "sr1a":
+                os._exit(3)
+            calls.append(algorithm)
+            return batch(algorithm, *args)
+
+        def hung(signum, frame):
+            raise TimeoutError("the evaluation hangs")
+
+        scenario = radar_scenario(RadarConstants(horizon=20))
+        args = (list(ALGORITHMS), scenario, 2, 1, KernelSpec(3e4))
+        serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+        monkeypatch.setattr(bench, "run_batch", exiting)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            reports = self.with_cpus(monkeypatch, 4, run_monte_carlo, *args)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_same_reports(reports, serial)
+        assert len(forks) == 3
+        assert calls == ["kf_reference", "sr1a"]
         assert_no_children()
 
     def test_children_reaped_when_interrupted(self, monkeypatch, forks):
@@ -536,15 +576,11 @@ class TestParallelEvaluation:
             return batch(algorithm, *args)
 
         monkeypatch.setattr(bench, "run_batch", failing)
-        # the child's error, then the child without a result, whose exit code is gone
-        no_result = "^the process running 'sr1a' exited without a result$"
-        for algorithms, error, message in (
-            (["conventional", "sr1b"], ValueError, "^conventional cannot run$"),
-            (["sr1a", "conventional", "sr1b"], RuntimeError, no_result),
-        ):
+        # children that raise or exit without a result: their shares run here
+        for algorithms in (["conventional", "sr1b"], ["sr1a", "conventional", "sr1b"]):
             args = (algorithms, tiny_scenario(), 2, 1, KernelSpec(1.0))
-            with pytest.raises(error, match=message):
-                self.with_cpus(monkeypatch, 3, run_monte_carlo, *args)
+            serial = self.with_cpus(monkeypatch, 1, run_monte_carlo, *args)
+            assert_same_reports(self.with_cpus(monkeypatch, 3, run_monte_carlo, *args), serial)
             assert_no_children()
 
     @pytest.mark.parametrize("failing_fork", [1, 2], ids=["first", "second"])

@@ -419,6 +419,16 @@ class TestRunFilter:
             with pytest.raises(ValueError, match="pinned weight must be nonnegative"):
                 run_filter(algorithm, model, init, np.zeros((2, 1)), None, pin_weight=pin_weight)
 
+    def test_kf_reference_accepts_only_its_own_weight(self):
+        model = scalar_model()
+        init = InitialCondition(np.zeros(1), np.eye(1))
+        for pin_weight in (np.nan, -1.0, 0.5):
+            with pytest.raises(ValueError, match="kf_reference's weight is 1"):
+                run_filter("kf_reference", model, init, np.zeros((2, 1)), None, pin_weight=pin_weight)
+        run = run_filter("kf_reference", model, init, np.zeros((2, 1)), None, pin_weight=1.0)
+        assert run.status.completed
+        assert [r.lam for r in run.reports] == [1.0, 1.0]
+
     def test_rejects_measurements_that_are_not_one_vector_per_step(self):
         model, init, _ = build_example1()
         with pytest.raises(ValueError, match=r"one vector per step, got shape \(3, 2, 2\)"):

@@ -76,6 +76,18 @@ class TestCholeskyLower:
         l = cholesky_lower(a)
         np.testing.assert_allclose(l @ l.T, symmetrize(a), rtol=1e-12)
 
+    def test_symmetrize_does_not_overflow(self):
+        big = 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = symmetrize(np.array([[1.0, big], [big, big]]))
+            stack = symmetrize(np.stack([np.diag([1.0, big]), [[2.0, 1.0], [3.0, 4.0]]]))
+        assert np.array_equal(s, [[1.0, big], [big, big]])
+        assert np.array_equal(stack, [np.diag([1.0, big]), [[2.0, 2.0], [2.0, 4.0]]])
+        # a finite sum keeps the bits of (a + a.T) / 2, down to the subnormals
+        a = RNG.standard_normal((3, 5, 5)) * np.array([1.0, 1e-310, 1e300])[:, None, None]
+        assert np.array_equal(symmetrize(a), (a + a.mT) / 2.0)
+
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):
             cholesky_lower(np.array([[np.nan, 0.0], [0.0, 1.0]]))
