@@ -5,9 +5,14 @@ kernel of the innovation's norm in the R^{-1} metric. It lies in [0, 1],
 equals 1 iff the innovation is zero and is exactly 0 where the norm is
 beyond the kernel's support.
 
-The functions also take a batch of runs (a leading runs axis on every input)
-and then return one value per run, each equal bit for bit to the value of
-that run alone.
+The norm is taken of the whitened innovation R_sqrt^{-1} e, one matrix-vector
+product with the inverse R factor that the model computes once
+(``StepTerms.r_sqrt_inv``), not a substitution per step. The weight checks
+no factor: R passed ``validate_model``, so every pivot of its factor is above
+its floor and every diagonal entry a normal double, and the inverse exists.
+
+A batch of runs (a leading runs axis on every input) gives one weight per
+run, each equal bit for bit to the weight of that run alone.
 """
 
 from __future__ import annotations
@@ -18,12 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-
 __all__ = [
     "KernelSpec",
-    "gaussian_kernel",
-    "weighted_norm",
     "compute_lambda",
 ]
 
@@ -49,47 +50,14 @@ class KernelSpec:
             )
 
 
-def gaussian_kernel(spec: KernelSpec, distance):
-    """exp(-distance^2 / (2 sigma^2)); equals 1 iff distance == 0.
+def compute_lambda(spec: KernelSpec | None, innovation, r_sqrt_inv, pin_weight=None):
+    """The filters' weight: the kernel of the innovation's R^{-1} norm,
+    exp(-e^T R^{-1} e / (2 sigma^2)) with R^{-1} = r_sqrt_inv.T @ r_sqrt_inv.
 
-    May underflow to exactly 0 for extreme distances, which is permitted:
-    downstream it yields a zero gain, i.e. full rejection of the measurement.
-    A distance whose square overflows, or an infinite one, gives the
-    kernel's limit, 0, without a warning. A 1-D array of distances gives an
-    array of kernel values.
-    """
-    d = np.asarray(distance, dtype=float)
-    # a Python loop is the cheapest check for the few distances of a batch
-    if not all(0.0 <= v <= math.inf for v in d.ravel().tolist()):
-        raise ValueError(f"distance must be nonnegative, got {distance}")
-    if math.isinf(spec.sigma):
-        return 1.0 if d.ndim == 0 else np.ones(d.shape)
-    # equals -(d * d) / (2 sigma^2) bit for bit: rounding is sign-symmetric;
-    # an exponent that overflows to -inf gives exactly 0
-    with np.errstate(over="ignore"):
-        value = np.exp(d * d / (-2.0 * spec.sigma * spec.sigma))
-    return float(value) if d.ndim == 0 else value
-
-
-def weighted_norm(residual: np.ndarray, weight_factor: np.ndarray):
-    """sqrt(e^T W^{-1} e) with W = factor @ factor.T, without forming W^{-1}.
-
-    Solves factor @ z = residual by forward substitution and returns ||z||;
-    a singular factor raises ``SingularFactor`` whatever the residual.
-    Residuals (runs, m) with factors (runs, m, m) give one norm per run.
-    """
-    r = np.asarray(residual, dtype=float)
-    z = linalg.triangular_solve(weight_factor, r)
-    norm = np.sqrt(np.vecdot(z, z))
-    return float(norm) if r.ndim == 1 else norm
-
-
-def compute_lambda(spec: KernelSpec | None, innovation, r_factor, pin_weight=None):
-    """The filters' weight: the kernel of the innovation's R^{-1} norm.
-
-    ``r_factor`` is the lower Cholesky factor of R. ``pin_weight`` replaces
-    the weight by a fixed value, and then ``spec`` may be None. Innovations
-    (runs, m) with factors (runs, m, m) give one weight per run.
+    ``r_sqrt_inv`` is the inverse of the lower Cholesky factor of R, the
+    model's ``StepTerms.r_sqrt_inv``. ``pin_weight`` replaces the weight by a
+    fixed value, and then ``spec`` may be None. Innovations (runs, m) with
+    inverse factors (runs, m, m) give one weight per run.
     """
     batch = np.ndim(innovation) == 2
     if pin_weight is not None:
@@ -102,8 +70,10 @@ def compute_lambda(spec: KernelSpec | None, innovation, r_factor, pin_weight=Non
         # the kernel is exactly one at every distance
         return np.ones(len(innovation)) if batch else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        distance = weighted_norm(innovation, r_factor)
-    # the innovation and the R factor are finite, so a norm that is not
-    # finite overflowed (a NaN is inf - inf in the substitution): it lies
-    # beyond the kernel's support, where the kernel is 0
-    return gaussian_kernel(spec, np.fmin(distance, math.inf))
+        z = np.matvec(r_sqrt_inv, innovation)
+        # the innovation and the inverse factor are finite, so a squared norm
+        # that is not finite overflowed (a NaN is inf - inf in the product):
+        # it lies beyond the kernel's support, where the kernel is exactly 0
+        d2 = np.fmin(np.vecdot(z, z), math.inf)
+        value = np.exp(d2 / (-2.0 * spec.sigma * spec.sigma))
+    return value if batch else float(value)

@@ -14,9 +14,10 @@ Three algebraically equivalent measurement updates are provided:
 All three compute the scalar adjusting weight through the same function,
 ``correntropy.compute_lambda``, so equivalence tests isolate linear-algebra
 differences. A dense textbook Kalman filter (``kf_reference``) serves as an
-independent oracle: pinning the weight to 1 reduces every variant to it. No
-explicit matrix inverse is materialized anywhere except the transposed factor
-inverse that the sr1a pre-array is defined with.
+independent oracle: pinning the weight to 1 reduces every variant to it. The
+weighted filters invert triangular factors only: the R factor once per model
+(``StepTerms.r_sqrt_inv``, which whitens the innovation in the weight), and
+the predicted factor at every step in the conventional and sr1a updates.
 
 Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
@@ -250,11 +251,11 @@ def _innovation(terms, pred: FilterState, y) -> np.ndarray:
 
 
 def _information_gain(terms, info_factor, lam, solve) -> np.ndarray:
-    """lam * X^{-T} X^{-1} H^T R^{-1} by two triangular solves with ``solve``,
-    for the lower factor X of the updated information matrix (conventional
-    and sr1a)."""
+    """lam * X^{-T} X^{-1} H^T R^{-1} by two triangular solves, for the lower
+    factor X of the updated information matrix (conventional and sr1a).
+    ``solve`` makes the first; the second reuses the diagonal it checked."""
     half = solve(info_factor, terms.ht_r_inv)
-    return _times(lam, solve(info_factor, half, transposed=True))
+    return _times(lam, linalg._solve_unchecked(info_factor, half, transposed=True))
 
 
 def mcckf_time_update(model, prior: FilterState) -> FilterState:
@@ -286,7 +287,7 @@ def mcckf_measurement_update(
     innovation = _innovation(t, pred, y)
     # pred.covariance is symmetrized by construction; skip the recheck
     p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
-    lam = compute_lambda(spec, innovation, t.r_sqrt, pin_weight)
+    lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
     # p_factor and info_factor skip the singular-diagonal check: a pivot above
     # its floor (>= 0) is at least 4.9e-324, so its root, the diagonal entry,
     # is at least 2.2e-162, far above the smallest normal double.
@@ -350,12 +351,12 @@ def sr1a_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
-    lam = compute_lambda(spec, innovation, t.r_sqrt, pin_weight)
+    lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
     pred_inv = linalg.triangular_inverse(pred.factor)
     pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.mT)], axis=-1)
     _require_finite(step, runs, **{"information pre-array": pre})
     # pre is finite on the line above; a rank-deficient pre gives a zero
-    # diagonal in info_factor, which the solves still check
+    # diagonal in info_factor, which the first gain solve still checks
     info_factor = linalg._triangularize(pre)
     gain = _information_gain(t, info_factor, lam, linalg.triangular_solve)
     return _sr_posterior(t, pred, gain, lam, innovation)
@@ -378,17 +379,17 @@ def sr1b_measurement_update(
     step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
-    lam = compute_lambda(spec, innovation, t.r_sqrt, pin_weight)
+    lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
     pre = np.concatenate(
         [_times(np.sqrt(lam), t.H @ pred.factor), t.r_sqrt], axis=-1
     )
     _require_finite(step, runs, **{"innovation pre-array": pre})
-    # pre is finite on the line above; the solves below check the diagonal
+    # pre is finite on the line above; the first solve below checks the diagonal
     innov_factor = linalg._triangularize(pre)
     p_pred = pred.factor @ pred.factor.mT
     weighted = _times(lam, t.H @ p_pred)
     half = linalg.triangular_solve(innov_factor, weighted)
-    gain = linalg.triangular_solve(innov_factor, half, transposed=True).mT
+    gain = linalg._solve_unchecked(innov_factor, half, transposed=True).mT
     return _sr_posterior(t, pred, gain, lam, innovation)
 
 

@@ -32,7 +32,10 @@ established what a check tests, they call a private entry point without it:
 * ``_solve_unchecked`` and ``_inverse_unchecked`` against the conventional
   filter's two Cholesky factors: a pivot above its floor (which is at least
   0) is at least 4.9e-324, so its root on the diagonal is at least 2.2e-162
-  and cannot trip the singular-diagonal check.
+  and cannot trip the singular-diagonal check;
+* ``_solve_unchecked`` for the second solve against a QR-produced factor
+  (sr1a's information factor, sr1b's innovation factor), whose diagonal the
+  first solve of the step has just checked.
 
 A stacked Cholesky compares all pivots with their floors once, after its
 loop; ``NotPositiveDefinite.failed`` then names every failing matrix of the

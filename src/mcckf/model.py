@@ -37,9 +37,12 @@ class StepTerms:
 
     ``model`` is one ``StateSpaceModel``, whose terms are 2-D, or a batch's
     stack of every run's matrices with a leading runs axis, whose terms are
-    stacked the same way. Each term is computed on first use, with the
-    operations and the association order of the filter-step expression it
-    stands for, so reusing it changes no bit of any result.
+    stacked the same way. Each term is computed on first use, once per model
+    or batch, with the operations and the association order of the
+    filter-step expression it stands for, so reusing it changes no bit of the
+    covariance and gain recursions. ``r_sqrt_inv`` is the exception: the
+    weight multiplies the innovation by it, which rounds differently from a
+    substitution against ``r_sqrt``.
     """
 
     def __init__(self, model):
@@ -56,10 +59,14 @@ class StepTerms:
         return linalg.cholesky_lower(self.R)
 
     @cached_property
+    def r_sqrt_inv(self) -> np.ndarray:
+        """R_sqrt^{-1}, which whitens the innovation in the weight."""
+        return linalg.triangular_inverse(self.r_sqrt)
+
+    @cached_property
     def r_inv(self) -> np.ndarray:
-        """R^{-1}, assembled from the R factor by triangular solves."""
-        inv_factor = linalg.triangular_inverse(self.r_sqrt)
-        return inv_factor.mT @ inv_factor
+        """R^{-1}, assembled from the inverse R factor."""
+        return self.r_sqrt_inv.mT @ self.r_sqrt_inv
 
     @cached_property
     def g_q_sqrt(self) -> np.ndarray:

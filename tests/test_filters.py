@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcckf import filters as filters_module
+from mcckf import linalg as linalg_module
 from mcckf.bench import build_example1, build_example2
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec, compute_lambda
@@ -595,6 +596,95 @@ class TestRunBatch:
         assert [r.lam for r in counted_alone.reports] == [r.lam for r in alone.reports]
         assert counted_batch.statuses == batch.statuses
         assert np.array_equal(counted_batch.estimates, batch.estimates)
+
+    @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
+    def test_inverse_r_factor_is_computed_once_and_read_at_every_step(
+        self, monkeypatch, algorithm
+    ):
+        rng = np.random.default_rng(11)
+        n, m = 4, 3
+        models = [random_model(rng, n, m, 2) for _ in range(3)]
+        init = InitialCondition(np.zeros(n), random_spd(rng, n))
+        ys = np.stack(
+            [simulate(mdl, init, 10, SeedSpec(11, i)).measurements for i, mdl in enumerate(models)]
+        )
+        inverted, read = [], []
+        inverse = linalg_module.triangular_inverse
+
+        def counted_inverse(l):
+            if l.shape[-1] == m:  # sr1a also inverts the n x n predicted factor
+                inverted.append(l.shape)
+            return inverse(l)
+
+        def counted_weight(spec, innovation, r_sqrt_inv, pin_weight=None):
+            read.append(r_sqrt_inv)
+            return compute_lambda(spec, innovation, r_sqrt_inv, pin_weight)
+
+        monkeypatch.setattr(linalg_module, "triangular_inverse", counted_inverse)
+        monkeypatch.setattr(filters_module, "compute_lambda", counted_weight)
+        assert run_filter(algorithm, models[0], init, ys[0], KernelSpec(2.0)).status.completed
+        assert inverted == [(m, m)]
+        assert len(read) == 10
+        assert all(w is models[0].terms.r_sqrt_inv for w in read)
+        inverted.clear()
+        read.clear()
+        batch = run_batch(algorithm, models, init, ys, KernelSpec(2.0))
+        assert all(status.completed for status in batch.statuses)
+        # the batch's stack of models inverts its stacked R factors once
+        assert inverted == [(3, m, m)]
+        assert len(read) == 10
+        assert all(w is read[0] for w in read)
+        assert np.array_equal(read[0], np.stack([mdl.terms.r_sqrt_inv for mdl in models]))
+
+    @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
+    def test_live_weights_of_runs_with_different_r_are_bit_identical(
+        self, monkeypatch, algorithm
+    ):
+        rng = np.random.default_rng(12)
+        models = [random_model(rng, 5, 3, 2) for _ in range(4)]
+        assert all(not np.array_equal(a.R, b.R) for a, b in zip(models, models[1:]))
+        init = InitialCondition(np.zeros(5), random_spd(rng, 5))
+        ys = np.stack(
+            [simulate(mdl, init, 30, SeedSpec(12, i)).measurements for i, mdl in enumerate(models)]
+        )
+        spec = KernelSpec(2.0)
+        alone = [run_filter(algorithm, mdl, init, y, spec) for mdl, y in zip(models, ys)]
+        weights = []
+
+        def recorded(*args, **kwargs):
+            lam = compute_lambda(*args, **kwargs)
+            weights.append(lam)
+            return lam
+
+        monkeypatch.setattr(filters_module, "compute_lambda", recorded)
+        batch = run_batch(algorithm, models, init, ys, spec)
+        lams = np.array(weights)
+        assert lams.shape == (30, 4)
+        assert 0.0 < lams.min() < 0.9  # the weight is live
+        for i, run in enumerate(alone):
+            assert run.status.completed and batch.statuses[i] == run.status
+            assert np.array_equal(batch.estimates[i], run.estimates())
+            assert lams[:, i].tolist() == [report.lam for report in run.reports]
+
+    # a solve against a factor whose diagonal the step has already checked
+    # skips the check: conventional's Cholesky factors and the second solve
+    # against sr1a's information factor and sr1b's innovation factor; sr1a
+    # checks its predicted factor (inverted) and its information factor
+    @pytest.mark.parametrize("algorithm, checked", [("conventional", 0), ("sr1a", 2), ("sr1b", 1)])
+    def test_each_factor_is_checked_once_per_step(self, monkeypatch, algorithm, checked):
+        model, init, shot = build_example1()
+        ys = batch_measurements(model, init, 20, 4, 1, shot)[0]
+        model.terms.r_inv, model.terms.r_sqrt_inv_h  # the model's terms solve once
+        calls = []
+        solve = linalg_module.triangular_solve
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linalg_module, "triangular_solve", counted)
+        assert run_filter(algorithm, model, init, ys, KernelSpec(3e4)).status.completed
+        assert len(calls) == checked * 20
 
     def test_rejects_a_run_model_with_r_not_positive_definite(self):
         base, init, shot = build_example1()

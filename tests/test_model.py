@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from mcckf.bench import build_example1
-from mcckf.linalg import cholesky_lower
+from mcckf.linalg import cholesky_lower, triangular_inverse
 from mcckf.model import (
     InitialCondition,
     StateSpaceModel,
+    StepTerms,
     validate_model,
 )
 
@@ -127,3 +128,16 @@ def test_cached_factors_match_direct_factorization():
     np.testing.assert_array_equal(terms.r_sqrt, cholesky_lower(np.asarray(model.R)))
     assert model.terms is model.terms
     np.testing.assert_allclose(terms.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
+
+
+def test_r_inv_is_built_from_the_cached_inverse_r_factor():
+    model, _, _ = build_example1()
+    r = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]
+    wide = StateSpaceModel(F=np.eye(3), G=np.eye(3), H=np.eye(3), Q=np.eye(3), R=r)
+    for mdl in (model, wide):
+        inv_factor = triangular_inverse(cholesky_lower(np.asarray(mdl.R)))
+        terms = StepTerms(mdl)
+        np.testing.assert_array_equal(terms.r_sqrt_inv, inv_factor)
+        assert terms.r_sqrt_inv is terms.r_sqrt_inv
+        # r_inv's formula before the inverse factor was cached, bit for bit
+        np.testing.assert_array_equal(terms.r_inv, inv_factor.mT @ inv_factor)
