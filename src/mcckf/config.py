@@ -38,39 +38,40 @@ def _positive(value: str) -> float:
     return number
 
 
-def _defaults() -> dict:
-    c = RadarConstants()
-    shot = ShotNoiseSpec()
-    return {
-        "model": {
-            "rho": repr(c.rho),
-            "sampling_period": repr(c.sampling_period),
-            "range_noise_var": repr(c.range_noise_var),
-            "bearing_noise_var": repr(c.bearing_noise_var),
-            "maneuver_var_1": repr(c.maneuver_var_1),
-            "maneuver_var_2": repr(c.maneuver_var_2),
-        },
-        "kernel": {},
-        "shot_noise": {
-            "fraction": repr(shot.corrupted_fraction),
-            "magnitude_low": str(shot.magnitude_low),
-            "magnitude_high": str(shot.magnitude_high),
-            "window_start": str(shot.window_start),
-            "window_end": str(shot.window_end),
-            "targets": shot.targets,
-        },
-        "monte_carlo": {
-            "runs": "100",
-            "horizon": str(c.horizon),
-            "seed": "1",
-        },
-        "sweep": {
-            "deltas": " ".join(f"1e-{i}" for i in range(1, 15)),
-        },
-    }
+# Each [model] and [shot_noise] key: the RadarConstants or ShotNoiseSpec
+# field it sets and the parser of its value. DEFAULTS, radar_constants() and
+# shot_spec() are built from this table.
+_FIELDS = {
+    "model": {
+        "rho": ("rho", _finite),
+        "sampling_period": ("sampling_period", _positive),
+        "range_noise_var": ("range_noise_var", _finite),
+        "bearing_noise_var": ("bearing_noise_var", _finite),
+        "maneuver_var_1": ("maneuver_var_1", _finite),
+        "maneuver_var_2": ("maneuver_var_2", _finite),
+    },
+    "shot_noise": {
+        "fraction": ("corrupted_fraction", float),
+        "magnitude_low": ("magnitude_low", int),
+        "magnitude_high": ("magnitude_high", int),
+        "window_start": ("window_start", int),
+        "window_end": ("window_end", int),
+        "targets": ("targets", str),
+    },
+}
 
 
-DEFAULTS = _defaults()
+def _defaults_of(section: str, default) -> dict:
+    return {key: str(getattr(default, field)) for key, (field, _) in _FIELDS[section].items()}
+
+
+DEFAULTS = {
+    "model": _defaults_of("model", RadarConstants()),
+    "kernel": {},
+    "shot_noise": _defaults_of("shot_noise", ShotNoiseSpec()),
+    "monte_carlo": {"runs": "100", "horizon": str(RadarConstants().horizon), "seed": "1"},
+    "sweep": {"deltas": " ".join(f"1e-{i}" for i in range(1, 15))},
+}
 
 _KNOWN_KEYS = {section: set(keys) for section, keys in DEFAULTS.items()}
 _KNOWN_KEYS["kernel"].add("sigma")
@@ -136,16 +137,13 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {section}.{key}: {value!r} ({exc})") from exc
 
+    def _fields(self, section: str) -> dict:
+        """The parsed ``_FIELDS`` of a section, by dataclass field."""
+        table = _FIELDS[section].items()
+        return {field: self._get(section, key, parse) for key, (field, parse) in table}
+
     def radar_constants(self) -> RadarConstants:
-        return RadarConstants(
-            rho=self._get("model", "rho", _finite),
-            sampling_period=self._get("model", "sampling_period", _positive),
-            range_noise_var=self._get("model", "range_noise_var", _finite),
-            bearing_noise_var=self._get("model", "bearing_noise_var", _finite),
-            maneuver_var_1=self._get("model", "maneuver_var_1", _finite),
-            maneuver_var_2=self._get("model", "maneuver_var_2", _finite),
-            horizon=self.horizon(),
-        )
+        return RadarConstants(**self._fields("model"), horizon=self.horizon())
 
     def kernel_spec(self) -> KernelSpec:
         sigma = self._get("kernel", "sigma", float)
@@ -156,14 +154,7 @@ class ExperimentConfig:
 
     def shot_spec(self) -> ShotNoiseSpec:
         try:
-            return ShotNoiseSpec(
-                corrupted_fraction=self._get("shot_noise", "fraction", float),
-                magnitude_low=self._get("shot_noise", "magnitude_low", int),
-                magnitude_high=self._get("shot_noise", "magnitude_high", int),
-                window_start=self._get("shot_noise", "window_start", int),
-                window_end=self._get("shot_noise", "window_end", int),
-                targets=self._get("shot_noise", "targets", str),
-            )
+            return ShotNoiseSpec(**self._fields("shot_noise"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

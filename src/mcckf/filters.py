@@ -280,13 +280,14 @@ def mcckf_measurement_update(
     The gain is lam * (P^{-1} + lam H^T R^{-1} H)^{-1} H^T R^{-1}, realized
     through Cholesky factors and triangular solves; the predicted covariance
     is inverted here, which is where this form breaks down first under
-    ill-conditioning of P.
+    ill-conditioning of P. ``pred.covariance`` must be symmetric and finite,
+    as ``mcckf_time_update`` returns it.
     """
     step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
-    # pred.covariance is symmetrized by construction; skip the recheck
-    p_factor = linalg.cholesky_lower(pred.covariance, check_symmetry=False)
+    # mcckf_time_update has symmetrized pred.covariance and checked it finite
+    p_factor = linalg._cholesky_unchecked(pred.covariance)
     lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
     # p_factor and info_factor skip the singular-diagonal check: a pivot above
     # its floor (>= 0) is at least 4.9e-324, so its root, the diagonal entry,

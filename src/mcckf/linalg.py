@@ -29,6 +29,9 @@ established what a check tests, they call a private entry point without it:
 
 * ``_triangularize`` for the four pre-arrays, which the step checked for
   finiteness on the line before;
+* ``_cholesky_unchecked`` for the conventional filter's predicted
+  covariance, which its time update has symmetrized and checked for
+  finiteness;
 * ``_solve_unchecked`` and ``_inverse_unchecked`` against the conventional
   filter's two Cholesky factors: a pivot above its floor (which is at least
   0) is at least 4.9e-324, so its root on the diagonal is at least 2.2e-162
@@ -203,18 +206,17 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
             lambda i: f"asymmetry {asymmetry[i]:.3e} exceeds "
             f"{SYMMETRY_RTOL:g} * {scale[i]:.3e}",
         )
-    s, floors = _symmetric_part(a)
-    return _cholesky(s, floors) if s.ndim == 2 else _cholesky_stack(s, floors)
+    return _cholesky_unchecked(symmetrize(a))
 
 
-def _symmetric_part(a: np.ndarray):
-    """The symmetric part (``symmetrize``) of a finite a, and its pivot
-    floors: ``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of each row.
+def _cholesky_unchecked(s: np.ndarray) -> np.ndarray:
+    """``cholesky_lower`` of a finite symmetric float matrix or stack,
+    without the checks and without symmetrizing it again.
 
-    The norm is ``np.linalg.norm``'s formula; a row whose sum of squares
+    The pivot floors are ``PIVOT_FLOOR_FACTOR * eps`` times the 2-norm of
+    each row, by ``np.linalg.norm``'s formula; a row whose sum of squares
     overflows is scaled by its largest entry first.
     """
-    s = symmetrize(a)
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce(s * s, axis=-1))
     floors = PIVOT_FLOOR_FACTOR * _EPS * norms
@@ -224,7 +226,7 @@ def _symmetric_part(a: np.ndarray):
         scale = np.abs(rows).max(axis=-1)
         unit_norms = np.linalg.norm(rows / scale[:, None], axis=-1)
         floors[big] = PIVOT_FLOOR_FACTOR * _EPS * scale * unit_norms
-    return s, floors
+    return _cholesky(s, floors) if s.ndim == 2 else _cholesky_stack(s, floors)
 
 
 def _pivot_failure(pivot: float, j: int, floor: float) -> str:
@@ -358,29 +360,15 @@ def triangular_solve(
     """
     l = np.asarray(l, dtype=float)
     b = np.asarray(b, dtype=float)
-    if l.ndim == 2:
-        n = l.shape[0]
-        if b.shape[0] != n:
-            raise ValueError(f"dimension mismatch: factor {l.shape}, rhs {b.shape}")
-        # the tiny systems of the filters' inner loop read their diagonal as
-        # Python floats, cheaper than a numpy call
-        if n == 1:
-            singular = abs(l[0, 0]) < _TINY
-        elif n == 2:
-            singular = abs(l[0, 0]) < _TINY or abs(l[1, 1]) < _TINY
-        else:
-            singular = np.any(np.abs(np.diagonal(l)) < _TINY)
-        if singular:
-            raise SingularFactor(_SINGULAR)
-        return _solve(l, b, transposed)
-    if l.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != l.shape[:2]:
-        raise ValueError(f"dimension mismatch: factors {l.shape}, rhs {b.shape}")
-    # a NaN diagonal entry compares False here, as in the 2-D check, and
-    # does not hide a zero entry elsewhere in the stack
-    tiny = np.abs(l.diagonal(0, 1, 2)) < _TINY
+    lead = l.ndim - 1  # the axes b shares with l
+    if lead not in (1, 2) or b.ndim not in (lead, lead + 1) or b.shape[:lead] != l.shape[:-1]:
+        raise ValueError(f"dimension mismatch: factor {l.shape}, rhs {b.shape}")
+    # a NaN diagonal entry compares False, and on a stack does not hide a
+    # zero entry of another factor
+    tiny = np.abs(l.diagonal(0, -2, -1)) < _TINY
     if tiny.any():
-        _raise_where(SingularFactor, tiny.any(axis=1), lambda i: _SINGULAR)
-    return _solve_stack(l, b, transposed)
+        _raise_where(SingularFactor, tiny.any(axis=-1), lambda i: _SINGULAR)
+    return _solve_unchecked(l, b, transposed)
 
 
 def _solve_unchecked(l: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
@@ -393,18 +381,6 @@ def _solve_unchecked(l: np.ndarray, b: np.ndarray, transposed: bool = False) -> 
 def _solve(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
     n = l.shape[0]
     vector = b.ndim == 1
-    # closed forms for the tiny systems the filters solve in their inner loop
-    if n == 1:
-        return b / l[0, 0]
-    if n == 2:
-        x = np.empty_like(b)
-        if not transposed:
-            x[0] = b[0] / l[0, 0]
-            x[1] = (b[1] - l[1, 0] * x[0]) / l[1, 1]
-        else:
-            x[1] = b[1] / l[1, 1]
-            x[0] = (b[0] - l[1, 0] * x[1]) / l[0, 0]
-        return x
     x = b[:, None].copy() if vector else b.copy()
     rows = list(x)
     diag = l.diagonal().tolist()

@@ -72,7 +72,7 @@ def cholesky_loop(a: np.ndarray) -> np.ndarray:
 
 def solve_loop(l: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
     """The row-by-row substitution loop behind ``triangular_solve`` for one
-    factor, at every n (the kernel has closed forms for n = 1 and 2)."""
+    factor, at every n."""
     n = l.shape[0]
     vector = b.ndim == 1
     if np.any(np.abs(np.diagonal(l)) < _TINY):

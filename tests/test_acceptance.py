@@ -20,7 +20,12 @@ from mcckf.filters import (
     sr1b_measurement_update,
     sr_time_update,
 )
-from mcckf.linalg import cholesky_lower, lower_triangularize, triangular_solve
+from mcckf.linalg import (
+    cholesky_lower,
+    lower_triangularize,
+    triangular_inverse,
+    triangular_solve,
+)
 from mcckf.sim import SeedSpec, simulate
 from oracles import gain_information_form, gain_innovation_form
 
@@ -219,7 +224,7 @@ def test_criterion_6_weight_properties():
         lam = compute_lambda(
             spec,
             rng.standard_normal(dim) * 10.0 ** rng.integers(-2, 3),
-            cholesky_lower(random_spd(rng, dim, 50.0)),
+            triangular_inverse(cholesky_lower(random_spd(rng, dim, 50.0))),
         )
         in_range &= 0.0 <= lam <= 1.0
     one_at_zero = compute_lambda(spec, np.zeros(2), np.eye(2)) == 1.0

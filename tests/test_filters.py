@@ -435,6 +435,26 @@ class TestRunFilter:
         with pytest.raises(ValueError, match=r"one vector per step, got shape \(3, 2, 2\)"):
             run_filter("sr1b", model, init, np.zeros((3, 2, 2)), KernelSpec(3e4))
 
+    def test_conventional_symmetrizes_three_times_per_step(self, monkeypatch):
+        # the time update, the information matrix and the Joseph form are
+        # symmetrized; the predicted covariance is factored as the time
+        # update returns it, not symmetrized again
+        model, init, shot = build_example1()
+        ys = simulate(model, init, 10, SeedSpec(3, 0), shot).measurements
+        spec = KernelSpec(3e4)
+        alone = run_filter("conventional", model, init, ys, spec)
+        calls = []
+        symmetrize = linalg_module.symmetrize
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return symmetrize(a)
+
+        monkeypatch.setattr(linalg_module, "symmetrize", counted)
+        run = run_filter("conventional", model, init, ys, spec)
+        assert calls.count((6, 6)) == 3 * 10
+        assert np.array_equal(run.estimates(), alone.estimates())
+
     def test_lambda_shared_across_algorithms(self):
         model, init, shot = build_example1()
         traj = simulate(model, init, 60, SeedSpec(2, 0), shot)

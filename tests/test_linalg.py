@@ -296,6 +296,100 @@ class TestTriangularSolve:
             triangular_solve(np.eye(2), np.ones(3))
 
 
+# leading diagonal entries of a factor that is otherwise well conditioned
+BAD_DIAGONALS = {
+    "zero": [0.0],
+    "negative_zero": [-0.0],
+    "subnormal": [1e-310],
+    "nan": [np.nan],
+    "nan_and_zero": [np.nan, 0.0],
+    "nan_and_subnormal": [np.nan, 1e-310],
+}
+
+
+class TestOneCheckForBothShapes:
+    """A factor alone is checked as the same factor in a stack of one."""
+
+    @staticmethod
+    def outcomes(l, b):
+        """What the factor alone and in a stack of one return, or the class
+        of the error each raises and its message (the stack's ``failed[0]``
+        for a LinalgError)."""
+        try:
+            alone = triangular_solve(l, b)
+        except (LinalgError, ValueError) as exc:
+            alone = type(exc), str(exc)
+        try:
+            stacked = triangular_solve(l[None], b[None])[0]
+        except LinalgError as exc:
+            assert list(exc.failed) == [0]
+            stacked = type(exc), exc.failed[0]
+        except ValueError:
+            stacked = ValueError, None
+        return alone, stacked
+
+    @pytest.mark.parametrize("rhs_shape", [(4,), (2, 3), (), (3, 2, 1)])
+    def test_rhs_of_the_wrong_length_or_ndim(self, rhs_shape):
+        alone, stacked = self.outcomes(np.eye(3), np.ones(rhs_shape))
+        assert alone[0] is stacked[0] is ValueError
+        assert alone[1] == f"dimension mismatch: factor (3, 3), rhs {rhs_shape}"
+
+    @pytest.mark.parametrize(
+        "dim, entries",
+        [
+            pytest.param(dim, entries, id=f"{dim}-{name}")
+            for dim in (1, 2, 5)
+            for name, entries in BAD_DIAGONALS.items()
+            if len(entries) <= dim
+        ],
+    )
+    def test_bad_diagonal_entries(self, dim, entries):
+        l = stack_of_factors(RNG, 1, dim)[0]
+        l[range(len(entries)), range(len(entries))] = entries
+        for b in (RNG.standard_normal(dim), RNG.standard_normal((dim, 2))):
+            alone, stacked = self.outcomes(l, b)
+            if any(e == 0.0 or abs(e) < np.finfo(float).tiny for e in entries):
+                assert alone == stacked
+                assert alone == (SingularFactor, "factor has a zero or subnormal diagonal entry")
+            else:  # a NaN diagonal entry compares False and is not singular
+                assert np.array_equal(alone, stacked, equal_nan=True)
+                assert np.isnan(alone).any()
+
+
+class TestSmallSolves:
+    """n = 1 and n = 2 run the substitution loop, which gives the bits of the
+    hand formulas."""
+
+    @staticmethod
+    def hand(l, b, transposed):
+        if len(l) == 1:
+            return b / l[0, 0]
+        x = np.empty_like(b)
+        if not transposed:
+            x[0] = b[0] / l[0, 0]
+            x[1] = (b[1] - l[1, 0] * x[0]) / l[1, 1]
+        else:
+            x[1] = b[1] / l[1, 1]
+            x[0] = (b[0] - l[1, 0] * x[1]) / l[0, 0]
+        return x
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_the_hand_formulas(self, dim, transposed):
+        rng = np.random.default_rng(90 + dim)
+        for _ in range(200):
+            l = np.tril(rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-3, 3))
+            for shape in ((dim,), (dim, 1), (dim, 3)):
+                b = rng.standard_normal(shape)
+                want = self.hand(l, b, transposed)
+                for got in (
+                    triangular_solve(l, b, transposed),
+                    triangular_solve(l[None], b[None], transposed)[0],
+                ):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestTriangularInverse:
     def test_identity(self):
         np.testing.assert_array_equal(triangular_inverse(np.eye(3)), np.eye(3))
