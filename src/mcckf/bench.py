@@ -6,10 +6,11 @@ same dynamics whose nearly collinear measurement rows and delta-scaled noise
 drive the innovation covariance toward singularity as delta shrinks.
 Both experiments, the radar Monte Carlo and the sweep over delta, go through
 one evaluation (``_evaluate``): the sweep is ``run_monte_carlo`` with one
-scenario per delta. An evaluation runs its filters in up to as many processes
-as the process may use CPUs (``_all_estimates``). A filter whose child sends
-no result runs in the calling process, so a crashed child costs time, not an
-error.
+model per delta. An evaluation simulates all of its runs at once, hands the
+stacked measurements to the filters and the stacked truth to the RMSE, and
+runs its filters in up to as many processes as the process may use CPUs
+(``_all_estimates``). A filter whose child sends no result runs in the
+calling process, so a crashed child costs time, not an error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .correntropy import KernelSpec
 # called by this module-level name, so a test double bound to it runs every filter
 from .filters import ALGORITHMS, run_batch
 from .model import InitialCondition, StateSpaceModel
-from .sim import SeedSpec, ShotNoiseSpec, simulate_batch, write_rows
+from .sim import SeedSpec, ShotNoiseSpec, _simulate, write_rows
 
 __all__ = [
     "RadarConstants",
@@ -302,31 +303,23 @@ def _all_estimates(algorithms, models, init, measurements, spec) -> list:
     return batches
 
 
-def _rmse_report(name: str, trajectories, estimates, statuses) -> RmseReport:
-    """Accumulate the RMSE curves of one estimator over its completed runs."""
-    horizon, n = trajectories[0].truth.shape
-    sq_sum = np.zeros((horizon, n))
-    completed = 0
-    for trajectory, run_estimates, status in zip(trajectories, estimates, statuses):
-        if status.completed:
-            err = trajectory.truth - run_estimates
-            sq_sum += err * err
-            completed += 1
-    if completed > 0:
-        per_component = np.sqrt(sq_sum / completed)
-        total = np.sqrt((per_component**2).sum(axis=1))
-        scalar = float(total.mean())
-    else:
-        per_component = np.full((horizon, n), np.nan)
-        total = np.full(horizon, np.nan)
-        scalar = float("nan")
+def _rmse_report(name: str, truth, estimates, statuses) -> RmseReport:
+    """The RMSE curves of one estimator over its completed runs, from the
+    truth and estimates of every run, each (runs, horizon, n)."""
+    completed = np.array([status.completed for status in statuses])
+    count = int(completed.sum())
+    per_component = np.full(truth.shape[1:], np.nan)  # NaN throughout without a completed run
+    if count > 0:
+        err = truth[completed] - estimates[completed]
+        per_component = np.sqrt((err * err).sum(axis=0) / count)
+    total = np.sqrt((per_component**2).sum(axis=1))
     return RmseReport(
         algorithm=name,
         per_component=per_component,
         total=total,
-        scalar_summary=scalar,
-        completed_runs=completed,
-        diverged_runs=len(statuses) - completed,
+        scalar_summary=float(total.mean()),
+        completed_runs=count,
+        diverged_runs=len(statuses) - count,
         statuses=list(statuses),
     )
 
@@ -342,39 +335,29 @@ def _check_algorithms(algorithms: list, runs: int) -> None:
         raise ValueError(f"duplicate algorithm names in {algorithms}")
 
 
-def _evaluate(algorithms, scenarios, runs: int, master_seed: int, spec) -> list[dict]:
-    """One dict of ``RmseReport`` per scenario, each over run indices
-    0..runs-1 of ``master_seed``. One ``simulate_batch`` call draws the
-    trajectories of every run of every scenario, and each filter advances
-    them as one batch, with one model per run; the filters run in parallel
-    processes where the CPUs allow (``_all_estimates``). The scenarios must
-    share the initial condition, the horizon and the shot spec. Every run
-    gets the numbers it gets alone, bit for bit.
+def _evaluate(algorithms, models, init, horizon, shot, runs: int, master_seed: int, spec):
+    """One dict of ``RmseReport`` per model, each over run indices 0..runs-1
+    of ``master_seed``, from ``init`` over ``horizon`` steps with ``shot``.
+
+    One batch holds the runs of every model: it is simulated at once, and
+    each filter advances it as one ``run_batch`` (in parallel processes
+    where the CPUs allow, ``_all_estimates``). Every run gets the numbers it
+    gets alone, bit for bit.
     """
     algorithms = list(algorithms)
     _check_algorithms(algorithms, runs)
-    first = scenarios[0]
-    if any(sc.horizon != first.horizon or sc.shot != first.shot for sc in scenarios):
-        raise ValueError("the scenarios of one evaluation must share the horizon and shot spec")
-    if any(
-        not np.array_equal(sc.init.mean, first.init.mean)
-        or not np.array_equal(sc.init.covariance, first.init.covariance)
-        for sc in scenarios
-    ):
-        raise ValueError("the scenarios of one evaluation must share the initial condition")
-    models = [sc.model for sc in scenarios for _ in range(runs)]
-    seeds = [SeedSpec(master_seed, run_index) for _ in scenarios for run_index in range(runs)]
-    trajectories = simulate_batch(models, first.init, first.horizon, seeds, first.shot)
-    measurements = np.stack([t.measurements for t in trajectories])
-    per_scenario = [{} for _ in scenarios]
-    batches = _all_estimates(algorithms, models, first.init, measurements, spec)
+    run_models = [model for model in models for _ in range(runs)]
+    seeds = [SeedSpec(master_seed, run_index) for _ in models for run_index in range(runs)]
+    _, truth, measurements, _ = _simulate(run_models, init, horizon, seeds, shot)
+    batches = _all_estimates(algorithms, run_models, init, measurements, spec)
+    per_model = [{} for _ in models]
     for name, batch in zip(algorithms, batches):
-        for i, report in enumerate(per_scenario):
+        for i, report in enumerate(per_model):
             rows = slice(i * runs, (i + 1) * runs)
             report[name] = _rmse_report(
-                name, trajectories[rows], batch.estimates[rows], batch.statuses[rows]
+                name, truth[rows], batch.estimates[rows], batch.statuses[rows]
             )
-    return per_scenario
+    return per_model
 
 
 def run_monte_carlo(
@@ -392,7 +375,8 @@ def run_monte_carlo(
     all runs as one batch (``run_batch``), which gives every run the
     estimates ``run_filter`` gives it alone, bit for bit.
     """
-    return _evaluate(algorithms, [scenario], runs, master_seed, spec)[0]
+    shared = (scenario.init, scenario.horizon, scenario.shot)
+    return _evaluate(algorithms, [scenario.model], *shared, runs, master_seed, spec)[0]
 
 
 @dataclass(frozen=True)
@@ -431,9 +415,10 @@ def run_conditioning_sweep(
 ) -> SweepReport:
     """Sweep the ill-conditioning parameter over a descending grid.
 
-    Every delta is one scenario of ``run_monte_carlo``'s evaluation, which
-    advances the runs of all deltas as one batch per filter: the same run
-    indices and seeds at every delta, and the same RMSE accumulation. An
+    Every delta is one model (``build_example2``) of ``run_monte_carlo``'s
+    evaluation, which advances the runs of all deltas as one batch per
+    filter: the same run indices and seeds at every delta, and the same RMSE
+    accumulation. An
     entry is blown up when any run diverged or when its summary RMSE exceeds
     ``BLOWUP_FACTOR`` times the same algorithm's value at the first
     (largest) grid point.
@@ -443,9 +428,11 @@ def run_conditioning_sweep(
         raise ValueError("delta grid must not be empty")
     if any(b >= a for a, b in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
+    pairs = [build_example2(delta, constants) for delta in delta_grid]
     # the standard normal initial state of build_example2 is the same at every delta
-    scenarios = [ill_conditioned_scenario(delta, constants) for delta in delta_grid]
-    per_delta = _evaluate(algorithms, scenarios, runs, master_seed, spec)
+    models, init = [model for model, _ in pairs], pairs[0][1]
+    horizon = constants.horizon
+    per_delta = _evaluate(algorithms, models, init, horizon, None, runs, master_seed, spec)
     baseline = {name: report.scalar_summary for name, report in per_delta[0].items()}
     entries = []
     breakdown: dict = {name: None for name in baseline}

@@ -24,10 +24,10 @@ which each array of the state gains a leading runs axis; ``run_batch``
 advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
 the runs axis. One table maps each algorithm to its two step functions. The
 weighted filters' step functions read the model's ``terms``: one run reads
-its model's 2-D ``StepTerms``, a batch the ``StepTerms`` of every run's
-matrices stacked with a leading runs axis, whether the runs share one model
-or each has its own. The dense oracle reads the matrices themselves, stacked
-the same way. A batch's numbers come from stacked kernels and numpy calls
+its model's 2-D ``StepTerms``, a batch those of its ``model._ModelStack``,
+which stacks every run's matrices with a leading runs axis, whether the
+runs share one model or each has its own. The dense oracle reads the
+stacked matrices themselves. A batch's numbers come from stacked kernels and numpy calls
 that compute each run's numbers with the same operations, in the same
 order, as that run alone (see ``mcckf.linalg``), so a run's estimates do not
 depend on the batch it ran in, bit for bit. A run that fails a check leaves
@@ -39,9 +39,7 @@ function called directly raises the ``LinalgError`` itself.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +47,7 @@ from . import linalg
 # the steps call the weight by this module-level name, so a wrapper bound to
 # it (a tracer, a test double) sees every call
 from .correntropy import KernelSpec, compute_lambda
-from .model import InitialCondition, StepTerms, validate_model
+from .model import InitialCondition, _ModelStack, validate_model
 
 __all__ = [
     "ALGORITHMS",
@@ -294,9 +292,11 @@ def mcckf_measurement_update(
     # is at least 2.2e-162, far above the smallest normal double.
     inv_factor = linalg._inverse_unchecked(p_factor)
     p_inv = inv_factor.mT @ inv_factor
-    # cholesky_lower factors the symmetric part of info
+    # info is symmetric in exact arithmetic: its symmetric part is factored
+    # after cholesky_lower's finiteness check, without its symmetry check
     info = p_inv + _times(lam, t.ht_r_inv_h)
-    info_factor = linalg.cholesky_lower(info, check_symmetry=False)
+    linalg._require_finite(info)
+    info_factor = linalg._cholesky_unchecked(linalg.symmetrize(info))
     gain = _information_gain(t, info_factor, lam, linalg._solve_unchecked)
     i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
     p_new = linalg.symmetrize(
@@ -460,30 +460,6 @@ def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
         raise Diverged(reasons, state.step + 1) from exc
 
 
-class _ModelStack:
-    """The model of each run of a batch, read by the step functions through
-    ``terms`` like a single model; runs may share a model."""
-
-    def __init__(self, models: list):
-        self.models = models
-        distinct = {id(m): m for m in models}
-        position = {key: i for i, key in enumerate(distinct)}
-        self.distinct = list(distinct.values())
-        rows = np.array([position[id(m)] for m in models])
-        self.F, self.G, self.H, self.Q, self.R = (
-            np.stack([getattr(m, name) for m in self.distinct])[rows] for name in "FGHQR"
-        )
-
-    @cached_property
-    def terms(self) -> StepTerms:
-        """The ``StepTerms`` of every run's stacked matrices."""
-        return StepTerms(self)
-
-    def take(self, keep: np.ndarray) -> "_ModelStack":
-        """The models of the runs that ``keep`` (a mask) selects."""
-        return _ModelStack([m for m, k in zip(self.models, keep) if k])
-
-
 def _require_bounded(estimate: np.ndarray, step: int):
     if np.abs(estimate).max() > DIVERGENCE_LIMIT:
         big = np.abs(estimate).max(axis=-1) > DIVERGENCE_LIMIT
@@ -622,7 +598,7 @@ def run_batch(
     if len(ys) == 0:
         raise ValueError(f"measurements must hold at least one run, got shape {ys.shape}")
     runs, horizon, _ = ys.shape
-    stack = _ModelStack(_models_of_runs(model, runs))
+    stack = _ModelStack(model, runs)
     for distinct in stack.distinct:
         _check_inputs(algorithm, distinct, init, ys)
     estimates = np.full((runs, horizon, stack.distinct[0].state_dim), np.nan)
@@ -639,19 +615,3 @@ def run_batch(
         estimates[live, k] = state.estimate
     statuses = [s or RunStatus(completed=True, steps_completed=horizon) for s in statuses]
     return BatchRun(estimates, statuses)
-
-
-def _models_of_runs(model, runs: int) -> list:
-    """One model per run, from one shared model or a per-run sequence."""
-    if not isinstance(model, Sequence):
-        return [model] * runs
-    models = list(model)
-    if len(models) != runs:
-        raise ValueError(f"got {len(models)} models for {runs} runs")
-    dims = {(m.state_dim, m.noise_dim, m.obs_dim) for m in models}
-    if len(dims) > 1:
-        raise ValueError(
-            "the models of a batch must have equal (state_dim, noise_dim, obs_dim), "
-            f"got {sorted(dims)}"
-        )
-    return models

@@ -18,8 +18,8 @@ interpreter work; the tests compare them with the ``@`` loops they replaced
 
 Checks. Every public kernel checks its input for a direct caller:
 
-* ``cholesky_lower``: shape, finiteness, symmetry (unless
-  ``check_symmetry`` is off), then the pivot floor at every column;
+* ``cholesky_lower``: shape, finiteness, symmetry, then the pivot floor at
+  every column;
 * ``lower_triangularize``: shape, rows <= cols, finiteness;
 * ``triangular_solve`` and ``triangular_inverse``: shapes, and a zero or
   subnormal diagonal entry (``SingularFactor``).
@@ -31,7 +31,8 @@ established what a check tests, they call a private entry point without it:
   finiteness on the line before;
 * ``_cholesky_unchecked`` for the conventional filter's predicted
   covariance, which its time update has symmetrized and checked for
-  finiteness;
+  finiteness, and, after ``_require_finite`` and ``symmetrize``, for its
+  information matrix, which is symmetric in exact arithmetic;
 * ``_solve_unchecked`` and ``_inverse_unchecked`` against the conventional
   filter's two Cholesky factors: a pivot above its floor (which is at least
   0) is at least 4.9e-324, so its root on the diagonal is at least 2.2e-162
@@ -137,7 +138,7 @@ def _raise_where(cls, bad: np.ndarray, message) -> None:
     raise _stack_error(cls, {int(i): message(i) for i in np.flatnonzero(bad)})
 
 
-def _require_finite(a: np.ndarray, message: str) -> None:
+def _require_finite(a: np.ndarray, message: str = "matrix contains non-finite entries") -> None:
     if not np.isfinite(a).all():
         _raise_where(NonFiniteInput, ~np.isfinite(a).all(axis=(-2, -1)), lambda i: message)
 
@@ -157,7 +158,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Factor a symmetric positive definite matrix as L @ L.T, L lower.
 
     The input is symmetrized before factoring. Pivots are compared against
@@ -169,10 +170,7 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     ----------
     a : ndarray, shape (n, n) or (runs, n, n)
         Matrix, or stack of matrices, to factor. Must be symmetric to within
-        ``SYMMETRY_RTOL`` (relative, max-norm) unless ``check_symmetry`` is
-        disabled.
-    check_symmetry : bool
-        Skip the symmetry precheck when the caller guarantees it.
+        ``SYMMETRY_RTOL`` (relative, max-norm).
 
     Returns
     -------
@@ -196,16 +194,14 @@ def cholesky_lower(a: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    _require_finite(a, "matrix contains non-finite entries")
-    if check_symmetry:
-        scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-        asymmetry = np.abs(a - a.mT).max(axis=(-2, -1), initial=0.0)
-        _raise_where(
-            NotSymmetric,
-            asymmetry > SYMMETRY_RTOL * scale,
-            lambda i: f"asymmetry {asymmetry[i]:.3e} exceeds "
-            f"{SYMMETRY_RTOL:g} * {scale[i]:.3e}",
-        )
+    _require_finite(a)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    asymmetry = np.abs(a - a.mT).max(axis=(-2, -1), initial=0.0)
+    _raise_where(
+        NotSymmetric,
+        asymmetry > SYMMETRY_RTOL * scale,
+        lambda i: f"asymmetry {asymmetry[i]:.3e} exceeds {SYMMETRY_RTOL:g} * {scale[i]:.3e}",
+    )
     return _cholesky_unchecked(symmetrize(a))
 
 

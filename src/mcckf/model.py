@@ -3,11 +3,14 @@
 The model is x_k = F x_{k-1} + G w_{k-1}, y_k = H x_k + v_k with
 w ~ N(0, Q), v ~ N(0, R), x_0 ~ (mean, covariance). Matrices are frozen
 read-only at construction so model objects can be shared freely across
-concurrent Monte Carlo runs.
+concurrent Monte Carlo runs. A batch of runs reads its models through one
+``_ModelStack``, which the simulator and the filters both build: it decides
+which runs share a model and stacks every run's matrices.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,13 +39,13 @@ class StepTerms:
     reuse.
 
     ``model`` is one ``StateSpaceModel``, whose terms are 2-D, or a batch's
-    stack of every run's matrices with a leading runs axis, whose terms are
-    stacked the same way. Each term is computed on first use, once per model
-    or batch, with the operations and the association order of the
-    filter-step expression it stands for, so reusing it changes no bit of the
-    covariance and gain recursions. ``r_sqrt_inv`` is the exception: the
-    weight multiplies the innovation by it, which rounds differently from a
-    substitution against ``r_sqrt``.
+    ``_ModelStack``, whose matrices and terms have a leading runs axis.
+    Each term is computed on first use, once per model or batch, with the
+    operations and the association order of the filter-step expression it
+    stands for, so reusing it changes no bit of the covariance and gain
+    recursions. ``r_sqrt_inv`` is the exception: the weight multiplies the
+    innovation by it, which rounds differently from a substitution against
+    ``r_sqrt``.
     """
 
     def __init__(self, model):
@@ -157,13 +160,78 @@ class InitialCondition:
         self.covariance = _frozen(self.covariance, (n, n))
 
 
-def _spd_violation(name: str, a: np.ndarray) -> str | None:
+class _ModelStack:
+    """The model of each run of a batch, read through ``terms`` like one model.
+
+    ``model`` is one model for all ``runs`` runs, or one per run, of equal
+    dimensions; runs share a model by passing the same object. ``distinct``
+    lists each model once, ``rows[i]`` is the position there of run i's
+    model, and F, G, H, Q and R stack every run's matrices.
+    """
+
+    def __init__(self, model, runs: int):
+        self.models = list(model) if isinstance(model, Sequence) else [model] * runs
+        if len(self.models) != runs:
+            raise ValueError(f"got {len(self.models)} models for {runs} runs")
+        if not self.models:
+            raise ValueError("at least one run is required")
+        distinct = {id(m): m for m in self.models}
+        self.distinct = list(distinct.values())
+        dims = {(m.state_dim, m.noise_dim, m.obs_dim) for m in self.distinct}
+        if len(dims) > 1:
+            raise ValueError(
+                "the models of a batch must have equal (state_dim, noise_dim, obs_dim), "
+                f"got {sorted(dims)}"
+            )
+        position = {key: i for i, key in enumerate(distinct)}
+        self.rows = np.array([position[id(m)] for m in self.models])
+        self.F, self.G, self.H, self.Q, self.R = (
+            np.stack([getattr(m, name) for m in self.distinct])[self.rows] for name in "FGHQR"
+        )
+
+    @cached_property
+    def terms(self) -> StepTerms:
+        """The ``StepTerms`` of every run's stacked matrices."""
+        return StepTerms(self)
+
+    def take(self, keep: np.ndarray) -> "_ModelStack":
+        """The models of the runs that ``keep`` (a mask) selects."""
+        kept = [m for m, k in zip(self.models, keep) if k]
+        return _ModelStack(kept, len(kept))
+
+
+def _psd_eigh(a: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the symmetric part of a covariance.
+
+    Raises ``ValueError``, naming the matrix ``name``, when an eigenvalue
+    lies below -n * 100 * eps * max|lambda|: the eigenvalues of an n x n PSD
+    matrix computed in floating point may come out negative by about n * eps
+    times the largest, and this floor allows 100 times that.
+    """
+    w, v = np.linalg.eigh(linalg.symmetrize(a))
+    floor = -len(w) * 100.0 * linalg._EPS * np.abs(w).max(initial=0.0)
+    if w.min(initial=0.0) < floor:
+        raise ValueError(
+            f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} "
+            f"is below {floor:.6e}"
+        )
+    return w, v
+
+
+def _covariance_violation(name: str, a: np.ndarray, definite: bool = True) -> str | None:
+    """Why ``a`` is not a symmetric positive definite matrix (a positive
+    semidefinite one unless ``definite``), or None."""
     try:
         linalg.cholesky_lower(a)
     except linalg.NotSymmetric:
         return f"{name} not symmetric"
     except linalg.NotPositiveDefinite:
-        return f"{name} not positive definite"
+        if definite:
+            return f"{name} not positive definite"
+        try:
+            _psd_eigh(a, name)
+        except ValueError as exc:
+            return str(exc)
     except linalg.NonFiniteInput:
         return f"{name} contains non-finite entries"
     return None
@@ -174,16 +242,22 @@ def validate_model(
 ) -> list[str]:
     """Check model assumptions; return a list of violations (empty = usable).
 
-    Verifies symmetry and positive definiteness of Q and R, and of the
-    initial covariance when ``require_spd_init`` is set (the square-root
-    algorithms factor it), and the initial condition's dimension and
-    finiteness. The matrices' shapes are checked by ``StateSpaceModel`` at
-    construction. Pure report, never raises for a bad model.
+    Verifies that F, G and H are finite, that Q and R are symmetric and
+    positive definite, and the initial condition's dimension and finiteness.
+    The initial covariance must be symmetric and positive semidefinite, and
+    positive definite when ``require_spd_init`` is set (the square-root
+    algorithms factor it). The matrices' shapes are checked by
+    ``StateSpaceModel`` at construction. Pure report, never raises for a bad
+    model.
     """
     n = model.state_dim
-    violations: list[str] = []
+    violations = [
+        f"{name} contains non-finite entries"
+        for name in "FGH"
+        if not np.isfinite(getattr(model, name)).all()
+    ]
     for name, mat in (("Q", model.Q), ("R", model.R)):
-        msg = _spd_violation(name, mat)
+        msg = _covariance_violation(name, mat)
         if msg:
             violations.append(msg)
     if init.mean.shape[0] != n:
@@ -196,15 +270,8 @@ def validate_model(
         violations.append(
             f"initial covariance shape {init.covariance.shape} does not match state dim {n}"
         )
-    elif not np.isfinite(init.covariance).all():
-        violations.append("initial covariance contains non-finite entries")
     else:
-        scale = np.abs(init.covariance).max(initial=0.0)
-        asymmetry = np.abs(init.covariance - init.covariance.T).max(initial=0.0)
-        if asymmetry > linalg.SYMMETRY_RTOL * scale:
-            violations.append("initial covariance not symmetric")
-        elif require_spd_init:
-            msg = _spd_violation("initial covariance", init.covariance)
-            if msg:
-                violations.append(msg)
+        msg = _covariance_violation("initial covariance", init.covariance, require_spd_init)
+        if msg:
+            violations.append(msg)
     return violations

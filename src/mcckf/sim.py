@@ -3,9 +3,10 @@
 Noise, outlier placement and outlier magnitudes come from three independent
 child streams spawned from one seed, so the impulse schedule depends only on
 the seed and the shot-noise parameters, never on model values, and disabling
-shot noise leaves the Gaussian draws untouched. ``simulate_batch`` simulates
-many runs at once, each from its own seed, and ``simulate`` is its one-run
-case.
+shot noise leaves the Gaussian draws untouched. The Monte Carlo evaluation
+simulates all of its runs at once, each from its own seed, and hands the
+stacked arrays to the filters; ``simulate`` is the one-run case and the only
+one that builds a ``Trajectory`` with its outlier log.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .model import InitialCondition
+from .model import InitialCondition, _ModelStack, _psd_eigh
 
 __all__ = [
     "SeedSpec",
@@ -25,18 +26,11 @@ __all__ = [
     "draw_gaussian",
     "psd_factor",
     "simulate",
-    "simulate_batch",
     "write_rows",
     "write_trajectory_csv",
 ]
 
 SHOT_TARGETS = ("process", "measurement", "both")
-
-# The eigenvalues of an n x n PSD matrix computed in floating point may come
-# out negative by about n * eps times the largest; psd_factor allows 100 times
-# that before it rejects the matrix.
-_ROUNDOFF = 100.0 * float(np.finfo(np.float64).eps)
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -92,13 +86,12 @@ class ShotNoiseSpec:
 
 @dataclass
 class Trajectory:
-    """Simulated truth, measurements and the injected-outlier log; the log
-    is None for the runs of ``simulate_batch``, which does not build it."""
+    """Simulated truth, measurements and the injected-outlier log."""
 
     initial_state: np.ndarray
     truth: np.ndarray
     measurements: np.ndarray
-    outlier_log: list | None = field(default_factory=list)
+    outlier_log: list = field(default_factory=list)
 
     @property
     def horizon(self) -> int:
@@ -117,22 +110,17 @@ def psd_factor(a: np.ndarray) -> np.ndarray:
 
     Falls back to an eigendecomposition when the strict Cholesky floor
     rejects the matrix (e.g. a zero noise covariance in a noiseless test
-    model). Negative eigenvalues of roundoff size are clipped to zero; a
-    larger one raises ``ValueError``, since the matrix is not a covariance.
+    model). Negative eigenvalues of roundoff size are clipped to zero; one
+    below the floor that ``validate_model`` applies to an initial covariance
+    raises ``ValueError``, since the matrix is not a covariance.
     """
     a = np.asarray(a, dtype=float)
     try:
         return linalg.cholesky_lower(a)
     except linalg.NotPositiveDefinite:
-        w, v = np.linalg.eigh(linalg.symmetrize(a))
-        floor = -len(w) * _ROUNDOFF * np.abs(w).max(initial=0.0)
-        if w.min(initial=0.0) < floor:
-            raise ValueError(
-                f"covariance is not positive semidefinite: eigenvalue {w.min():.6e} "
-                f"is below {floor:.6e}"
-            ) from None
-        root = v * np.sqrt(np.clip(w, 0.0, None))
-        return linalg.lower_triangularize(root)
+        pass
+    w, v = _psd_eigh(a)
+    return linalg.lower_triangularize(v * np.sqrt(np.clip(w, 0.0, None)))
 
 
 def _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, channels):
@@ -150,32 +138,27 @@ def _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, channels):
 
 
 def _simulate(models, init, horizon, seeds, shot):
-    """The trajectories of ``simulate_batch`` and each run's
-    ``((process steps, magnitudes), (measurement steps, magnitudes))``."""
-    models, seeds = list(models), list(seeds)
-    if len(models) != len(seeds):
-        raise ValueError(f"got {len(models)} models for {len(seeds)} seeds")
-    if not models:
-        raise ValueError("at least one run is required")
+    """Simulate run i with ``models[i]`` (or one model for every run) and
+    ``seeds[i]``, every run at once: the stacked initial states (runs, n),
+    truth (runs, horizon, n) and measurements (runs, horizon, m), and each
+    run's ``((process steps, magnitudes), (measurement steps, magnitudes))``.
+    Q and R are factored once per distinct model of the ``_ModelStack``.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    dims = {(m.state_dim, m.noise_dim, m.obs_dim) for m in models}
-    if len(dims) > 1:
-        raise ValueError(f"the models of one batch must share their dimensions, got {sorted(dims)}")
-    ((n, q_dim, m_dim),) = dims
-    runs = len(models)
+    seeds = list(seeds)
+    stack = _ModelStack(models, len(seeds))
+    (runs, n, q_dim), m_dim = stack.G.shape, stack.H.shape[1]
     no_shots = (np.empty(0, dtype=int), np.empty((0, 0), dtype=int))
 
     init_factor = psd_factor(init.covariance)
-    noise_factors = {}
+    noise_factors = [(psd_factor(m.Q), psd_factor(m.R)) for m in stack.distinct]
     initial_state = np.empty((runs, n))
-    g_w = np.empty((runs, horizon, n))
+    w = np.empty((runs, horizon, q_dim))
     v = np.empty((runs, horizon, m_dim))
     impulses = []
-    for i, (model, seed) in enumerate(zip(models, seeds)):
-        if id(model) not in noise_factors:
-            noise_factors[id(model)] = psd_factor(model.Q), psd_factor(model.R)
-        q_factor, r_factor = noise_factors[id(model)]
+    for i, (row, seed) in enumerate(zip(stack.rows, seeds)):
+        q_factor, r_factor = noise_factors[row]
         # each run draws from its own streams: its initial state, then all of
         # its noise in one draw, which yields the numbers per-step draws would
         # (w_1, v_1, w_2, v_2, ...), and the per-step products as stacked ones
@@ -183,55 +166,27 @@ def _simulate(models, init, horizon, seeds, shot):
         noise_rng, schedule_rng, magnitude_rng = seed.streams()
         initial_state[i] = draw_gaussian(noise_rng, init.mean, init_factor)
         z = noise_rng.standard_normal((horizon, q_dim + m_dim))
-        w = np.zeros(q_dim) + np.matvec(q_factor, z[:, :q_dim])
+        w[i] = np.zeros(q_dim) + np.matvec(q_factor, z[:, :q_dim])
         v[i] = np.zeros(m_dim) + np.matvec(r_factor, z[:, q_dim:])
         process = measurement = no_shots
         if shot is not None:
             if shot.targets in ("process", "both"):
                 process = _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, q_dim)
-                w[process[0] - 1] += process[1]
+                w[i, process[0] - 1] += process[1]
             if shot.targets in ("measurement", "both"):
                 measurement = _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, m_dim)
                 v[i, measurement[0] - 1] += measurement[1]
         impulses.append((process, measurement))
-        g_w[i] = np.matvec(model.G, w)
 
-    f = np.stack([model.F for model in models])
+    g_w = np.matvec(stack.G[:, None], w)
     truth = np.empty((runs, horizon, n))
     x = initial_state
     for k in range(horizon):
-        x = np.matvec(f, x) + g_w[:, k]
+        x = np.matvec(stack.F, x) + g_w[:, k]
         truth[:, k] = x
     # the measurements overwrite v: H x_k + v_k
-    for i, model in enumerate(models):
-        v[i] += np.matvec(model.H, truth[i])
-    trajectories = [
-        Trajectory(initial_state[i], truth[i], v[i], outlier_log=None) for i in range(runs)
-    ]
-    return trajectories, impulses
-
-
-def simulate_batch(
-    models,
-    init: InitialCondition,
-    horizon: int,
-    seeds,
-    shot: ShotNoiseSpec | None = None,
-) -> list[Trajectory]:
-    """Simulate run i with ``models[i]`` and ``seeds[i]``, every run at once.
-
-    Each run draws from the streams of its own ``SeedSpec``, so its
-    trajectory is bit for bit the one ``simulate`` gives it alone. Q, R and
-    the initial covariance are factored once per distinct model (runs share
-    a model by passing the same object), and the truth recursion advances
-    every run per ``np.matvec``. The outlier log is not built: each
-    trajectory's ``outlier_log`` is None.
-
-    Raises ``ValueError`` when the counts of models and seeds differ, when
-    there are no runs, when the models' dimensions differ, or when
-    ``horizon < 1``.
-    """
-    return _simulate(models, init, horizon, seeds, shot)[0]
+    v += np.matvec(stack.H[:, None], truth)
+    return initial_state, truth, v, impulses
 
 
 def simulate(
@@ -248,16 +203,18 @@ def simulate(
     noise groups receive additive integer impulses on the scheduled steps,
     which ``outlier_log`` lists as (step, channel, magnitude). Identical
     ``SeedSpec`` inputs reproduce the trajectory bit for bit. This is the
-    one-run case of ``simulate_batch``.
+    one-run case of the batch simulation the Monte Carlo evaluation makes.
     """
-    (trajectory,), ((process, measurement),) = _simulate([model], init, horizon, [seed], shot)
-    trajectory.outlier_log = sorted(
+    (x0,), (truth,), (measurements,), ((process, measurement),) = _simulate(
+        model, init, horizon, [seed], shot
+    )
+    outlier_log = sorted(
         (int(k), f"{group}{j + 1}", int(mag))
         for group, (steps, magnitudes) in (("w", process), ("v", measurement))
         for k, row in zip(steps, magnitudes)
         for j, mag in enumerate(row)
     )
-    return trajectory
+    return Trajectory(x0, truth, measurements, outlier_log)
 
 
 def write_rows(path, header, rows) -> None:

@@ -1,7 +1,7 @@
 """Reference formulas used as test oracles: the weighted gain, the condition
 number, the one-matrix Cholesky and substitution loops as they were first
-written, one ``@`` per element or row, and the simulation's per-step noise
-draws."""
+written, one ``@`` per element or row, the simulation's per-step noise
+draws, and the per-run RMSE accumulation."""
 
 import numpy as np
 
@@ -124,3 +124,21 @@ def simulate_per_step(model, init, horizon: int, seed, shot=None):
         truth[k - 1] = x
         measurements[k - 1] = model.H @ x + v
     return initial_state, truth, measurements
+
+
+def rmse_loop(truth, estimates, statuses):
+    """The RMSE curves as the evaluation first accumulated them, one run at
+    a time: (per-component RMSE, total, its time mean, completed runs)."""
+    horizon, n = truth[0].shape
+    sq_sum = np.zeros((horizon, n))
+    completed = 0
+    for run_truth, run_estimates, status in zip(truth, estimates, statuses):
+        if status.completed:
+            err = run_truth - run_estimates
+            sq_sum += err * err
+            completed += 1
+    if completed == 0:
+        return np.full((horizon, n), np.nan), np.full(horizon, np.nan), float("nan"), 0
+    per_component = np.sqrt(sq_sum / completed)
+    total = np.sqrt((per_component**2).sum(axis=1))
+    return per_component, total, float(total.mean()), completed

@@ -36,7 +36,7 @@ from mcckf.correntropy import KernelSpec
 from mcckf.filters import ALGORITHMS, Diverged, RunStatus, run_filter
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
-from oracles import condition_estimate
+from oracles import condition_estimate, rmse_loop
 
 
 class TestBuildExample1:
@@ -113,33 +113,67 @@ def tiny_scenario(horizon=4):
     return Scenario("tiny", model, init, horizon)
 
 
-def tiny_trajectories(runs, horizon=4):
+def tiny_truth(runs, horizon=4):
+    """The stacked truth of ``runs`` runs of the tiny scenario, (runs, horizon, 1)."""
     sc = tiny_scenario(horizon)
-    return [simulate(sc.model, sc.init, horizon, SeedSpec(2, i)) for i in range(runs)]
+    runs = [simulate(sc.model, sc.init, horizon, SeedSpec(2, i)) for i in range(runs)]
+    return np.stack([trajectory.truth for trajectory in runs])
 
 
-def completed(trajectories):
-    return [RunStatus(completed=True, steps_completed=t.horizon) for t in trajectories]
+def completed(truth):
+    return [RunStatus(completed=True, steps_completed=len(t)) for t in truth]
+
+
+def assert_same_bits(a, b) -> None:
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestRmseReport:
     def test_perfect_estimates_score_zero(self):
-        trajectories = tiny_trajectories(5)
-        estimates = [t.truth.copy() for t in trajectories]
-        report = _rmse_report("perfect", trajectories, estimates, completed(trajectories))
+        truth = tiny_truth(5)
+        report = _rmse_report("perfect", truth, truth.copy(), completed(truth))
         assert np.all(report.per_component == 0.0)
         assert np.all(report.total == 0.0)
         assert report.scalar_summary == 0.0
         assert (report.completed_runs, report.diverged_runs) == (5, 0)
 
     def test_single_run_identity(self):
-        trajectories = tiny_trajectories(1, horizon=2)
-        offset = trajectories[0].truth.copy()
-        offset[0, 0] -= 3.0
-        offset[1, 0] -= 4.0
-        report = _rmse_report("offset", trajectories, [offset], completed(trajectories))
+        truth = tiny_truth(1, horizon=2)
+        offset = truth.copy()
+        offset[0, 0, 0] -= 3.0
+        offset[0, 1, 0] -= 4.0
+        report = _rmse_report("offset", truth, offset, completed(truth))
         np.testing.assert_allclose(report.total, [3.0, 4.0])
         assert report.scalar_summary == pytest.approx(3.5)
+
+    def test_matches_the_per_run_accumulation_bit_for_bit(self):
+        # the masked sum over the runs axis adds the completed runs' squared
+        # errors in run order, as the per-run loop did
+        rng = np.random.default_rng(20)
+        for trial in range(200):
+            runs, horizon, n = (int(k) for k in rng.integers(1, [21, 30, 7]))
+            truth = rng.standard_normal((runs, horizon, n)) * 10.0 ** rng.integers(-3, 4)
+            estimates = truth + rng.standard_normal((runs, horizon, n))
+            estimates[rng.random((runs, horizon, n)) < 0.1] = truth[0, 0, 0]
+            done = np.zeros(runs, dtype=bool) if trial == 0 else rng.random(runs) < 0.8
+            statuses = []
+            for i, ok in enumerate(done):
+                failed = int(rng.integers(1, horizon + 1))
+                if not ok:
+                    estimates[i, failed - 1 :] = np.nan
+                statuses.append(
+                    RunStatus(True, horizon) if ok else RunStatus(False, failed - 1, failed, "x")
+                )
+            report = _rmse_report("random", truth, estimates, statuses)
+            per_component, total, scalar, count = rmse_loop(truth, estimates, statuses)
+            assert_same_bits(report.per_component, per_component)
+            assert_same_bits(report.total, total)
+            assert_same_bits(report.scalar_summary, scalar)
+            assert (report.completed_runs, report.diverged_runs) == (count, runs - count)
+            assert report.statuses == statuses
+            if trial == 0:  # every run failed: the curves are NaN
+                assert np.isnan(report.per_component).all() and np.isnan(report.scalar_summary)
 
 
 class TestRunMonteCarlo:
@@ -300,34 +334,6 @@ class TestConditioningSweep:
             run_conditioning_sweep(["sr1b"], [1e-3, 1e-2], 1, 1, KernelSpec(1.0))
 
 
-@pytest.mark.parametrize(
-    "other, message",
-    [
-        (ill_conditioned_scenario(1e-2, RadarConstants(horizon=50)), "horizon and shot spec"),
-        (Scenario("shot", *build_example2(1e-2), 60, ShotNoiseSpec()), "horizon and shot spec"),
-        (
-            Scenario(
-                "init",
-                build_example2(1e-2)[0],
-                InitialCondition(np.full(6, 1e6), np.eye(6)),
-                60,
-            ),
-            "initial condition",
-        ),
-    ],
-    ids=["horizon", "shot", "init"],
-)
-def test_evaluation_scenarios_share_horizon_and_shot(other, message):
-    # one simulate_batch call draws every scenario's runs from one initial condition
-    first = ill_conditioned_scenario(1e-1, RadarConstants(horizon=60))
-    with pytest.raises(ValueError, match=f"must share the {message}"):
-        _evaluate(["sr1b"], [first, other], 1, 1, KernelSpec(1.0))
-    # the sweep builds a new initial condition per delta, equal in value
-    second = ill_conditioned_scenario(1e-2, RadarConstants(horizon=60))
-    assert second.init is not first.init
-    _evaluate(["sr1b"], [first, second], 1, 1, KernelSpec(1.0))
-
-
 def assert_same_reports(a: dict, b: dict) -> None:
     """Equal reports, in value and sign bit, with equal statuses and reasons."""
     assert list(a) == list(b)
@@ -423,8 +429,12 @@ class TestParallelEvaluation:
             assert np.array_equal(p.scalar_rmse, s.scalar_rmse, equal_nan=True)
             assert np.signbit(p.scalar_rmse) == np.signbit(s.scalar_rmse)
         # the statuses the sweep summarizes, reasons included
-        scenarios = [ill_conditioned_scenario(d, cfg.radar_constants()) for d in deltas]
-        evaluation = (algorithms, scenarios, 2, cfg.seed(), cfg.kernel_spec())
+        constants = cfg.radar_constants()
+        models = [build_example2(d, constants)[0] for d in deltas]
+        _, init = build_example2(deltas[0], constants)
+        evaluation = (
+            algorithms, models, init, constants.horizon, None, 2, cfg.seed(), cfg.kernel_spec()
+        )
         serial = self.with_cpus(monkeypatch, 1, _evaluate, *evaluation)
         parallel = self.with_cpus(monkeypatch, 2, _evaluate, *evaluation)
         for p, s in zip(parallel, serial, strict=True):

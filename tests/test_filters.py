@@ -11,6 +11,7 @@ from mcckf.bench import build_example1, build_example2
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec, compute_lambda
 from mcckf.filters import (
+    ALGORITHMS,
     Diverged,
     FilterState,
     mcckf_measurement_update,
@@ -21,7 +22,7 @@ from mcckf.filters import (
     sr1b_measurement_update,
     sr_time_update,
 )
-from mcckf.linalg import NotPositiveDefinite, cholesky_lower
+from mcckf.linalg import NonFiniteInput, NotPositiveDefinite, cholesky_lower
 from mcckf.model import InitialCondition, StateSpaceModel
 from mcckf.sim import SeedSpec, simulate
 from oracles import gain_information_form, gain_innovation_form
@@ -157,6 +158,19 @@ def test_filter_state_needs_exactly_one_representation(representations):
 
 
 class TestMeasurementUpdates:
+    def test_conventional_reports_a_non_finite_information_matrix(self):
+        # a 1e-310 predicted variance factors, but P^-1 overflows: the
+        # information matrix fails cholesky_lower's finiteness check, with
+        # its message, before any pivot
+        model = scalar_model()
+        tiny = FilterState.full(1, np.zeros((2, 1)), np.array([[[1.0]], [[1e-310]]]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteInput, match="^matrix contains non-finite entries$"):
+                mcckf_measurement_update(model, tiny.take(1), np.zeros(1), KernelSpec(1.0))
+            with pytest.raises(NonFiniteInput) as info:
+                mcckf_measurement_update(model, tiny, np.zeros((2, 1)), KernelSpec(1.0))
+        assert info.value.failed == {1: "matrix contains non-finite entries"}
+
     def test_scalar_pinned_gain_and_covariance(self):
         model = scalar_model()
         y = np.array([0.3])
@@ -400,6 +414,24 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="validation"):
             run_filter("conventional", model, init, np.zeros((2, 1)), KernelSpec(1.0))
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_rejects_an_indefinite_initial_covariance(self, algorithm):
+        # kf_reference used to complete on it, and conventional to record a
+        # NotPositiveDefinite divergence at step 1
+        eye = np.eye(2)
+        model = StateSpaceModel(F=0.9 * eye, G=eye, H=eye, Q=eye, R=eye)
+        init = InitialCondition(np.zeros(2), np.diag([1.0, -5.0]))
+        with pytest.raises(ValueError, match="initial covariance (is )?not positive"):
+            run_filter(algorithm, model, init, np.zeros((20, 2)), KernelSpec(1.0))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_rejects_a_non_finite_transition_matrix(self, algorithm):
+        # every filter used to record "step 1: non-finite predicted_estimate"
+        model = scalar_model(f=np.nan)
+        init = InitialCondition(np.zeros(1), np.eye(1))
+        with pytest.raises(ValueError, match="F contains non-finite entries"):
+            run_filter(algorithm, model, init, np.zeros((20, 1)), KernelSpec(1.0))
+
     def test_rejects_unknown_algorithm(self):
         model = scalar_model()
         init = InitialCondition(np.zeros(1), np.eye(1))
@@ -438,7 +470,8 @@ class TestRunFilter:
     def test_conventional_symmetrizes_three_times_per_step(self, monkeypatch):
         # the time update, the information matrix and the Joseph form are
         # symmetrized; the predicted covariance is factored as the time
-        # update returns it, not symmetrized again
+        # update returns it, not symmetrized again. validate_model
+        # symmetrizes the initial covariance once, in its Cholesky check
         model, init, shot = build_example1()
         ys = simulate(model, init, 10, SeedSpec(3, 0), shot).measurements
         spec = KernelSpec(3e4)
@@ -452,7 +485,7 @@ class TestRunFilter:
 
         monkeypatch.setattr(linalg_module, "symmetrize", counted)
         run = run_filter("conventional", model, init, ys, spec)
-        assert calls.count((6, 6)) == 3 * 10
+        assert calls.count((6, 6)) == 3 * 10 + 1
         assert np.array_equal(run.estimates(), alone.estimates())
 
     def test_lambda_shared_across_algorithms(self):

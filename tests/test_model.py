@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from mcckf.bench import build_example1
+from mcckf.correntropy import KernelSpec
+from mcckf.filters import run_batch
 from mcckf.linalg import cholesky_lower, triangular_inverse
 from mcckf.model import (
     InitialCondition,
     StateSpaceModel,
     StepTerms,
+    _ModelStack,
     validate_model,
 )
+from mcckf.sim import SeedSpec, _simulate
 
 
 def tiny_model(q_var=1.0, r_var=1.0):
@@ -72,12 +76,50 @@ def test_other_wrong_shapes_rejected_at_construction(name, value, message):
         ([[1.0, 0.5], [0.0, 1.0]], np.eye(2), "Q not symmetric"),
         ([[1.0, 0.0], [0.0, np.nan]], np.eye(2), "Q contains non-finite entries"),
         (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], "initial covariance not symmetric"),
+        (
+            np.eye(2),
+            np.diag([1.0, -5.0]),
+            "initial covariance is not positive semidefinite: eigenvalue -5.000000e+00 "
+            "is below -2.220446e-13",
+        ),
+        (
+            np.eye(2),
+            [[1.0, 2.0], [2.0, 1.0]],
+            "initial covariance is not positive semidefinite: eigenvalue -1.000000e+00 "
+            "is below -1.332268e-13",
+        ),
     ],
 )
 def test_asymmetric_or_non_finite_covariance_reported(q, init_cov, violation):
     model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=q, R=np.eye(2))
     init = InitialCondition(np.zeros(2), init_cov)
     assert validate_model(model, init) == [violation]
+
+
+@pytest.mark.parametrize("name", ["F", "G", "H"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_system_matrix_reported(name, bad):
+    matrices = dict(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    matrices[name] = np.array([[1.0, 0.0], [bad, 1.0]])
+    init = InitialCondition(np.zeros(2), np.eye(2))
+    for require_spd_init in (False, True):
+        report = validate_model(StateSpaceModel(**matrices), init, require_spd_init)
+        assert report == [f"{name} contains non-finite entries"]
+
+
+@pytest.mark.parametrize(
+    "init_cov",
+    [
+        np.zeros((2, 2)),
+        np.diag([1.0, 0.0]),
+        # negative by roundoff only: at the floor -2 * 100 * eps * 1
+        np.diag([1.0, -2 * 100 * np.finfo(float).eps]),
+    ],
+    ids=["zero", "singular", "roundoff"],
+)
+def test_semidefinite_initial_covariance_is_valid(init_cov):
+    model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    assert validate_model(model, InitialCondition(np.zeros(2), init_cov)) == []
 
 
 @pytest.mark.parametrize(
@@ -141,3 +183,51 @@ def test_r_inv_is_built_from_the_cached_inverse_r_factor():
         assert terms.r_sqrt_inv is terms.r_sqrt_inv
         # r_inv's formula before the inverse factor was cached, bit for bit
         np.testing.assert_array_equal(terms.r_inv, inv_factor.mT @ inv_factor)
+
+
+def dims_model(n, q, m):
+    return StateSpaceModel(
+        F=np.eye(n), G=np.ones((n, q)), H=np.ones((m, n)), Q=np.eye(q), R=np.eye(m)
+    )
+
+
+class TestModelStack:
+    def test_runs_sharing_a_model_object_give_one_distinct_entry(self):
+        model, _, _ = build_example1()
+        twin = StateSpaceModel(F=model.F, G=model.G, H=model.H, Q=model.Q, R=model.R)
+        stack = _ModelStack([model, twin, model, model, twin], 5)
+        assert len(stack.distinct) == 2
+        assert stack.distinct[0] is model and stack.distinct[1] is twin
+        assert stack.rows.tolist() == [0, 1, 0, 0, 1]
+        shared = _ModelStack(model, 3)
+        assert shared.distinct == [model] and shared.rows.tolist() == [0, 0, 0]
+        for name in "FGHQR":
+            assert np.array_equal(getattr(stack, name), np.stack([getattr(model, name)] * 5))
+        kept = stack.take(np.array([False, True, False, True, True]))
+        assert kept.distinct == [twin, model] and kept.rows.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("dims", [(5, 2, 2), (6, 1, 2), (6, 2, 1)])
+    def test_run_batch_and_simulate_reject_unequal_dimensions_with_one_message(self, dims):
+        model, init, _ = build_example1()
+        models = [model, dims_model(*dims)]
+        message = (
+            "the models of a batch must have equal (state_dim, noise_dim, obs_dim), "
+            f"got {sorted({(6, 2, 2), dims})}"
+        )
+        raised = []
+        for call in (
+            lambda: _ModelStack(models, 2),
+            lambda: run_batch("sr1b", models, init, np.zeros((2, 3, 2)), KernelSpec(3e4)),
+            lambda: _simulate(models, init, 3, [SeedSpec(1, 0), SeedSpec(1, 1)], None),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            raised.append(str(info.value))
+        assert raised == [message] * 3
+
+    def test_rejects_a_model_count_other_than_the_runs_and_no_runs(self):
+        model, _, _ = build_example1()
+        with pytest.raises(ValueError, match="got 3 models for 2 runs"):
+            _ModelStack([model] * 3, 2)
+        with pytest.raises(ValueError, match="at least one run is required"):
+            _ModelStack(model, 0)

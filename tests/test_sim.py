@@ -10,10 +10,11 @@ from mcckf.sim import (
     ShotNoiseSpec,
     draw_gaussian,
     psd_factor,
+    _simulate,
     simulate,
-    simulate_batch,
     write_trajectory_csv,
 )
+from mcckf import sim as sim_module
 from mcckf.filters import run_filter
 from oracles import simulate_per_step
 
@@ -41,13 +42,19 @@ def test_one_noise_draw_matches_per_step_draws(targets):
         assert np.array_equal(a.measurements, measurements)
 
 
-def assert_per_step_draws(trajectory, model, init, horizon, seed, shot):
-    """The trajectory equals the per-step oracle's in value and sign bit."""
+def assert_per_step_draws(got, model, init, horizon, seed, shot):
+    """One run's (initial state, truth, measurements) equal the per-step
+    oracle's in value and sign bit."""
     expected = simulate_per_step(model, init, horizon, seed, shot)
-    got = (trajectory.initial_state, trajectory.truth, trajectory.measurements)
-    for a, b in zip(got, expected):
+    for a, b in zip(got, expected, strict=True):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def runs_of(batch):
+    """Each run's (initial state, truth, measurements) from ``_simulate``'s
+    stacked arrays."""
+    return list(zip(*batch[:3]))
 
 
 class TestSimulateBatch:
@@ -56,28 +63,28 @@ class TestSimulateBatch:
         model, init, _ = build_example1()
         shot = None if targets is None else ShotNoiseSpec(targets=targets)
         seeds = [SeedSpec(13, i) for i in range(3)]
-        batch = simulate_batch([model] * 3, init, 300, seeds, shot)
-        assert len(batch) == 3
-        for trajectory, seed in zip(batch, seeds):
-            assert trajectory.outlier_log is None
-            assert_per_step_draws(trajectory, model, init, 300, seed, shot)
+        batch = _simulate([model] * 3, init, 300, seeds, shot)
+        assert [a.shape for a in batch[:3]] == [(3, 6), (3, 300, 6), (3, 300, 2)]
+        assert len(batch[3]) == 3
+        for run, seed in zip(runs_of(batch), seeds, strict=True):
+            assert_per_step_draws(run, model, init, 300, seed, shot)
 
     def test_one_sweep_model_per_run(self):
         deltas = [10.0**-k for k in range(1, 15)]
         pairs = [build_example2(delta) for delta in deltas]
         init = pairs[0][1]
         seeds = [SeedSpec(4, 0)] * len(pairs)
-        batch = simulate_batch([model for model, _ in pairs], init, 300, seeds)
-        for trajectory, (model, _), seed in zip(batch, pairs, seeds):
-            assert_per_step_draws(trajectory, model, init, 300, seed, None)
+        batch = _simulate([model for model, _ in pairs], init, 300, seeds, None)
+        for run, (model, _), seed in zip(runs_of(batch), pairs, seeds, strict=True):
+            assert_per_step_draws(run, model, init, 300, seed, None)
 
     def test_one_run_is_simulate(self):
         model, init, shot = build_example1()
-        (trajectory,) = simulate_batch([model], init, 80, [SeedSpec(6, 2)], shot)
-        assert_per_step_draws(trajectory, model, init, 80, SeedSpec(6, 2), shot)
+        (run,) = runs_of(_simulate([model], init, 80, [SeedSpec(6, 2)], shot))
+        assert_per_step_draws(run, model, init, 80, SeedSpec(6, 2), shot)
         alone = simulate(model, init, 80, SeedSpec(6, 2), shot)
-        assert np.array_equal(trajectory.truth, alone.truth)
-        assert np.array_equal(trajectory.measurements, alone.measurements)
+        assert np.array_equal(run[1], alone.truth)
+        assert np.array_equal(run[2], alone.measurements)
 
     def test_zero_process_noise_takes_the_eigh_factor(self):
         model = StateSpaceModel(
@@ -86,20 +93,41 @@ class TestSimulateBatch:
         init = InitialCondition(np.ones(2), np.eye(2))
         shot = ShotNoiseSpec(window_start=2, window_end=40)
         seeds = [SeedSpec(8, i) for i in range(2)]
-        for trajectory, seed in zip(simulate_batch([model] * 2, init, 40, seeds, shot), seeds):
-            assert_per_step_draws(trajectory, model, init, 40, seed, shot)
+        batch = _simulate([model] * 2, init, 40, seeds, shot)
+        for run, seed in zip(runs_of(batch), seeds, strict=True):
+            assert_per_step_draws(run, model, init, 40, seed, shot)
 
     def test_rejects_bad_batches(self):
         model, init, _ = build_example1()
         wide = StateSpaceModel(F=np.eye(6), G=np.ones((6, 1)), H=np.eye(6), Q=[[1.0]], R=np.eye(6))
-        with pytest.raises(ValueError, match="got 2 models for 1 seeds"):
-            simulate_batch([model, model], init, 10, [SeedSpec(1, 0)])
+        with pytest.raises(ValueError, match="got 2 models for 1 runs"):
+            _simulate([model, model], init, 10, [SeedSpec(1, 0)], None)
         with pytest.raises(ValueError, match="at least one run"):
-            simulate_batch([], init, 10, [])
-        with pytest.raises(ValueError, match="must share their dimensions"):
-            simulate_batch([model, wide], init, 10, [SeedSpec(1, 0), SeedSpec(1, 1)])
+            _simulate([], init, 10, [], None)
+        with pytest.raises(ValueError, match=r"equal \(state_dim, noise_dim, obs_dim\)"):
+            _simulate([model, wide], init, 10, [SeedSpec(1, 0), SeedSpec(1, 1)], None)
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
-            simulate_batch([model], init, 0, [SeedSpec(1, 0)])
+            _simulate([model], init, 0, [SeedSpec(1, 0)], None)
+
+    def test_factors_each_distinct_model_once(self, monkeypatch):
+        # runs share a model by passing the same object
+        model, init, shot = build_example1()
+        twin = StateSpaceModel(F=model.F, G=model.G, H=model.H, Q=model.Q, R=model.R)
+        factored = []
+
+        def counted(a):
+            factored.append(a)
+            return psd_factor(a)
+
+        monkeypatch.setattr(sim_module, "psd_factor", counted)
+        seeds = [SeedSpec(3, i) for i in range(4)]
+        batch = _simulate([model, twin, model, twin], init, 20, seeds, shot)
+        # the initial covariance, then Q and R of model and of twin
+        expected = [init.covariance, model.Q, model.R, twin.Q, twin.R]
+        assert len(factored) == len(expected)
+        assert all(a is b for a, b in zip(factored, expected))
+        for run, seed in zip(runs_of(batch), seeds, strict=True):
+            assert_per_step_draws(run, model, init, 20, seed, shot)
 
 
 def test_different_run_indices_differ():
