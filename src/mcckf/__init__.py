@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # mcckf.linalg, ...).
 from .bench import build_example1, radar_scenario, run_monte_carlo
 from .correntropy import KernelSpec
-from .filters import Diverged, run_filter
+from .filters import run_filter
 from .linalg import (
     LinalgError,
     NonFiniteInput,
@@ -33,7 +33,6 @@ __all__ = [
     "run_filter",
     "run_monte_carlo",
     "simulate",
-    "Diverged",
     "LinalgError",
     "NonFiniteInput",
     "NotPositiveDefinite",

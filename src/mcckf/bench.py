@@ -189,7 +189,7 @@ class RmseReport:
 
     ``per_component[k-1, i]`` is the RMSE of state component i at step k over
     the completed runs; ``total`` is the l2 norm across components per step;
-    ``scalar_summary`` its time mean. Diverged runs are excluded from the
+    ``scalar_summary`` its time mean. Failed runs are excluded from the
     averages and counted instead of poisoning them with NaN; with no
     completed runs every cell is NaN.
     """

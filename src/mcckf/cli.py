@@ -3,7 +3,8 @@
 Exit codes are a stable contract for CI: 0 when the run's success criterion
 holds, 1 when it is violated, 2 on usage or configuration errors. All outputs
 land under the chosen output directory alongside a meta.txt recording the
-merged-config hash, the seed and the library version.
+merged-config hash, the seed and the library version. A usage or
+configuration error is found before the output directory is made.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bench import (
 )
 from .config import ConfigError, ExperimentConfig
 from .filters import ALGORITHMS, WEIGHTED_FILTERS
-from .model import validate_model
+from .model import _require_valid
 from .sim import SeedSpec, simulate, write_rows, write_trajectory_csv
 
 
@@ -106,6 +107,8 @@ def _algorithm_list(args, minimum: int = 1) -> list[str]:
     for name in names:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+        if names.count(name) > 1:
+            raise ConfigError(f"algorithm {name!r} is named twice in --algorithms {names}")
     if len(names) < minimum:
         raise ConfigError(f"need at least {minimum} algorithm(s), got {names}")
     return names
@@ -139,12 +142,13 @@ def _monte_carlo(args, command: str, minimum: int = 1):
     cfg = _load_config(args)
     names = _algorithm_list(args, minimum)
     scenario = radar_scenario(cfg.radar_constants(), cfg.shot_spec())
-    spec = cfg.kernel_spec()
+    _require_valid(scenario.model, scenario.init)
+    spec, runs, seed = cfg.kernel_spec(), cfg.runs(), cfg.seed()
     out = _out_dir(args)
-    reports = run_monte_carlo(names, scenario, cfg.runs(), cfg.seed(), spec)
+    reports = run_monte_carlo(names, scenario, runs, seed, spec)
     for name, report in reports.items():
         write_csv(report, out / f"rmse_{name}.csv")
-    _write_meta(out, command, cfg, cfg.seed())
+    _write_meta(out, command, cfg, seed)
     diverged = {name: report.diverged_runs for name, report in reports.items()}
     if any(diverged.values()):
         print(f"diverged runs: {diverged}", file=sys.stderr)
@@ -185,17 +189,17 @@ def cmd_example1(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     names = _algorithm_list(args)
-    spec = cfg.kernel_spec()
+    spec, runs, seed = cfg.kernel_spec(), cfg.runs(), cfg.seed()
     deltas = cfg.sweep_deltas()
     constants = cfg.radar_constants()
-    # build each delta's model first, so a bad delta leaves no output
-    # directory behind, and an unusable --out fails before the sweep runs
+    # build and validate each delta's model first, so a bad delta leaves no
+    # output directory behind, and an unusable --out fails before the sweep runs
     for delta in deltas:
-        build_example2(delta, constants)
+        _require_valid(*build_example2(delta, constants))
     out = _out_dir(args)
-    report = run_conditioning_sweep(names, deltas, cfg.runs(), cfg.seed(), spec, constants)
+    report = run_conditioning_sweep(names, deltas, runs, seed, spec, constants)
     write_csv(report, out / "sweep.csv")
-    _write_meta(out, "sweep", cfg, cfg.seed())
+    _write_meta(out, "sweep", cfg, seed)
     if args.verbose:
         for entry in report.entries:
             print(
@@ -227,12 +231,10 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     scenario = radar_scenario(cfg.radar_constants(), cfg.shot_spec())
+    _require_valid(scenario.model, scenario.init)
     trajectory = simulate(
         scenario.model, scenario.init, scenario.horizon, SeedSpec(cfg.seed(), 0), scenario.shot
     )
-    violations = validate_model(scenario.model, scenario.init)
-    if violations:
-        raise ValueError("model validation failed: " + "; ".join(violations))
     finite = np.isfinite(np.hstack([trajectory.truth, trajectory.measurements])).all(axis=1)
     if not finite.all():
         step = int(np.argmin(finite)) + 1

@@ -158,20 +158,20 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def _count(self, key: str, minimum: int) -> int:
+        value = self._get("monte_carlo", key, int)
+        if value < minimum:
+            raise ConfigError(f"monte_carlo.{key} must be >= {minimum}, got {value}")
+        return value
+
     def runs(self) -> int:
-        runs = self._get("monte_carlo", "runs", int)
-        if runs < 1:
-            raise ConfigError(f"monte_carlo.runs must be >= 1, got {runs}")
-        return runs
+        return self._count("runs", 1)
 
     def horizon(self) -> int:
-        horizon = self._get("monte_carlo", "horizon", int)
-        if horizon < 1:
-            raise ConfigError(f"monte_carlo.horizon must be >= 1, got {horizon}")
-        return horizon
+        return self._count("horizon", 1)
 
     def seed(self) -> int:
-        return self._get("monte_carlo", "seed", int)
+        return self._count("seed", 0)
 
     def sweep_deltas(self) -> list[float]:
         text = self._get("sweep", "deltas", str)

@@ -32,9 +32,10 @@ that compute each run's numbers with the same operations, in the same
 order, as that run alone (see ``mcckf.linalg``), so a run's estimates do not
 depend on the batch it ran in, bit for bit. A run that fails a check leaves
 the batch at that step with its own typed reason; the step is then
-recomputed for the runs that remain. The drivers record a failed
-linear-algebra check as a ``Diverged`` of the runs concerned; a step
-function called directly raises the ``LinalgError`` itself.
+recomputed for the runs that remain. Every failed check inside a step
+raises a ``linalg.LinalgError`` (``NonFiniteInput`` for a non-finite array,
+whose message names it); on a batch, its ``failed`` names the runs that
+failed it. The drivers record it, with its class, as those runs' reason.
 """
 
 from __future__ import annotations
@@ -47,13 +48,12 @@ from . import linalg
 # the steps call the weight by this module-level name, so a wrapper bound to
 # it (a tracer, a test double) sees every call
 from .correntropy import KernelSpec, compute_lambda
-from .model import InitialCondition, _ModelStack, validate_model
+from .model import InitialCondition, _ModelStack, _require_valid
 
 __all__ = [
     "ALGORITHMS",
     "WEIGHTED_FILTERS",
     "DIVERGENCE_LIMIT",
-    "Diverged",
     "FilterState",
     "StepReport",
     "RunStatus",
@@ -94,24 +94,6 @@ WEIGHTED_FILTERS = ALGORITHMS[:-1]
 # An estimate component beyond this magnitude marks the run diverged even if
 # still finite; it makes the breakdown sweep deterministic.
 DIVERGENCE_LIMIT = 1e12
-
-
-class Diverged(Exception):
-    """A filter step produced an unusable state (numerical breakdown).
-
-    ``reasons`` maps the position in the batch of each run that failed to
-    why it failed; a single run is position 0.
-    """
-
-    def __init__(self, reasons: dict[int, str], step: int | None = None):
-        self.reasons = reasons
-        self.step = step
-        super().__init__("; ".join(self.reason_for(i) for i in reasons))
-
-    def reason_for(self, run: int) -> str:
-        """The reason of the run at ``run``, prefixed with the step."""
-        reason = self.reasons[run]
-        return reason if self.step is None else f"step {self.step}: {reason}"
 
 
 @dataclass
@@ -222,21 +204,13 @@ def _times(lam, a: np.ndarray) -> np.ndarray:
     return lam * a if np.ndim(lam) == 0 else lam[:, None, None] * a
 
 
-def _require_finite(step: int, runs: int | None, **named_arrays):
-    """Raise ``Diverged`` for each run with a non-finite entry in one of the
-    arrays (leading runs axis unless ``runs`` is None); its reason names the
-    first such array."""
-    reasons = {}
+def _require_finite(runs: int | None, **named_arrays):
+    """Raise ``NonFiniteInput``, naming the first of the arrays (leading runs
+    axis unless ``runs`` is None) with a non-finite entry; on a batch,
+    ``failed`` names its runs with one. A run that fails only a later array
+    is named when the step is recomputed without them."""
     for name, arr in named_arrays.items():
-        if np.isfinite(arr).all():
-            continue
-        if runs is None:
-            raise Diverged({0: f"non-finite {name}"}, step)
-        bad = ~np.isfinite(arr).reshape(runs, -1).all(axis=1)
-        for run in np.flatnonzero(bad).tolist():
-            reasons.setdefault(run, f"non-finite {name}")
-    if reasons:
-        raise Diverged(reasons, step)
+        linalg._require_finite(arr, f"non-finite {name}", lead=0 if runs is None else 1)
 
 
 def _innovation(terms, pred: FilterState, y) -> np.ndarray:
@@ -244,7 +218,7 @@ def _innovation(terms, pred: FilterState, y) -> np.ndarray:
     if y.shape[-1:] != (m,):
         raise ValueError(f"measurement must have {m} components, got shape {y.shape}")
     innovation = y - np.matvec(terms.H, pred.estimate)
-    _require_finite(pred.step, pred.runs, innovation=innovation)
+    _require_finite(pred.runs, innovation=innovation)
     return innovation
 
 
@@ -258,12 +232,11 @@ def _information_gain(terms, info_factor, lam, solve) -> np.ndarray:
 
 def mcckf_time_update(model, prior: FilterState) -> FilterState:
     """Propagate estimate and full covariance one step forward."""
-    step = prior.step + 1
     t = model.terms
     x = np.matvec(t.F, prior.estimate)
     p = linalg.symmetrize(t.F @ prior.covariance @ t.F.mT + t.g_q_g)
-    _require_finite(step, prior.runs, predicted_estimate=x, predicted_covariance=p)
-    return FilterState.full(step, x, p)
+    _require_finite(prior.runs, predicted_estimate=x, predicted_covariance=p)
+    return FilterState.full(prior.step + 1, x, p)
 
 
 def mcckf_measurement_update(
@@ -281,7 +254,6 @@ def mcckf_measurement_update(
     ill-conditioning of P. ``pred.covariance`` must be symmetric and finite,
     as ``mcckf_time_update`` returns it.
     """
-    step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
     # mcckf_time_update has symmetrized pred.covariance and checked it finite
@@ -304,32 +276,30 @@ def mcckf_measurement_update(
         + gain @ t.R @ gain.mT
     )
     x_new = pred.estimate + np.matvec(gain, innovation)
-    _require_finite(step, runs, estimate=x_new, covariance=p_new, gain=gain)
-    return FilterState.full(step, x_new, p_new), StepReport(lam, gain, innovation)
+    _require_finite(pred.runs, estimate=x_new, covariance=p_new, gain=gain)
+    return FilterState.full(pred.step, x_new, p_new), StepReport(lam, gain, innovation)
 
 
 def sr_time_update(model, prior: FilterState) -> FilterState:
     """Square-root time update via the pre-array [F S, G Q_sqrt]."""
-    step, runs = prior.step + 1, prior.runs
     t = model.terms
     x = np.matvec(t.F, prior.estimate)
     pre = np.concatenate([t.F @ prior.factor, t.g_q_sqrt], axis=-1)
-    _require_finite(step, runs, predicted_estimate=x, time_update_pre_array=pre)
+    _require_finite(prior.runs, predicted_estimate=x, time_update_pre_array=pre)
     # pre is finite on the line above: lower_triangularize's check would repeat it
-    return FilterState.square_root(step, x, linalg._triangularize(pre))
+    return FilterState.square_root(prior.step + 1, x, linalg._triangularize(pre))
 
 
 def _sr_posterior(t, pred: FilterState, gain, lam, innovation):
     """Estimate and factor update shared by sr1a and sr1b: the Joseph form
     triangularized from [(I - K H) S_pred, K R_sqrt]."""
-    step = pred.step
     x_new = pred.estimate + np.matvec(gain, innovation)
     i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
     joseph_pre = np.concatenate([i_kh @ pred.factor, gain @ t.r_sqrt], axis=-1)
-    _require_finite(step, pred.runs, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
+    _require_finite(pred.runs, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
     # joseph_pre is finite on the line above
     factor_new = linalg._triangularize(joseph_pre)
-    return FilterState.square_root(step, x_new, factor_new), StepReport(
+    return FilterState.square_root(pred.step, x_new, factor_new), StepReport(
         lam, gain, innovation
     )
 
@@ -349,13 +319,12 @@ def sr1a_measurement_update(
     predicted factor is inverted every step, so conditioning of the n x n
     factors governs this form's breakdown.
     """
-    step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
     lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
     pred_inv = linalg.triangular_inverse(pred.factor)
     pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.mT)], axis=-1)
-    _require_finite(step, runs, **{"information pre-array": pre})
+    _require_finite(pred.runs, **{"information pre-array": pre})
     # pre is finite on the line above; a rank-deficient pre gives a zero
     # diagonal in info_factor, which the first gain solve still checks
     info_factor = linalg._triangularize(pre)
@@ -377,14 +346,13 @@ def sr1b_measurement_update(
     applied to lam * P_pred H^T, with P_pred reconstructed from its factor.
     No n x n factor is ever inverted.
     """
-    step, runs = pred.step, pred.runs
     t = model.terms
     innovation = _innovation(t, pred, y)
     lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
     pre = np.concatenate(
         [_times(np.sqrt(lam), t.H @ pred.factor), t.r_sqrt], axis=-1
     )
-    _require_finite(step, runs, **{"innovation pre-array": pre})
+    _require_finite(pred.runs, **{"innovation pre-array": pre})
     # pre is finite on the line above; the first solve below checks the diagonal
     innov_factor = linalg._triangularize(pre)
     p_pred = pred.factor @ pred.factor.mT
@@ -422,54 +390,26 @@ def _kf_measurement_update(model, pred: FilterState, y, spec, pin_weight):
     """
     if pin_weight is not None and pin_weight != 1.0:
         raise ValueError(f"kf_reference's weight is 1, got a pinned weight of {pin_weight}")
-    step, runs = pred.step, pred.runs
+    runs = pred.runs
     h, r, p_pred = model.H, model.R, pred.covariance
     innovation = y - np.matvec(h, pred.estimate)
     innov_cov = h @ p_pred @ h.mT + r
     rhs = h @ p_pred
     try:
-        # a stack's solve fails as a whole; each run's own solve finds its runs
         gain = np.linalg.solve(innov_cov, rhs).mT
     except np.linalg.LinAlgError as exc:
-        singular = [0] if runs is None else _singular_runs(innov_cov, rhs)
-        raise Diverged(dict.fromkeys(singular, "singular innovation covariance"), step) from exc
+        message = "singular innovation covariance"
+        if runs is None:
+            raise linalg.LinalgError(message) from exc
+        # a stack's solve fails as a whole; each run's own solve finds its runs
+        singular = dict.fromkeys(_singular_runs(innov_cov, rhs), message)
+        raise linalg._stack_error(linalg.LinalgError, singular) from exc
     x_new = pred.estimate + np.matvec(gain, innovation)
     i_kh = linalg._identity(h.shape[-1]) - gain @ h
     p_new = linalg.symmetrize(i_kh @ p_pred @ i_kh.mT + gain @ r @ gain.mT)
-    _require_finite(step, runs, estimate=x_new, covariance=p_new, gain=gain)
+    _require_finite(runs, estimate=x_new, covariance=p_new, gain=gain)
     lam = 1.0 if runs is None else np.ones(runs)
-    return FilterState.full(step, x_new, p_new), StepReport(lam, gain, innovation)
-
-
-def _advance(algorithm, model, state: FilterState, y, spec, pin_weight):
-    """Time plus measurement update of one run or of every run of a batch.
-
-    A failed linear-algebra check fails the runs whose matrices failed it
-    (``LinalgError.failed``; one run's 2-D error names no matrix), with the
-    error class and its message as the reason.
-    """
-    entry = _FILTERS[algorithm]
-    step_functions = globals()
-    try:
-        pred = step_functions[entry.time_update](model, state)
-        return step_functions[entry.measurement_update](model, pred, y, spec, pin_weight)
-    except linalg.LinalgError as exc:
-        name = type(exc).__name__
-        failed = exc.failed or {0: str(exc)}
-        reasons = {run: f"{name}: {msg}" for run, msg in failed.items()}
-        raise Diverged(reasons, state.step + 1) from exc
-
-
-def _require_bounded(estimate: np.ndarray, step: int):
-    if np.abs(estimate).max() > DIVERGENCE_LIMIT:
-        big = np.abs(estimate).max(axis=-1) > DIVERGENCE_LIMIT
-        raise Diverged(
-            dict.fromkeys(
-                np.flatnonzero(big).tolist(),
-                f"estimate magnitude exceeded {DIVERGENCE_LIMIT:.0e}",
-            ),
-            step,
-        )
+    return FilterState.full(pred.step, x_new, p_new), StepReport(lam, gain, innovation)
 
 
 def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
@@ -478,34 +418,38 @@ def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
     ``(live, state, report)`` after each step.
 
     ``live`` holds the indices of the runs still in the batch, one per row of
-    ``state``. A run that fails a check, or whose estimate leaves
-    ``DIVERGENCE_LIMIT``, gets its status in ``statuses`` and leaves the
-    batch, with its model if each run has its own; the step is then
+    ``state``. A run that fails a check (a ``LinalgError``, whose ``failed``
+    names the rows of a batch; one run's names none), or whose estimate
+    leaves ``DIVERGENCE_LIMIT``, gets its status in ``statuses`` and leaves
+    the batch, with its model if each run has its own; the step is then
     recomputed for the others.
     """
+    entry, step_functions = _FILTERS[algorithm], globals()
+    time_update = step_functions[entry.time_update]
+    measurement_update = step_functions[entry.measurement_update]
     live = np.arange(len(statuses))
     for k in range(1, len(ys) + 1):
         while True:
             try:
-                new_state, report = _advance(
-                    algorithm, model, state, ys[k - 1], spec, pin_weight
-                )
-                _require_bounded(new_state.estimate, k)
-                break
-            except Diverged as exc:
-                for row in exc.reasons:
-                    statuses[live[row]] = RunStatus(
-                        completed=False,
-                        steps_completed=k - 1,
-                        failed_step=k,
-                        reason=exc.reason_for(row),
-                    )
-                if len(exc.reasons) == len(live):
-                    return
-                keep = np.ones(len(live), dtype=bool)
-                keep[list(exc.reasons)] = False
-                live, state, ys = live[keep], state.take(keep), ys[:, keep]
-                model = model.take(keep)
+                pred = time_update(model, state)
+                new_state, report = measurement_update(model, pred, ys[k - 1], spec, pin_weight)
+            except linalg.LinalgError as exc:
+                kind, failed = type(exc).__name__, exc.failed or {0: str(exc)}
+                failed = {row: f"{kind}: {message}" for row, message in failed.items()}
+            else:
+                magnitude = np.abs(new_state.estimate)
+                if not magnitude.max() > DIVERGENCE_LIMIT:
+                    break
+                big = np.flatnonzero(magnitude.max(axis=-1) > DIVERGENCE_LIMIT).tolist()
+                failed = dict.fromkeys(big, f"estimate magnitude exceeded {DIVERGENCE_LIMIT:.0e}")
+            for row, reason in failed.items():
+                statuses[live[row]] = RunStatus(False, k - 1, k, f"step {k}: {reason}")
+            if len(failed) == len(live):
+                return
+            keep = np.ones(len(live), dtype=bool)
+            keep[list(failed)] = False
+            live, state, ys = live[keep], state.take(keep), ys[:, keep]
+            model = model.take(keep)
         state = new_state
         yield live, state, report
 
@@ -513,9 +457,7 @@ def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
 def _check_inputs(algorithm, model, init, measurements) -> None:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    violations = validate_model(model, init, require_spd_init=_FILTERS[algorithm].square_root)
-    if violations:
-        raise ValueError("model validation failed: " + "; ".join(violations))
+    _require_valid(model, init, require_spd_init=_FILTERS[algorithm].square_root)
     m = model.obs_dim
     if measurements.shape[-1] != m:
         raise ValueError(

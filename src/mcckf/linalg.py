@@ -138,9 +138,15 @@ def _raise_where(cls, bad: np.ndarray, message) -> None:
     raise _stack_error(cls, {int(i): message(i) for i in np.flatnonzero(bad)})
 
 
-def _require_finite(a: np.ndarray, message: str = "matrix contains non-finite entries") -> None:
+def _require_finite(
+    a: np.ndarray, message: str = "matrix contains non-finite entries", lead: int | None = None
+) -> None:
+    """Raise ``NonFiniteInput`` if ``a`` has a non-finite entry. Its ``lead``
+    leading axes (default: all but the last two) index the arrays of a stack,
+    and ``failed`` names the arrays with one."""
     if not np.isfinite(a).all():
-        _raise_where(NonFiniteInput, ~np.isfinite(a).all(axis=(-2, -1)), lambda i: message)
+        axes = tuple(range(a.ndim - 2 if lead is None else lead, a.ndim))
+        _raise_where(NonFiniteInput, ~np.isfinite(a).all(axis=axes), lambda i: message)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

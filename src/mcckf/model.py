@@ -275,3 +275,10 @@ def validate_model(
         if msg:
             violations.append(msg)
     return violations
+
+
+def _require_valid(model, init: InitialCondition, require_spd_init: bool = False) -> None:
+    """Raise ``ValueError`` listing the violations ``validate_model`` reports."""
+    violations = validate_model(model, init, require_spd_init)
+    if violations:
+        raise ValueError("model validation failed: " + "; ".join(violations))

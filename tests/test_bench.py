@@ -33,7 +33,8 @@ from mcckf.bench import (
 )
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
-from mcckf.filters import ALGORITHMS, Diverged, RunStatus, run_filter
+from mcckf.filters import ALGORITHMS, RunStatus, run_filter
+from mcckf.linalg import NotPositiveDefinite
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
 from oracles import condition_estimate, rmse_loop
@@ -445,9 +446,11 @@ class TestParallelEvaluation:
         "error",
         [
             lambda algorithm: ValueError(f"{algorithm} cannot run"),
-            lambda algorithm: Diverged({1: f"{algorithm} cannot run"}, 3),
+            lambda algorithm: NotPositiveDefinite(
+                f"{algorithm} cannot run", {1: f"{algorithm}'s run 1 cannot run"}
+            ),
         ],
-        ids=["ValueError", "Diverged"],
+        ids=["ValueError", "LinalgError"],
     )
     def test_error_surfaces_as_in_the_serial_loop(self, monkeypatch, forks, error):
         batch = bench.run_batch

@@ -216,15 +216,20 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("sweep", ["--set", "sweep.deltas=inf"], "finite, positive and strictly decreasing"),
         ("sweep", ["--set", "sweep.deltas=1e-1 nan"], "finite, positive and strictly decreasing"),
         ("example1", ["--algorithms", "fancy"], "unknown algorithm 'fancy'"),
+        ("example1", ["--algorithms", "sr1b,sr1b"], "'sr1b' is named twice in --algorithms"),
+        ("sweep", ["--algorithms", "sr1b,sr1b"], "'sr1b' is named twice in --algorithms"),
         ("equivalence", ["--algorithms", "sr1b"], "need at least 2 algorithm(s)"),
+        ("example1", ["--seed", "-1"], "monte_carlo.seed must be >= 0, got -1"),
+        ("example1", ["--runs", "0"], "monte_carlo.runs must be >= 1, got 0"),
+        ("sweep", ["--runs", "0"], "monte_carlo.runs must be >= 1, got 0"),
         ("example1", ["--set", "kernel.sigma=1e-170"], "kernel bandwidth must be"),
         ("example1", ["--set", "kernel.sigma=1e200"], "kernel bandwidth must be"),
     ],
     ids=[
         "no_equals", "no_dot", "empty_value", "unreadable_config", "unknown_section",
         "zero_horizon", "bad_deltas", "increasing_deltas", "infinite_delta", "nan_delta",
-        "unknown_algorithm",
-        "too_few_algorithms",
+        "unknown_algorithm", "duplicate_algorithm-example1", "duplicate_algorithm-sweep",
+        "too_few_algorithms", "negative_seed", "zero_runs-example1", "zero_runs-sweep",
         "underflowing_sigma", "overflowing_sigma",
     ],
 )
@@ -251,14 +256,21 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, mes
             (command, "model.sampling_period=1e-160", "initial covariance is not finite")
             for command in ("equivalence", "example1", "simulate")
         ),
+        ("example1", "model.bearing_noise_var=0", "model validation failed: R not positive"),
+        *(
+            (command, "model.maneuver_var_1=-1", "model validation failed: Q not positive")
+            for command in ("sweep", "simulate")
+        ),
     ],
     ids=[
         "huge_delta", "tiny_period-example1", "tiny_period-simulate",
         "small_period-equivalence", "small_period-example1", "small_period-simulate",
+        "singular_r-example1", "negative_q-sweep", "negative_q-simulate",
     ],
 )
 def test_unusable_model_values_exit_2_with_one_line(tmp_path, capsys, command, key, message):
-    # each of these once escaped as a traceback from building the model
+    # the first six once escaped as a traceback from building the model, the
+    # last three once left an empty --out behind
     out = tmp_path / "od" / "x"
     code = main([command, "--out", str(out), "--runs", "1", "--set", key])
     assert code == 2

@@ -12,7 +12,6 @@ from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec, compute_lambda
 from mcckf.filters import (
     ALGORITHMS,
-    Diverged,
     FilterState,
     mcckf_measurement_update,
     mcckf_time_update,
@@ -23,7 +22,7 @@ from mcckf.filters import (
     sr_time_update,
 )
 from mcckf.linalg import NonFiniteInput, NotPositiveDefinite, cholesky_lower
-from mcckf.model import InitialCondition, StateSpaceModel
+from mcckf.model import InitialCondition, StateSpaceModel, _ModelStack
 from mcckf.sim import SeedSpec, simulate
 from oracles import gain_information_form, gain_innovation_form
 
@@ -143,10 +142,25 @@ class TestTimeUpdate:
         sr = sr_time_update(model, FilterState.square_root(0, np.zeros(2), factor))
         np.testing.assert_array_equal(sr.factor, factor)
 
-    def test_non_finite_raises_diverged(self):
+    def test_non_finite_raises_non_finite_input(self):
         model = scalar_model()
-        with pytest.raises(Diverged):
+        with pytest.raises(NonFiniteInput, match="^non-finite predicted_estimate$") as info:
             mcckf_time_update(model, FilterState.full(0, np.array([np.inf]), np.eye(1)))
+        assert info.value.failed == {}
+
+    def test_batch_names_the_runs_of_the_first_non_finite_array(self):
+        # run 0 fails the predicted estimate, run 2 only the later pre-array
+        model = _ModelStack(build_example1()[0], 3)
+        estimate, factor = np.zeros((3, 6)), np.stack([np.eye(6)] * 3)
+        estimate[0, 1], factor[2, 4, 4] = np.nan, np.inf
+        prior = FilterState.square_root(0, estimate, factor)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput) as info:
+            sr_time_update(model, prior)
+        assert info.value.failed == {0: "non-finite predicted_estimate"}
+        keep = np.array([False, True, True])
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput) as info:
+            sr_time_update(model.take(keep), prior.take(keep))
+        assert info.value.failed == {1: "non-finite time_update_pre_array"}
 
 
 @pytest.mark.parametrize(
@@ -773,7 +787,42 @@ class TestRunBatch:
         ys = np.random.default_rng(3).standard_normal((3, 5, 2))
         batch = assert_batch_matches_each_run("kf_reference", models, init, ys, None)
         assert [s.completed for s in batch.statuses] == [True, False, True]
-        assert batch.statuses[1].reason == "step 1: singular innovation covariance"
+        assert batch.statuses[1].reason == "step 1: LinalgError: singular innovation covariance"
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_runs_failing_different_checks_in_one_step(self, algorithm):
+        model, init, shot = build_example1()
+        spec = KernelSpec(float("inf"))  # weight 1: no measurement is rejected
+        ys = batch_measurements(model, init, 6, 1, 4, shot)
+        ys[0, 2] = np.nan  # fails the step's check of the innovation
+        ys[2, 2] = 1e300  # passes the step, then fails the estimate bound
+        batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
+        assert [s.failed_step for s in batch.statuses] == [3, None, 3, None]
+        assert batch.statuses[2].reason == "step 3: estimate magnitude exceeded 1e+12"
+        if algorithm != "kf_reference":  # which checks no innovation
+            assert batch.statuses[0].reason == "step 3: NonFiniteInput: non-finite innovation"
+
+    @pytest.mark.parametrize(
+        "time_update, measurement_update",
+        [
+            (mcckf_time_update, mcckf_measurement_update),
+            (sr_time_update, sr1a_measurement_update),
+            (sr_time_update, sr1b_measurement_update),
+        ],
+    )
+    def test_step_function_names_only_the_failing_runs(self, time_update, measurement_update):
+        model, init, _ = build_example1()
+        stack = _ModelStack(model, 4)
+        estimate, covariance = np.zeros((4, 6)), np.stack([init.covariance] * 4)
+        if time_update is sr_time_update:
+            prior = FilterState.square_root(0, estimate, cholesky_lower(covariance))
+        else:
+            prior = FilterState.full(0, estimate, covariance)
+        y = np.zeros((4, 2))
+        y[0, 1], y[2] = np.nan, 1e300
+        with pytest.raises(NonFiniteInput) as info:
+            measurement_update(stack, time_update(stack, prior), y, KernelSpec(float("inf")))
+        assert info.value.failed == {0: "non-finite innovation"}
 
     def test_rejects_wrong_shapes(self):
         model, init, _ = build_example1()

@@ -7,7 +7,6 @@ import mcckf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ERRORS = {
-    "Diverged",
     "LinalgError",
     "NotSymmetric",
     "NotPositiveDefinite",
