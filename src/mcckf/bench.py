@@ -27,7 +27,7 @@ import numpy as np
 
 from .correntropy import KernelSpec
 # called by this module-level name, so a test double bound to it runs every filter
-from .filters import ALGORITHMS, run_batch
+from .filters import ALGORITHMS, _check_algorithms, run_batch
 from .model import InitialCondition, StateSpaceModel
 from .sim import SeedSpec, ShotNoiseSpec, _simulate, write_rows
 
@@ -324,17 +324,6 @@ def _rmse_report(name: str, truth, estimates, statuses) -> RmseReport:
     )
 
 
-def _check_algorithms(algorithms: list, runs: int) -> None:
-    """Reject runs < 1, unknown names and duplicate names."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-    if len(set(algorithms)) != len(algorithms):
-        raise ValueError(f"duplicate algorithm names in {algorithms}")
-
-
 def _evaluate(algorithms, models, init, horizon, shot, runs: int, master_seed: int, spec):
     """One dict of ``RmseReport`` per model, each over run indices 0..runs-1
     of ``master_seed``, from ``init`` over ``horizon`` steps with ``shot``.
@@ -345,7 +334,9 @@ def _evaluate(algorithms, models, init, horizon, shot, runs: int, master_seed: i
     gets alone, bit for bit.
     """
     algorithms = list(algorithms)
-    _check_algorithms(algorithms, runs)
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_algorithms(algorithms)
     run_models = [model for model in models for _ in range(runs)]
     seeds = [SeedSpec(master_seed, run_index) for _ in models for run_index in range(runs)]
     _, truth, measurements, _ = _simulate(run_models, init, horizon, seeds, shot)

@@ -26,39 +26,36 @@ from .bench import (
     write_csv,
 )
 from .config import ConfigError, ExperimentConfig
-from .filters import ALGORITHMS, WEIGHTED_FILTERS
+from .filters import ALGORITHMS, WEIGHTED_FILTERS, _check_algorithms
 from .model import _require_valid
 from .sim import SeedSpec, simulate, write_rows, write_trajectory_csv
 
 
-def _add_common(sub, tolerance: bool = False):
-    sub.add_argument("--config", help="configuration file (INI); defaults to the shipped profile")
-    sub.add_argument("--out", default="mcckf_out", help="output directory (default: %(default)s)")
-    sub.add_argument("--seed", type=int, help="master seed (overrides monte_carlo.seed)")
-    sub.add_argument("--runs", type=int, help="Monte Carlo runs (overrides the config)")
-    sub.add_argument(
-        "--algorithms",
-        help=f"comma-separated subset of: {','.join(ALGORITHMS)} "
-        f"(default: {','.join(WEIGHTED_FILTERS)})",
-    )
-    sub.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted config override, e.g. shot_noise.fraction=0.1 (repeatable)",
-    )
-    sub.add_argument(
-        "--verbose", action="count", default=0, help="print per-cell detail"
-    )
-    if tolerance:
-        sub.add_argument(
-            "--tolerance",
-            type=float,
-            default=1e-6,
-            help="maximum allowed relative curve difference (default: %(default)s)",
-        )
+# argparse settings of each option; a command takes --config, --out, --seed
+# and --set, plus the options build_parser lists for it
+_OPTIONS = {
+    "--config": {"help": "configuration file (INI); defaults to the shipped profile"},
+    "--out": {"default": "mcckf_out", "help": "output directory (default: %(default)s)"},
+    "--seed": {"type": int, "help": "master seed (overrides monte_carlo.seed)"},
+    "--set": {
+        "dest": "overrides",
+        "action": "append",
+        "default": [],
+        "metavar": "KEY=VALUE",
+        "help": "dotted config override, e.g. shot_noise.fraction=0.1 (repeatable)",
+    },
+    "--runs": {"type": int, "help": "Monte Carlo runs (overrides monte_carlo.runs)"},
+    "--algorithms": {
+        "help": f"comma-separated subset of: {','.join(ALGORITHMS)} "
+        f"(default: {','.join(WEIGHTED_FILTERS)})"
+    },
+    "--verbose": {"action": "store_true", "help": "print per-cell detail"},
+    "--tolerance": {
+        "type": float,
+        "default": 1e-6,
+        "help": "maximum allowed relative curve difference (default: %(default)s)",
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,25 +65,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    eq = sub.add_parser(
-        "equivalence",
-        help="run the radar benchmark with every algorithm and check curve agreement",
-    )
-    _add_common(eq, tolerance=True)
-    eq.set_defaults(func=cmd_equivalence, profile="example1")
-
-    ex1 = sub.add_parser("example1", help="shot-noise radar Monte Carlo, RMSE CSV per algorithm")
-    _add_common(ex1)
-    ex1.set_defaults(func=cmd_example1, profile="example1")
-
-    sw = sub.add_parser("sweep", help="ill-conditioning breakdown sweep over delta")
-    _add_common(sw)
-    sw.set_defaults(func=cmd_sweep, profile="sweep")
-
-    si = sub.add_parser("simulate", help="emit one simulated trajectory as CSV")
-    _add_common(si)
-    si.set_defaults(func=cmd_simulate, profile="example1")
+    commands = [
+        (
+            "equivalence", cmd_equivalence, "example1",
+            "run the radar benchmark with every algorithm and check curve agreement",
+            ["--runs", "--algorithms", "--verbose", "--tolerance"],
+        ),
+        (
+            "example1", cmd_example1, "example1",
+            "shot-noise radar Monte Carlo, RMSE CSV per algorithm",
+            ["--runs", "--algorithms"],
+        ),
+        (
+            "sweep", cmd_sweep, "sweep",
+            "ill-conditioning breakdown sweep over delta",
+            ["--runs", "--algorithms", "--verbose"],
+        ),
+        ("simulate", cmd_simulate, "example1", "emit one simulated trajectory as CSV", []),
+    ]
+    for name, func, profile, help_text, options in commands:
+        command = sub.add_parser(name, help=help_text)
+        for option in ["--config", "--out", "--seed", "--set", *options]:
+            command.add_argument(option, **_OPTIONS[option])
+        command.set_defaults(func=func, profile=profile)
     return parser
 
 
@@ -94,7 +95,7 @@ def _load_config(args) -> ExperimentConfig:
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"monte_carlo.seed={args.seed}")
-    if args.runs is not None:
+    if getattr(args, "runs", None) is not None:  # simulate reads no runs
         overrides.append(f"monte_carlo.runs={args.runs}")
     return ExperimentConfig.load(args.config, overrides, profile=args.profile)
 
@@ -104,13 +105,9 @@ def _algorithm_list(args, minimum: int = 1) -> list[str]:
         names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     else:
         names = list(WEIGHTED_FILTERS)
-    for name in names:
-        if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-        if names.count(name) > 1:
-            raise ConfigError(f"algorithm {name!r} is named twice in --algorithms {names}")
+    _check_algorithms(names)
     if len(names) < minimum:
-        raise ConfigError(f"need at least {minimum} algorithm(s), got {names}")
+        raise ValueError(f"need at least {minimum} algorithm(s), got {names}")
     return names
 
 

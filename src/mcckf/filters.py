@@ -454,9 +454,15 @@ def _steps(algorithm, model, state, ys, spec, pin_weight, statuses):
         yield live, state, report
 
 
+def _check_algorithms(names: list) -> None:
+    """Reject a list of algorithm names with one outside ``ALGORITHMS`` or
+    one named twice; every caller that takes names checks them here."""
+    if any(name not in ALGORITHMS or names.count(name) > 1 for name in names):
+        raise ValueError(f"expected distinct algorithm names from {ALGORITHMS}, got {names}")
+
+
 def _check_inputs(algorithm, model, init, measurements) -> None:
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    _check_algorithms([algorithm])
     _require_valid(model, init, require_spd_init=_FILTERS[algorithm].square_root)
     m = model.obs_dim
     if measurements.shape[-1] != m:

@@ -341,9 +341,9 @@ def _triangularize(a: np.ndarray) -> np.ndarray:
     # layout of R^T that the products downstream were computed with.
     h = a.mT.astype(np.float64, copy=True)
     _umath_linalg.qr_r_raw(h, signature="d->d")
-    x = np.where(_upper_mask(rows), h[..., :rows, :], 0.0).mT
-    signs = np.where(x.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
-    return x * signs[..., None, :]
+    r = np.where(_upper_mask(rows), h[..., :rows, :], 0.0)
+    np.negative(r, out=r, where=(r.diagonal(0, -2, -1) < 0.0)[..., :, None])
+    return r.mT
 
 
 def triangular_solve(

@@ -155,6 +155,8 @@ class InitialCondition:
     covariance: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.mean) > 1:
+            raise ValueError(f"mean must be a vector, got shape {np.shape(self.mean)}")
         self.mean = _frozen(np.ravel(self.mean))
         n = self.mean.shape[0]
         self.covariance = _frozen(self.covariance, (n, n))

@@ -67,6 +67,9 @@ class ShotNoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.corrupted_fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.corrupted_fraction}")
+        bounds = (self.magnitude_low, self.magnitude_high, self.window_start, self.window_end)
+        if not all(isinstance(bound, (int, np.integer)) for bound in bounds):
+            raise ValueError(f"magnitude and window bounds must be integers, got {bounds}")
         if self.magnitude_low > self.magnitude_high:
             raise ValueError("magnitude_low must not exceed magnitude_high")
         if not 1 <= self.window_start <= self.window_end:

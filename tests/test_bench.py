@@ -267,7 +267,7 @@ class TestRunMonteCarlo:
             run_monte_carlo(["sr1b"], tiny_scenario(), 0, 1, KernelSpec(1.0))
         with pytest.raises(ValueError):
             run_monte_carlo(["sr1b", "sr1b"], tiny_scenario(), 1, 1, KernelSpec(1.0))
-        with pytest.raises(ValueError, match="unknown algorithm 'fancy'"):
+        with pytest.raises(ValueError, match=r"expected distinct algorithm .*got \['fancy'\]"):
             run_monte_carlo(["fancy"], tiny_scenario(), 1, 1, KernelSpec(1.0))
 
 

@@ -449,7 +449,7 @@ class TestRunFilter:
     def test_rejects_unknown_algorithm(self):
         model = scalar_model()
         init = InitialCondition(np.zeros(1), np.eye(1))
-        with pytest.raises(ValueError, match="unknown algorithm"):
+        with pytest.raises(ValueError, match="expected distinct algorithm names"):
             run_filter("fancy", model, init, [], KernelSpec(1.0))
 
     def test_spec_required_unless_pinned(self):

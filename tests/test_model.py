@@ -144,6 +144,13 @@ def test_init_dimension_mismatch_reported():
     assert any("does not match state dim" in v for v in report)
 
 
+@pytest.mark.parametrize("mean", [np.zeros((2, 3)), np.zeros((6, 1)), [[0.0]]])
+def test_initial_mean_with_more_than_one_dimension_rejected(mean):
+    # a (2, 3) mean was once flattened and passed for a six-state model
+    with pytest.raises(ValueError, match=r"mean must be a vector, got shape \("):
+        InitialCondition(mean, np.eye(np.size(mean)))
+
+
 def test_non_spd_init_only_flagged_when_required():
     model = tiny_model()
     init = InitialCondition(np.zeros(1), np.zeros((1, 1)))

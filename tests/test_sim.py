@@ -212,6 +212,27 @@ def test_shot_spec_validation():
         ShotNoiseSpec(targets="everything")
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        # a fractional window once failed in simulate with a raw IndexError,
+        # fractional magnitudes once drew integers outside [low, high]
+        {"window_start": 1.5, "window_end": 30.2},
+        {"window_end": 40.0},
+        {"magnitude_low": 2.5, "magnitude_high": 3.5},
+        {"magnitude_high": "5"},
+    ],
+)
+def test_shot_spec_bounds_must_be_integers(bounds):
+    with pytest.raises(ValueError, match="magnitude and window bounds must be integers"):
+        ShotNoiseSpec(**bounds)
+
+
+def test_shot_spec_accepts_numpy_integers():
+    spec = ShotNoiseSpec(magnitude_high=np.int64(3), window_end=np.int32(40))
+    assert spec.corrupted_count(60) == 4
+
+
 class TestDrawGaussian:
     def test_zero_factor_returns_mean(self):
         rng = np.random.default_rng(0)
