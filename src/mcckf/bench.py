@@ -29,7 +29,7 @@ from .correntropy import KernelSpec
 # called by this module-level name, so a test double bound to it runs every filter
 from .filters import ALGORITHMS, _check_algorithms, run_batch
 from .model import InitialCondition, StateSpaceModel
-from .sim import SeedSpec, ShotNoiseSpec, _simulate, write_rows
+from .sim import SeedSpec, ShotNoiseSpec, _simulate
 
 __all__ = [
     "RadarConstants",
@@ -44,7 +44,6 @@ __all__ = [
     "ill_conditioned_scenario",
     "run_monte_carlo",
     "run_conditioning_sweep",
-    "write_csv",
 ]
 
 # An algorithm's summary RMSE beyond BLOWUP_FACTOR times its own value at the
@@ -390,7 +389,6 @@ class SweepReport:
     diverged or exceeded the blow-up threshold, or None if it never did.
     """
 
-    delta_grid: list
     entries: list
     baseline: dict
     breakdown_delta: dict
@@ -449,39 +447,4 @@ def run_conditioning_sweep(
             # the grid is decreasing, so the first blown delta is the largest
             if blown and breakdown[name] is None:
                 breakdown[name] = delta
-    return SweepReport(
-        delta_grid=delta_grid,
-        entries=entries,
-        baseline=baseline,
-        breakdown_delta=breakdown,
-    )
-
-
-def write_csv(report, path) -> None:
-    """Write an RmseReport or SweepReport as CSV with 17 significant digits.
-
-    Deterministic row ordering; parsing the file back recovers the in-memory
-    values exactly.
-    """
-    if isinstance(report, RmseReport):
-        n = report.per_component.shape[1]
-        header = ["step"] + [f"rmse_x{i + 1}" for i in range(n)] + ["total"]
-        pairs = zip(report.per_component, report.total)
-        rows = ([k, *cells, total] for k, (cells, total) in enumerate(pairs, start=1))
-    elif isinstance(report, SweepReport):
-        header = ["delta", "algorithm", "scalar_rmse", "status", "breakdown_flag"]
-        rows = (
-            [
-                e.delta,
-                e.algorithm,
-                e.scalar_rmse,
-                f"diverged {e.diverged_runs}/{e.diverged_runs + e.completed_runs}"
-                if e.diverged_runs
-                else "ok",
-                int(e.blown_up),
-            ]
-            for e in report.entries
-        )
-    else:
-        raise TypeError(f"cannot serialize report of type {type(report)!r}")
-    write_rows(path, header, rows)
+    return SweepReport(entries=entries, baseline=baseline, breakdown_delta=breakdown)

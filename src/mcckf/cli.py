@@ -10,6 +10,7 @@ configuration error is found before the output directory is made.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from itertools import combinations
@@ -18,17 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (
-    build_example2,
-    radar_scenario,
-    run_conditioning_sweep,
-    run_monte_carlo,
-    write_csv,
-)
+from .bench import build_example2, radar_scenario, run_conditioning_sweep, run_monte_carlo
 from .config import ConfigError, ExperimentConfig
 from .filters import ALGORITHMS, WEIGHTED_FILTERS, _check_algorithms
 from .model import _require_valid
-from .sim import SeedSpec, simulate, write_rows, write_trajectory_csv
+from .sim import SeedSpec, simulate
 
 
 # argparse settings of each option; a command takes --config, --out, --seed
@@ -87,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         for option in ["--config", "--out", "--seed", "--set", *options]:
             command.add_argument(option, **_OPTIONS[option])
-        command.set_defaults(func=func, profile=profile)
+        command.set_defaults(func=func, profile=profile, parser=command)
     return parser
 
 
@@ -101,7 +96,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _algorithm_list(args, minimum: int = 1) -> list[str]:
-    if args.algorithms:
+    if args.algorithms is not None:
         names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     else:
         names = list(WEIGHTED_FILTERS)
@@ -115,6 +110,22 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write a header and rows as CSV. Floats get 17 significant digits, so
+    parsing the file back recovers them exactly; other cells go through
+    ``str``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(
+                [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+                for row in rows
+            )
+    except OSError as exc:
+        raise OSError(f"failed writing CSV to {path}: {exc}") from exc
 
 
 def _write_meta(out: Path, command: str, cfg: ExperimentConfig, seed: int) -> None:
@@ -144,7 +155,11 @@ def _monte_carlo(args, command: str, minimum: int = 1):
     out = _out_dir(args)
     reports = run_monte_carlo(names, scenario, runs, seed, spec)
     for name, report in reports.items():
-        write_csv(report, out / f"rmse_{name}.csv")
+        n = report.per_component.shape[1]
+        header = ["step", *(f"rmse_x{i + 1}" for i in range(n)), "total"]
+        pairs = zip(report.per_component, report.total)
+        rows = ([k, *cells, total] for k, (cells, total) in enumerate(pairs, start=1))
+        _write_rows(out / f"rmse_{name}.csv", header, rows)
     _write_meta(out, command, cfg, seed)
     diverged = {name: report.diverged_runs for name, report in reports.items()}
     if any(diverged.values()):
@@ -160,7 +175,7 @@ def cmd_equivalence(args) -> int:
     diffs = {
         (a, b): _relative_diff(reports[a].total, reports[b].total) for a, b in pairs
     }
-    write_rows(
+    _write_rows(
         out / "diff.csv",
         ["step"] + [f"{a}_vs_{b}" for a, b in pairs],
         ([k, *row] for k, row in enumerate(zip(*diffs.values()), start=1)),
@@ -195,7 +210,22 @@ def cmd_sweep(args) -> int:
         _require_valid(*build_example2(delta, constants))
     out = _out_dir(args)
     report = run_conditioning_sweep(names, deltas, runs, seed, spec, constants)
-    write_csv(report, out / "sweep.csv")
+    _write_rows(
+        out / "sweep.csv",
+        ["delta", "algorithm", "scalar_rmse", "status", "breakdown_flag"],
+        (
+            [
+                e.delta,
+                e.algorithm,
+                e.scalar_rmse,
+                f"diverged {e.diverged_runs}/{e.diverged_runs + e.completed_runs}"
+                if e.diverged_runs
+                else "ok",
+                int(e.blown_up),
+            ]
+            for e in report.entries
+        ),
+    )
     _write_meta(out, "sweep", cfg, seed)
     if args.verbose:
         for entry in report.entries:
@@ -238,15 +268,27 @@ def cmd_simulate(args) -> int:
         print(f"error: simulated trajectory is not finite at step {step}", file=sys.stderr)
         return 1
     out = _out_dir(args)
-    write_trajectory_csv(trajectory, out / "trajectory.csv")
+    truth, measurements = trajectory.truth, trajectory.measurements
+    # the steps whose process (w) and measurement (v) noise carried an impulse
+    shot_steps = [{k for k, ch, _ in trajectory.outlier_log if ch[0] == g} for g in "wv"]
+    header = [
+        "step", *(f"x{i + 1}" for i in range(truth.shape[1])),
+        *(f"y{j + 1}" for j in range(measurements.shape[1])), "shot_w", "shot_v",
+    ]
+    rows = (
+        [k, *x, *y, *(int(k in steps) for steps in shot_steps)]
+        for k, (x, y) in enumerate(zip(truth, measurements), start=1)
+    )
+    _write_rows(out / "trajectory.csv", header, rows)
     _write_meta(out, "simulate", cfg, cfg.seed())
     print(f"wrote {trajectory.horizon} steps to {out / 'trajectory.csv'}")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # with the command's usage line, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         # every command reports overflowing runs or trajectories itself
         with np.errstate(over="ignore", invalid="ignore"):

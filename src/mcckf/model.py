@@ -26,10 +26,12 @@ __all__ = [
 ]
 
 
-def _frozen(a, shape=None) -> np.ndarray:
+def _frozen(a, shape=None, name=None) -> np.ndarray:
+    """A read-only float copy of ``a``; with ``shape``, the matrix ``name``
+    must have it."""
     arr = np.array(a, dtype=float)
     if shape is not None and arr.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -126,8 +128,8 @@ class StateSpaceModel:
         if self.H.ndim != 2 or self.H.shape[1] != n:
             raise ValueError(f"H must have {n} columns, got shape {self.H.shape}")
         m = self.H.shape[0]
-        self.Q = _frozen(self.Q, (q, q))
-        self.R = _frozen(self.R, (m, m))
+        self.Q = _frozen(self.Q, (q, q), "Q")
+        self.R = _frozen(self.R, (m, m), "R")
 
     @property
     def state_dim(self) -> int:
@@ -159,7 +161,7 @@ class InitialCondition:
             raise ValueError(f"mean must be a vector, got shape {np.shape(self.mean)}")
         self.mean = _frozen(np.ravel(self.mean))
         n = self.mean.shape[0]
-        self.covariance = _frozen(self.covariance, (n, n))
+        self.covariance = _frozen(self.covariance, (n, n), "initial covariance")
 
 
 class _ModelStack:

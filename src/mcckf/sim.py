@@ -11,7 +11,6 @@ one that builds a ``Trajectory`` with its outlier log.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "draw_gaussian",
     "psd_factor",
     "simulate",
-    "write_rows",
-    "write_trajectory_csv",
 ]
 
 SHOT_TARGETS = ("process", "measurement", "both")
@@ -218,33 +215,3 @@ def simulate(
         for j, mag in enumerate(row)
     )
     return Trajectory(x0, truth, measurements, outlier_log)
-
-
-def write_rows(path, header, rows) -> None:
-    """Write a header and rows as CSV. Floats get 17 significant digits, so
-    parsing the file back recovers them exactly; other cells go through
-    ``str``."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(
-                [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
-                for row in rows
-            )
-    except OSError as exc:
-        raise OSError(f"failed writing CSV to {path}: {exc}") from exc
-
-
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Write step, truth components, measurement components and outlier flags."""
-    n = trajectory.truth.shape[1]
-    m = trajectory.measurements.shape[1]
-    process_steps = {s for s, ch, _ in trajectory.outlier_log if ch.startswith("w")}
-    measurement_steps = {s for s, ch, _ in trajectory.outlier_log if ch.startswith("v")}
-    header = ["step"] + [f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(m)]
-    rows = (
-        [k, *x, *y, int(k in process_steps), int(k in measurement_steps)]
-        for k, (x, y) in enumerate(zip(trajectory.truth, trajectory.measurements), start=1)
-    )
-    write_rows(path, header + ["shot_w", "shot_v"], rows)

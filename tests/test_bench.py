@@ -1,5 +1,6 @@
 """Scenario builders, Monte Carlo harness and CSV reports."""
 
+import csv
 import errno
 import math
 import os
@@ -18,9 +19,7 @@ from mcckf import bench
 from mcckf.bench import (
     BLOWUP_FACTOR,
     RadarConstants,
-    RmseReport,
     Scenario,
-    SweepReport,
     _evaluate,
     _rmse_report,
     build_example1,
@@ -29,11 +28,11 @@ from mcckf.bench import (
     radar_scenario,
     run_conditioning_sweep,
     run_monte_carlo,
-    write_csv,
 )
+from mcckf.cli import _write_rows, main
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
-from mcckf.filters import ALGORITHMS, RunStatus, run_filter
+from mcckf.filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_filter
 from mcckf.linalg import NotPositiveDefinite
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
@@ -665,62 +664,59 @@ class TestParallelEvaluation:
 
 
 class TestWriteCsv:
+    """The CSV files ``mcckf`` writes for the reports: each cell parses back
+    to the value the library call returns for the same seed."""
+
     def test_rmse_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(4)
-        per_component = rng.standard_normal((3, 2)) ** 2
-        total = np.sqrt((per_component**2).sum(axis=1))
-        report = RmseReport(
-            algorithm="sr1b",
-            per_component=per_component,
-            total=total,
-            scalar_summary=float(total.mean()),
-            completed_runs=1,
-            diverged_runs=0,
-        )
-        path = tmp_path / "rmse.csv"
-        write_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,rmse_x1,rmse_x2,total"
-        assert len(lines) == 4
-        for k, line in enumerate(lines[1:]):
-            cells = line.split(",")
-            assert int(cells[0]) == k + 1
-            assert [float(c) for c in cells[1:3]] == list(per_component[k])
-            assert float(cells[3]) == total[k]
+        overrides = ["monte_carlo.runs=3", "monte_carlo.horizon=40", "monte_carlo.seed=3"]
+        sets = [arg for key in overrides for arg in ("--set", key)]
+        assert main(["example1", "--out", str(tmp_path), *sets]) == 0
+        cfg = ExperimentConfig.load(None, overrides, profile="example1")
+        scenario = radar_scenario(cfg.radar_constants(), cfg.shot_spec())
+        reports = run_monte_carlo(WEIGHTED_FILTERS, scenario, 3, 3, cfg.kernel_spec())
+        for name, report in reports.items():
+            header, *rows = csv.reader((tmp_path / f"rmse_{name}.csv").read_text().splitlines())
+            assert header == ["step", *(f"rmse_x{i}" for i in range(1, 7)), "total"]
+            assert [row[0] for row in rows] == [str(k) for k in range(1, 41)]
+            cells = np.array([[float(cell) for cell in row[1:]] for row in rows])
+            np.testing.assert_array_equal(cells[:, :-1], report.per_component)
+            np.testing.assert_array_equal(cells[:, -1], report.total)
 
     def test_sweep_round_trip_and_cardinality(self, tmp_path):
+        overrides = [
+            "sweep.deltas=1e-1 1e-13", "monte_carlo.runs=2", "monte_carlo.horizon=20",
+            "monte_carlo.seed=3",
+        ]
+        sets = [arg for key in overrides for arg in ("--set", key)]
+        args = ["sweep", "--out", str(tmp_path), "--algorithms", "conventional,sr1b", *sets]
+        assert main(args) == 1  # both break at 1e-13, so the ordering check fails
+        cfg = ExperimentConfig.load(None, overrides, profile="sweep")
         report = run_conditioning_sweep(
-            ["conventional", "sr1b"],
-            [1e-1, 1e-2],
-            1,
-            3,
-            KernelSpec(float("inf")),
-            RadarConstants(horizon=20),
+            ["conventional", "sr1b"], cfg.sweep_deltas(), 2, 3, cfg.kernel_spec(),
+            cfg.radar_constants(),
         )
-        path = tmp_path / "sweep.csv"
-        write_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "delta,algorithm,scalar_rmse,status,breakdown_flag"
-        assert len(lines) == 1 + 2 * 2  # one row per (delta, algorithm)
-        parsed = [line.split(",") for line in lines[1:]]
-        by_key = {(float(c[0]), c[1]): c for c in parsed}
-        for entry in report.entries:
-            cells = by_key[(entry.delta, entry.algorithm)]
-            assert float(cells[2]) == entry.scalar_rmse
-            assert cells[4] == str(int(entry.blown_up))
+        header, *rows = csv.reader((tmp_path / "sweep.csv").read_text().splitlines())
+        assert header == ["delta", "algorithm", "scalar_rmse", "status", "breakdown_flag"]
+        assert len(rows) == 2 * 2  # one row per (delta, algorithm)
+        for (delta, algorithm, rmse, status, flag), entry in zip(rows, report.entries):
+            assert (float(delta), algorithm) == (entry.delta, entry.algorithm)
+            np.testing.assert_array_equal(float(rmse), entry.scalar_rmse)
+            runs = f"{entry.diverged_runs}/{entry.diverged_runs + entry.completed_runs}"
+            assert status == (f"diverged {runs}" if entry.diverged_runs else "ok")
+            assert flag == str(int(entry.blown_up))
+        assert [row[3] for row in rows] == ["ok", "ok", "diverged 2/2", "diverged 2/2"]
 
-    def test_empty_sweep_header_only(self, tmp_path):
-        report = SweepReport(delta_grid=[], entries=[], baseline={}, breakdown_delta={})
-        path = tmp_path / "empty.csv"
-        write_csv(report, path)
-        assert path.read_text().strip() == "delta,algorithm,scalar_rmse,status,breakdown_flag"
-
-    def test_unknown_report_type(self, tmp_path):
-        with pytest.raises(TypeError):
-            write_csv({"not": "a report"}, tmp_path / "x.csv")
+    def test_floats_round_trip_exact(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = [*rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4), 0.1, 5e-324]
+        path = tmp_path / "x.csv"
+        _write_rows(path, ["k", "name", "value"], ([k, "sr1b", v] for k, v in enumerate(values)))
+        header, *rows = csv.reader(path.read_text().splitlines())
+        assert header == ["k", "name", "value"]
+        assert [row[:2] for row in rows] == [[str(k), "sr1b"] for k in range(len(values))]
+        assert [float(row[2]) for row in rows] == values
 
     def test_io_error_has_path_context(self, tmp_path):
-        report = SweepReport(delta_grid=[], entries=[], baseline={}, breakdown_delta={})
         bad = tmp_path / "missing-dir" / "x.csv"
-        with pytest.raises(OSError, match="x.csv"):
-            write_csv(report, bad)
+        with pytest.raises(OSError, match="failed writing CSV to .*x.csv"):
+            _write_rows(bad, ["delta"], [])

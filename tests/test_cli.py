@@ -224,6 +224,7 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("example1", ["--algorithms", "sr1b,sr1b"], "expected distinct algorithm names"),
         ("sweep", ["--algorithms", "sr1b,sr1b"], "expected distinct algorithm names"),
         ("equivalence", ["--algorithms", "sr1b"], "need at least 2 algorithm(s)"),
+        ("example1", ["--algorithms", ""], "need at least 1 algorithm(s), got []"),
         ("example1", ["--seed", "-1"], "monte_carlo.seed must be >= 0, got -1"),
         ("example1", ["--runs", "0"], "monte_carlo.runs must be >= 1, got 0"),
         ("sweep", ["--runs", "0"], "monte_carlo.runs must be >= 1, got 0"),
@@ -234,8 +235,8 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         "no_equals", "no_dot", "empty_value", "unreadable_config", "unknown_section",
         "zero_horizon", "bad_deltas", "increasing_deltas", "infinite_delta", "nan_delta",
         "unknown_algorithm", "duplicate_algorithm-example1", "duplicate_algorithm-sweep",
-        "too_few_algorithms", "negative_seed", "zero_runs-example1", "zero_runs-sweep",
-        "underflowing_sigma", "overflowing_sigma",
+        "too_few_algorithms", "empty_algorithms", "negative_seed", "zero_runs-example1",
+        "zero_runs-sweep", "underflowing_sigma", "overflowing_sigma",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, message):
@@ -405,7 +406,10 @@ def test_option_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, comma
     with pytest.raises(SystemExit) as exc:
         main([command, "--out", str(out), *option])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage line is the command's own, which lists the options it takes
+    assert err.startswith(f"usage: mcckf {command} ")
+    assert f"mcckf {command}: error: unrecognized arguments: {' '.join(option)}\n" in err
     assert not out.exists()
 
 

@@ -60,14 +60,18 @@ def test_wrong_h_shape_rejected_at_construction():
     [
         ("F", np.ones((2, 3)), r"F must be square, got shape \(2, 3\)"),
         ("G", np.ones((3, 2)), r"G must have 2 rows, got shape \(3, 2\)"),
-        ("Q", np.eye(3), r"expected shape \(2, 2\), got \(3, 3\)"),
+        ("Q", np.eye(3), r"Q must have shape \(2, 2\), got \(3, 3\)"),
+        ("R", np.eye(3), r"R must have shape \(2, 2\), got \(3, 3\)"),
+        ("covariance", np.eye(3), r"initial covariance must have shape \(2, 2\), got \(3, 3\)"),
     ],
 )
 def test_other_wrong_shapes_rejected_at_construction(name, value, message):
     matrices = dict(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
-    matrices[name] = value
+    init = dict(mean=np.zeros(2), covariance=np.eye(2))
+    fields, cls = (init, InitialCondition) if name in init else (matrices, StateSpaceModel)
+    fields[name] = value
     with pytest.raises(ValueError, match=message):
-        StateSpaceModel(**matrices)
+        cls(**fields)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Trajectory simulation, seeding, shot-noise injection."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from mcckf.bench import build_example1, build_example2
+from mcckf.cli import main
 from mcckf.model import InitialCondition, StateSpaceModel
 from mcckf.sim import (
     SeedSpec,
@@ -12,7 +15,6 @@ from mcckf.sim import (
     psd_factor,
     _simulate,
     simulate,
-    write_trajectory_csv,
 )
 from mcckf import sim as sim_module
 from mcckf.filters import run_filter
@@ -290,15 +292,17 @@ def test_innovation_whiteness_of_reference_filter():
 
 
 def test_trajectory_csv_round_trip(tmp_path):
+    # the trajectory.csv of `mcckf simulate` holds the trajectory simulate returns
+    args = ["simulate", "--out", str(tmp_path), "--seed", "1", "--set", "monte_carlo.horizon=40"]
+    assert main(args) == 0
     model, init, shot = build_example1()
     traj = simulate(model, init, 40, SeedSpec(1, 0), shot)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,x1,x2,x3,x4,x5,x6,y1,y2,shot_w,shot_v"
-    assert len(lines) == 41
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    np.testing.assert_allclose(
-        [float(v) for v in first[1:7]], traj.truth[0], rtol=0
-    )
+    header, *rows = csv.reader((tmp_path / "trajectory.csv").read_text().splitlines())
+    assert header == "step,x1,x2,x3,x4,x5,x6,y1,y2,shot_w,shot_v".split(",")
+    assert [row[0] for row in rows] == [str(k) for k in range(1, 41)]
+    cells = np.array([[float(cell) for cell in row[1:9]] for row in rows])
+    np.testing.assert_array_equal(cells, np.hstack([traj.truth, traj.measurements]))
+    for column, group in ((9, "w"), (10, "v")):
+        shots = {k for k, channel, _ in traj.outlier_log if channel.startswith(group)}
+        assert shots
+        assert [row[column] for row in rows] == [str(int(k in shots)) for k in range(1, 41)]
