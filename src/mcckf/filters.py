@@ -16,21 +16,23 @@ All three compute the scalar adjusting weight through the same function,
 differences. A dense textbook Kalman filter (``kf_reference``) serves as an
 independent oracle: pinning the weight to 1 reduces every variant to it. The
 weighted filters invert triangular factors only: the R factor once per model
-(``StepTerms.r_sqrt_inv``, which whitens the innovation in the weight), and
-the predicted factor at every step in the conventional and sr1a updates.
+(the model's cached ``r_sqrt_inv``, which whitens the innovation in the
+weight), and the predicted factor at every step in the conventional and sr1a
+updates.
 
 Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
 advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
 the runs axis. One table maps each algorithm to its two step functions. The
-weighted filters' step functions read the model's ``terms``: one run reads
-its model's 2-D ``StepTerms``, a batch those of its ``model._ModelStack``,
-which stacks every run's matrices with a leading runs axis, whether the
-runs share one model or each has its own. The dense oracle reads the
-stacked matrices themselves. A batch's numbers come from stacked kernels and numpy calls
-that compute each run's numbers with the same operations, in the same
-order, as that run alone (see ``mcckf.linalg``), so a run's estimates do not
-depend on the batch it ran in, bit for bit. A run that fails a check leaves
+weighted filters' step functions read the model's matrices and its cached
+noise factors and products: one run reads its 2-D model, a batch its
+``model._ModelStack``, which stacks every run's matrices and terms with a
+leading runs axis, whether the runs share one model or each has its own.
+The dense oracle reads the matrices only. A batch's numbers come from
+stacked kernels and numpy calls that compute each run's numbers with the
+same operations, in the same order, as that run alone (see
+``mcckf.linalg``), so a run's estimates do not depend on the batch it ran
+in, bit for bit. A run that fails a check leaves
 the batch at that step with its own typed reason; the step is then
 recomputed for the runs that remain. Every failed check inside a step
 raises a ``linalg.LinalgError`` (``NonFiniteInput`` for a non-finite array,
@@ -213,28 +215,27 @@ def _require_finite(runs: int | None, **named_arrays):
         linalg._require_finite(arr, f"non-finite {name}", lead=0 if runs is None else 1)
 
 
-def _innovation(terms, pred: FilterState, y) -> np.ndarray:
-    y, m = np.asarray(y, dtype=float), terms.H.shape[-2]
+def _innovation(model, pred: FilterState, y) -> np.ndarray:
+    y, m = np.asarray(y, dtype=float), model.H.shape[-2]
     if y.shape[-1:] != (m,):
         raise ValueError(f"measurement must have {m} components, got shape {y.shape}")
-    innovation = y - np.matvec(terms.H, pred.estimate)
+    innovation = y - np.matvec(model.H, pred.estimate)
     _require_finite(pred.runs, innovation=innovation)
     return innovation
 
 
-def _information_gain(terms, info_factor, lam, solve) -> np.ndarray:
+def _information_gain(model, info_factor, lam, solve) -> np.ndarray:
     """lam * X^{-T} X^{-1} H^T R^{-1} by two triangular solves, for the lower
     factor X of the updated information matrix (conventional and sr1a).
     ``solve`` makes the first; the second reuses the diagonal it checked."""
-    half = solve(info_factor, terms.ht_r_inv)
+    half = solve(info_factor, model.ht_r_inv)
     return _times(lam, linalg._solve_unchecked(info_factor, half, transposed=True))
 
 
 def mcckf_time_update(model, prior: FilterState) -> FilterState:
     """Propagate estimate and full covariance one step forward."""
-    t = model.terms
-    x = np.matvec(t.F, prior.estimate)
-    p = linalg.symmetrize(t.F @ prior.covariance @ t.F.mT + t.g_q_g)
+    x = np.matvec(model.F, prior.estimate)
+    p = linalg.symmetrize(model.F @ prior.covariance @ model.F.mT + model.g_q_g)
     _require_finite(prior.runs, predicted_estimate=x, predicted_covariance=p)
     return FilterState.full(prior.step + 1, x, p)
 
@@ -254,11 +255,10 @@ def mcckf_measurement_update(
     ill-conditioning of P. ``pred.covariance`` must be symmetric and finite,
     as ``mcckf_time_update`` returns it.
     """
-    t = model.terms
-    innovation = _innovation(t, pred, y)
+    innovation = _innovation(model, pred, y)
     # mcckf_time_update has symmetrized pred.covariance and checked it finite
     p_factor = linalg._cholesky_unchecked(pred.covariance)
-    lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
+    lam = compute_lambda(spec, innovation, model.r_sqrt_inv, pin_weight)
     # p_factor and info_factor skip the singular-diagonal check: a pivot above
     # its floor (>= 0) is at least 4.9e-324, so its root, the diagonal entry,
     # is at least 2.2e-162, far above the smallest normal double.
@@ -266,15 +266,12 @@ def mcckf_measurement_update(
     p_inv = inv_factor.mT @ inv_factor
     # info is symmetric in exact arithmetic: its symmetric part is factored
     # after cholesky_lower's finiteness check, without its symmetry check
-    info = p_inv + _times(lam, t.ht_r_inv_h)
+    info = p_inv + _times(lam, model.ht_r_inv_h)
     linalg._require_finite(info)
     info_factor = linalg._cholesky_unchecked(linalg.symmetrize(info))
-    gain = _information_gain(t, info_factor, lam, linalg._solve_unchecked)
-    i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
-    p_new = linalg.symmetrize(
-        i_kh @ pred.covariance @ i_kh.mT
-        + gain @ t.R @ gain.mT
-    )
+    gain = _information_gain(model, info_factor, lam, linalg._solve_unchecked)
+    i_kh = linalg._identity(model.H.shape[-1]) - gain @ model.H
+    p_new = linalg.symmetrize(i_kh @ pred.covariance @ i_kh.mT + gain @ model.R @ gain.mT)
     x_new = pred.estimate + np.matvec(gain, innovation)
     _require_finite(pred.runs, estimate=x_new, covariance=p_new, gain=gain)
     return FilterState.full(pred.step, x_new, p_new), StepReport(lam, gain, innovation)
@@ -282,20 +279,19 @@ def mcckf_measurement_update(
 
 def sr_time_update(model, prior: FilterState) -> FilterState:
     """Square-root time update via the pre-array [F S, G Q_sqrt]."""
-    t = model.terms
-    x = np.matvec(t.F, prior.estimate)
-    pre = np.concatenate([t.F @ prior.factor, t.g_q_sqrt], axis=-1)
+    x = np.matvec(model.F, prior.estimate)
+    pre = np.concatenate([model.F @ prior.factor, model.g_q_sqrt], axis=-1)
     _require_finite(prior.runs, predicted_estimate=x, time_update_pre_array=pre)
     # pre is finite on the line above: lower_triangularize's check would repeat it
     return FilterState.square_root(prior.step + 1, x, linalg._triangularize(pre))
 
 
-def _sr_posterior(t, pred: FilterState, gain, lam, innovation):
+def _sr_posterior(model, pred: FilterState, gain, lam, innovation):
     """Estimate and factor update shared by sr1a and sr1b: the Joseph form
     triangularized from [(I - K H) S_pred, K R_sqrt]."""
     x_new = pred.estimate + np.matvec(gain, innovation)
-    i_kh = linalg._identity(t.H.shape[-1]) - gain @ t.H
-    joseph_pre = np.concatenate([i_kh @ pred.factor, gain @ t.r_sqrt], axis=-1)
+    i_kh = linalg._identity(model.H.shape[-1]) - gain @ model.H
+    joseph_pre = np.concatenate([i_kh @ pred.factor, gain @ model.r_sqrt], axis=-1)
     _require_finite(pred.runs, estimate=x_new, joseph_pre_array=joseph_pre, gain=gain)
     # joseph_pre is finite on the line above
     factor_new = linalg._triangularize(joseph_pre)
@@ -319,17 +315,16 @@ def sr1a_measurement_update(
     predicted factor is inverted every step, so conditioning of the n x n
     factors governs this form's breakdown.
     """
-    t = model.terms
-    innovation = _innovation(t, pred, y)
-    lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
+    innovation = _innovation(model, pred, y)
+    lam = compute_lambda(spec, innovation, model.r_sqrt_inv, pin_weight)
     pred_inv = linalg.triangular_inverse(pred.factor)
-    pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), t.r_sqrt_inv_h.mT)], axis=-1)
+    pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), model.r_sqrt_inv_h.mT)], axis=-1)
     _require_finite(pred.runs, **{"information pre-array": pre})
     # pre is finite on the line above; a rank-deficient pre gives a zero
     # diagonal in info_factor, which the first gain solve still checks
     info_factor = linalg._triangularize(pre)
-    gain = _information_gain(t, info_factor, lam, linalg.triangular_solve)
-    return _sr_posterior(t, pred, gain, lam, innovation)
+    gain = _information_gain(model, info_factor, lam, linalg.triangular_solve)
+    return _sr_posterior(model, pred, gain, lam, innovation)
 
 
 def sr1b_measurement_update(
@@ -346,20 +341,17 @@ def sr1b_measurement_update(
     applied to lam * P_pred H^T, with P_pred reconstructed from its factor.
     No n x n factor is ever inverted.
     """
-    t = model.terms
-    innovation = _innovation(t, pred, y)
-    lam = compute_lambda(spec, innovation, t.r_sqrt_inv, pin_weight)
-    pre = np.concatenate(
-        [_times(np.sqrt(lam), t.H @ pred.factor), t.r_sqrt], axis=-1
-    )
+    innovation = _innovation(model, pred, y)
+    lam = compute_lambda(spec, innovation, model.r_sqrt_inv, pin_weight)
+    pre = np.concatenate([_times(np.sqrt(lam), model.H @ pred.factor), model.r_sqrt], axis=-1)
     _require_finite(pred.runs, **{"innovation pre-array": pre})
     # pre is finite on the line above; the first solve below checks the diagonal
     innov_factor = linalg._triangularize(pre)
     p_pred = pred.factor @ pred.factor.mT
-    weighted = _times(lam, t.H @ p_pred)
+    weighted = _times(lam, model.H @ p_pred)
     half = linalg.triangular_solve(innov_factor, weighted)
     gain = linalg._solve_unchecked(innov_factor, half, transposed=True).mT
-    return _sr_posterior(t, pred, gain, lam, innovation)
+    return _sr_posterior(model, pred, gain, lam, innovation)
 
 
 def _kf_time_update(model, prior: FilterState) -> FilterState:

@@ -5,7 +5,8 @@ w ~ N(0, Q), v ~ N(0, R), x_0 ~ (mean, covariance). Matrices are frozen
 read-only at construction so model objects can be shared freely across
 concurrent Monte Carlo runs. A batch of runs reads its models through one
 ``_ModelStack``, which the simulator and the filters both build: it decides
-which runs share a model and stacks every run's matrices.
+which runs share a model and stacks every run's matrices. A model and a
+stack each cache the noise factors and products the filters reuse.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from . import linalg
 
 __all__ = [
-    "StepTerms",
     "StateSpaceModel",
     "InitialCondition",
     "validate_model",
@@ -36,22 +36,18 @@ def _frozen(a, shape=None, name=None) -> np.ndarray:
     return arr
 
 
-class StepTerms:
-    """System matrices, their noise factors and the products the filters
-    reuse.
+class _Terms:
+    """The noise factors and the products the filters reuse, derived from
+    the F, G, H, Q and R of the class that inherits them.
 
-    ``model`` is one ``StateSpaceModel``, whose terms are 2-D, or a batch's
-    ``_ModelStack``, whose matrices and terms have a leading runs axis.
-    Each term is computed on first use, once per model or batch, with the
-    operations and the association order of the filter-step expression it
-    stands for, so reusing it changes no bit of the covariance and gain
-    recursions. ``r_sqrt_inv`` is the exception: the weight multiplies the
-    innovation by it, which rounds differently from a substitution against
-    ``r_sqrt``.
+    A ``StateSpaceModel``'s terms are 2-D; a batch's ``_ModelStack`` has a
+    leading runs axis on its matrices and terms. Each term is computed on
+    first use, once per model or batch, with the operations and the
+    association order of the filter-step expression it stands for, so
+    reusing it changes no bit of the covariance and gain recursions.
+    ``r_sqrt_inv`` is the exception: the weight multiplies the innovation by
+    it, which rounds differently from a substitution against ``r_sqrt``.
     """
-
-    def __init__(self, model):
-        self.F, self.G, self.H, self.Q, self.R = model.F, model.G, model.H, model.Q, model.R
 
     @cached_property
     def q_sqrt(self) -> np.ndarray:
@@ -100,7 +96,7 @@ class StepTerms:
 
 
 @dataclass(eq=False)
-class StateSpaceModel:
+class StateSpaceModel(_Terms):
     """Time-invariant system matrices F, G, H and noise covariances Q, R.
 
     Q must be strictly positive definite. R is also required strictly
@@ -143,11 +139,6 @@ class StateSpaceModel:
     def obs_dim(self) -> int:
         return self.H.shape[0]
 
-    @cached_property
-    def terms(self) -> StepTerms:
-        """The ``StepTerms`` shared by every step."""
-        return StepTerms(self)
-
 
 @dataclass(eq=False)
 class InitialCondition:
@@ -164,8 +155,8 @@ class InitialCondition:
         self.covariance = _frozen(self.covariance, (n, n), "initial covariance")
 
 
-class _ModelStack:
-    """The model of each run of a batch, read through ``terms`` like one model.
+class _ModelStack(_Terms):
+    """The model of each run of a batch, read like one model.
 
     ``model`` is one model for all ``runs`` runs, or one per run, of equal
     dimensions; runs share a model by passing the same object. ``distinct``
@@ -192,11 +183,6 @@ class _ModelStack:
         self.F, self.G, self.H, self.Q, self.R = (
             np.stack([getattr(m, name) for m in self.distinct])[self.rows] for name in "FGHQR"
         )
-
-    @cached_property
-    def terms(self) -> StepTerms:
-        """The ``StepTerms`` of every run's stacked matrices."""
-        return StepTerms(self)
 
     def take(self, keep: np.ndarray) -> "_ModelStack":
         """The models of the runs that ``keep`` (a mask) selects."""
@@ -270,11 +256,8 @@ def validate_model(
         )
     if not np.isfinite(init.mean).all():
         violations.append("initial mean contains non-finite entries")
-    if init.covariance.shape != (n, n):
-        violations.append(
-            f"initial covariance shape {init.covariance.shape} does not match state dim {n}"
-        )
-    else:
+    # InitialCondition sizes its covariance by the mean, reported above if wrong
+    if init.mean.shape[0] == n:
         msg = _covariance_violation("initial covariance", init.covariance, require_spd_init)
         if msg:
             violations.append(msg)

@@ -105,21 +105,22 @@ def draw_gaussian(stream, mean, covariance_factor) -> np.ndarray:
     return mean + factor @ stream.standard_normal(mean.shape[0])
 
 
-def psd_factor(a: np.ndarray) -> np.ndarray:
+def psd_factor(a: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Lower-triangular factor of a PSD matrix, tolerating semidefiniteness.
 
     Falls back to an eigendecomposition when the strict Cholesky floor
     rejects the matrix (e.g. a zero noise covariance in a noiseless test
     model). Negative eigenvalues of roundoff size are clipped to zero; one
     below the floor that ``validate_model`` applies to an initial covariance
-    raises ``ValueError``, since the matrix is not a covariance.
+    raises ``ValueError``, naming the matrix ``name``, since it is not a
+    covariance.
     """
     a = np.asarray(a, dtype=float)
     try:
         return linalg.cholesky_lower(a)
     except linalg.NotPositiveDefinite:
         pass
-    w, v = _psd_eigh(a)
+    w, v = _psd_eigh(a, name)
     return linalg.lower_triangularize(v * np.sqrt(np.clip(w, 0.0, None)))
 
 
@@ -151,8 +152,8 @@ def _simulate(models, init, horizon, seeds, shot):
     (runs, n, q_dim), m_dim = stack.G.shape, stack.H.shape[1]
     no_shots = (np.empty(0, dtype=int), np.empty((0, 0), dtype=int))
 
-    init_factor = psd_factor(init.covariance)
-    noise_factors = [(psd_factor(m.Q), psd_factor(m.R)) for m in stack.distinct]
+    init_factor = psd_factor(init.covariance, "initial covariance")
+    noise_factors = [(psd_factor(m.Q, "Q"), psd_factor(m.R, "R")) for m in stack.distinct]
     initial_state = np.empty((runs, n))
     w = np.empty((runs, horizon, q_dim))
     v = np.empty((runs, horizon, m_dim))

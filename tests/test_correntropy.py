@@ -15,7 +15,7 @@ RNG = np.random.default_rng(99)
 
 
 def inverse_factor(w):
-    """R_sqrt^{-1} of an SPD w, as ``StepTerms.r_sqrt_inv`` computes it."""
+    """R_sqrt^{-1} of an SPD w, as the model's cached ``r_sqrt_inv`` is computed."""
     return triangular_inverse(cholesky_lower(np.asarray(w, dtype=float)))
 
 
@@ -252,6 +252,6 @@ class TestComputeLambda:
         sigma = 3e4
         d2 = innovation @ np.linalg.inv(np.asarray(model.R)) @ innovation
         oracle = np.exp(-d2 / (2.0 * sigma**2))
-        lam = compute_lambda(KernelSpec(sigma), innovation, model.terms.r_sqrt_inv)
+        lam = compute_lambda(KernelSpec(sigma), innovation, model.r_sqrt_inv)
         assert lam == pytest.approx(oracle, rel=1e-12)
         assert lam == pytest.approx(0.5369533117480962, rel=1e-9)

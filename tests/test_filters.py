@@ -692,7 +692,7 @@ class TestRunBatch:
         assert run_filter(algorithm, models[0], init, ys[0], KernelSpec(2.0)).status.completed
         assert inverted == [(m, m)]
         assert len(read) == 10
-        assert all(w is models[0].terms.r_sqrt_inv for w in read)
+        assert all(w is models[0].r_sqrt_inv for w in read)
         inverted.clear()
         read.clear()
         batch = run_batch(algorithm, models, init, ys, KernelSpec(2.0))
@@ -701,7 +701,7 @@ class TestRunBatch:
         assert inverted == [(3, m, m)]
         assert len(read) == 10
         assert all(w is read[0] for w in read)
-        assert np.array_equal(read[0], np.stack([mdl.terms.r_sqrt_inv for mdl in models]))
+        assert np.array_equal(read[0], np.stack([mdl.r_sqrt_inv for mdl in models]))
 
     @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
     def test_live_weights_of_runs_with_different_r_are_bit_identical(
@@ -741,7 +741,7 @@ class TestRunBatch:
     def test_each_factor_is_checked_once_per_step(self, monkeypatch, algorithm, checked):
         model, init, shot = build_example1()
         ys = batch_measurements(model, init, 20, 4, 1, shot)[0]
-        model.terms.r_inv, model.terms.r_sqrt_inv_h  # the model's terms solve once
+        model.r_inv, model.r_sqrt_inv_h  # the model's terms solve once
         calls = []
         solve = linalg_module.triangular_solve
 

@@ -10,7 +10,6 @@ from mcckf.linalg import cholesky_lower, triangular_inverse
 from mcckf.model import (
     InitialCondition,
     StateSpaceModel,
-    StepTerms,
     _ModelStack,
     validate_model,
 )
@@ -143,9 +142,12 @@ def test_non_finite_initial_condition_reported_once(mean, cov, violation):
 
 
 def test_init_dimension_mismatch_reported():
-    model = tiny_model()
-    report = validate_model(model, InitialCondition(np.zeros(2), np.eye(2)))
-    assert any("does not match state dim" in v for v in report)
+    # the covariance is sized by the mean, so only the mean's length is reported
+    model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    for n in (1, 3):
+        for cov in (np.eye(n), -np.eye(n)):
+            report = validate_model(model, InitialCondition(np.zeros(n), cov), True)
+            assert report == [f"initial mean length {n} does not match state dim 2"]
 
 
 @pytest.mark.parametrize("mean", [np.zeros((2, 3)), np.zeros((6, 1)), [[0.0]]])
@@ -176,11 +178,10 @@ def test_matrices_are_frozen():
 
 def test_cached_factors_match_direct_factorization():
     model, _, _ = build_example1()
-    terms = model.terms
-    np.testing.assert_array_equal(terms.q_sqrt, cholesky_lower(np.asarray(model.Q)))
-    np.testing.assert_array_equal(terms.r_sqrt, cholesky_lower(np.asarray(model.R)))
-    assert model.terms is model.terms
-    np.testing.assert_allclose(terms.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
+    np.testing.assert_array_equal(model.q_sqrt, cholesky_lower(np.asarray(model.Q)))
+    np.testing.assert_array_equal(model.r_sqrt, cholesky_lower(np.asarray(model.R)))
+    assert model.r_inv is model.r_inv
+    np.testing.assert_allclose(model.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
 
 
 def test_r_inv_is_built_from_the_cached_inverse_r_factor():
@@ -189,11 +190,10 @@ def test_r_inv_is_built_from_the_cached_inverse_r_factor():
     wide = StateSpaceModel(F=np.eye(3), G=np.eye(3), H=np.eye(3), Q=np.eye(3), R=r)
     for mdl in (model, wide):
         inv_factor = triangular_inverse(cholesky_lower(np.asarray(mdl.R)))
-        terms = StepTerms(mdl)
-        np.testing.assert_array_equal(terms.r_sqrt_inv, inv_factor)
-        assert terms.r_sqrt_inv is terms.r_sqrt_inv
+        np.testing.assert_array_equal(mdl.r_sqrt_inv, inv_factor)
+        assert mdl.r_sqrt_inv is mdl.r_sqrt_inv
         # r_inv's formula before the inverse factor was cached, bit for bit
-        np.testing.assert_array_equal(terms.r_inv, inv_factor.mT @ inv_factor)
+        np.testing.assert_array_equal(mdl.r_inv, inv_factor.mT @ inv_factor)
 
 
 def dims_model(n, q, m):
@@ -216,6 +216,27 @@ class TestModelStack:
             assert np.array_equal(getattr(stack, name), np.stack([getattr(model, name)] * 5))
         kept = stack.take(np.array([False, True, False, True, True]))
         assert kept.distinct == [twin, model] and kept.rows.tolist() == [0, 1, 0]
+
+    def test_stacked_terms_are_each_runs_own_bit_for_bit_and_cached(self):
+        model, _, _ = build_example1()
+        other = StateSpaceModel(
+            F=model.F, G=model.G, H=model.H, Q=model.Q, R=[[2.0, -0.03], [-0.03, 5e-3]]
+        )
+        stack = _ModelStack([model, other, model], 3)
+        names = (
+            "q_sqrt r_sqrt r_sqrt_inv r_inv g_q_sqrt g_q_g ht_r_inv ht_r_inv_h r_sqrt_inv_h"
+        ).split()
+        for name in names:
+            stacked = getattr(stack, name)
+            assert stacked.shape[0] == 3
+            for row, mdl in zip(stacked, [model, other, model]):
+                own = getattr(mdl, name)
+                # bytes, so sign bits and zeros' signs too
+                assert row.shape == own.shape and row.tobytes() == own.tobytes(), name
+            assert getattr(stack, name) is stacked
+            assert getattr(model, name) is getattr(model, name)
+            assert getattr(other, name) is getattr(other, name)
+        assert not np.array_equal(stack.r_sqrt[0], stack.r_sqrt[1])
 
     @pytest.mark.parametrize("dims", [(5, 2, 2), (6, 1, 2), (6, 2, 1)])
     def test_run_batch_and_simulate_reject_unequal_dimensions_with_one_message(self, dims):

@@ -5,8 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from mcckf.bench import build_example1, build_example2
+from mcckf.bench import Scenario, build_example1, build_example2, run_monte_carlo
 from mcckf.cli import main
+from mcckf.correntropy import KernelSpec
 from mcckf.model import InitialCondition, StateSpaceModel
 from mcckf.sim import (
     SeedSpec,
@@ -117,9 +118,9 @@ class TestSimulateBatch:
         twin = StateSpaceModel(F=model.F, G=model.G, H=model.H, Q=model.Q, R=model.R)
         factored = []
 
-        def counted(a):
-            factored.append(a)
-            return psd_factor(a)
+        def counted(a, name):
+            factored.append((a, name))
+            return psd_factor(a, name)
 
         monkeypatch.setattr(sim_module, "psd_factor", counted)
         seeds = [SeedSpec(3, i) for i in range(4)]
@@ -127,7 +128,8 @@ class TestSimulateBatch:
         # the initial covariance, then Q and R of model and of twin
         expected = [init.covariance, model.Q, model.R, twin.Q, twin.R]
         assert len(factored) == len(expected)
-        assert all(a is b for a, b in zip(factored, expected))
+        assert all(a is b for (a, _), b in zip(factored, expected))
+        assert [name for _, name in factored] == ["initial covariance"] + ["Q", "R"] * 2
         for run, seed in zip(runs_of(batch), seeds, strict=True):
             assert_per_step_draws(run, model, init, 20, seed, shot)
 
@@ -271,6 +273,25 @@ def test_psd_factor_handles_zero_and_semidefinite():
 def test_psd_factor_rejects_a_negative_eigenvalue(a):
     with pytest.raises(ValueError, match="not positive semidefinite"):
         psd_factor(a)
+
+
+@pytest.mark.parametrize("name", ["Q", "R", "initial covariance"])
+def test_simulation_names_the_covariance_that_is_not_semidefinite(name):
+    matrices = {"Q": np.eye(2), "R": np.eye(2), "initial covariance": np.eye(2), name: -np.eye(2)}
+    model = StateSpaceModel(
+        F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=matrices["Q"], R=matrices["R"]
+    )
+    init = InitialCondition(np.zeros(2), matrices["initial covariance"])
+    scenario = Scenario("negative", model, init, 5)
+    for call in (
+        lambda: simulate(model, init, 5, SeedSpec(1, 0)),
+        lambda: run_monte_carlo(["sr1b"], scenario, 2, 1, KernelSpec(1.0)),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(f"{name} is not positive semidefinite: "), info.value
+    with pytest.raises(ValueError, match="^covariance is not positive semidefinite: "):
+        psd_factor(-np.eye(2))
 
 
 def test_innovation_whiteness_of_reference_filter():
