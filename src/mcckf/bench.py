@@ -252,25 +252,25 @@ def _reap(pid: int) -> None:
 
 
 def _all_estimates(algorithms, models, init, measurements, spec) -> list:
-    """The ``run_batch(algorithm, models, init, measurements, spec)`` of each
-    algorithm, in ``algorithms`` order, as the serial loop returns or raises
-    them.
+    """Each algorithm's ``run_batch(algorithm, models, init, measurements,
+    spec)``, in ``algorithms`` order, as the serial loop returns or raises it.
 
     With P = min(usable CPUs, algorithms), the first P-1 algorithms in
     ``ALGORITHMS`` order (the weighted filters costliest first) each run in a
-    forked child while this process runs the others. A process without
-    ``os.fork`` or with other Python threads (a child could block forever on
-    a lock one of them held) forks nothing. A share whose fork fails, or
-    whose child sends no result for any reason (it raised, exited or was
-    killed), runs in this process, so every result and every error is the
-    serial loop's: the error is the first in ``algorithms`` order. Every
-    child is reaped before this returns or raises.
+    forked child while this process runs the others, up to its first error.
+    A process without ``os.fork`` or with other Python threads (a child could
+    block forever on a lock one of them held) forks nothing. The closing loop
+    then runs, in ``algorithms`` order, every algorithm without a result: a
+    share whose fork failed or whose child sent none (it raised, exited or
+    was killed), and any at or after this process's first error. So every
+    result and the first error are the serial loop's. Every child is reaped
+    before this returns or raises.
     """
     args = (models, init, measurements, spec)
     processes = min(_usable_cpus(), len(algorithms))
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     shares = sorted(algorithms, key=ALGORITHMS.index)[: processes - 1] if forkable else []
-    results = {}  # algorithm -> its BatchRun, or the exception it raised here
+    results = {}  # algorithm -> its BatchRun
     children = {}  # algorithm -> (pid, read end of its pipe)
     sys.stdout.flush()  # a child must not inherit, and later print, buffered text
     sys.stderr.flush()
@@ -284,8 +284,7 @@ def _all_estimates(algorithms, models, init, measurements, spec) -> list:
             if algorithm not in children:
                 try:
                     results[algorithm] = run_batch(algorithm, *args)
-                except Exception as exc:
-                    results[algorithm] = exc  # the serial loop would stop here
+                except Exception:  # raised again, in order, by the closing loop
                     break
         for algorithm, (_, pipe) in children.items():
             with contextlib.suppress(Exception):  # no result, or bytes that do not unpickle
@@ -294,12 +293,7 @@ def _all_estimates(algorithms, models, init, measurements, spec) -> list:
         for pid, pipe in children.values():
             pipe.close()
             _reap(pid)
-    batches = []
-    for algorithm in algorithms:
-        if isinstance(results.get(algorithm), Exception):
-            raise results[algorithm]
-        batches.append(results[algorithm] if algorithm in results else run_batch(algorithm, *args))
-    return batches
+    return [results[a] if a in results else run_batch(a, *args) for a in algorithms]
 
 
 def _rmse_report(name: str, truth, estimates, statuses) -> RmseReport:

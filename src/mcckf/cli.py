@@ -41,8 +41,8 @@ _OPTIONS = {
     },
     "--runs": {"type": int, "help": "Monte Carlo runs (overrides monte_carlo.runs)"},
     "--algorithms": {
-        "help": f"comma-separated subset of: {','.join(ALGORITHMS)} "
-        f"(default: {','.join(WEIGHTED_FILTERS)})"
+        "default": ",".join(WEIGHTED_FILTERS),
+        "help": f"comma-separated subset of: {','.join(ALGORITHMS)} (default: %(default)s)",
     },
     "--verbose": {"action": "store_true", "help": "print per-cell detail"},
     "--tolerance": {
@@ -96,10 +96,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _algorithm_list(args, minimum: int = 1) -> list[str]:
-    if args.algorithms is not None:
-        names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    else:
-        names = list(WEIGHTED_FILTERS)
+    names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     _check_algorithms(names)
     if len(names) < minimum:
         raise ValueError(f"need at least {minimum} algorithm(s), got {names}")

@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import math
 from importlib import resources
+from pathlib import Path
 
 from .bench import RadarConstants
 from .correntropy import KernelSpec
@@ -92,40 +93,36 @@ class ExperimentConfig:
     def load(cls, config_path=None, overrides=(), profile: str = "example1"):
         """Merge defaults, a config file and overrides.
 
-        ``config_path`` falls back to the shipped profile. Overrides are
-        ``section.key=value`` strings applied after the file.
+        The entries of ``config_path``, read like the shipped profile it falls
+        back to, then the ``section.key=value`` overrides pass one check.
         """
         raw = {section: dict(keys) for section, keys in DEFAULTS.items()}
-        source = config_path if config_path is not None else shipped_config_path(profile)
+        source = Path(config_path) if config_path is not None else shipped_config_path(profile)
         parser = configparser.ConfigParser()
         try:
-            if config_path is not None:
-                read = parser.read(str(source))
-                if not read:
-                    raise ConfigError(f"cannot read config file {source}")
-            else:
-                parser.read_string(source.read_text())
-        except (configparser.Error, OSError) as exc:
+            parser.read_string(source.read_text(), source=str(source))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {source}: {exc.strerror}") from exc
+        except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {source}: {exc}") from exc
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                raw[section][key] = value
+        entries = [(section, parser.items(section)) for section in parser.sections()]
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not of the form section.key=value")
             dotted, value = item.split("=", 1)
             if dotted.count(".") != 1:
                 raise ConfigError(f"override key {dotted!r} is not of the form section.key")
-            section, key = dotted.split(".")
-            if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
             if not value:
                 raise ConfigError(f"override {dotted} has an empty value")
-            raw[section][key] = value
+            section, key = dotted.split(".")
+            entries.append((section, [(key, value)]))
+        for section, items in entries:
+            if section not in _KNOWN_KEYS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, value in items:
+                if key not in _KNOWN_KEYS[section]:
+                    raise ConfigError(f"unknown config key {section}.{key}")
+                raw[section][key] = value
         return cls(raw)
 
     def _get(self, section: str, key: str, parse):

@@ -19,6 +19,7 @@ run, each equal bit for bit to the weight of that run alone.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ class KernelSpec:
     sigma: float
 
     def __post_init__(self):
+        if not isinstance(self.sigma, numbers.Real):  # float() would take a str
+            raise ValueError(f"kernel bandwidth must be a real number, got {self.sigma!r}")
         sigma = float(self.sigma)  # a Python float overflows without a warning
         finite = sigma > 0.0 and sys.float_info.min <= 2.0 * sigma * sigma < math.inf
         if not (finite or sigma == math.inf):

@@ -363,7 +363,8 @@ def triangular_solve(
     l = np.asarray(l, dtype=float)
     b = np.asarray(b, dtype=float)
     lead = l.ndim - 1  # the axes b shares with l
-    if lead not in (1, 2) or b.ndim not in (lead, lead + 1) or b.shape[:lead] != l.shape[:-1]:
+    square = lead in (1, 2) and l.shape[-1] == l.shape[-2]
+    if not square or b.ndim not in (lead, lead + 1) or b.shape[:lead] != l.shape[:-1]:
         raise ValueError(f"dimension mismatch: factor {l.shape}, rhs {b.shape}")
     # a NaN diagonal entry compares False, and on a stack does not hide a
     # zero entry of another factor
@@ -429,6 +430,8 @@ def triangular_inverse(l: np.ndarray) -> np.ndarray:
     """Invert a lower-triangular factor, or each factor of a stack; the
     result is lower triangular."""
     l = np.asarray(l, dtype=float)
+    if l.ndim not in (2, 3) or l.shape[-1] != l.shape[-2]:
+        raise ValueError(f"dimension mismatch: factor {l.shape} is not square")
     return triangular_solve(l, _eye_like(l))
 
 

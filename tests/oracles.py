@@ -1,7 +1,8 @@
 """Reference formulas used as test oracles: the weighted gain, the condition
 number, the one-matrix Cholesky and substitution loops as they were first
 written, one ``@`` per element or row, the simulation's per-step noise
-draws, and the per-run RMSE accumulation."""
+draws, the per-run RMSE accumulation, and a square-root Kalman filter in
+extended precision that measures the filters' roundoff."""
 
 import numpy as np
 
@@ -142,3 +143,65 @@ def rmse_loop(truth, estimates, statuses):
     per_component = np.sqrt(sq_sum / completed)
     total = np.sqrt((per_component**2).sum(axis=1))
     return per_component, total, float(total.mean()), completed
+
+
+def cholesky_ld(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a positive definite matrix, in longdouble."""
+    a = np.asarray(a, dtype=np.longdouble)
+    lower = np.zeros_like(a)
+    for j in range(a.shape[0]):
+        lower[j, j] = np.sqrt(a[j, j] - lower[j, :j] @ lower[j, :j])
+        lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
+def _triangularize_ld(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with a non-negative diagonal and L L^T = A A^T, for
+    a (r, c) pre-array with r <= c, by Householder reflections from the right,
+    in longdouble."""
+    a = np.array(a, dtype=np.longdouble)
+    rows = a.shape[0]
+    for i in range(rows):
+        v = a[i, i:].copy()
+        norm = np.sqrt(v @ v)
+        if norm == 0:
+            continue
+        v[0] += norm if v[0] >= 0 else -norm  # v = row - alpha e1, alpha = -sign(row_0) |row|
+        a[i:, i:] -= np.outer(a[i:, i:] @ v, (2 / (v @ v)) * v)
+    lower = np.tril(a[:, :rows])  # drop the roundoff left above the diagonal
+    return lower * np.where(np.diagonal(lower) < 0, -1, 1).astype(np.longdouble)
+
+
+def forward_ld(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with l x = b for a lower-triangular l, by forward substitution."""
+    x = np.array(b, dtype=np.longdouble)
+    for i in range(len(x)):
+        x[i] = (x[i] - l[i, :i] @ x[:i]) / l[i, i]
+    return x
+
+
+def sr_kalman_longdouble(model, init, measurements):
+    """The square-root Kalman filter (weight 1) in longdouble, as a roundoff
+    reference for the double-precision filters: (estimates, covariances),
+    shape (steps, n) and (steps, n, n).
+
+    The time update triangularizes [F S, G Q^1/2]; the array measurement
+    update triangularizes [[R^1/2, H S], [0, S]] into [[Re^1/2, 0],
+    [Kbar, S+]] and sets x += Kbar Re^-1/2 (y - H x). It takes the model's
+    double entries as exact and uses no ``np.linalg``, which rejects
+    longdouble.
+    """
+    f, g, h = (np.asarray(m, dtype=np.longdouble) for m in (model.F, model.G, model.H))
+    g_q_sqrt, r_sqrt = g @ cholesky_ld(model.Q), cholesky_ld(model.R)
+    m, n = h.shape
+    x = np.asarray(init.mean, dtype=np.longdouble)
+    s = cholesky_ld(init.covariance)
+    estimates, covariances = [], []
+    for y in np.asarray(measurements, dtype=np.longdouble):
+        x, s = f @ x, _triangularize_ld(np.hstack([f @ s, g_q_sqrt]))
+        post = _triangularize_ld(np.block([[r_sqrt, h @ s], [np.zeros((n, m)), s]]))
+        innovation_factor, kbar, s = post[:m, :m], post[m:, :m], post[m:, m:]
+        x = x + kbar @ forward_ld(innovation_factor, y - h @ x)
+        estimates.append(x)
+        covariances.append(s @ s.T)
+    return np.array(estimates), np.array(covariances)

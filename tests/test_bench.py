@@ -233,7 +233,9 @@ class TestRunMonteCarlo:
                 trajectory = simulate(
                     scenario.model, scenario.init, scenario.horizon, SeedSpec(1, i), scenario.shot
                 )
-                run = run_filter(algorithm, scenario.model, scenario.init, trajectory.measurements, spec)
+                run = run_filter(
+                    algorithm, scenario.model, scenario.init, trajectory.measurements, spec
+                )
                 statuses.append(run.status)
                 if run.status.completed:
                     err = trajectory.truth - run.estimates()
@@ -654,7 +656,8 @@ class TestParallelEvaluation:
             """
         )
         src = str(Path(bench.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
         env.pop("PYTHONUNBUFFERED", None)  # stdout is a block-buffered pipe
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False

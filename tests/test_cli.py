@@ -9,6 +9,7 @@ import pytest
 
 from mcckf.bench import Scenario, run_monte_carlo
 from mcckf.cli import main
+from mcckf.config import shipped_config_path
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import ALGORITHMS, run_filter
 from mcckf.model import InitialCondition, StateSpaceModel
@@ -214,7 +215,11 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("example1", ["--set", "runs=2"], "is not of the form section.key"),
         ("example1", ["--set", "monte_carlo.runs="], "monte_carlo.runs has an empty value"),
         ("example1", ["--config", "{tmp}/missing.ini"], "cannot read config file"),
+        ("example1", ["--config", "{tmp}/missing.ini"], "missing.ini: No such file or directory"),
+        ("example1", ["--config", "{tmp}"], "cannot read config file"),
         ("example1", ["--config", "{tmp}/unknown.ini"], "unknown config section [filter]"),
+        ("example1", ["--set", "bogus.key=1"], "config error: unknown config section [bogus]\n"),
+        ("example1", ["--set", "bogus.key="], "override bogus.key has an empty value"),
         ("simulate", ["--set", "monte_carlo.horizon=0"], "monte_carlo.horizon must be >= 1"),
         ("sweep", ["--set", "sweep.deltas=abc"], "bad sweep.deltas 'abc'"),
         ("sweep", ["--set", "sweep.deltas=1e-2 1e-1"], "positive and strictly decreasing"),
@@ -232,7 +237,9 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("example1", ["--set", "kernel.sigma=1e200"], "kernel bandwidth must be"),
     ],
     ids=[
-        "no_equals", "no_dot", "empty_value", "unreadable_config", "unknown_section",
+        "no_equals", "no_dot", "empty_value", "unreadable_config",
+        "unreadable_config_names_the_reason", "directory_as_config", "unknown_section",
+        "unknown_override_section", "empty_value_of_an_unknown_key",
         "zero_horizon", "bad_deltas", "increasing_deltas", "infinite_delta", "nan_delta",
         "unknown_algorithm", "duplicate_algorithm-example1", "duplicate_algorithm-sweep",
         "too_few_algorithms", "empty_algorithms", "negative_seed", "zero_runs-example1",
@@ -312,6 +319,21 @@ def test_example1_single_algorithm(tmp_path):
 
 def test_example1_zero_runs_exits_2(tmp_path):
     assert main(["example1", "--runs", "0", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_shipped_profile_as_config_file_writes_the_same_bytes(tmp_path):
+    """``--config`` with the shipped profile's own path reads it like the
+    default: every output file, meta.txt and its config hash included, is
+    the same."""
+    shipped = str(shipped_config_path("example1"))
+    runs = ["example1", "--algorithms", "sr1b,conventional", *FAST]
+    assert main([*runs, "--out", str(tmp_path / "default")]) == 0
+    assert main([*runs, "--config", shipped, "--out", str(tmp_path / "given")]) == 0
+    names = sorted(path.name for path in (tmp_path / "default").iterdir())
+    assert names == ["meta.txt", "rmse_conventional.csv", "rmse_sr1b.csv"]
+    for name in names:
+        given = (tmp_path / "given" / name).read_bytes()
+        assert given == (tmp_path / "default" / name).read_bytes(), name
 
 
 def test_example1_deterministic_output(tmp_path):

@@ -39,6 +39,16 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="kernel bandwidth must be"):
             KernelSpec(sigma)
 
+    # float() would turn the string into a number; the kernel could not use it
+    @pytest.mark.parametrize("sigma", ["3e4", "inf", None, 1j, np.array([3e4])])
+    def test_rejects_a_bandwidth_that_is_not_a_real_number(self, sigma):
+        with pytest.raises(ValueError, match="kernel bandwidth must be a real number"):
+            KernelSpec(sigma)
+
+    @pytest.mark.parametrize("sigma", [3e4, np.float64(3e4), np.float32(3e4), 30000, np.inf])
+    def test_accepts_python_and_numpy_reals(self, sigma):
+        assert KernelSpec(sigma).sigma == sigma
+
     # 2 sigma^2 underflows below the smallest normal double, or overflows
     @pytest.mark.parametrize("sigma", [1e-170, 1e-154, 9.5e153, 1e200, -np.inf, np.nan])
     def test_rejects_a_bandwidth_whose_scale_is_not_a_finite_normal_double(self, sigma):

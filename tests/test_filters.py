@@ -471,7 +471,9 @@ class TestRunFilter:
         init = InitialCondition(np.zeros(1), np.eye(1))
         for pin_weight in (np.nan, -1.0, 0.5):
             with pytest.raises(ValueError, match="kf_reference's weight is 1"):
-                run_filter("kf_reference", model, init, np.zeros((2, 1)), None, pin_weight=pin_weight)
+                run_filter(
+                    "kf_reference", model, init, np.zeros((2, 1)), None, pin_weight=pin_weight
+                )
         run = run_filter("kf_reference", model, init, np.zeros((2, 1)), None, pin_weight=1.0)
         assert run.status.completed
         assert [r.lam for r in run.reports] == [1.0, 1.0]
@@ -595,10 +597,14 @@ class TestRunBatch:
         models = [random_model(rng, n, m, q) for _ in range(4)]
         init = InitialCondition(rng.standard_normal(n), random_spd(rng, n))
         ys = np.stack(
-            [simulate(mdl, init, 40, SeedSpec(seed, i)).measurements for i, mdl in enumerate(models)]
+            [
+                simulate(mdl, init, 40, SeedSpec(seed, i)).measurements
+                for i, mdl in enumerate(models)
+            ]
         )
         spec = KernelSpec(2.0)
-        lams = np.array([rep.lam for rep in run_filter("sr1b", models[0], init, ys[0], spec).reports])
+        reports = run_filter("sr1b", models[0], init, ys[0], spec).reports
+        lams = np.array([rep.lam for rep in reports])
         assert 0.0 < lams.min() < 0.9  # the weight is live
         for algorithm in ("conventional", "sr1a", "sr1b", "kf_reference"):
             batch = assert_batch_matches_each_run(algorithm, models, init, ys, spec)
@@ -620,7 +626,9 @@ class TestRunBatch:
         ys = np.random.default_rng(5).standard_normal((4, 6, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            batch = assert_batch_matches_each_run("conventional", models, init, ys, KernelSpec(2.0))
+            batch = assert_batch_matches_each_run(
+                "conventional", models, init, ys, KernelSpec(2.0)
+            )
         assert [s.completed for s in batch.statuses] == [True, False, True, False]
         assert "NotPositiveDefinite: pivot 0.000000e+00 at index 3" in batch.statuses[1].reason
         assert "NotPositiveDefinite: pivot 0.000000e+00 at index 1" in batch.statuses[3].reason

@@ -1,5 +1,6 @@
 """Factorization, triangularization and solve kernels."""
 
+import re
 import warnings
 
 import numpy as np
@@ -137,7 +138,12 @@ class TestStackedCholeskyFailures:
         a[1] = np.diag([1.0, 2.0, -1.0, 3.0])
         # a zero pivot at index 1 with a nonzero entry below it: the column
         # divides by a zero root
-        a[3] = [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        a[3] = [
+            [1.0, 1.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0],
+            [0.0, 1.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
         alone = {}
         for i in (1, 3):
             with pytest.raises(NotPositiveDefinite) as exc:
@@ -294,6 +300,19 @@ class TestTriangularSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             triangular_solve(np.eye(2), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "factor_shape, rhs_shape",
+        [((2, 3), (2,)), ((4, 3, 2), (4, 3)), ((3, 2), (3,)), ((4, 2, 3), (4, 2)), ((3,), None)],
+    )
+    def test_rejects_a_factor_that_is_not_square(self, factor_shape, rhs_shape):
+        l = np.tril(np.ones(factor_shape)) if len(factor_shape) > 1 else np.ones(factor_shape)
+        message = re.escape(f"dimension mismatch: factor {factor_shape}")
+        with pytest.raises(ValueError, match=message):
+            if rhs_shape is None:
+                triangular_inverse(l)
+            else:
+                triangular_solve(l, np.ones(rhs_shape))
 
 
 # leading diagonal entries of a factor that is otherwise well conditioned

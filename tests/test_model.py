@@ -130,8 +130,16 @@ def test_semidefinite_initial_covariance_is_valid(init_cov):
     [
         ([np.nan, 0.0], np.eye(2), "initial mean contains non-finite entries"),
         ([0.0, np.inf], np.eye(2), "initial mean contains non-finite entries"),
-        (np.zeros(2), [[1.0, 0.0], [0.0, np.nan]], "initial covariance contains non-finite entries"),
-        (np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]], "initial covariance contains non-finite entries"),
+        (
+            np.zeros(2),
+            [[1.0, 0.0], [0.0, np.nan]],
+            "initial covariance contains non-finite entries",
+        ),
+        (
+            np.zeros(2),
+            [[np.inf, 0.0], [0.0, 1.0]],
+            "initial covariance contains non-finite entries",
+        ),
     ],
 )
 def test_non_finite_initial_condition_reported_once(mean, cov, violation):
