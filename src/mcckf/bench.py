@@ -129,8 +129,6 @@ def build_example1(
             [0.0, 0.0, 0.0, 0.0, 0.0, c.maneuver_var_2],
         ]
     )
-    if not np.isfinite(pi0).all():
-        raise ValueError("initial covariance is not finite")
     model = StateSpaceModel(F=f, G=g, H=h, Q=q, R=r)
     init = InitialCondition(mean=np.zeros(6), covariance=pi0)
     # the eligible window is clamped to the horizon at simulation time

@@ -3,8 +3,8 @@
 Exit codes are a stable contract for CI: 0 when the run's success criterion
 holds, 1 when it is violated, 2 on usage or configuration errors. All outputs
 land under the chosen output directory alongside a meta.txt recording the
-merged-config hash, the seed and the library version. A usage or
-configuration error is found before the output directory is made.
+merged-config hash, the seed, the library version and the numpy version. A
+usage or configuration error is found before the output directory is made.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def _write_meta(out: Path, command: str, cfg: ExperimentConfig, seed: int) -> No
         f"config_sha256={cfg.sha256()}",
         f"seed={seed}",
         f"version={__version__}",
+        f"numpy={np.__version__}",
     ]
     (out / "meta.txt").write_text("\n".join(lines) + "\n")
 

@@ -3,10 +3,10 @@
 The model is x_k = F x_{k-1} + G w_{k-1}, y_k = H x_k + v_k with
 w ~ N(0, Q), v ~ N(0, R), x_0 ~ (mean, covariance). Matrices are frozen
 read-only at construction so model objects can be shared freely across
-concurrent Monte Carlo runs. A batch of runs reads its models through one
-``_ModelStack``, which the simulator and the filters both build: it decides
-which runs share a model and stacks every run's matrices. A model and a
-stack each cache the noise factors and products the filters reuse.
+concurrent Monte Carlo runs. A model caches the noise factors and products
+the filters reuse, and validation computes them. A batch of runs reads its
+models through one ``_ModelStack``, which the simulator and the filters both
+build: it decides which runs share a model and stacks each run's own arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import linalg
 __all__ = [
     "StateSpaceModel",
     "InitialCondition",
+    "psd_factor",
     "validate_model",
 ]
 
@@ -36,18 +37,56 @@ def _frozen(a, shape=None, name=None) -> np.ndarray:
     return arr
 
 
-class _Terms:
-    """The noise factors and the products the filters reuse, derived from
-    the F, G, H, Q and R of the class that inherits them.
+@dataclass(eq=False)
+class StateSpaceModel:
+    """Time-invariant system matrices F, G, H and noise covariances Q, R.
 
-    A ``StateSpaceModel``'s terms are 2-D; a batch's ``_ModelStack`` has a
-    leading runs axis on its matrices and terms. Each term is computed on
-    first use, once per model or batch, with the operations and the
-    association order of the filter-step expression it stands for, so
-    reusing it changes no bit of the covariance and gain recursions.
-    ``r_sqrt_inv`` is the exception: the weight multiplies the innovation by
-    it, which rounds differently from a substitution against ``r_sqrt``.
+    Q must be strictly positive definite. R is also required strictly
+    positive definite here, which is stricter than the estimation problem
+    itself demands: every algorithm in this package applies R^{-1} or a
+    factor of it, so a semidefinite R would be unusable anyway.
+
+    The noise factors and products the filters reuse are cached on first
+    use, each computed with the operations and association order of the
+    filter-step expression it stands for, so reusing one changes no bit of
+    the covariance and gain recursions. ``r_sqrt_inv`` is the exception: the
+    weight multiplies the innovation by it, which rounds differently from a
+    substitution against ``r_sqrt``.
     """
+
+    F: np.ndarray
+    G: np.ndarray
+    H: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+
+    def __post_init__(self):
+        self.F = _frozen(self.F)
+        if self.F.ndim != 2 or self.F.shape[0] != self.F.shape[1]:
+            raise ValueError(f"F must be square, got shape {self.F.shape}")
+        n = self.F.shape[0]
+        self.G = _frozen(self.G)
+        if self.G.ndim != 2 or self.G.shape[0] != n:
+            raise ValueError(f"G must have {n} rows, got shape {self.G.shape}")
+        q = self.G.shape[1]
+        self.H = _frozen(self.H)
+        if self.H.ndim != 2 or self.H.shape[1] != n:
+            raise ValueError(f"H must have {n} columns, got shape {self.H.shape}")
+        m = self.H.shape[0]
+        self.Q = _frozen(self.Q, (q, q), "Q")
+        self.R = _frozen(self.R, (m, m), "R")
+
+    @property
+    def state_dim(self) -> int:
+        return self.F.shape[0]
+
+    @property
+    def noise_dim(self) -> int:
+        return self.G.shape[1]
+
+    @property
+    def obs_dim(self) -> int:
+        return self.H.shape[0]
 
     @cached_property
     def q_sqrt(self) -> np.ndarray:
@@ -96,51 +135,6 @@ class _Terms:
 
 
 @dataclass(eq=False)
-class StateSpaceModel(_Terms):
-    """Time-invariant system matrices F, G, H and noise covariances Q, R.
-
-    Q must be strictly positive definite. R is also required strictly
-    positive definite here, which is stricter than the estimation problem
-    itself demands: every algorithm in this package applies R^{-1} or a
-    factor of it, so a semidefinite R would be unusable anyway.
-    """
-
-    F: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        self.F = _frozen(self.F)
-        if self.F.ndim != 2 or self.F.shape[0] != self.F.shape[1]:
-            raise ValueError(f"F must be square, got shape {self.F.shape}")
-        n = self.F.shape[0]
-        self.G = _frozen(self.G)
-        if self.G.ndim != 2 or self.G.shape[0] != n:
-            raise ValueError(f"G must have {n} rows, got shape {self.G.shape}")
-        q = self.G.shape[1]
-        self.H = _frozen(self.H)
-        if self.H.ndim != 2 or self.H.shape[1] != n:
-            raise ValueError(f"H must have {n} columns, got shape {self.H.shape}")
-        m = self.H.shape[0]
-        self.Q = _frozen(self.Q, (q, q), "Q")
-        self.R = _frozen(self.R, (m, m), "R")
-
-    @property
-    def state_dim(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def noise_dim(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def obs_dim(self) -> int:
-        return self.H.shape[0]
-
-
-@dataclass(eq=False)
 class InitialCondition:
     """Initial state mean and error covariance."""
 
@@ -155,13 +149,14 @@ class InitialCondition:
         self.covariance = _frozen(self.covariance, (n, n), "initial covariance")
 
 
-class _ModelStack(_Terms):
+class _ModelStack:
     """The model of each run of a batch, read like one model.
 
     ``model`` is one model for all ``runs`` runs, or one per run, of equal
     dimensions; runs share a model by passing the same object. ``distinct``
-    lists each model once, ``rows[i]`` is the position there of run i's
-    model, and F, G, H, Q and R stack every run's matrices.
+    lists each model once, and ``rows[i]`` is the position there of run i's
+    model. Any other public attribute of the models, a matrix or a term,
+    stacks every run's own array on first use and is cached.
     """
 
     def __init__(self, model, runs: int):
@@ -180,9 +175,15 @@ class _ModelStack(_Terms):
             )
         position = {key: i for i, key in enumerate(distinct)}
         self.rows = np.array([position[id(m)] for m in self.models])
-        self.F, self.G, self.H, self.Q, self.R = (
-            np.stack([getattr(m, name) for m in self.distinct])[self.rows] for name in "FGHQR"
-        )
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for a name not set on the stack; a private name, such as
+        # a copy or pickle probe, is no model attribute
+        if name.startswith("_"):
+            raise AttributeError(name)
+        stacked = np.stack([getattr(m, name) for m in self.distinct])[self.rows]
+        setattr(self, name, stacked)
+        return stacked
 
     def take(self, keep: np.ndarray) -> "_ModelStack":
         """The models of the runs that ``keep`` (a mask) selects."""
@@ -190,14 +191,21 @@ class _ModelStack(_Terms):
         return _ModelStack(kept, len(kept))
 
 
-def _psd_eigh(a: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the symmetric part of a covariance.
+def psd_factor(a: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """Lower-triangular factor of a PSD matrix, tolerating semidefiniteness.
 
-    Raises ``ValueError``, naming the matrix ``name``, when an eigenvalue
-    lies below -n * 100 * eps * max|lambda|: the eigenvalues of an n x n PSD
-    matrix computed in floating point may come out negative by about n * eps
-    times the largest, and this floor allows 100 times that.
+    Falls back to an eigendecomposition of the symmetric part when the strict
+    Cholesky floor rejects the matrix (e.g. a zero noise covariance in a
+    noiseless test model). The eigenvalues of an n x n PSD matrix computed in
+    floating point may come out negative by about n * eps times the largest:
+    those are clipped to zero, and one below 100 times that raises
+    ``ValueError`` naming the matrix ``name``, since it is not a covariance.
     """
+    a = np.asarray(a, dtype=float)
+    try:
+        return linalg.cholesky_lower(a)
+    except linalg.NotPositiveDefinite:
+        pass
     w, v = np.linalg.eigh(linalg.symmetrize(a))
     floor = -len(w) * 100.0 * linalg._EPS * np.abs(w).max(initial=0.0)
     if w.min(initial=0.0) < floor:
@@ -205,25 +213,22 @@ def _psd_eigh(a: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.n
             f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} "
             f"is below {floor:.6e}"
         )
-    return w, v
+    return linalg.lower_triangularize(v * np.sqrt(np.clip(w, 0.0, None)))
 
 
-def _covariance_violation(name: str, a: np.ndarray, definite: bool = True) -> str | None:
-    """Why ``a`` is not a symmetric positive definite matrix (a positive
-    semidefinite one unless ``definite``), or None."""
+def _covariance_violation(name: str, factor) -> str | None:
+    """Why the covariance ``name`` is unusable, from the failure of
+    ``factor()``, which factors it, or None."""
     try:
-        linalg.cholesky_lower(a)
+        factor()
     except linalg.NotSymmetric:
         return f"{name} not symmetric"
     except linalg.NotPositiveDefinite:
-        if definite:
-            return f"{name} not positive definite"
-        try:
-            _psd_eigh(a, name)
-        except ValueError as exc:
-            return str(exc)
+        return f"{name} not positive definite"
     except linalg.NonFiniteInput:
         return f"{name} contains non-finite entries"
+    except ValueError as exc:  # below psd_factor's eigenvalue floor
+        return str(exc)
     return None
 
 
@@ -233,12 +238,12 @@ def validate_model(
     """Check model assumptions; return a list of violations (empty = usable).
 
     Verifies that F, G and H are finite, that Q and R are symmetric and
-    positive definite, and the initial condition's dimension and finiteness.
-    The initial covariance must be symmetric and positive semidefinite, and
-    positive definite when ``require_spd_init`` is set (the square-root
-    algorithms factor it). The matrices' shapes are checked by
-    ``StateSpaceModel`` at construction. Pure report, never raises for a bad
-    model.
+    positive definite, through the model's cached factors that the filters
+    read, and the initial condition's dimension and finiteness. The initial
+    covariance must be symmetric and positive semidefinite, and positive
+    definite when ``require_spd_init`` is set (the square-root algorithms
+    factor it). The matrices' shapes are checked by ``StateSpaceModel`` at
+    construction. Never raises for a bad model.
     """
     n = model.state_dim
     violations = [
@@ -246,10 +251,10 @@ def validate_model(
         for name in "FGH"
         if not np.isfinite(getattr(model, name)).all()
     ]
-    for name, mat in (("Q", model.Q), ("R", model.R)):
-        msg = _covariance_violation(name, mat)
-        if msg:
-            violations.append(msg)
+    violations += [
+        _covariance_violation("Q", lambda: model.q_sqrt),
+        _covariance_violation("R", lambda: model.r_sqrt),
+    ]
     if init.mean.shape[0] != n:
         violations.append(
             f"initial mean length {init.mean.shape[0]} does not match state dim {n}"
@@ -258,10 +263,10 @@ def validate_model(
         violations.append("initial mean contains non-finite entries")
     # InitialCondition sizes its covariance by the mean, reported above if wrong
     if init.mean.shape[0] == n:
-        msg = _covariance_violation("initial covariance", init.covariance, require_spd_init)
-        if msg:
-            violations.append(msg)
-    return violations
+        name, cov = "initial covariance", init.covariance
+        factor = linalg.cholesky_lower if require_spd_init else lambda a: psd_factor(a, name)
+        violations.append(_covariance_violation(name, lambda: factor(cov)))
+    return [violation for violation in violations if violation]
 
 
 def _require_valid(model, init: InitialCondition, require_spd_init: bool = False) -> None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .model import InitialCondition, _ModelStack, _psd_eigh
+# _simulate calls psd_factor by this name, so a test double bound to it sees every call
+from .model import InitialCondition, _ModelStack, psd_factor
 
 __all__ = [
     "SeedSpec",
@@ -103,25 +103,6 @@ def draw_gaussian(stream, mean, covariance_factor) -> np.ndarray:
     mean = np.asarray(mean, dtype=float)
     factor = np.asarray(covariance_factor, dtype=float)
     return mean + factor @ stream.standard_normal(mean.shape[0])
-
-
-def psd_factor(a: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Lower-triangular factor of a PSD matrix, tolerating semidefiniteness.
-
-    Falls back to an eigendecomposition when the strict Cholesky floor
-    rejects the matrix (e.g. a zero noise covariance in a noiseless test
-    model). Negative eigenvalues of roundoff size are clipped to zero; one
-    below the floor that ``validate_model`` applies to an initial covariance
-    raises ``ValueError``, naming the matrix ``name``, since it is not a
-    covariance.
-    """
-    a = np.asarray(a, dtype=float)
-    try:
-        return linalg.cholesky_lower(a)
-    except linalg.NotPositiveDefinite:
-        pass
-    w, v = _psd_eigh(a, name)
-    return linalg.lower_triangularize(v * np.sqrt(np.clip(w, 0.0, None)))
 
 
 def _impulse_schedule(shot, horizon, schedule_rng, magnitude_rng, channels):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcckf import bench
+from mcckf import bench, linalg
 from mcckf.bench import (
     BLOWUP_FACTOR,
     RadarConstants,
@@ -263,6 +263,25 @@ class TestRunMonteCarlo:
             assert status.reason == "step 46: estimate magnitude exceeded 1e+12"
         assert all(status.completed for status in reports["sr1b"].statuses)
 
+    def test_noise_factors_are_computed_once_for_every_filter(self, monkeypatch):
+        # the simulator factors Q and R, and validation computes the model's
+        # cached factors, which each filter's batch then reads: no batch, and
+        # no other filter's validation, factors them again
+        factored, cholesky = [], linalg.cholesky_lower
+
+        def counted(a):
+            if a.shape[-2:] == (2, 2):  # the radar's initial covariance is 6 x 6
+                factored.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # count in this process
+        monkeypatch.setattr(linalg, "cholesky_lower", counted)
+        scenario = radar_scenario(RadarConstants(horizon=40))
+        run_monte_carlo(WEIGHTED_FILTERS, scenario, 3, 1, KernelSpec(3e4))
+        model = scenario.model
+        assert [a.ndim for a in factored] == [2, 2, 2, 2]
+        assert all(a is b for a, b in zip(factored, [model.Q, model.R, model.Q, model.R]))
+
     def test_rejects_bad_runs_and_duplicates(self):
         with pytest.raises(ValueError):
             run_monte_carlo(["sr1b"], tiny_scenario(), 0, 1, KernelSpec(1.0))
@@ -328,6 +347,23 @@ class TestConditioningSweep:
         assert report.breakdown_delta == breakdown
         # failing runs are covered: conventional dies at 1e-5, sr1b at 1e-13
         assert breakdown["conventional"] == 1e-5 and breakdown["sr1b"] == 1e-13
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_breakdown_depends_on_the_horizon(self, seed):
+        # the shipped 300 steps give 1e-5 / 1e-5 / 1e-13; over 1000 steps the
+        # covariance-inverting forms break one decade earlier, sr1b no earlier
+        deltas = ExperimentConfig.load(profile="sweep").sweep_deltas()
+        constants, spec = RadarConstants(horizon=1000), KernelSpec(float("inf"))
+        report = run_conditioning_sweep(WEIGHTED_FILTERS, deltas, 2, seed, spec, constants)
+        assert report.breakdown_delta == {"conventional": 1e-4, "sr1a": 1e-4, "sr1b": 1e-13}
+        # at sigma = inf the covariance recursion ignores the data, so the
+        # conventional filter's failing step is the same for every seed;
+        # sr1a's (606 or 607) is not, and only its decade is asserted above
+        scenario = ill_conditioned_scenario(1e-4, constants)
+        conventional = run_monte_carlo(["conventional"], scenario, 2, seed, spec)
+        for status in conventional["conventional"].statuses:
+            assert status.failed_step == 448
+            assert status.reason.startswith("step 448: NotPositiveDefinite: ")
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

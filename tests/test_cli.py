@@ -28,6 +28,8 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert (out_a / "meta.txt").read_bytes() == (out_b / "meta.txt").read_bytes()
     meta = (out_a / "meta.txt").read_text()
     assert "config_sha256=" in meta and "seed=7" in meta and "version=" in meta
+    # output bits can depend on the numpy version
+    assert meta.splitlines()[4:] == [f"numpy={np.__version__}"]
 
 
 def test_simulate_different_seed_differs(tmp_path):
@@ -104,6 +106,15 @@ def test_simulate_singular_noise_covariance_exits_2(tmp_path, capsys, key, name)
         f"error: model validation failed: {name} not positive definite\n"
     )
     assert not out.exists()
+
+
+def test_simulate_with_a_huge_noise_variance_writes_a_finite_trajectory(tmp_path):
+    # R's Cholesky pivot floor stays finite where its row's sum of squares
+    # overflows, so the model validates and simulates
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out), "--set", "model.range_noise_var=1e200"]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 300 and np.isfinite(rows).all()
 
 
 def test_simulate_non_finite_trajectory_exits_1(tmp_path, capsys):
@@ -268,7 +279,11 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, mes
             for command in ("example1", "simulate")
         ),
         *(
-            (command, "model.sampling_period=1e-160", "initial covariance is not finite")
+            (
+                command,
+                "model.sampling_period=1e-160",
+                "initial covariance contains non-finite entries",
+            )
             for command in ("equivalence", "example1", "simulate")
         ),
         ("example1", "model.bearing_noise_var=0", "model validation failed: R not positive"),

@@ -705,8 +705,9 @@ class TestRunBatch:
         read.clear()
         batch = run_batch(algorithm, models, init, ys, KernelSpec(2.0))
         assert all(status.completed for status in batch.statuses)
-        # the batch's stack of models inverts its stacked R factors once
-        assert inverted == [(3, m, m)]
+        # the batch stacks each model's own inverse R factor: the two models
+        # not yet cached invert theirs once, and no stack is inverted
+        assert inverted == [(m, m), (m, m)]
         assert len(read) == 10
         assert all(w is read[0] for w in read)
         assert np.array_equal(read[0], np.stack([mdl.r_sqrt_inv for mdl in models]))

@@ -1,5 +1,7 @@
 """Model containers and assumption validation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from mcckf.model import (
     InitialCondition,
     StateSpaceModel,
     _ModelStack,
+    psd_factor,
     validate_model,
 )
+from mcckf import sim as sim_module
 from mcckf.sim import SeedSpec, _simulate
 
 
@@ -192,6 +196,23 @@ def test_cached_factors_match_direct_factorization():
     np.testing.assert_allclose(model.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
 
 
+def test_validation_leaves_the_factors_it_checked_cached():
+    model, init, _ = build_example1()
+    assert validate_model(model, init) == []
+    assert "q_sqrt" in vars(model) and "r_sqrt" in vars(model)
+    # a failed factorization caches nothing, so it is reported every time
+    bad = tiny_model(r_var=-1.0)
+    for _ in range(2):
+        assert validate_model(bad, InitialCondition(np.zeros(1), np.eye(1))) == [
+            "R not positive definite"
+        ]
+    assert "r_sqrt" not in vars(bad)
+
+
+def test_sim_reexports_the_one_psd_factor():
+    assert sim_module.psd_factor is psd_factor
+
+
 def test_r_inv_is_built_from_the_cached_inverse_r_factor():
     model, _, _ = build_example1()
     r = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]
@@ -245,6 +266,14 @@ class TestModelStack:
             assert getattr(model, name) is getattr(model, name)
             assert getattr(other, name) is getattr(other, name)
         assert not np.array_equal(stack.r_sqrt[0], stack.r_sqrt[1])
+
+    def test_stacks_only_public_attributes_of_the_models(self):
+        model, _, _ = build_example1()
+        stack = _ModelStack(model, 2)
+        for name in ("_private", "__deepcopy__", "no_such_term"):
+            with pytest.raises(AttributeError):
+                getattr(stack, name)
+        assert copy.copy(stack).rows is stack.rows
 
     @pytest.mark.parametrize("dims", [(5, 2, 2), (6, 1, 2), (6, 2, 1)])
     def test_run_batch_and_simulate_reject_unequal_dimensions_with_one_message(self, dims):
