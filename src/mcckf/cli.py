@@ -256,7 +256,6 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     scenario = radar_scenario(cfg.radar_constants(), cfg.shot_spec())
-    _require_valid(scenario.model, scenario.init)
     trajectory = simulate(
         scenario.model, scenario.init, scenario.horizon, SeedSpec(cfg.seed(), 0), scenario.shot
     )

@@ -455,7 +455,7 @@ def _check_algorithms(names: list) -> None:
 
 def _check_inputs(algorithm, model, init, measurements) -> None:
     _check_algorithms([algorithm])
-    _require_valid(model, init, require_spd_init=_FILTERS[algorithm].square_root)
+    _require_valid(model, init)
     m = model.obs_dim
     if measurements.shape[-1] != m:
         raise ValueError(

@@ -3,10 +3,12 @@
 The model is x_k = F x_{k-1} + G w_{k-1}, y_k = H x_k + v_k with
 w ~ N(0, Q), v ~ N(0, R), x_0 ~ (mean, covariance). Matrices are frozen
 read-only at construction so model objects can be shared freely across
-concurrent Monte Carlo runs. A model caches the noise factors and products
-the filters reuse, and validation computes them. A batch of runs reads its
-models through one ``_ModelStack``, which the simulator and the filters both
-build: it decides which runs share a model and stacks each run's own arrays.
+concurrent Monte Carlo runs. Q, R and the initial covariance must be
+positive definite, as every algorithm and the simulator factor them. A model
+caches the noise factors and products that the filters and the simulator
+reuse, and validation computes them. A batch of runs reads its models
+through one ``_ModelStack``, which the simulator and the filters both build:
+it decides which runs share a model and stacks each run's own arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from . import linalg
 __all__ = [
     "StateSpaceModel",
     "InitialCondition",
-    "psd_factor",
     "validate_model",
 ]
 
@@ -191,31 +192,6 @@ class _ModelStack:
         return _ModelStack(kept, len(kept))
 
 
-def psd_factor(a: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Lower-triangular factor of a PSD matrix, tolerating semidefiniteness.
-
-    Falls back to an eigendecomposition of the symmetric part when the strict
-    Cholesky floor rejects the matrix (e.g. a zero noise covariance in a
-    noiseless test model). The eigenvalues of an n x n PSD matrix computed in
-    floating point may come out negative by about n * eps times the largest:
-    those are clipped to zero, and one below 100 times that raises
-    ``ValueError`` naming the matrix ``name``, since it is not a covariance.
-    """
-    a = np.asarray(a, dtype=float)
-    try:
-        return linalg.cholesky_lower(a)
-    except linalg.NotPositiveDefinite:
-        pass
-    w, v = np.linalg.eigh(linalg.symmetrize(a))
-    floor = -len(w) * 100.0 * linalg._EPS * np.abs(w).max(initial=0.0)
-    if w.min(initial=0.0) < floor:
-        raise ValueError(
-            f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} "
-            f"is below {floor:.6e}"
-        )
-    return linalg.lower_triangularize(v * np.sqrt(np.clip(w, 0.0, None)))
-
-
 def _covariance_violation(name: str, factor) -> str | None:
     """Why the covariance ``name`` is unusable, from the failure of
     ``factor()``, which factors it, or None."""
@@ -227,23 +203,19 @@ def _covariance_violation(name: str, factor) -> str | None:
         return f"{name} not positive definite"
     except linalg.NonFiniteInput:
         return f"{name} contains non-finite entries"
-    except ValueError as exc:  # below psd_factor's eigenvalue floor
-        return str(exc)
     return None
 
 
-def validate_model(
-    model, init: InitialCondition, require_spd_init: bool = False
-) -> list[str]:
+def validate_model(model, init: InitialCondition) -> list[str]:
     """Check model assumptions; return a list of violations (empty = usable).
 
     Verifies that F, G and H are finite, that Q and R are symmetric and
     positive definite, through the model's cached factors that the filters
-    read, and the initial condition's dimension and finiteness. The initial
-    covariance must be symmetric and positive semidefinite, and positive
-    definite when ``require_spd_init`` is set (the square-root algorithms
-    factor it). The matrices' shapes are checked by ``StateSpaceModel`` at
-    construction. Never raises for a bad model.
+    and the simulator read, and the initial condition's dimension and
+    finiteness. The initial covariance must be symmetric and positive
+    definite too, as the square-root algorithms and the simulator factor it.
+    The matrices' shapes are checked by ``StateSpaceModel`` at construction.
+    Never raises for a bad model.
     """
     n = model.state_dim
     violations = [
@@ -263,14 +235,13 @@ def validate_model(
         violations.append("initial mean contains non-finite entries")
     # InitialCondition sizes its covariance by the mean, reported above if wrong
     if init.mean.shape[0] == n:
-        name, cov = "initial covariance", init.covariance
-        factor = linalg.cholesky_lower if require_spd_init else lambda a: psd_factor(a, name)
-        violations.append(_covariance_violation(name, lambda: factor(cov)))
+        factor = lambda: linalg.cholesky_lower(init.covariance)
+        violations.append(_covariance_violation("initial covariance", factor))
     return [violation for violation in violations if violation]
 
 
-def _require_valid(model, init: InitialCondition, require_spd_init: bool = False) -> None:
+def _require_valid(model, init: InitialCondition) -> None:
     """Raise ``ValueError`` listing the violations ``validate_model`` reports."""
-    violations = validate_model(model, init, require_spd_init)
+    violations = validate_model(model, init)
     if violations:
         raise ValueError("model validation failed: " + "; ".join(violations))

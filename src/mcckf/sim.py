@@ -3,10 +3,12 @@
 Noise, outlier placement and outlier magnitudes come from three independent
 child streams spawned from one seed, so the impulse schedule depends only on
 the seed and the shot-noise parameters, never on model values, and disabling
-shot noise leaves the Gaussian draws untouched. The Monte Carlo evaluation
-simulates all of its runs at once, each from its own seed, and hands the
-stacked arrays to the filters; ``simulate`` is the one-run case and the only
-one that builds a ``Trajectory`` with its outlier log.
+shot noise leaves the Gaussian draws untouched. A simulation validates its
+models as the filters do and draws from the factors the filters read. The
+Monte Carlo evaluation simulates all of its runs at once, each from its own
+seed, and hands the stacked arrays to the filters; ``simulate`` is the
+one-run case and the only one that builds a ``Trajectory`` with its outlier
+log.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# _simulate calls psd_factor by this name, so a test double bound to it sees every call
-from .model import InitialCondition, _ModelStack, psd_factor
+from . import linalg
+from .model import InitialCondition, _ModelStack, _require_valid
 
 __all__ = [
     "SeedSpec",
     "ShotNoiseSpec",
     "Trajectory",
     "draw_gaussian",
-    "psd_factor",
     "simulate",
 ]
 
@@ -124,23 +125,24 @@ def _simulate(models, init, horizon, seeds, shot):
     ``seeds[i]``, every run at once: the stacked initial states (runs, n),
     truth (runs, horizon, n) and measurements (runs, horizon, m), and each
     run's ``((process steps, magnitudes), (measurement steps, magnitudes))``.
-    Q and R are factored once per distinct model of the ``_ModelStack``.
+    Each distinct model of the ``_ModelStack`` is validated with ``init``
+    first, and its runs draw from its cached Q and R factors.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     seeds = list(seeds)
     stack = _ModelStack(models, len(seeds))
+    for model in stack.distinct:
+        _require_valid(model, init)
     (runs, n, q_dim), m_dim = stack.G.shape, stack.H.shape[1]
     no_shots = (np.empty(0, dtype=int), np.empty((0, 0), dtype=int))
 
-    init_factor = psd_factor(init.covariance, "initial covariance")
-    noise_factors = [(psd_factor(m.Q, "Q"), psd_factor(m.R, "R")) for m in stack.distinct]
+    init_factor = linalg.cholesky_lower(init.covariance)
     initial_state = np.empty((runs, n))
     w = np.empty((runs, horizon, q_dim))
     v = np.empty((runs, horizon, m_dim))
     impulses = []
-    for i, (row, seed) in enumerate(zip(stack.rows, seeds)):
-        q_factor, r_factor = noise_factors[row]
+    for i, (model, seed) in enumerate(zip(stack.models, seeds)):
         # each run draws from its own streams: its initial state, then all of
         # its noise in one draw, which yields the numbers per-step draws would
         # (w_1, v_1, w_2, v_2, ...), and the per-step products as stacked ones
@@ -148,8 +150,8 @@ def _simulate(models, init, horizon, seeds, shot):
         noise_rng, schedule_rng, magnitude_rng = seed.streams()
         initial_state[i] = draw_gaussian(noise_rng, init.mean, init_factor)
         z = noise_rng.standard_normal((horizon, q_dim + m_dim))
-        w[i] = np.zeros(q_dim) + np.matvec(q_factor, z[:, :q_dim])
-        v[i] = np.zeros(m_dim) + np.matvec(r_factor, z[:, q_dim:])
+        w[i] = np.zeros(q_dim) + np.matvec(model.q_sqrt, z[:, :q_dim])
+        v[i] = np.zeros(m_dim) + np.matvec(model.r_sqrt, z[:, q_dim:])
         process = measurement = no_shots
         if shot is not None:
             if shot.targets in ("process", "both"):
@@ -184,8 +186,10 @@ def simulate(
     y_k = H x_k + v_k with v ~ N(0, R); when ``shot`` is given, the targeted
     noise groups receive additive integer impulses on the scheduled steps,
     which ``outlier_log`` lists as (step, channel, magnitude). Identical
-    ``SeedSpec`` inputs reproduce the trajectory bit for bit. This is the
-    one-run case of the batch simulation the Monte Carlo evaluation makes.
+    ``SeedSpec`` inputs reproduce the trajectory bit for bit. An unusable
+    model raises ``validate_model``'s violations as ``ValueError``, as the
+    filters do. This is the one-run case of the batch simulation the Monte
+    Carlo evaluation makes.
     """
     (x0,), (truth,), (measurements,), ((process, measurement),) = _simulate(
         model, init, horizon, [seed], shot

@@ -12,9 +12,10 @@ from mcckf.linalg import (
     PIVOT_FLOOR_FACTOR,
     NotPositiveDefinite,
     SingularFactor,
+    cholesky_lower,
     symmetrize,
 )
-from mcckf.sim import _impulse_schedule, draw_gaussian, psd_factor
+from mcckf.sim import _impulse_schedule, draw_gaussian
 
 
 def gain_information_form(p, h, r, lam: float) -> np.ndarray:
@@ -110,16 +111,16 @@ def simulate_per_step(model, init, horizon: int, seed, shot=None):
             process = schedule(model.noise_dim)
         if shot.targets in ("measurement", "both"):
             measurement = schedule(model.obs_dim)
-    x = draw_gaussian(noise_rng, init.mean, psd_factor(init.covariance))
+    x = draw_gaussian(noise_rng, init.mean, cholesky_lower(init.covariance))
     initial_state = x.copy()
     truth = np.zeros((horizon, model.state_dim))
     measurements = np.zeros((horizon, model.obs_dim))
     for k in range(1, horizon + 1):
-        w = draw_gaussian(noise_rng, np.zeros(model.noise_dim), psd_factor(model.Q))
+        w = draw_gaussian(noise_rng, np.zeros(model.noise_dim), cholesky_lower(model.Q))
         if k in process:
             w = w + process[k]
         x = model.F @ x + model.G @ w
-        v = draw_gaussian(noise_rng, np.zeros(model.obs_dim), psd_factor(model.R))
+        v = draw_gaussian(noise_rng, np.zeros(model.obs_dim), cholesky_lower(model.R))
         if k in measurement:
             v = v + measurement[k]
         truth[k - 1] = x

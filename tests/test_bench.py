@@ -32,10 +32,10 @@ from mcckf.bench import (
 from mcckf.cli import _write_rows, main
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
-from mcckf.filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_filter
+from mcckf.filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_batch, run_filter
 from mcckf.linalg import NotPositiveDefinite
 from mcckf.model import InitialCondition, StateSpaceModel, validate_model
-from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
+from mcckf.sim import SeedSpec, ShotNoiseSpec, _simulate, simulate
 from oracles import condition_estimate, rmse_loop
 
 
@@ -76,7 +76,7 @@ class TestBuildExample1:
 
     def test_validates_clean(self):
         model, init, _ = build_example1()
-        assert validate_model(model, init, require_spd_init=True) == []
+        assert validate_model(model, init) == []
 
     def test_shot_spec_defaults(self):
         _, _, shot = build_example1()
@@ -264,9 +264,9 @@ class TestRunMonteCarlo:
         assert all(status.completed for status in reports["sr1b"].statuses)
 
     def test_noise_factors_are_computed_once_for_every_filter(self, monkeypatch):
-        # the simulator factors Q and R, and validation computes the model's
-        # cached factors, which each filter's batch then reads: no batch, and
-        # no other filter's validation, factors them again
+        # the simulator's validation computes the model's cached factors,
+        # which its draws and each filter's batch then read: no batch, and no
+        # filter's validation, factors them again
         factored, cholesky = [], linalg.cholesky_lower
 
         def counted(a):
@@ -279,8 +279,36 @@ class TestRunMonteCarlo:
         scenario = radar_scenario(RadarConstants(horizon=40))
         run_monte_carlo(WEIGHTED_FILTERS, scenario, 3, 1, KernelSpec(3e4))
         model = scenario.model
-        assert [a.ndim for a in factored] == [2, 2, 2, 2]
-        assert all(a is b for a, b in zip(factored, [model.Q, model.R, model.Q, model.R]))
+        assert [a.ndim for a in factored] == [2, 2]
+        assert all(a is b for a, b in zip(factored, [model.Q, model.R]))
+
+    @pytest.mark.parametrize(
+        "scenario, violation",
+        [
+            (
+                Scenario(
+                    "asymmetric_q",
+                    StateSpaceModel(
+                        F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=[[1, 0.5], [0, 1]], R=np.eye(2)
+                    ),
+                    InitialCondition(np.zeros(2), np.eye(2)),
+                    5,
+                ),
+                "Q not symmetric",
+            ),
+            (
+                radar_scenario(RadarConstants(sampling_period=1e-160, horizon=5)),
+                "initial covariance contains non-finite entries",
+            ),
+        ],
+        ids=["asymmetric_q", "tiny_period"],
+    )
+    def test_unusable_scenario_fails_validation_before_it_is_simulated(self, scenario, violation):
+        # the simulator validates its model as the filters do, so a library
+        # caller gets the filters' message, not a kernel's unnamed error
+        with pytest.raises(ValueError) as info:
+            run_monte_carlo(["sr1b"], scenario, 2, 1, KernelSpec(3e4))
+        assert str(info.value) == f"model validation failed: {violation}"
 
     def test_rejects_bad_runs_and_duplicates(self):
         with pytest.raises(ValueError):
@@ -364,6 +392,26 @@ class TestConditioningSweep:
         for status in conventional["conventional"].statuses:
             assert status.failed_step == 448
             assert status.reason.startswith("step 448: NotPositiveDefinite: ")
+
+    def test_conventional_breaks_at_1e_3_over_3000_steps(self):
+        # the 300- and 1000-step sweeps call conventional healthy at 1e-3; over
+        # 3000 steps it fails there at the same step for every seed, and sr1b
+        # completes
+        model, init = build_example2(1e-3)
+        seeds = [SeedSpec(seed, 0) for seed in (1, 2, 3)]
+        _, _, measurements, _ = _simulate(model, init, 3000, seeds, None)
+        spec = KernelSpec(float("inf"))
+        for status in run_batch("conventional", model, init, measurements, spec).statuses:
+            assert status.failed_step == 2258
+            assert status.reason.startswith("step 2258: NotPositiveDefinite: ")
+        sr1b = run_batch("sr1b", model, init, measurements, spec)
+        assert all(status.completed for status in sr1b.statuses)
+
+    def test_unusable_constants_fail_validation(self):
+        with pytest.raises(ValueError, match="^model validation failed: Q not positive definite$"):
+            run_conditioning_sweep(
+                ["sr1b"], [1e-1], 1, 1, KernelSpec(1.0), RadarConstants(maneuver_var_1=-1.0)
+            )
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

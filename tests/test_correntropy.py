@@ -1,15 +1,17 @@
 """The kernel bandwidth and the adjusting weight."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from mcckf import linalg as linalg_module
-from mcckf.bench import build_example1
+from mcckf.bench import RadarConstants, Scenario, build_example1, run_monte_carlo
 from mcckf.correntropy import KernelSpec, compute_lambda
 from mcckf.linalg import cholesky_lower, triangular_inverse
-from mcckf.sim import SeedSpec, simulate
+from mcckf.model import InitialCondition
+from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
 
 RNG = np.random.default_rng(99)
 
@@ -265,3 +267,39 @@ class TestComputeLambda:
         lam = compute_lambda(KernelSpec(sigma), innovation, model.r_sqrt_inv)
         assert lam == pytest.approx(oracle, rel=1e-12)
         assert lam == pytest.approx(0.5369533117480962, rel=1e-9)
+
+
+def measurement_shot_scenario():
+    """The radar with shots on the measurements only, and the bearing slots
+    of its initial covariance filled as the range slots are: the bearing
+    variance v at (4,4), v/t beside it and 2v/t^2 plus the second
+    maneuvering variance at (5,5). The shipped ``build_example1`` keeps its
+    quirks there."""
+    c = RadarConstants()
+    model, init, _ = build_example1(c)
+    v, t = c.bearing_noise_var, c.sampling_period
+    pi0 = np.array(init.covariance)
+    pi0[3, 3], pi0[3, 4], pi0[4, 3] = v, v / t, v / t
+    pi0[4, 4] = 2.0 * v / t**2 + c.maneuver_var_2
+    shot = ShotNoiseSpec(targets="measurement")
+    return Scenario("measurement_shots", model, InitialCondition(init.mean, pi0), c.horizon, shot)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_finite_bandwidth_rejects_measurement_shots_on_bearing(seed):
+    """What the weight buys: only bearing sees the integer shots (up to 294
+    of its standard deviations, against 0.005 on range), and at sigma = 10
+    sr1b's bearing RMSE is at most 1/20 of the Kalman filter's (sigma = inf)
+    with every run completing. The RMSE is over all steps and runs. Measured
+    over seeds 1-3, 20 runs each: bearing 70.5-71.9 times lower, at a range cost
+    of 999-1039 against 809-826 for sigma = inf."""
+    scenario = measurement_shot_scenario()
+    rmse = {}
+    for sigma in (10.0, math.inf):
+        report = run_monte_carlo(["sr1b"], scenario, 20, seed, KernelSpec(sigma))["sr1b"]
+        assert report.diverged_runs == 0, sigma
+        rmse[sigma] = np.sqrt((report.per_component**2).mean(axis=0))
+    range_, bearing = 0, 3
+    assert rmse[10.0][bearing] <= rmse[math.inf][bearing] / 20, rmse
+    # the price: the one weight also discounts range's innovation at each shot
+    assert rmse[math.inf][range_] < rmse[10.0][range_] < 1.5 * rmse[math.inf][range_], rmse

@@ -13,10 +13,8 @@ from mcckf.model import (
     InitialCondition,
     StateSpaceModel,
     _ModelStack,
-    psd_factor,
     validate_model,
 )
-from mcckf import sim as sim_module
 from mcckf.sim import SeedSpec, _simulate
 
 
@@ -28,7 +26,7 @@ def tiny_model(q_var=1.0, r_var=1.0):
 
 def test_radar_model_validates_clean():
     model, init, _ = build_example1()
-    assert validate_model(model, init, require_spd_init=True) == []
+    assert validate_model(model, init) == []
 
 
 def test_radar_init_blocks_positive_determinants():
@@ -40,7 +38,7 @@ def test_radar_init_blocks_positive_determinants():
 
 def test_spd_inputs_factor_after_validation():
     model, init, _ = build_example1()
-    assert validate_model(model, init, require_spd_init=True) == []
+    assert validate_model(model, init) == []
     cholesky_lower(np.asarray(init.covariance))
     cholesky_lower(np.asarray(model.Q))
     cholesky_lower(np.asarray(model.R))
@@ -83,18 +81,8 @@ def test_other_wrong_shapes_rejected_at_construction(name, value, message):
         ([[1.0, 0.5], [0.0, 1.0]], np.eye(2), "Q not symmetric"),
         ([[1.0, 0.0], [0.0, np.nan]], np.eye(2), "Q contains non-finite entries"),
         (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], "initial covariance not symmetric"),
-        (
-            np.eye(2),
-            np.diag([1.0, -5.0]),
-            "initial covariance is not positive semidefinite: eigenvalue -5.000000e+00 "
-            "is below -2.220446e-13",
-        ),
-        (
-            np.eye(2),
-            [[1.0, 2.0], [2.0, 1.0]],
-            "initial covariance is not positive semidefinite: eigenvalue -1.000000e+00 "
-            "is below -1.332268e-13",
-        ),
+        (np.eye(2), np.diag([1.0, -5.0]), "initial covariance not positive definite"),
+        (np.eye(2), [[1.0, 2.0], [2.0, 1.0]], "initial covariance not positive definite"),
     ],
 )
 def test_asymmetric_or_non_finite_covariance_reported(q, init_cov, violation):
@@ -109,24 +97,8 @@ def test_non_finite_system_matrix_reported(name, bad):
     matrices = dict(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
     matrices[name] = np.array([[1.0, 0.0], [bad, 1.0]])
     init = InitialCondition(np.zeros(2), np.eye(2))
-    for require_spd_init in (False, True):
-        report = validate_model(StateSpaceModel(**matrices), init, require_spd_init)
-        assert report == [f"{name} contains non-finite entries"]
-
-
-@pytest.mark.parametrize(
-    "init_cov",
-    [
-        np.zeros((2, 2)),
-        np.diag([1.0, 0.0]),
-        # negative by roundoff only: at the floor -2 * 100 * eps * 1
-        np.diag([1.0, -2 * 100 * np.finfo(float).eps]),
-    ],
-    ids=["zero", "singular", "roundoff"],
-)
-def test_semidefinite_initial_covariance_is_valid(init_cov):
-    model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
-    assert validate_model(model, InitialCondition(np.zeros(2), init_cov)) == []
+    report = validate_model(StateSpaceModel(**matrices), init)
+    assert report == [f"{name} contains non-finite entries"]
 
 
 @pytest.mark.parametrize(
@@ -149,8 +121,7 @@ def test_semidefinite_initial_covariance_is_valid(init_cov):
 def test_non_finite_initial_condition_reported_once(mean, cov, violation):
     model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
     init = InitialCondition(mean, cov)
-    for require_spd_init in (False, True):
-        assert validate_model(model, init, require_spd_init) == [violation]
+    assert validate_model(model, init) == [violation]
 
 
 def test_init_dimension_mismatch_reported():
@@ -158,7 +129,7 @@ def test_init_dimension_mismatch_reported():
     model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
     for n in (1, 3):
         for cov in (np.eye(n), -np.eye(n)):
-            report = validate_model(model, InitialCondition(np.zeros(n), cov), True)
+            report = validate_model(model, InitialCondition(np.zeros(n), cov))
             assert report == [f"initial mean length {n} does not match state dim 2"]
 
 
@@ -167,13 +138,6 @@ def test_initial_mean_with_more_than_one_dimension_rejected(mean):
     # a (2, 3) mean was once flattened and passed for a six-state model
     with pytest.raises(ValueError, match=r"mean must be a vector, got shape \("):
         InitialCondition(mean, np.eye(np.size(mean)))
-
-
-def test_non_spd_init_only_flagged_when_required():
-    model = tiny_model()
-    init = InitialCondition(np.zeros(1), np.zeros((1, 1)))
-    assert validate_model(model, init) == []
-    assert validate_model(model, init, require_spd_init=True) != []
 
 
 def test_validation_is_pure():
@@ -207,10 +171,6 @@ def test_validation_leaves_the_factors_it_checked_cached():
             "R not positive definite"
         ]
     assert "r_sqrt" not in vars(bad)
-
-
-def test_sim_reexports_the_one_psd_factor():
-    assert sim_module.psd_factor is psd_factor
 
 
 def test_r_inv_is_built_from_the_cached_inverse_r_factor():

@@ -5,19 +5,12 @@ import csv
 import numpy as np
 import pytest
 
+from mcckf import linalg
 from mcckf.bench import Scenario, build_example1, build_example2, run_monte_carlo
 from mcckf.cli import main
 from mcckf.correntropy import KernelSpec
 from mcckf.model import InitialCondition, StateSpaceModel
-from mcckf.sim import (
-    SeedSpec,
-    ShotNoiseSpec,
-    draw_gaussian,
-    psd_factor,
-    _simulate,
-    simulate,
-)
-from mcckf import sim as sim_module
+from mcckf.sim import SeedSpec, ShotNoiseSpec, draw_gaussian, _simulate, simulate
 from mcckf.filters import run_filter
 from oracles import simulate_per_step
 
@@ -89,17 +82,6 @@ class TestSimulateBatch:
         assert np.array_equal(run[1], alone.truth)
         assert np.array_equal(run[2], alone.measurements)
 
-    def test_zero_process_noise_takes_the_eigh_factor(self):
-        model = StateSpaceModel(
-            F=[[0.9, 0.1], [0.0, 0.8]], G=[[1.0], [0.5]], H=[[1.0, -1.0]], Q=[[0.0]], R=[[0.5]]
-        )
-        init = InitialCondition(np.ones(2), np.eye(2))
-        shot = ShotNoiseSpec(window_start=2, window_end=40)
-        seeds = [SeedSpec(8, i) for i in range(2)]
-        batch = _simulate([model] * 2, init, 40, seeds, shot)
-        for run, seed in zip(runs_of(batch), seeds, strict=True):
-            assert_per_step_draws(run, model, init, 40, seed, shot)
-
     def test_rejects_bad_batches(self):
         model, init, _ = build_example1()
         wide = StateSpaceModel(F=np.eye(6), G=np.ones((6, 1)), H=np.eye(6), Q=[[1.0]], R=np.eye(6))
@@ -113,23 +95,26 @@ class TestSimulateBatch:
             _simulate([model], init, 0, [SeedSpec(1, 0)], None)
 
     def test_factors_each_distinct_model_once(self, monkeypatch):
-        # runs share a model by passing the same object
+        # runs share a model by passing the same object; validating each
+        # distinct model caches its Q and R factors, which its runs draw from
         model, init, shot = build_example1()
         twin = StateSpaceModel(F=model.F, G=model.G, H=model.H, Q=model.Q, R=model.R)
-        factored = []
+        factored, cholesky = [], linalg.cholesky_lower
 
-        def counted(a, name):
-            factored.append((a, name))
-            return psd_factor(a, name)
+        def counted(a):
+            factored.append(a)
+            return cholesky(a)
 
-        monkeypatch.setattr(sim_module, "psd_factor", counted)
+        monkeypatch.setattr(linalg, "cholesky_lower", counted)
         seeds = [SeedSpec(3, i) for i in range(4)]
         batch = _simulate([model, twin, model, twin], init, 20, seeds, shot)
-        # the initial covariance, then Q and R of model and of twin
-        expected = [init.covariance, model.Q, model.R, twin.Q, twin.R]
+        # Q, R and the initial covariance in each model's validation, then
+        # the initial covariance once more for the draws
+        expected = [model.Q, model.R, init.covariance, twin.Q, twin.R] + [init.covariance] * 2
         assert len(factored) == len(expected)
-        assert all(a is b for (a, _), b in zip(factored, expected))
-        assert [name for _, name in factored] == ["initial covariance"] + ["Q", "R"] * 2
+        assert all(a is b for a, b in zip(factored, expected))
+        for mdl in (model, twin):
+            assert "q_sqrt" in vars(mdl) and "r_sqrt" in vars(mdl)
         for run, seed in zip(runs_of(batch), seeds, strict=True):
             assert_per_step_draws(run, model, init, 20, seed, shot)
 
@@ -139,17 +124,6 @@ def test_different_run_indices_differ():
     a = simulate(model, init, 50, SeedSpec(5, 0), shot)
     b = simulate(model, init, 50, SeedSpec(5, 1), shot)
     assert not np.array_equal(a.measurements, b.measurements)
-
-
-def test_noiseless_fixed_point():
-    c = 3.5
-    model = StateSpaceModel(
-        F=np.eye(2), G=np.zeros((2, 1)), H=np.array([[1.0, 0.0]]), Q=[[0.0]], R=[[0.0]]
-    )
-    init = InitialCondition(np.full(2, c), np.zeros((2, 2)))
-    traj = simulate(model, init, 20, SeedSpec(0, 0), None)
-    np.testing.assert_array_equal(traj.truth, np.full((20, 2), c))
-    np.testing.assert_array_equal(traj.measurements, np.full((20, 1), c))
 
 
 def test_zero_fraction_matches_shot_absent():
@@ -197,6 +171,17 @@ def test_targets_selection():
     )
     assert all(ch.startswith("w") for _, ch, _ in only_w.outlier_log)
     assert all(ch.startswith("v") for _, ch, _ in only_v.outlier_log)
+
+
+@pytest.mark.parametrize("name", ["F", "G", "H"])
+def test_simulate_rejects_a_non_finite_system_matrix(name):
+    # it once returned a NaN trajectory without a word
+    matrices = dict(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    matrices[name] = np.array([[1.0, 0.0], [np.nan, 1.0]])
+    model = StateSpaceModel(**matrices)
+    with pytest.raises(ValueError) as info:
+        simulate(model, InitialCondition(np.zeros(2), np.eye(2)), 5, SeedSpec(1, 0))
+    assert str(info.value) == f"model validation failed: {name} contains non-finite entries"
 
 
 def test_simulate_rejects_zero_horizon():
@@ -260,21 +245,6 @@ class TestDrawGaussian:
         assert rel < 0.05
 
 
-def test_psd_factor_handles_zero_and_semidefinite():
-    np.testing.assert_array_equal(psd_factor(np.zeros((2, 2))), np.zeros((2, 2)))
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-    f = psd_factor(a)
-    np.testing.assert_allclose(f @ f.T, a, atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "a", [np.diag([1.0, -1.0]), np.diag([1e6, -1e-6]), np.array([[1.0, 2.0], [2.0, 1.0]])]
-)
-def test_psd_factor_rejects_a_negative_eigenvalue(a):
-    with pytest.raises(ValueError, match="not positive semidefinite"):
-        psd_factor(a)
-
-
 @pytest.mark.parametrize("name", ["Q", "R", "initial covariance"])
 def test_simulation_names_the_covariance_that_is_not_semidefinite(name):
     matrices = {"Q": np.eye(2), "R": np.eye(2), "initial covariance": np.eye(2), name: -np.eye(2)}
@@ -289,9 +259,7 @@ def test_simulation_names_the_covariance_that_is_not_semidefinite(name):
     ):
         with pytest.raises(ValueError) as info:
             call()
-        assert str(info.value).startswith(f"{name} is not positive semidefinite: "), info.value
-    with pytest.raises(ValueError, match="^covariance is not positive semidefinite: "):
-        psd_factor(-np.eye(2))
+        assert str(info.value) == f"model validation failed: {name} not positive definite"
 
 
 def test_innovation_whiteness_of_reference_filter():
