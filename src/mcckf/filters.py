@@ -465,7 +465,7 @@ def _check_inputs(algorithm, model, init, measurements) -> None:
 
 def _initial_state(algorithm: str, init: InitialCondition) -> FilterState:
     if _FILTERS[algorithm].square_root:
-        return FilterState.square_root(0, init.mean, linalg.cholesky_lower(init.covariance))
+        return FilterState.square_root(0, init.mean, init.factor)
     return FilterState.full(0, init.mean, init.covariance)
 
 
@@ -482,8 +482,8 @@ def run_filter(
     Args:
         algorithm: one of ``conventional``, ``sr1a``, ``sr1b``, ``kf_reference``.
         model: state-space model.
-        init: initial mean and covariance; must be positive definite for the
-            square-root variants.
+        init: initial mean and positive definite covariance; the square-root
+            variants start from its cached factor, ``init.factor``.
         measurements: sequence of measurement vectors, one per step
             k = 1..N, each with the model's output dimension (or a scalar
             per step for a one-output model).

@@ -1,14 +1,15 @@
 """Linear Gaussian state-space model containers and validation.
 
 The model is x_k = F x_{k-1} + G w_{k-1}, y_k = H x_k + v_k with
-w ~ N(0, Q), v ~ N(0, R), x_0 ~ (mean, covariance). Matrices are frozen
-read-only at construction so model objects can be shared freely across
-concurrent Monte Carlo runs. Q, R and the initial covariance must be
-positive definite, as every algorithm and the simulator factor them. A model
-caches the noise factors and products that the filters and the simulator
-reuse, and validation computes them. A batch of runs reads its models
-through one ``_ModelStack``, which the simulator and the filters both build:
-it decides which runs share a model and stacks each run's own arrays.
+w ~ N(0, Q), v ~ N(0, R), x_0 ~ (mean, covariance). Q, R and the initial
+covariance must be positive definite, as every algorithm and the simulator
+factor them. A model caches the noise factors and products that the filters
+and the simulator reuse, and an initial condition its covariance's factor;
+validation computes them. Both are frozen, and their matrices and cached
+arrays read-only, so they can be shared freely across runs. A batch of runs
+reads its models through one ``_ModelStack``, which the simulator and the
+filters both build: it decides which runs share a model and stacks each
+run's own arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _frozen(a, shape=None, name=None) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Time-invariant system matrices F, G, H and noise covariances Q, R.
 
@@ -47,12 +48,12 @@ class StateSpaceModel:
     itself demands: every algorithm in this package applies R^{-1} or a
     factor of it, so a semidefinite R would be unusable anyway.
 
-    The noise factors and products the filters reuse are cached on first
-    use, each computed with the operations and association order of the
-    filter-step expression it stands for, so reusing one changes no bit of
-    the covariance and gain recursions. ``r_sqrt_inv`` is the exception: the
-    weight multiplies the innovation by it, which rounds differently from a
-    substitution against ``r_sqrt``.
+    The noise factors and products the filters reuse are cached read-only
+    on first use, each computed with the operations and association order of
+    the filter-step expression it stands for, so reusing one changes no bit
+    of the covariance and gain recursions. ``r_sqrt_inv`` is the exception:
+    the weight multiplies the innovation by it, which rounds differently
+    from a substitution against ``r_sqrt``.
     """
 
     F: np.ndarray
@@ -62,20 +63,20 @@ class StateSpaceModel:
     R: np.ndarray
 
     def __post_init__(self):
-        self.F = _frozen(self.F)
+        object.__setattr__(self, "F", _frozen(self.F))
         if self.F.ndim != 2 or self.F.shape[0] != self.F.shape[1]:
             raise ValueError(f"F must be square, got shape {self.F.shape}")
         n = self.F.shape[0]
-        self.G = _frozen(self.G)
+        object.__setattr__(self, "G", _frozen(self.G))
         if self.G.ndim != 2 or self.G.shape[0] != n:
             raise ValueError(f"G must have {n} rows, got shape {self.G.shape}")
         q = self.G.shape[1]
-        self.H = _frozen(self.H)
+        object.__setattr__(self, "H", _frozen(self.H))
         if self.H.ndim != 2 or self.H.shape[1] != n:
             raise ValueError(f"H must have {n} columns, got shape {self.H.shape}")
         m = self.H.shape[0]
-        self.Q = _frozen(self.Q, (q, q), "Q")
-        self.R = _frozen(self.R, (m, m), "R")
+        object.__setattr__(self, "Q", _frozen(self.Q, (q, q), "Q"))
+        object.__setattr__(self, "R", _frozen(self.R, (m, m), "R"))
 
     @property
     def state_dim(self) -> int:
@@ -92,52 +93,53 @@ class StateSpaceModel:
     @cached_property
     def q_sqrt(self) -> np.ndarray:
         """Lower Cholesky factor of Q."""
-        return linalg.cholesky_lower(self.Q)
+        return _frozen(linalg.cholesky_lower(self.Q))
 
     @cached_property
     def r_sqrt(self) -> np.ndarray:
         """Lower Cholesky factor of R."""
-        return linalg.cholesky_lower(self.R)
+        return _frozen(linalg.cholesky_lower(self.R))
 
     @cached_property
     def r_sqrt_inv(self) -> np.ndarray:
         """R_sqrt^{-1}, which whitens the innovation in the weight."""
-        return linalg.triangular_inverse(self.r_sqrt)
+        return _frozen(linalg.triangular_inverse(self.r_sqrt))
 
     @cached_property
     def r_inv(self) -> np.ndarray:
         """R^{-1}, assembled from the inverse R factor."""
-        return self.r_sqrt_inv.mT @ self.r_sqrt_inv
+        return _frozen(self.r_sqrt_inv.mT @ self.r_sqrt_inv)
 
     @cached_property
     def g_q_sqrt(self) -> np.ndarray:
         """G Q_sqrt, the noise block of the square-root time update."""
-        return self.G @ self.q_sqrt
+        return _frozen(self.G @ self.q_sqrt)
 
     @cached_property
     def g_q_g(self) -> np.ndarray:
         """G Q G^T."""
-        return self.G @ self.Q @ self.G.mT
+        return _frozen(self.G @ self.Q @ self.G.mT)
 
     @cached_property
     def ht_r_inv(self) -> np.ndarray:
         """H^T R^{-1}, the right-hand side of the information-form gain."""
-        return self.H.mT @ self.r_inv
+        return _frozen(self.H.mT @ self.r_inv)
 
     @cached_property
     def ht_r_inv_h(self) -> np.ndarray:
         """H^T R^{-1} H."""
-        return self.ht_r_inv @ self.H
+        return _frozen(self.ht_r_inv @ self.H)
 
     @cached_property
     def r_sqrt_inv_h(self) -> np.ndarray:
         """R_sqrt^{-1} H, the measurement block of the sr1a pre-array."""
-        return linalg.triangular_solve(self.r_sqrt, self.H)
+        return _frozen(linalg.triangular_solve(self.r_sqrt, self.H))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class InitialCondition:
-    """Initial state mean and error covariance."""
+    """Initial state mean and error covariance; the covariance's lower
+    Cholesky factor is cached read-only on first use."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -145,9 +147,15 @@ class InitialCondition:
     def __post_init__(self):
         if np.ndim(self.mean) > 1:
             raise ValueError(f"mean must be a vector, got shape {np.shape(self.mean)}")
-        self.mean = _frozen(np.ravel(self.mean))
+        object.__setattr__(self, "mean", _frozen(np.ravel(self.mean)))
         n = self.mean.shape[0]
-        self.covariance = _frozen(self.covariance, (n, n), "initial covariance")
+        covariance = _frozen(self.covariance, (n, n), "initial covariance")
+        object.__setattr__(self, "covariance", covariance)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of the covariance."""
+        return _frozen(linalg.cholesky_lower(self.covariance))
 
 
 class _ModelStack:
@@ -209,13 +217,11 @@ def _covariance_violation(name: str, factor) -> str | None:
 def validate_model(model, init: InitialCondition) -> list[str]:
     """Check model assumptions; return a list of violations (empty = usable).
 
-    Verifies that F, G and H are finite, that Q and R are symmetric and
-    positive definite, through the model's cached factors that the filters
-    and the simulator read, and the initial condition's dimension and
-    finiteness. The initial covariance must be symmetric and positive
-    definite too, as the square-root algorithms and the simulator factor it.
-    The matrices' shapes are checked by ``StateSpaceModel`` at construction.
-    Never raises for a bad model.
+    Verifies that F, G and H are finite, the initial condition's dimension
+    and finiteness, and that Q, R and the initial covariance are symmetric
+    and positive definite, through the cached factors that the filters and
+    the simulator read. The matrices' shapes are checked by
+    ``StateSpaceModel`` at construction. Never raises for a bad model.
     """
     n = model.state_dim
     violations = [
@@ -235,8 +241,7 @@ def validate_model(model, init: InitialCondition) -> list[str]:
         violations.append("initial mean contains non-finite entries")
     # InitialCondition sizes its covariance by the mean, reported above if wrong
     if init.mean.shape[0] == n:
-        factor = lambda: linalg.cholesky_lower(init.covariance)
-        violations.append(_covariance_violation("initial covariance", factor))
+        violations.append(_covariance_violation("initial covariance", lambda: init.factor))
     return [violation for violation in violations if violation]
 
 

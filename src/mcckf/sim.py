@@ -4,11 +4,11 @@ Noise, outlier placement and outlier magnitudes come from three independent
 child streams spawned from one seed, so the impulse schedule depends only on
 the seed and the shot-noise parameters, never on model values, and disabling
 shot noise leaves the Gaussian draws untouched. A simulation validates its
-models as the filters do and draws from the factors the filters read. The
-Monte Carlo evaluation simulates all of its runs at once, each from its own
-seed, and hands the stacked arrays to the filters; ``simulate`` is the
-one-run case and the only one that builds a ``Trajectory`` with its outlier
-log.
+models as the filters do and draws from the factors the filters read: the
+model's Q and R factors and the initial condition's factor. The Monte Carlo
+evaluation simulates all of its runs at once, each from its own seed, and
+hands the stacked arrays to the filters; ``simulate`` is the one-run case
+and the only one that builds a ``Trajectory`` with its outlier log.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .model import InitialCondition, _ModelStack, _require_valid
 
 __all__ = [
@@ -126,7 +125,7 @@ def _simulate(models, init, horizon, seeds, shot):
     truth (runs, horizon, n) and measurements (runs, horizon, m), and each
     run's ``((process steps, magnitudes), (measurement steps, magnitudes))``.
     Each distinct model of the ``_ModelStack`` is validated with ``init``
-    first, and its runs draw from its cached Q and R factors.
+    first; its runs draw from its cached Q and R factors and ``init.factor``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -136,8 +135,6 @@ def _simulate(models, init, horizon, seeds, shot):
         _require_valid(model, init)
     (runs, n, q_dim), m_dim = stack.G.shape, stack.H.shape[1]
     no_shots = (np.empty(0, dtype=int), np.empty((0, 0), dtype=int))
-
-    init_factor = linalg.cholesky_lower(init.covariance)
     initial_state = np.empty((runs, n))
     w = np.empty((runs, horizon, q_dim))
     v = np.empty((runs, horizon, m_dim))
@@ -148,7 +145,7 @@ def _simulate(models, init, horizon, seeds, shot):
         # (w_1, v_1, w_2, v_2, ...), and the per-step products as stacked ones
         # of the same shapes
         noise_rng, schedule_rng, magnitude_rng = seed.streams()
-        initial_state[i] = draw_gaussian(noise_rng, init.mean, init_factor)
+        initial_state[i] = draw_gaussian(noise_rng, init.mean, init.factor)
         z = noise_rng.standard_normal((horizon, q_dim + m_dim))
         w[i] = np.zeros(q_dim) + np.matvec(model.q_sqrt, z[:, :q_dim])
         v[i] = np.zeros(m_dim) + np.matvec(model.r_sqrt, z[:, q_dim:])

@@ -1,8 +1,9 @@
 """Reference formulas used as test oracles: the weighted gain, the condition
 number, the one-matrix Cholesky and substitution loops as they were first
 written, one ``@`` per element or row, the simulation's per-step noise
-draws, the per-run RMSE accumulation, and a square-root Kalman filter in
-extended precision that measures the filters' roundoff."""
+draws, the per-run RMSE accumulation, and the array square-root Kalman
+filter: in extended precision, at weight 1 or at pinned weights, to measure
+the filters' roundoff, and in double precision, as the textbook baseline."""
 
 import numpy as np
 
@@ -13,7 +14,9 @@ from mcckf.linalg import (
     NotPositiveDefinite,
     SingularFactor,
     cholesky_lower,
+    lower_triangularize,
     symmetrize,
+    triangular_solve,
 )
 from mcckf.sim import _impulse_schedule, draw_gaussian
 
@@ -181,7 +184,7 @@ def forward_ld(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def sr_kalman_longdouble(model, init, measurements):
+def sr_kalman_longdouble(model, init, measurements, weights=None):
     """The square-root Kalman filter (weight 1) in longdouble, as a roundoff
     reference for the double-precision filters: (estimates, covariances),
     shape (steps, n) and (steps, n, n).
@@ -191,18 +194,48 @@ def sr_kalman_longdouble(model, init, measurements):
     [Kbar, S+]] and sets x += Kbar Re^-1/2 (y - H x). It takes the model's
     double entries as exact and uses no ``np.linalg``, which rejects
     longdouble.
+
+    With ``weights``, one pinned weight lam per step, it is the weighted
+    filter's update instead: the same triangularization of [[R^1/2,
+    sqrt(lam) H S], [0, S]] gives the gain K = sqrt(lam) Kbar Re^-1/2, and
+    the posterior factor comes from triangularizing the Joseph pre-array
+    [(I - K H) S, K R^1/2], which is not the Kalman filter with R / lam.
     """
     f, g, h = (np.asarray(m, dtype=np.longdouble) for m in (model.F, model.G, model.H))
     g_q_sqrt, r_sqrt = g @ cholesky_ld(model.Q), cholesky_ld(model.R)
     m, n = h.shape
     x = np.asarray(init.mean, dtype=np.longdouble)
     s = cholesky_ld(init.covariance)
+    ys = np.asarray(measurements, dtype=np.longdouble)
     estimates, covariances = [], []
-    for y in np.asarray(measurements, dtype=np.longdouble):
+    for y, lam in zip(ys, [None] * len(ys) if weights is None else weights, strict=True):
         x, s = f @ x, _triangularize_ld(np.hstack([f @ s, g_q_sqrt]))
-        post = _triangularize_ld(np.block([[r_sqrt, h @ s], [np.zeros((n, m)), s]]))
-        innovation_factor, kbar, s = post[:m, :m], post[m:, :m], post[m:, m:]
-        x = x + kbar @ forward_ld(innovation_factor, y - h @ x)
+        root = np.longdouble(1) if lam is None else np.sqrt(np.longdouble(lam))
+        post = _triangularize_ld(np.block([[r_sqrt, root * (h @ s)], [np.zeros((n, m)), s]]))
+        innovation_factor, kbar = post[:m, :m], post[m:, :m]
+        if lam is None:
+            x, s = x + kbar @ forward_ld(innovation_factor, y - h @ x), post[m:, m:]
+        else:
+            gain = root * (kbar @ forward_ld(innovation_factor, np.eye(m)))
+            x = x + gain @ (y - h @ x)
+            s = _triangularize_ld(np.hstack([(np.eye(n) - gain @ h) @ s, gain @ r_sqrt]))
         estimates.append(x)
         covariances.append(s @ s.T)
     return np.array(estimates), np.array(covariances)
+
+
+def sr_kalman_array(model, init, measurements) -> np.ndarray:
+    """The weight-1 array filter of ``sr_kalman_longdouble`` in double
+    precision, through the package's kernels and the model's cached
+    factors, as sr1b reads them: its estimates, shape (steps, n)."""
+    f, h = model.F, model.H
+    m, n = h.shape
+    x, s = init.mean, init.factor
+    estimates = []
+    for y in np.asarray(measurements, dtype=float):
+        x, s = f @ x, lower_triangularize(np.hstack([f @ s, model.g_q_sqrt]))
+        post = lower_triangularize(np.block([[model.r_sqrt, h @ s], [np.zeros((n, m)), s]]))
+        innovation_factor, kbar, s = post[:m, :m], post[m:, :m], post[m:, m:]
+        x = x + kbar @ triangular_solve(innovation_factor, y - h @ x)
+        estimates.append(x)
+    return np.array(estimates)

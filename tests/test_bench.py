@@ -319,6 +319,29 @@ class TestRunMonteCarlo:
             run_monte_carlo(["fancy"], tiny_scenario(), 1, 1, KernelSpec(1.0))
 
 
+def test_an_evaluation_factors_its_initial_covariance_once(monkeypatch):
+    # validation, the draws and the square-root filters all read the initial
+    # condition's cached factor; the filters factor their 6 x 6 states through
+    # the unchecked kernel, so every 6 x 6 call here is the initial covariance
+    shapes, cholesky = [], linalg.cholesky_lower
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # count in this process
+    monkeypatch.setattr(linalg, "cholesky_lower", counted)
+    scenario = radar_scenario(RadarConstants(horizon=40))
+    run_monte_carlo(WEIGHTED_FILTERS, scenario, 4, 1, KernelSpec(3e4))
+    assert (shapes.count((6, 6)), shapes.count((2, 2))) == (1, 2)
+    shapes.clear()
+    cfg = ExperimentConfig.load(profile="sweep")
+    args = (cfg.sweep_deltas(), 1, cfg.seed(), cfg.kernel_spec(), cfg.radar_constants())
+    run_conditioning_sweep(WEIGHTED_FILTERS, *args)
+    # one Q and one R per delta of the shipped 14-delta grid
+    assert (shapes.count((6, 6)), shapes.count((2, 2))) == (1, 28)
+
+
 class TestConditioningSweep:
     def test_breakdown_recording(self):
         report = run_conditioning_sweep(

@@ -483,11 +483,20 @@ class TestRunFilter:
         with pytest.raises(ValueError, match=r"one vector per step, got shape \(3, 2, 2\)"):
             run_filter("sr1b", model, init, np.zeros((3, 2, 2)), KernelSpec(3e4))
 
+    def test_square_root_filters_start_from_the_read_only_initial_factor(self):
+        model, init, shot = build_example1()
+        ys = simulate(model, init, 5, SeedSpec(1, 0), shot).measurements
+        run = run_filter("sr1b", model, init, ys, KernelSpec(3e4))
+        assert run.initial.factor is init.factor
+        with pytest.raises(ValueError):
+            run.initial.factor[0, 0] = 0.0
+
     def test_conventional_symmetrizes_three_times_per_step(self, monkeypatch):
         # the time update, the information matrix and the Joseph form are
         # symmetrized; the predicted covariance is factored as the time
         # update returns it, not symmetrized again. validate_model
-        # symmetrizes the initial covariance once, in its Cholesky check
+        # symmetrizes a fresh initial covariance once, in the Cholesky check
+        # that caches its factor, and one already factored not at all
         model, init, shot = build_example1()
         ys = simulate(model, init, 10, SeedSpec(3, 0), shot).measurements
         spec = KernelSpec(3e4)
@@ -500,9 +509,12 @@ class TestRunFilter:
             return symmetrize(a)
 
         monkeypatch.setattr(linalg_module, "symmetrize", counted)
-        run = run_filter("conventional", model, init, ys, spec)
-        assert calls.count((6, 6)) == 3 * 10 + 1
-        assert np.array_equal(run.estimates(), alone.estimates())
+        fresh = InitialCondition(init.mean, init.covariance)
+        for initial, validation in ((fresh, 1), (init, 0)):
+            calls.clear()
+            run = run_filter("conventional", model, initial, ys, spec)
+            assert calls.count((6, 6)) == 3 * 10 + validation
+            assert np.array_equal(run.estimates(), alone.estimates())
 
     def test_lambda_shared_across_algorithms(self):
         model, init, shot = build_example1()

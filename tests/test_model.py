@@ -18,6 +18,10 @@ from mcckf.model import (
 from mcckf.sim import SeedSpec, _simulate
 
 
+# the factors and products a model caches, which the filters and the simulator read
+TERMS = "q_sqrt r_sqrt r_sqrt_inv r_inv g_q_sqrt g_q_g ht_r_inv ht_r_inv_h r_sqrt_inv_h".split()
+
+
 def tiny_model(q_var=1.0, r_var=1.0):
     return StateSpaceModel(
         F=[[1.0]], G=[[1.0]], H=[[1.0]], Q=[[q_var]], R=[[r_var]]
@@ -152,6 +156,38 @@ def test_matrices_are_frozen():
         model.F[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("name", TERMS + ["factor"])
+def test_cached_terms_are_read_only(name):
+    # a term written in place would change every later run on its owner
+    model, init, _ = build_example1()
+    owner = init if name == "factor" else model
+    term = getattr(owner, name)
+    before = term.copy()
+    with pytest.raises(ValueError):
+        term[0, 0] *= 1e3
+    assert np.array_equal(getattr(owner, name), before)
+
+
+def test_a_cached_factor_cannot_go_stale():
+    # a matrix reassigned after validation would leave its factor cached
+    model, init, _ = build_example1()
+    assert validate_model(model, init) == []
+    for owner, name in ((model, "R"), (init, "covariance")):
+        before = getattr(owner, name)
+        with pytest.raises(AttributeError):
+            setattr(owner, name, -before)
+        assert getattr(owner, name) is before
+    assert validate_model(model, init) == []
+
+
+def test_initial_factor_is_cached_and_checked_by_validation():
+    model, init, _ = build_example1()
+    np.testing.assert_array_equal(init.factor, cholesky_lower(init.covariance))
+    assert init.factor is init.factor
+    fresh = InitialCondition(init.mean, init.covariance)
+    assert validate_model(model, fresh) == [] and "factor" in vars(fresh)
+
+
 def test_cached_factors_match_direct_factorization():
     model, _, _ = build_example1()
     np.testing.assert_array_equal(model.q_sqrt, cholesky_lower(np.asarray(model.Q)))
@@ -212,10 +248,7 @@ class TestModelStack:
             F=model.F, G=model.G, H=model.H, Q=model.Q, R=[[2.0, -0.03], [-0.03, 5e-3]]
         )
         stack = _ModelStack([model, other, model], 3)
-        names = (
-            "q_sqrt r_sqrt r_sqrt_inv r_inv g_q_sqrt g_q_g ht_r_inv ht_r_inv_h r_sqrt_inv_h"
-        ).split()
-        for name in names:
+        for name in TERMS:
             stacked = getattr(stack, name)
             assert stacked.shape[0] == 3
             for row, mdl in zip(stacked, [model, other, model]):

@@ -96,7 +96,8 @@ class TestSimulateBatch:
 
     def test_factors_each_distinct_model_once(self, monkeypatch):
         # runs share a model by passing the same object; validating each
-        # distinct model caches its Q and R factors, which its runs draw from
+        # distinct model caches its Q and R factors, and validating the first
+        # caches the initial condition's factor, which the runs draw from
         model, init, shot = build_example1()
         twin = StateSpaceModel(F=model.F, G=model.G, H=model.H, Q=model.Q, R=model.R)
         factored, cholesky = [], linalg.cholesky_lower
@@ -108,13 +109,12 @@ class TestSimulateBatch:
         monkeypatch.setattr(linalg, "cholesky_lower", counted)
         seeds = [SeedSpec(3, i) for i in range(4)]
         batch = _simulate([model, twin, model, twin], init, 20, seeds, shot)
-        # Q, R and the initial covariance in each model's validation, then
-        # the initial covariance once more for the draws
-        expected = [model.Q, model.R, init.covariance, twin.Q, twin.R] + [init.covariance] * 2
+        expected = [model.Q, model.R, init.covariance, twin.Q, twin.R]
         assert len(factored) == len(expected)
         assert all(a is b for a, b in zip(factored, expected))
         for mdl in (model, twin):
             assert "q_sqrt" in vars(mdl) and "r_sqrt" in vars(mdl)
+        assert "factor" in vars(init)
         for run, seed in zip(runs_of(batch), seeds, strict=True):
             assert_per_step_draws(run, model, init, 20, seed, shot)
 
