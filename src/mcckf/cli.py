@@ -22,7 +22,6 @@ from . import __version__
 from .bench import build_example2, radar_scenario, run_conditioning_sweep, run_monte_carlo
 from .config import ConfigError, ExperimentConfig
 from .filters import ALGORITHMS, WEIGHTED_FILTERS, _check_algorithms
-from .model import _require_valid
 from .sim import SeedSpec, simulate
 
 
@@ -148,7 +147,6 @@ def _monte_carlo(args, command: str, minimum: int = 1):
     cfg = _load_config(args)
     names = _algorithm_list(args, minimum)
     scenario = radar_scenario(cfg.radar_constants(), cfg.shot_spec())
-    _require_valid(scenario.model, scenario.init)
     spec, runs, seed = cfg.kernel_spec(), cfg.runs(), cfg.seed()
     out = _out_dir(args)
     reports = run_monte_carlo(names, scenario, runs, seed, spec)
@@ -202,10 +200,10 @@ def cmd_sweep(args) -> int:
     spec, runs, seed = cfg.kernel_spec(), cfg.runs(), cfg.seed()
     deltas = cfg.sweep_deltas()
     constants = cfg.radar_constants()
-    # build and validate each delta's model first, so a bad delta leaves no
-    # output directory behind, and an unusable --out fails before the sweep runs
+    # build each delta's model first, which checks it, so a bad delta leaves
+    # no output directory behind, and an unusable --out fails before the sweep runs
     for delta in deltas:
-        _require_valid(*build_example2(delta, constants))
+        build_example2(delta, constants)
     out = _out_dir(args)
     report = run_conditioning_sweep(names, deltas, runs, seed, spec, constants)
     _write_rows(

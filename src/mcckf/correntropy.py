@@ -8,9 +8,9 @@ beyond the kernel's support.
 The norm is taken of the whitened innovation R_sqrt^{-1} e, one matrix-vector
 product with the inverse R factor, which the model computes once (the
 model's cached ``r_sqrt_inv``), not a substitution per step. The weight
-checks no factor: R passed ``validate_model``, so every pivot of its factor
-is above its floor and every diagonal entry a normal double, and the inverse
-exists.
+checks no factor: the model factored R when it was made, so every pivot of
+its factor is above its floor and every diagonal entry a normal double, and
+the inverse exists.
 
 A batch of runs (a leading runs axis on every input) gives one weight per
 run, each equal bit for bit to the weight of that run alone.

@@ -482,8 +482,10 @@ def run_filter(
     Args:
         algorithm: one of ``conventional``, ``sr1a``, ``sr1b``, ``kf_reference``.
         model: state-space model.
-        init: initial mean and positive definite covariance; the square-root
-            variants start from its cached factor, ``init.factor``.
+        init: initial mean and positive definite covariance, factored when
+            it was made; the square-root variants start from that factor,
+            ``init.factor``. ``validate_model`` checks that its mean fits
+            the model.
         measurements: sequence of measurement vectors, one per step
             k = 1..N, each with the model's output dimension (or a scalar
             per step for a one-output model).

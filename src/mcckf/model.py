@@ -3,13 +3,17 @@
 The model is x_k = F x_{k-1} + G w_{k-1}, y_k = H x_k + v_k with
 w ~ N(0, Q), v ~ N(0, R), x_0 ~ (mean, covariance). Q, R and the initial
 covariance must be positive definite, as every algorithm and the simulator
-factor them. A model caches the noise factors and products that the filters
-and the simulator reuse, and an initial condition its covariance's factor;
-validation computes them. Both are frozen, and their matrices and cached
-arrays read-only, so they can be shared freely across runs. A batch of runs
-reads its models through one ``_ModelStack``, which the simulator and the
-filters both build: it decides which runs share a model and stacks each
-run's own arrays.
+factor them. Construction is the check: a model rejects a non-finite
+matrix and factors Q and R, an initial condition rejects a non-finite mean
+and factors its covariance, and either raises ``ValueError`` naming the
+violation. A model also caches the products that the filters reuse. Both
+are frozen, and their matrices, factors and cached arrays read-only, so they
+can be shared freely across runs; a copy or an unpickled object is built,
+and so checked, again. ``validate_model`` checks only what neither object
+knows alone: that the mean's length matches the model's state dimension. A
+batch of runs reads its models through one ``_ModelStack``, which the
+simulator and the filters both build: it decides which runs share a model
+and stacks each run's own arrays.
 """
 
 from __future__ import annotations
@@ -30,13 +34,27 @@ __all__ = [
 
 
 def _frozen(a, shape=None, name=None) -> np.ndarray:
-    """A read-only float copy of ``a``; with ``shape``, the matrix ``name``
-    must have it."""
+    """A read-only float copy of ``a``; with ``name``, the matrix ``name``
+    must be finite and, with ``shape``, have that shape."""
     arr = np.array(a, dtype=float)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if name is not None and not np.isfinite(arr).all():
+        raise ValueError(f"model validation failed: {name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _factor(name: str, a: np.ndarray) -> np.ndarray:
+    """The read-only lower Cholesky factor of the finite covariance ``name``,
+    or a ``ValueError`` naming why it has none."""
+    try:
+        return _frozen(linalg.cholesky_lower(a))
+    except linalg.NotSymmetric:
+        violation = "not symmetric"
+    except linalg.NotPositiveDefinite:
+        violation = "not positive definite"
+    raise ValueError(f"model validation failed: {name} {violation}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,12 +66,15 @@ class StateSpaceModel:
     itself demands: every algorithm in this package applies R^{-1} or a
     factor of it, so a semidefinite R would be unusable anyway.
 
-    The noise factors and products the filters reuse are cached read-only
-    on first use, each computed with the operations and association order of
-    the filter-step expression it stands for, so reusing one changes no bit
-    of the covariance and gain recursions. ``r_sqrt_inv`` is the exception:
-    the weight multiplies the innovation by it, which rounds differently
-    from a substitution against ``r_sqrt``.
+    Construction rejects a non-finite F, G or H and sets ``q_sqrt`` and
+    ``r_sqrt``, the lower Cholesky factors of Q and R, read-only; a
+    covariance without one raises ``ValueError``. The products the filters
+    reuse are cached read-only on first use, each computed with the
+    operations and association order of the filter-step expression it stands
+    for, so reusing one changes no bit of the covariance and gain
+    recursions. ``r_sqrt_inv`` is the exception: the weight multiplies the
+    innovation by it, which rounds differently from a substitution against
+    ``r_sqrt``.
     """
 
     F: np.ndarray
@@ -63,20 +84,26 @@ class StateSpaceModel:
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "F", _frozen(self.F))
+        object.__setattr__(self, "F", _frozen(self.F, name="F"))
         if self.F.ndim != 2 or self.F.shape[0] != self.F.shape[1]:
             raise ValueError(f"F must be square, got shape {self.F.shape}")
         n = self.F.shape[0]
-        object.__setattr__(self, "G", _frozen(self.G))
+        object.__setattr__(self, "G", _frozen(self.G, name="G"))
         if self.G.ndim != 2 or self.G.shape[0] != n:
             raise ValueError(f"G must have {n} rows, got shape {self.G.shape}")
         q = self.G.shape[1]
-        object.__setattr__(self, "H", _frozen(self.H))
+        object.__setattr__(self, "H", _frozen(self.H, name="H"))
         if self.H.ndim != 2 or self.H.shape[1] != n:
             raise ValueError(f"H must have {n} columns, got shape {self.H.shape}")
         m = self.H.shape[0]
         object.__setattr__(self, "Q", _frozen(self.Q, (q, q), "Q"))
         object.__setattr__(self, "R", _frozen(self.R, (m, m), "R"))
+        object.__setattr__(self, "q_sqrt", _factor("Q", self.Q))
+        object.__setattr__(self, "r_sqrt", _factor("R", self.R))
+
+    def __reduce__(self):
+        # a copy or an unpickled model is built, and so checked, again
+        return type(self), (self.F, self.G, self.H, self.Q, self.R)
 
     @property
     def state_dim(self) -> int:
@@ -89,16 +116,6 @@ class StateSpaceModel:
     @property
     def obs_dim(self) -> int:
         return self.H.shape[0]
-
-    @cached_property
-    def q_sqrt(self) -> np.ndarray:
-        """Lower Cholesky factor of Q."""
-        return _frozen(linalg.cholesky_lower(self.Q))
-
-    @cached_property
-    def r_sqrt(self) -> np.ndarray:
-        """Lower Cholesky factor of R."""
-        return _frozen(linalg.cholesky_lower(self.R))
 
     @cached_property
     def r_sqrt_inv(self) -> np.ndarray:
@@ -138,8 +155,9 @@ class StateSpaceModel:
 
 @dataclass(frozen=True, eq=False)
 class InitialCondition:
-    """Initial state mean and error covariance; the covariance's lower
-    Cholesky factor is cached read-only on first use."""
+    """Initial state mean and error covariance. Construction rejects a
+    non-finite mean and sets ``factor``, the covariance's lower Cholesky
+    factor, read-only; a covariance without one raises ``ValueError``."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -147,15 +165,15 @@ class InitialCondition:
     def __post_init__(self):
         if np.ndim(self.mean) > 1:
             raise ValueError(f"mean must be a vector, got shape {np.shape(self.mean)}")
-        object.__setattr__(self, "mean", _frozen(np.ravel(self.mean)))
+        object.__setattr__(self, "mean", _frozen(np.ravel(self.mean), name="initial mean"))
         n = self.mean.shape[0]
         covariance = _frozen(self.covariance, (n, n), "initial covariance")
         object.__setattr__(self, "covariance", covariance)
+        object.__setattr__(self, "factor", _factor("initial covariance", covariance))
 
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """Lower Cholesky factor of the covariance."""
-        return _frozen(linalg.cholesky_lower(self.covariance))
+    def __reduce__(self):
+        # a copy or an unpickled initial condition is built, and so checked, again
+        return type(self), (self.mean, self.covariance)
 
 
 class _ModelStack:
@@ -200,49 +218,18 @@ class _ModelStack:
         return _ModelStack(kept, len(kept))
 
 
-def _covariance_violation(name: str, factor) -> str | None:
-    """Why the covariance ``name`` is unusable, from the failure of
-    ``factor()``, which factors it, or None."""
-    try:
-        factor()
-    except linalg.NotSymmetric:
-        return f"{name} not symmetric"
-    except linalg.NotPositiveDefinite:
-        return f"{name} not positive definite"
-    except linalg.NonFiniteInput:
-        return f"{name} contains non-finite entries"
-    return None
-
-
 def validate_model(model, init: InitialCondition) -> list[str]:
-    """Check model assumptions; return a list of violations (empty = usable).
+    """Check that ``init`` fits ``model``; return a list of violations
+    (empty = usable).
 
-    Verifies that F, G and H are finite, the initial condition's dimension
-    and finiteness, and that Q, R and the initial covariance are symmetric
-    and positive definite, through the cached factors that the filters and
-    the simulator read. The matrices' shapes are checked by
-    ``StateSpaceModel`` at construction. Never raises for a bad model.
+    Each object checked its own matrices when it was made, so only the
+    pairing is left: the initial mean's length against the model's state
+    dimension. Never raises for a bad pairing.
     """
-    n = model.state_dim
-    violations = [
-        f"{name} contains non-finite entries"
-        for name in "FGH"
-        if not np.isfinite(getattr(model, name)).all()
-    ]
-    violations += [
-        _covariance_violation("Q", lambda: model.q_sqrt),
-        _covariance_violation("R", lambda: model.r_sqrt),
-    ]
-    if init.mean.shape[0] != n:
-        violations.append(
-            f"initial mean length {init.mean.shape[0]} does not match state dim {n}"
-        )
-    if not np.isfinite(init.mean).all():
-        violations.append("initial mean contains non-finite entries")
-    # InitialCondition sizes its covariance by the mean, reported above if wrong
-    if init.mean.shape[0] == n:
-        violations.append(_covariance_violation("initial covariance", lambda: init.factor))
-    return [violation for violation in violations if violation]
+    n, length = model.state_dim, init.mean.shape[0]
+    if length != n:
+        return [f"initial mean length {length} does not match state dim {n}"]
+    return []
 
 
 def _require_valid(model, init: InitialCondition) -> None:

@@ -3,12 +3,14 @@
 Noise, outlier placement and outlier magnitudes come from three independent
 child streams spawned from one seed, so the impulse schedule depends only on
 the seed and the shot-noise parameters, never on model values, and disabling
-shot noise leaves the Gaussian draws untouched. A simulation validates its
-models as the filters do and draws from the factors the filters read: the
-model's Q and R factors and the initial condition's factor. The Monte Carlo
-evaluation simulates all of its runs at once, each from its own seed, and
-hands the stacked arrays to the filters; ``simulate`` is the one-run case
-and the only one that builds a ``Trajectory`` with its outlier log.
+shot noise leaves the Gaussian draws untouched. A model and an initial
+condition check and factor their covariances when they are made; a
+simulation checks only their pairing, with ``validate_model`` as the filters
+do, and draws from the factors the filters read: the model's Q and R factors
+and the initial condition's factor. The Monte Carlo evaluation simulates all
+of its runs at once, each from its own seed, and hands the stacked arrays to
+the filters; ``simulate`` is the one-run case and the only one that builds a
+``Trajectory`` with its outlier log.
 """
 
 from __future__ import annotations
@@ -124,8 +126,9 @@ def _simulate(models, init, horizon, seeds, shot):
     ``seeds[i]``, every run at once: the stacked initial states (runs, n),
     truth (runs, horizon, n) and measurements (runs, horizon, m), and each
     run's ``((process steps, magnitudes), (measurement steps, magnitudes))``.
-    Each distinct model of the ``_ModelStack`` is validated with ``init``
-    first; its runs draw from its cached Q and R factors and ``init.factor``.
+    Each distinct model of the ``_ModelStack`` is paired with ``init`` by
+    ``validate_model`` first; its runs draw from its Q and R factors and
+    ``init.factor``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -183,10 +186,10 @@ def simulate(
     y_k = H x_k + v_k with v ~ N(0, R); when ``shot`` is given, the targeted
     noise groups receive additive integer impulses on the scheduled steps,
     which ``outlier_log`` lists as (step, channel, magnitude). Identical
-    ``SeedSpec`` inputs reproduce the trajectory bit for bit. An unusable
-    model raises ``validate_model``'s violations as ``ValueError``, as the
-    filters do. This is the one-run case of the batch simulation the Monte
-    Carlo evaluation makes.
+    ``SeedSpec`` inputs reproduce the trajectory bit for bit. An ``init``
+    whose mean does not fit the model raises ``validate_model``'s violation
+    as ``ValueError``, as the filters do. This is the one-run case of the
+    batch simulation the Monte Carlo evaluation makes.
     """
     (x0,), (truth,), (measurements,), ((process, measurement),) = _simulate(
         model, init, horizon, [seed], shot

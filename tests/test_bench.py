@@ -176,6 +176,25 @@ class TestRmseReport:
                 assert np.isnan(report.per_component).all() and np.isnan(report.scalar_summary)
 
 
+def counted_cholesky(monkeypatch):
+    """Record each matrix handed to the checked Cholesky from now on, in this
+    process: the evaluation runs its batches here, not in workers."""
+    factored, cholesky = [], linalg.cholesky_lower
+
+    def counted(a):
+        factored.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(linalg, "cholesky_lower", counted)
+    return factored
+
+
+def owned_covariances(pairs):
+    """Q, R and the initial covariance of each (model, initial condition)."""
+    return [a for model, init in pairs for a in (model.Q, model.R, init.covariance)]
+
+
 class TestRunMonteCarlo:
     def test_equal_conditions_same_measurements(self, monkeypatch):
         # every algorithm filters the one stack of measurements, run i drawn
@@ -264,29 +283,23 @@ class TestRunMonteCarlo:
         assert all(status.completed for status in reports["sr1b"].statuses)
 
     def test_noise_factors_are_computed_once_for_every_filter(self, monkeypatch):
-        # the simulator's validation computes the model's cached factors,
-        # which its draws and each filter's batch then read: no batch, and no
-        # filter's validation, factors them again
-        factored, cholesky = [], linalg.cholesky_lower
-
-        def counted(a):
-            if a.shape[-2:] == (2, 2):  # the radar's initial covariance is 6 x 6
-                factored.append(a)
-            return cholesky(a)
-
-        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # count in this process
-        monkeypatch.setattr(linalg, "cholesky_lower", counted)
+        # a model factors its Q and R, and an initial condition its covariance,
+        # when it is made; the simulation's draws and the filters read those
+        # factors, and the filters factor their states through the unchecked
+        # kernel, so an evaluation calls the checked Cholesky on nothing
+        factored = counted_cholesky(monkeypatch)
         scenario = radar_scenario(RadarConstants(horizon=40))
-        run_monte_carlo(WEIGHTED_FILTERS, scenario, 3, 1, KernelSpec(3e4))
-        model = scenario.model
-        assert [a.ndim for a in factored] == [2, 2]
-        assert all(a is b for a, b in zip(factored, [model.Q, model.R]))
+        owned = owned_covariances([(scenario.model, scenario.init)])
+        assert [id(a) for a in factored] == [id(a) for a in owned]
+        factored.clear()
+        run_monte_carlo(WEIGHTED_FILTERS, scenario, 4, 1, KernelSpec(3e4))
+        assert factored == []
 
     @pytest.mark.parametrize(
-        "scenario, violation",
+        "build, violation",
         [
             (
-                Scenario(
+                lambda: Scenario(
                     "asymmetric_q",
                     StateSpaceModel(
                         F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=[[1, 0.5], [0, 1]], R=np.eye(2)
@@ -297,17 +310,18 @@ class TestRunMonteCarlo:
                 "Q not symmetric",
             ),
             (
-                radar_scenario(RadarConstants(sampling_period=1e-160, horizon=5)),
+                lambda: radar_scenario(RadarConstants(sampling_period=1e-160, horizon=5)),
                 "initial covariance contains non-finite entries",
             ),
         ],
         ids=["asymmetric_q", "tiny_period"],
     )
-    def test_unusable_scenario_fails_validation_before_it_is_simulated(self, scenario, violation):
-        # the simulator validates its model as the filters do, so a library
-        # caller gets the filters' message, not a kernel's unnamed error
+    def test_unusable_scenario_fails_validation_before_it_is_simulated(self, build, violation):
+        # building the scenario's model or initial condition checks it, so a
+        # library caller gets the filters' message, not a kernel's unnamed
+        # error, and no scenario to simulate
         with pytest.raises(ValueError) as info:
-            run_monte_carlo(["sr1b"], scenario, 2, 1, KernelSpec(3e4))
+            run_monte_carlo(["sr1b"], build(), 2, 1, KernelSpec(3e4))
         assert str(info.value) == f"model validation failed: {violation}"
 
     def test_rejects_bad_runs_and_duplicates(self):
@@ -320,26 +334,21 @@ class TestRunMonteCarlo:
 
 
 def test_an_evaluation_factors_its_initial_covariance_once(monkeypatch):
-    # validation, the draws and the square-root filters all read the initial
-    # condition's cached factor; the filters factor their 6 x 6 states through
-    # the unchecked kernel, so every 6 x 6 call here is the initial covariance
-    shapes, cholesky = [], linalg.cholesky_lower
-
-    def counted(a):
-        shapes.append(np.shape(a))
-        return cholesky(a)
-
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # count in this process
-    monkeypatch.setattr(linalg, "cholesky_lower", counted)
-    scenario = radar_scenario(RadarConstants(horizon=40))
-    run_monte_carlo(WEIGHTED_FILTERS, scenario, 4, 1, KernelSpec(3e4))
-    assert (shapes.count((6, 6)), shapes.count((2, 2))) == (1, 2)
-    shapes.clear()
+    # each initial condition, like each model, factors its covariances when
+    # it is made; a sweep evaluates the models and initial conditions it was
+    # handed and calls the checked Cholesky on nothing
+    factored = counted_cholesky(monkeypatch)
     cfg = ExperimentConfig.load(profile="sweep")
-    args = (cfg.sweep_deltas(), 1, cfg.seed(), cfg.kernel_spec(), cfg.radar_constants())
+    constants = cfg.radar_constants()
+    built = {delta: build_example2(delta, constants) for delta in cfg.sweep_deltas()}
+    assert len(built) == 14
+    assert [id(a) for a in factored] == [id(a) for a in owned_covariances(built.values())]
+    factored.clear()
+    # the sweep evaluates the models just built, not ones it builds itself
+    monkeypatch.setattr(bench, "build_example2", lambda delta, _: built[delta])
+    args = (list(built), 1, cfg.seed(), cfg.kernel_spec(), constants)
     run_conditioning_sweep(WEIGHTED_FILTERS, *args)
-    # one Q and one R per delta of the shipped 14-delta grid
-    assert (shapes.count((6, 6)), shapes.count((2, 2))) == (1, 28)
+    assert factored == []
 
 
 class TestConditioningSweep:

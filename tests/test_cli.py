@@ -92,24 +92,19 @@ def test_simulate_negative_variance_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert err == (
-        "error: model validation failed: R not positive definite; "
-        "initial covariance not positive definite\n"
-    )
+    assert err == "error: model validation failed: R not positive definite\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("key, name", [("bearing_noise_var", "R"), ("maneuver_var_2", "Q")])
 def test_simulate_singular_noise_covariance_exits_2(tmp_path, capsys, key, name):
-    # the simulator rejects a semidefinite covariance as the filters do; the
-    # zero variance leaves a zero block in the initial covariance too
+    # the model rejects a semidefinite covariance when it is made, before the
+    # initial condition, whose covariance the zero variance leaves singular too
     out = tmp_path / "sim"
     code = main(["simulate", "--out", str(out), "--set", f"model.{key}=0"])
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: model validation failed: {name} not positive definite; "
-        "initial covariance not positive definite\n"
-    )
+    err = capsys.readouterr().err
+    assert err == f"error: model validation failed: {name} not positive definite\n"
     assert not out.exists()
 
 

@@ -423,27 +423,31 @@ class TestRunFilter:
         assert "magnitude" in run.status.reason
 
     def test_rejects_invalid_model(self):
-        model = scalar_model(q=0.0)
+        # the model rejects itself when it is made, before a filter can run it
         init = InitialCondition(np.zeros(1), np.eye(1))
         with pytest.raises(ValueError, match="validation"):
+            model = scalar_model(q=0.0)
             run_filter("conventional", model, init, np.zeros((2, 1)), KernelSpec(1.0))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_rejects_an_indefinite_initial_covariance(self, algorithm):
         # kf_reference used to complete on it, and conventional to record a
         # NotPositiveDefinite divergence at step 1
+        # NotPositiveDefinite divergence at step 1; now the initial condition
+        # rejects it when it is made
         eye = np.eye(2)
         model = StateSpaceModel(F=0.9 * eye, G=eye, H=eye, Q=eye, R=eye)
-        init = InitialCondition(np.zeros(2), np.diag([1.0, -5.0]))
         with pytest.raises(ValueError, match="initial covariance (is )?not positive"):
+            init = InitialCondition(np.zeros(2), np.diag([1.0, -5.0]))
             run_filter(algorithm, model, init, np.zeros((20, 2)), KernelSpec(1.0))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_rejects_a_non_finite_transition_matrix(self, algorithm):
-        # every filter used to record "step 1: non-finite predicted_estimate"
-        model = scalar_model(f=np.nan)
+        # every filter used to record "step 1: non-finite predicted_estimate";
+        # now the model rejects it when it is made
         init = InitialCondition(np.zeros(1), np.eye(1))
         with pytest.raises(ValueError, match="F contains non-finite entries"):
+            model = scalar_model(f=np.nan)
             run_filter(algorithm, model, init, np.zeros((20, 1)), KernelSpec(1.0))
 
     def test_rejects_unknown_algorithm(self):
@@ -494,9 +498,8 @@ class TestRunFilter:
     def test_conventional_symmetrizes_three_times_per_step(self, monkeypatch):
         # the time update, the information matrix and the Joseph form are
         # symmetrized; the predicted covariance is factored as the time
-        # update returns it, not symmetrized again. validate_model
-        # symmetrizes a fresh initial covariance once, in the Cholesky check
-        # that caches its factor, and one already factored not at all
+        # update returns it, not symmetrized again. The initial covariance
+        # was symmetrized once, in the Cholesky check of its construction
         model, init, shot = build_example1()
         ys = simulate(model, init, 10, SeedSpec(3, 0), shot).measurements
         spec = KernelSpec(3e4)
@@ -509,12 +512,9 @@ class TestRunFilter:
             return symmetrize(a)
 
         monkeypatch.setattr(linalg_module, "symmetrize", counted)
-        fresh = InitialCondition(init.mean, init.covariance)
-        for initial, validation in ((fresh, 1), (init, 0)):
-            calls.clear()
-            run = run_filter("conventional", model, initial, ys, spec)
-            assert calls.count((6, 6)) == 3 * 10 + validation
-            assert np.array_equal(run.estimates(), alone.estimates())
+        run = run_filter("conventional", model, init, ys, spec)
+        assert calls.count((6, 6)) == 3 * 10
+        assert np.array_equal(run.estimates(), alone.estimates())
 
     def test_lambda_shared_across_algorithms(self):
         model, init, shot = build_example1()
@@ -775,10 +775,11 @@ class TestRunBatch:
         assert len(calls) == checked * 20
 
     def test_rejects_a_run_model_with_r_not_positive_definite(self):
+        # the run's model rejects itself when it is made, before the batch
         base, init, shot = build_example1()
-        bad = StateSpaceModel(F=base.F, G=base.G, H=base.H, Q=base.Q, R=-base.R)
         ys = batch_measurements(base, init, 5, 4, 2, shot)
         with pytest.raises(ValueError, match="R not positive definite"):
+            bad = StateSpaceModel(F=base.F, G=base.G, H=base.H, Q=base.Q, R=-base.R)
             run_batch("sr1b", [base, bad], init, ys, KernelSpec(3e4))
 
     @pytest.mark.parametrize("algorithm", ["conventional", "sr1a", "sr1b"])
@@ -876,15 +877,6 @@ class TestRunBatchInputs:
         assert (other.state_dim, other.noise_dim, other.obs_dim) == dims
         with pytest.raises(ValueError, match="equal \\(state_dim, noise_dim, obs_dim\\)"):
             run_batch("sr1b", [model, other], init, np.zeros((2, 3, 2)), KernelSpec(3e4))
-
-
-class TestNoiseBreakdownAfterStepOne:
-    def test_step_function_raises_the_linalg_error(self):
-        base, _, _ = build_example1()
-        model = StateSpaceModel(F=base.F, G=base.G, H=base.H, Q=base.Q * 0.0, R=base.R)
-        prior = FilterState.square_root(0, np.zeros(6), np.eye(6))
-        with pytest.raises(NotPositiveDefinite):
-            sr_time_update(model, prior)
 
 
 class TestMeasurementWidth:

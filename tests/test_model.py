@@ -1,6 +1,7 @@
 """Model containers and assumption validation."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ def tiny_model(q_var=1.0, r_var=1.0):
     )
 
 
+def rejection(build) -> str:
+    """The message of the ``ValueError`` that ``build()`` raises."""
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
 def test_radar_model_validates_clean():
     model, init, _ = build_example1()
     assert validate_model(model, init) == []
@@ -49,10 +57,9 @@ def test_spd_inputs_factor_after_validation():
 
 
 def test_zero_q_reported():
-    model = tiny_model(q_var=0.0)
-    init = InitialCondition(np.zeros(1), np.eye(1))
-    report = validate_model(model, init)
-    assert any("Q not positive definite" in v for v in report)
+    assert rejection(lambda: tiny_model(q_var=0.0)) == (
+        "model validation failed: Q not positive definite"
+    )
 
 
 def test_wrong_h_shape_rejected_at_construction():
@@ -90,9 +97,11 @@ def test_other_wrong_shapes_rejected_at_construction(name, value, message):
     ],
 )
 def test_asymmetric_or_non_finite_covariance_reported(q, init_cov, violation):
-    model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=q, R=np.eye(2))
-    init = InitialCondition(np.zeros(2), init_cov)
-    assert validate_model(model, init) == [violation]
+    def build():
+        StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=q, R=np.eye(2))
+        InitialCondition(np.zeros(2), init_cov)
+
+    assert rejection(build) == f"model validation failed: {violation}"
 
 
 @pytest.mark.parametrize("name", ["F", "G", "H"])
@@ -100,9 +109,9 @@ def test_asymmetric_or_non_finite_covariance_reported(q, init_cov, violation):
 def test_non_finite_system_matrix_reported(name, bad):
     matrices = dict(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
     matrices[name] = np.array([[1.0, 0.0], [bad, 1.0]])
-    init = InitialCondition(np.zeros(2), np.eye(2))
-    report = validate_model(StateSpaceModel(**matrices), init)
-    assert report == [f"{name} contains non-finite entries"]
+    assert rejection(lambda: StateSpaceModel(**matrices)) == (
+        f"model validation failed: {name} contains non-finite entries"
+    )
 
 
 @pytest.mark.parametrize(
@@ -123,18 +132,18 @@ def test_non_finite_system_matrix_reported(name, bad):
     ],
 )
 def test_non_finite_initial_condition_reported_once(mean, cov, violation):
-    model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
-    init = InitialCondition(mean, cov)
-    assert validate_model(model, init) == [violation]
+    assert rejection(lambda: InitialCondition(mean, cov)) == (
+        f"model validation failed: {violation}"
+    )
 
 
 def test_init_dimension_mismatch_reported():
-    # the covariance is sized by the mean, so only the mean's length is reported
+    # the one violation neither object can see alone: the covariance is sized
+    # by the mean, so only the mean's length is reported
     model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
     for n in (1, 3):
-        for cov in (np.eye(n), -np.eye(n)):
-            report = validate_model(model, InitialCondition(np.zeros(n), cov))
-            assert report == [f"initial mean length {n} does not match state dim 2"]
+        report = validate_model(model, InitialCondition(np.zeros(n), np.eye(n)))
+        assert report == [f"initial mean length {n} does not match state dim 2"]
 
 
 @pytest.mark.parametrize("mean", [np.zeros((2, 3)), np.zeros((6, 1)), [[0.0]]])
@@ -145,9 +154,9 @@ def test_initial_mean_with_more_than_one_dimension_rejected(mean):
 
 
 def test_validation_is_pure():
-    model = tiny_model(q_var=0.0)
-    init = InitialCondition(np.zeros(1), np.eye(1))
-    assert validate_model(model, init) == validate_model(model, init)
+    model = tiny_model()
+    init = InitialCondition(np.zeros(2), np.eye(2))
+    assert validate_model(model, init) == validate_model(model, init) != []
 
 
 def test_matrices_are_frozen():
@@ -181,11 +190,32 @@ def test_a_cached_factor_cannot_go_stale():
 
 
 def test_initial_factor_is_cached_and_checked_by_validation():
+    # construction is the check: it factors the covariance and keeps the factor
     model, init, _ = build_example1()
     np.testing.assert_array_equal(init.factor, cholesky_lower(init.covariance))
     assert init.factor is init.factor
     fresh = InitialCondition(init.mean, init.covariance)
-    assert validate_model(model, fresh) == [] and "factor" in vars(fresh)
+    assert "factor" in vars(fresh) and validate_model(model, fresh) == []
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.deepcopy, lambda owner: pickle.loads(pickle.dumps(owner))],
+    ids=["deepcopy", "pickle"],
+)
+def test_a_copy_is_built_and_so_checked_again(duplicate):
+    # a copy once restored the arrays writable, past the constructor's checks
+    model, init, _ = build_example1()
+    for owner, names in (
+        (model, [*"FGHQR", *TERMS]),
+        (init, ["mean", "covariance", "factor"]),
+    ):
+        twin = duplicate(owner)
+        assert type(twin) is type(owner) and twin is not owner
+        for name in names:
+            mine, theirs = getattr(twin, name), getattr(owner, name)
+            assert not mine.flags.writeable, name
+            assert np.array_equal(mine, theirs), name
 
 
 def test_cached_factors_match_direct_factorization():
@@ -194,19 +224,6 @@ def test_cached_factors_match_direct_factorization():
     np.testing.assert_array_equal(model.r_sqrt, cholesky_lower(np.asarray(model.R)))
     assert model.r_inv is model.r_inv
     np.testing.assert_allclose(model.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
-
-
-def test_validation_leaves_the_factors_it_checked_cached():
-    model, init, _ = build_example1()
-    assert validate_model(model, init) == []
-    assert "q_sqrt" in vars(model) and "r_sqrt" in vars(model)
-    # a failed factorization caches nothing, so it is reported every time
-    bad = tiny_model(r_var=-1.0)
-    for _ in range(2):
-        assert validate_model(bad, InitialCondition(np.zeros(1), np.eye(1))) == [
-            "R not positive definite"
-        ]
-    assert "r_sqrt" not in vars(bad)
 
 
 def test_r_inv_is_built_from_the_cached_inverse_r_factor():

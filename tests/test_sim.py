@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from mcckf import linalg
-from mcckf.bench import Scenario, build_example1, build_example2, run_monte_carlo
+from mcckf.bench import build_example1, build_example2
 from mcckf.cli import main
-from mcckf.correntropy import KernelSpec
 from mcckf.model import InitialCondition, StateSpaceModel
 from mcckf.sim import SeedSpec, ShotNoiseSpec, draw_gaussian, _simulate, simulate
 from mcckf.filters import run_filter
@@ -95,11 +94,10 @@ class TestSimulateBatch:
             _simulate([model], init, 0, [SeedSpec(1, 0)], None)
 
     def test_factors_each_distinct_model_once(self, monkeypatch):
-        # runs share a model by passing the same object; validating each
-        # distinct model caches its Q and R factors, and validating the first
-        # caches the initial condition's factor, which the runs draw from
+        # runs share a model by passing the same object; each distinct model
+        # factors its Q and R when it is made, and the runs draw from those
+        # factors and the initial condition's, so simulating factors nothing
         model, init, shot = build_example1()
-        twin = StateSpaceModel(F=model.F, G=model.G, H=model.H, Q=model.Q, R=model.R)
         factored, cholesky = [], linalg.cholesky_lower
 
         def counted(a):
@@ -107,14 +105,12 @@ class TestSimulateBatch:
             return cholesky(a)
 
         monkeypatch.setattr(linalg, "cholesky_lower", counted)
+        twin = StateSpaceModel(F=model.F, G=model.G, H=model.H, Q=model.Q, R=model.R)
+        assert [id(a) for a in factored] == [id(twin.Q), id(twin.R)]
+        factored.clear()
         seeds = [SeedSpec(3, i) for i in range(4)]
         batch = _simulate([model, twin, model, twin], init, 20, seeds, shot)
-        expected = [model.Q, model.R, init.covariance, twin.Q, twin.R]
-        assert len(factored) == len(expected)
-        assert all(a is b for a, b in zip(factored, expected))
-        for mdl in (model, twin):
-            assert "q_sqrt" in vars(mdl) and "r_sqrt" in vars(mdl)
-        assert "factor" in vars(init)
+        assert factored == []
         for run, seed in zip(runs_of(batch), seeds, strict=True):
             assert_per_step_draws(run, model, init, 20, seed, shot)
 
@@ -175,11 +171,12 @@ def test_targets_selection():
 
 @pytest.mark.parametrize("name", ["F", "G", "H"])
 def test_simulate_rejects_a_non_finite_system_matrix(name):
-    # it once returned a NaN trajectory without a word
+    # it once returned a NaN trajectory without a word; now the model rejects
+    # the matrix when it is made
     matrices = dict(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
     matrices[name] = np.array([[1.0, 0.0], [np.nan, 1.0]])
-    model = StateSpaceModel(**matrices)
     with pytest.raises(ValueError) as info:
+        model = StateSpaceModel(**matrices)
         simulate(model, InitialCondition(np.zeros(2), np.eye(2)), 5, SeedSpec(1, 0))
     assert str(info.value) == f"model validation failed: {name} contains non-finite entries"
 
@@ -247,19 +244,16 @@ class TestDrawGaussian:
 
 @pytest.mark.parametrize("name", ["Q", "R", "initial covariance"])
 def test_simulation_names_the_covariance_that_is_not_semidefinite(name):
+    # the model or the initial condition rejects it when it is made, so
+    # neither simulate nor run_monte_carlo can be handed it
     matrices = {"Q": np.eye(2), "R": np.eye(2), "initial covariance": np.eye(2), name: -np.eye(2)}
-    model = StateSpaceModel(
-        F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=matrices["Q"], R=matrices["R"]
-    )
-    init = InitialCondition(np.zeros(2), matrices["initial covariance"])
-    scenario = Scenario("negative", model, init, 5)
-    for call in (
-        lambda: simulate(model, init, 5, SeedSpec(1, 0)),
-        lambda: run_monte_carlo(["sr1b"], scenario, 2, 1, KernelSpec(1.0)),
-    ):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) == f"model validation failed: {name} not positive definite"
+    with pytest.raises(ValueError) as info:
+        model = StateSpaceModel(
+            F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=matrices["Q"], R=matrices["R"]
+        )
+        init = InitialCondition(np.zeros(2), matrices["initial covariance"])
+        simulate(model, init, 5, SeedSpec(1, 0))
+    assert str(info.value) == f"model validation failed: {name} not positive definite"
 
 
 def test_innovation_whiteness_of_reference_filter():
