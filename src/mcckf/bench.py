@@ -115,6 +115,8 @@ def build_example1(
     t = c.sampling_period
     if t**2 == 0.0:  # the 1/t**2 entries below would divide by zero
         raise ValueError(f"initial covariance is not finite: sampling period {t:g} squared is 0")
+    # built first, so a negative bearing variance fails as R, not as its root
+    model = StateSpaceModel(F=f, G=g, H=h, Q=q, R=r)
     sr2 = c.range_noise_var
     # the deliberate quirks of RadarConstants: a standard deviation at (4,4)
     # and the first maneuvering variance at (5,5)
@@ -129,17 +131,22 @@ def build_example1(
             [0.0, 0.0, 0.0, 0.0, 0.0, c.maneuver_var_2],
         ]
     )
-    model = StateSpaceModel(F=f, G=g, H=h, Q=q, R=r)
     init = InitialCondition(mean=np.zeros(6), covariance=pi0)
     # the eligible window is clamped to the horizon at simulation time
     return model, init, ShotNoiseSpec()
+
+
+# every delta of the ill-conditioned variant starts from this one, read-only
+# initial condition, so a sweep factors no initial covariance
+_STANDARD_NORMAL = InitialCondition(mean=np.zeros(6), covariance=np.eye(6))
 
 
 def build_example2(
     delta: float, constants: RadarConstants = RadarConstants()
 ) -> tuple[StateSpaceModel, InitialCondition]:
     """Ill-conditioned variant: all-ones measurement rows differing by delta
-    in the last column, R = delta^2 I, standard normal initial state."""
+    in the last column, R = delta^2 I, and the standard normal initial state
+    that every delta shares."""
     try:
         variance = delta**2
     except OverflowError:
@@ -150,9 +157,7 @@ def build_example2(
     h = np.ones((2, 6))
     h[1, 5] = 1.0 + delta
     r = variance * np.eye(2)
-    model = StateSpaceModel(F=f, G=g, H=h, Q=q, R=r)
-    init = InitialCondition(mean=np.zeros(6), covariance=np.eye(6))
-    return model, init
+    return StateSpaceModel(F=f, G=g, H=h, Q=q, R=r), _STANDARD_NORMAL
 
 
 @dataclass(frozen=True)
@@ -410,7 +415,7 @@ def run_conditioning_sweep(
     if any(b >= a for a, b in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
     pairs = [build_example2(delta, constants) for delta in delta_grid]
-    # the standard normal initial state of build_example2 is the same at every delta
+    # build_example2 hands every delta the same initial condition
     models, init = [model for model, _ in pairs], pairs[0][1]
     horizon = constants.horizon
     per_delta = _evaluate(algorithms, models, init, horizon, None, runs, master_seed, spec)

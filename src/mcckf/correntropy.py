@@ -6,11 +6,11 @@ equals 1 iff the innovation is zero and is exactly 0 where the norm is
 beyond the kernel's support.
 
 The norm is taken of the whitened innovation R_sqrt^{-1} e, one matrix-vector
-product with the inverse R factor, which the model computes once (the
-model's cached ``r_sqrt_inv``), not a substitution per step. The weight
-checks no factor: the model factored R when it was made, so every pivot of
-its factor is above its floor and every diagonal entry a normal double, and
-the inverse exists.
+product with the inverse R factor, which the model computes once when it
+is made (the model's ``r_sqrt_inv``), not a substitution per step. The
+weight checks no factor: the model factored R when it was made, so every
+pivot of its factor is above its floor and every diagonal entry a normal
+double, and the inverse exists.
 
 A batch of runs (a leading runs axis on every input) gives one weight per
 run, each equal bit for bit to the weight of that run alone.
@@ -59,8 +59,8 @@ def compute_lambda(spec: KernelSpec | None, innovation, r_sqrt_inv, pin_weight=N
     exp(-e^T R^{-1} e / (2 sigma^2)) with R^{-1} = r_sqrt_inv.T @ r_sqrt_inv.
 
     ``r_sqrt_inv`` is the inverse of the lower Cholesky factor of R, the
-    model's cached ``r_sqrt_inv``. ``pin_weight`` replaces the weight by a
-    fixed value, and then ``spec`` may be None. Innovations (runs, m) with
+    model's ``r_sqrt_inv``. ``pin_weight`` replaces the weight by a fixed
+    value, and then ``spec`` may be None. Innovations (runs, m) with
     inverse factors (runs, m, m) give one weight per run.
     """
     batch = np.ndim(innovation) == 2

@@ -16,19 +16,19 @@ All three compute the scalar adjusting weight through the same function,
 differences. A dense textbook Kalman filter (``kf_reference``) serves as an
 independent oracle: pinning the weight to 1 reduces every variant to it. The
 weighted filters invert triangular factors only: the R factor once per model
-(the model's cached ``r_sqrt_inv``, which whitens the innovation in the
-weight), and the predicted factor at every step in the conventional and sr1a
+(the model's ``r_sqrt_inv``, which whitens the innovation in the weight),
+and the predicted factor at every step in the conventional and sr1a
 updates.
 
 Every step function takes the state of one run or of a batch of runs, in
 which each array of the state gains a leading runs axis; ``run_batch``
 advances many Monte Carlo runs per numpy call, ``run_filter`` one run without
 the runs axis. One table maps each algorithm to its two step functions. The
-weighted filters' step functions read the model's matrices and its cached
-noise factors and products: one run reads its 2-D model, a batch its
-``model._ModelStack``, which stacks every run's matrices and terms with a
-leading runs axis, whether the runs share one model or each has its own.
-The dense oracle reads the matrices only. A batch's numbers come from
+weighted filters' step functions read the model's matrices and the noise
+factors and products it set when it was made: one run reads its 2-D model, a
+batch its ``model._ModelStack``, which stacks every run's matrices and terms
+with a leading runs axis, whether the runs share one model or each has its
+own. The dense oracle reads the matrices only. A batch's numbers come from
 stacked kernels and numpy calls that compute each run's numbers with the
 same operations, in the same order, as that run alone (see
 ``mcckf.linalg``), so a run's estimates do not depend on the batch it ran

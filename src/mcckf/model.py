@@ -6,21 +6,20 @@ covariance must be positive definite, as every algorithm and the simulator
 factor them. Construction is the check: a model rejects a non-finite
 matrix and factors Q and R, an initial condition rejects a non-finite mean
 and factors its covariance, and either raises ``ValueError`` naming the
-violation. A model also caches the products that the filters reuse. Both
-are frozen, and their matrices, factors and cached arrays read-only, so they
-can be shared freely across runs; a copy or an unpickled object is built,
-and so checked, again. ``validate_model`` checks only what neither object
-knows alone: that the mean's length matches the model's state dimension. A
-batch of runs reads its models through one ``_ModelStack``, which the
-simulator and the filters both build: it decides which runs share a model
-and stacks each run's own arrays.
+violation. A model also sets the products that the filters reuse when it is
+made. Both are frozen, and their matrices, factors and products read-only,
+so they can be shared freely across runs; a copy or an unpickled object is
+built, and so checked, again. ``validate_model`` checks only what neither
+object knows alone: that the mean's length matches the model's state
+dimension. A batch of runs reads its models through one ``_ModelStack``,
+which the simulator and the filters both build: it decides which runs share
+a model and stacks each run's own arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,13 +67,22 @@ class StateSpaceModel:
 
     Construction rejects a non-finite F, G or H and sets ``q_sqrt`` and
     ``r_sqrt``, the lower Cholesky factors of Q and R, read-only; a
-    covariance without one raises ``ValueError``. The products the filters
-    reuse are cached read-only on first use, each computed with the
-    operations and association order of the filter-step expression it stands
-    for, so reusing one changes no bit of the covariance and gain
-    recursions. ``r_sqrt_inv`` is the exception: the weight multiplies the
-    innovation by it, which rounds differently from a substitution against
-    ``r_sqrt``.
+    covariance without one raises ``ValueError``. It then sets the products
+    the filters reuse, read-only, each computed with the operations and
+    association order of the filter-step expression it stands for, so
+    reusing one changes no bit of the covariance and gain recursions:
+
+    - ``r_sqrt_inv``: R_sqrt^{-1}, which whitens the innovation in the
+      weight. It is the exception: multiplying by it rounds differently
+      from a substitution against ``r_sqrt``.
+    - ``r_inv``: R^{-1}, assembled from the inverse R factor.
+    - ``g_q_sqrt``: G Q_sqrt, the noise block of the square-root time update.
+    - ``g_q_g``: G Q G^T.
+    - ``ht_r_inv``: H^T R^{-1}, the right-hand side of the information-form
+      gain.
+    - ``ht_r_inv_h``: H^T R^{-1} H.
+    - ``r_sqrt_inv_h``: R_sqrt^{-1} H, the measurement block of the sr1a
+      pre-array.
     """
 
     F: np.ndarray
@@ -101,6 +109,17 @@ class StateSpaceModel:
         object.__setattr__(self, "q_sqrt", _factor("Q", self.Q))
         object.__setattr__(self, "r_sqrt", _factor("R", self.R))
 
+        def term(name, value):  # each term reads the ones set before it
+            object.__setattr__(self, name, _frozen(value))
+
+        term("r_sqrt_inv", linalg.triangular_inverse(self.r_sqrt))
+        term("r_inv", self.r_sqrt_inv.mT @ self.r_sqrt_inv)
+        term("g_q_sqrt", self.G @ self.q_sqrt)
+        term("g_q_g", self.G @ self.Q @ self.G.mT)
+        term("ht_r_inv", self.H.mT @ self.r_inv)
+        term("ht_r_inv_h", self.ht_r_inv @ self.H)
+        term("r_sqrt_inv_h", linalg.triangular_solve(self.r_sqrt, self.H))
+
     def __reduce__(self):
         # a copy or an unpickled model is built, and so checked, again
         return type(self), (self.F, self.G, self.H, self.Q, self.R)
@@ -116,41 +135,6 @@ class StateSpaceModel:
     @property
     def obs_dim(self) -> int:
         return self.H.shape[0]
-
-    @cached_property
-    def r_sqrt_inv(self) -> np.ndarray:
-        """R_sqrt^{-1}, which whitens the innovation in the weight."""
-        return _frozen(linalg.triangular_inverse(self.r_sqrt))
-
-    @cached_property
-    def r_inv(self) -> np.ndarray:
-        """R^{-1}, assembled from the inverse R factor."""
-        return _frozen(self.r_sqrt_inv.mT @ self.r_sqrt_inv)
-
-    @cached_property
-    def g_q_sqrt(self) -> np.ndarray:
-        """G Q_sqrt, the noise block of the square-root time update."""
-        return _frozen(self.G @ self.q_sqrt)
-
-    @cached_property
-    def g_q_g(self) -> np.ndarray:
-        """G Q G^T."""
-        return _frozen(self.G @ self.Q @ self.G.mT)
-
-    @cached_property
-    def ht_r_inv(self) -> np.ndarray:
-        """H^T R^{-1}, the right-hand side of the information-form gain."""
-        return _frozen(self.H.mT @ self.r_inv)
-
-    @cached_property
-    def ht_r_inv_h(self) -> np.ndarray:
-        """H^T R^{-1} H."""
-        return _frozen(self.ht_r_inv @ self.H)
-
-    @cached_property
-    def r_sqrt_inv_h(self) -> np.ndarray:
-        """R_sqrt^{-1} H, the measurement block of the sr1a pre-array."""
-        return _frozen(linalg.triangular_solve(self.r_sqrt, self.H))
 
 
 @dataclass(frozen=True, eq=False)

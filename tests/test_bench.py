@@ -78,6 +78,11 @@ class TestBuildExample1:
         model, init, _ = build_example1()
         assert validate_model(model, init) == []
 
+    def test_negative_bearing_variance_fails_as_r(self):
+        # its square root was once taken first, which raised a math domain error
+        with pytest.raises(ValueError, match="^model validation failed: R not positive definite$"):
+            build_example1(RadarConstants(bearing_noise_var=-1.0))
+
     def test_shot_spec_defaults(self):
         _, _, shot = build_example1()
         assert shot == ShotNoiseSpec()
@@ -190,11 +195,6 @@ def counted_cholesky(monkeypatch):
     return factored
 
 
-def owned_covariances(pairs):
-    """Q, R and the initial covariance of each (model, initial condition)."""
-    return [a for model, init in pairs for a in (model.Q, model.R, init.covariance)]
-
-
 class TestRunMonteCarlo:
     def test_equal_conditions_same_measurements(self, monkeypatch):
         # every algorithm filters the one stack of measurements, run i drawn
@@ -289,7 +289,7 @@ class TestRunMonteCarlo:
         # kernel, so an evaluation calls the checked Cholesky on nothing
         factored = counted_cholesky(monkeypatch)
         scenario = radar_scenario(RadarConstants(horizon=40))
-        owned = owned_covariances([(scenario.model, scenario.init)])
+        owned = [scenario.model.Q, scenario.model.R, scenario.init.covariance]
         assert [id(a) for a in factored] == [id(a) for a in owned]
         factored.clear()
         run_monte_carlo(WEIGHTED_FILTERS, scenario, 4, 1, KernelSpec(3e4))
@@ -334,21 +334,33 @@ class TestRunMonteCarlo:
 
 
 def test_an_evaluation_factors_its_initial_covariance_once(monkeypatch):
-    # each initial condition, like each model, factors its covariances when
-    # it is made; a sweep evaluates the models and initial conditions it was
-    # handed and calls the checked Cholesky on nothing
+    # each model factors its covariances when it is made, and every delta
+    # shares one initial condition, factored once when the module was loaded;
+    # a sweep evaluates the models it was handed and calls the checked
+    # Cholesky on nothing
     factored = counted_cholesky(monkeypatch)
     cfg = ExperimentConfig.load(profile="sweep")
     constants = cfg.radar_constants()
     built = {delta: build_example2(delta, constants) for delta in cfg.sweep_deltas()}
     assert len(built) == 14
-    assert [id(a) for a in factored] == [id(a) for a in owned_covariances(built.values())]
+    assert len({id(init) for _, init in built.values()}) == 1
+    noise = [a for model, _ in built.values() for a in (model.Q, model.R)]
+    assert [id(a) for a in factored] == [id(a) for a in noise]
     factored.clear()
     # the sweep evaluates the models just built, not ones it builds itself
     monkeypatch.setattr(bench, "build_example2", lambda delta, _: built[delta])
     args = (list(built), 1, cfg.seed(), cfg.kernel_spec(), constants)
     run_conditioning_sweep(WEIGHTED_FILTERS, *args)
     assert factored == []
+
+
+def test_shipped_sweep_factors_only_the_noise_covariances(tmp_path, monkeypatch):
+    # every delta shares one initial condition, so the shipped sweep factors no
+    # 6x6 matrix; each delta's model is built, and so factors its 2x2 Q and R,
+    # once in the check before --out is made and once in the sweep
+    factored = counted_cholesky(monkeypatch)
+    assert main(["sweep", "--out", str(tmp_path / "sweep"), "--runs", "1"]) == 0
+    assert [a.shape for a in factored] == [(2, 2)] * 56
 
 
 class TestConditioningSweep:

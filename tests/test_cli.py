@@ -288,6 +288,10 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, mes
         ),
         ("example1", "model.bearing_noise_var=0", "model validation failed: R not positive"),
         *(
+            (command, "model.bearing_noise_var=-1", "model validation failed: R not positive")
+            for command in ("equivalence", "example1", "simulate")
+        ),
+        *(
             (command, "model.maneuver_var_1=-1", "model validation failed: Q not positive")
             for command in ("sweep", "simulate")
         ),
@@ -295,12 +299,14 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, mes
     ids=[
         "huge_delta", "tiny_period-example1", "tiny_period-simulate",
         "small_period-equivalence", "small_period-example1", "small_period-simulate",
-        "singular_r-example1", "negative_q-sweep", "negative_q-simulate",
+        "singular_r-example1", "negative_r-equivalence", "negative_r-example1",
+        "negative_r-simulate", "negative_q-sweep", "negative_q-simulate",
     ],
 )
 def test_unusable_model_values_exit_2_with_one_line(tmp_path, capsys, command, key, message):
     # the first six once escaped as a traceback from building the model, the
-    # last three once left an empty --out behind; simulate reads no --runs
+    # negative_r cases once printed a math domain error, and the rest once left
+    # an empty --out behind; simulate reads no --runs
     out = tmp_path / "od" / "x"
     runs = [] if command == "simulate" else ["--runs", "1"]
     code = main([command, "--out", str(out), *runs, "--set", key])

@@ -690,11 +690,6 @@ class TestRunBatch:
     ):
         rng = np.random.default_rng(11)
         n, m = 4, 3
-        models = [random_model(rng, n, m, 2) for _ in range(3)]
-        init = InitialCondition(np.zeros(n), random_spd(rng, n))
-        ys = np.stack(
-            [simulate(mdl, init, 10, SeedSpec(11, i)).measurements for i, mdl in enumerate(models)]
-        )
         inverted, read = [], []
         inverse = linalg_module.triangular_inverse
 
@@ -708,18 +703,25 @@ class TestRunBatch:
             return compute_lambda(spec, innovation, r_sqrt_inv, pin_weight)
 
         monkeypatch.setattr(linalg_module, "triangular_inverse", counted_inverse)
+        # each model inverts its R factor once, when it is made
+        models = [random_model(rng, n, m, 2) for _ in range(3)]
+        assert inverted == [(m, m)] * 3
+        inverted.clear()
+        init = InitialCondition(np.zeros(n), random_spd(rng, n))
+        ys = np.stack(
+            [simulate(mdl, init, 10, SeedSpec(11, i)).measurements for i, mdl in enumerate(models)]
+        )
         monkeypatch.setattr(filters_module, "compute_lambda", counted_weight)
         assert run_filter(algorithm, models[0], init, ys[0], KernelSpec(2.0)).status.completed
-        assert inverted == [(m, m)]
+        assert inverted == []
         assert len(read) == 10
         assert all(w is models[0].r_sqrt_inv for w in read)
         inverted.clear()
         read.clear()
         batch = run_batch(algorithm, models, init, ys, KernelSpec(2.0))
         assert all(status.completed for status in batch.statuses)
-        # the batch stacks each model's own inverse R factor: the two models
-        # not yet cached invert theirs once, and no stack is inverted
-        assert inverted == [(m, m), (m, m)]
+        # the batch stacks each model's own inverse R factor; no stack is inverted
+        assert inverted == []
         assert len(read) == 10
         assert all(w is read[0] for w in read)
         assert np.array_equal(read[0], np.stack([mdl.r_sqrt_inv for mdl in models]))

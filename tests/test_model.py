@@ -19,7 +19,8 @@ from mcckf.model import (
 from mcckf.sim import SeedSpec, _simulate
 
 
-# the factors and products a model caches, which the filters and the simulator read
+# the factors and products a model sets when it is made, which the filters and
+# the simulator read
 TERMS = "q_sqrt r_sqrt r_sqrt_inv r_inv g_q_sqrt g_q_g ht_r_inv ht_r_inv_h r_sqrt_inv_h".split()
 
 
@@ -163,6 +164,15 @@ def test_matrices_are_frozen():
     model = tiny_model()
     with pytest.raises(ValueError):
         model.F[0, 0] = 2.0
+
+
+def test_construction_sets_every_term():
+    # the products were once cached on first use, so a forked evaluation child
+    # derived its own; now the model holds every term as soon as it is made
+    model = StateSpaceModel(
+        F=np.eye(3), G=np.ones((3, 2)), H=np.ones((2, 3)), Q=np.eye(2), R=2.0 * np.eye(2)
+    )
+    assert set(TERMS) <= set(vars(model))
 
 
 @pytest.mark.parametrize("name", TERMS + ["factor"])
