@@ -266,8 +266,21 @@ def _all_estimates(algorithms, models, init, measurements, spec) -> list:
     then runs, in ``algorithms`` order, every algorithm without a result: a
     share whose fork failed or whose child sent none (it raised, exited or
     was killed), and any at or after this process's first error. So every
-    result and the first error are the serial loop's. Every child is reaped
-    before this returns or raises.
+    result and the first error are the serial loop's; the failing batch runs
+    a second time to raise it. Every child is reaped before this returns or
+    raises. With two CPUs, ``conventional`` runs in a child while this
+    process runs ``sr1a`` and ``sr1b``.
+
+    The children's memory is not in this process's
+    ``resource.getrusage(RUSAGE_SELF)``; it is in ``RUSAGE_CHILDREN``.
+    ``import numpy`` starts OpenBLAS threads, so on Python 3.12 and later
+    ``os.fork`` is expected to issue its ``DeprecationWarning`` about a
+    multi-threaded process, although no Python thread runs. Python's default
+    filters show it only when ``__main__`` triggers it, so the CLI prints
+    nothing, and pytest lists it in its warnings summary; CI runs the suite
+    on Python 3.13 to show it. With ``OPENBLAS_NUM_THREADS=1`` one OS thread
+    is left, and ``mcckf sweep`` and ``mcckf equivalence`` write the same
+    bytes.
     """
     args = (models, init, measurements, spec)
     processes = min(_usable_cpus(), len(algorithms))

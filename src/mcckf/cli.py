@@ -3,8 +3,9 @@
 Exit codes are a stable contract for CI: 0 when the run's success criterion
 holds, 1 when it is violated, 2 on usage or configuration errors. All outputs
 land under the chosen output directory alongside a meta.txt recording the
-merged-config hash, the seed, the library version and the numpy version. A
-usage or configuration error is found before the output directory is made.
+merged-config hash, the seed, the library version and the numpy version;
+every output file is written here, each CSV through one writer. A usage or
+configuration error is found before the output directory is made.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ def _positive(value: str) -> float:
 
 # Each [model] and [shot_noise] key: the RadarConstants or ShotNoiseSpec
 # field it sets and the parser of its value. DEFAULTS, radar_constants() and
-# shot_spec() are built from this table.
+# shot_spec() are built from this table, so a new parameter is a dataclass
+# field plus one row here.
 _FIELDS = {
     "model": {
         "rho": ("rho", _finite),

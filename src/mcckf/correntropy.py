@@ -3,7 +3,8 @@
 Every filter scales its gain by one scalar weight, ``compute_lambda``: the
 kernel of the innovation's norm in the R^{-1} metric. It lies in [0, 1],
 equals 1 iff the innovation is zero and is exactly 0 where the norm is
-beyond the kernel's support.
+beyond the kernel's support (an extreme outlier, or a norm that overflows),
+which the filters accept as a zero gain.
 
 The norm is taken of the whitened innovation R_sqrt^{-1} e, one matrix-vector
 product with the inverse R factor, which the model computes once when it

@@ -28,16 +28,17 @@ weighted filters' step functions read the model's matrices and the noise
 factors and products it set when it was made: one run reads its 2-D model, a
 batch its ``model._ModelStack``, which stacks every run's matrices and terms
 with a leading runs axis, whether the runs share one model or each has its
-own. The dense oracle reads the matrices only. A batch's numbers come from
-stacked kernels and numpy calls that compute each run's numbers with the
-same operations, in the same order, as that run alone (see
-``mcckf.linalg``), so a run's estimates do not depend on the batch it ran
-in, bit for bit. A run that fails a check leaves
-the batch at that step with its own typed reason; the step is then
-recomputed for the runs that remain. Every failed check inside a step
-raises a ``linalg.LinalgError`` (``NonFiniteInput`` for a non-finite array,
-whose message names it); on a batch, its ``failed`` names the runs that
-failed it. The drivers record it, with its class, as those runs' reason.
+own. The dense oracle reads the matrices only. No operation mixes runs, so a
+run's estimates do not depend on the batch it ran in, bit for bit (the tests
+compare with ``np.array_equal``, not a tolerance), where the stacked kernels
+keep each matrix's bits (``mcckf.linalg`` states on which BLAS kernels). A
+run that fails a check leaves the batch at that step with its own typed
+reason; the step is then recomputed for the runs that remain. Every failed
+check inside a step raises a ``linalg.LinalgError`` (``NonFiniteInput`` for a
+non-finite array, whose message names it); on a batch, its ``failed`` names
+the runs that failed it. The drivers record it, with its class, as those
+runs' reason (``step 3: NotPositiveDefinite: pivot ...``); an estimate beyond
+``DIVERGENCE_LIMIT`` gives ``step 46: estimate magnitude exceeded 1e+12``.
 """
 
 from __future__ import annotations
@@ -253,7 +254,8 @@ def mcckf_measurement_update(
     through Cholesky factors and triangular solves; the predicted covariance
     is inverted here, which is where this form breaks down first under
     ill-conditioning of P. ``pred.covariance`` must be symmetric and finite,
-    as ``mcckf_time_update`` returns it.
+    as ``mcckf_time_update`` returns it; this step symmetrizes the
+    information matrix and the Joseph-form covariance.
     """
     innovation = _innovation(model, pred, y)
     # mcckf_time_update has symmetrized pred.covariance and checked it finite

@@ -11,10 +11,27 @@ a stack gets bit for bit the result of the call on that matrix alone: every
 product is a stacked ``@``, ``np.vecdot``, ``np.matvec`` or ``np.vecmat``
 with the per-matrix shapes and association order of the 2-D call, which
 numpy evaluates with the same BLAS call per matrix, and nothing sums across
-the stack. The one-matrix loops write their products as ``ndarray.dot``,
-which calls the same BLAS routine over the same slices as ``@`` with less
-interpreter work; the tests compare them with the ``@`` loops they replaced
+the stack. The Cholesky and substitution loops run once over the whole
+stack, column by column, with the per-matrix arithmetic of the one-matrix
+loop, so a stack of one gives the bits of the 2-D call. There is one loop
+per orientation at every n, with no closed forms for n = 1 or 2. The
+one-matrix loops write their products as ``ndarray.dot``, which calls the
+same BLAS routine over the same slices as ``@`` with less interpreter work;
+the tests compare them with the ``@`` loops they replaced
 (``tests/oracles.py``) bit for bit.
+
+Scope: the same BLAS call can still round differently by operand alignment.
+The guarantee holds on the OpenBLAS kernels measured, SkylakeX, Haswell and
+Sandybridge. It fails on Prescott (``OPENBLAS_CORETYPE=Prescott``), where a
+product with stack matrix i differs from one with an aligned copy exactly
+when i is odd and the matrix has an odd number of entries, so it starts 8
+bytes off a 16-byte boundary. The runs at odd positions of a batch then
+differ from the same runs alone.
+
+Nothing here uses ``einsum``, ``np.linalg.cholesky`` or anything else that
+reorders sums: under ill-conditioning that moves results by far more than
+rounding, and ``np.linalg.cholesky`` also skips the pivot floor that
+detects breakdown.
 
 Checks. Every public kernel checks its input for a direct caller:
 
@@ -41,6 +58,13 @@ established what a check tests, they call a private entry point without it:
   (sr1a's information factor, sr1b's innovation factor), whose diagonal the
   first solve of the step has just checked.
 
+Every other check stays: those on a step function's input state, which a
+direct caller may pass, sr1a's inverse of its input factor, and the first
+solve against each QR-produced factor, where rank deficiency gives a zero
+diagonal. ``triangular_solve`` tests a factor and a stack with the same
+shape and diagonal tests, and a factor alone raises the message that its
+stack of one names in ``failed[0]``.
+
 A stacked Cholesky compares all pivots with their floors once, after its
 loop; ``NotPositiveDefinite.failed`` then names every failing matrix of the
 stack, each with the message of its own first failed pivot.
@@ -53,7 +77,9 @@ cost about as much per call as the factorization itself on these small
 pre-arrays. Neither is needed. Every pre-array is a finite float64 array,
 so the wrapper's ``LinAlgError`` path (LAPACK rejecting an argument)
 cannot fire, and the gufunc clears the floating-point flags that LAPACK
-raises, so no warning can escape either.
+raises, so no warning can escape either. ``tests/test_linalg.py`` compares
+the result with ``np.linalg.qr``'s in value, sign bit and strides, at
+entries scaled up to 1e300 and down to 1e-310, with every warning an error.
 """
 
 from __future__ import annotations
@@ -338,7 +364,10 @@ def _triangularize(a: np.ndarray) -> np.ndarray:
     # the buffer and call of np.linalg.qr(a.mT, mode="raw") (see the module
     # docstring): LAPACK overwrites h with R on and above the diagonal of its
     # leading rows and reflectors below. Masking h there keeps the memory
-    # layout of R^T that the products downstream were computed with.
+    # layout of R^T that the products downstream were computed with: numpy
+    # may take another BLAS path for a C-ordered operand, and returning the
+    # same values in C order moved sr1a's breakdown at delta 1e-5 from step
+    # 46 to 57.
     h = a.mT.astype(np.float64, copy=True)
     _umath_linalg.qr_r_raw(h, signature="d->d")
     r = np.where(_upper_mask(rows), h[..., :rows, :], 0.0)

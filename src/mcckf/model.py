@@ -8,8 +8,9 @@ matrix and factors Q and R, an initial condition rejects a non-finite mean
 and factors its covariance, and either raises ``ValueError`` naming the
 violation. A model also sets the products that the filters reuse when it is
 made. Both are frozen, and their matrices, factors and products read-only,
-so they can be shared freely across runs; a copy or an unpickled object is
-built, and so checked, again. ``validate_model`` checks only what neither
+so they can be shared freely across runs, and a forked evaluation child
+inherits them all; a copy or an unpickled object is built, and so checked,
+again. ``validate_model`` checks only what neither
 object knows alone: that the mean's length matches the model's state
 dimension. A batch of runs reads its models through one ``_ModelStack``,
 which the simulator and the filters both build: it decides which runs share

@@ -31,12 +31,26 @@ __all__ = [
 
 SHOT_TARGETS = ("process", "measurement", "both")
 
+# Generator.integers(low, high + 1) draws the magnitudes in int64
+_INT64 = np.iinfo(np.int64)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
-    """Reproducible, mutually independent per-run random streams."""
+    """Reproducible, mutually independent per-run random streams.
+
+    Construction rejects a ``master_seed`` or ``run_index`` that is not a
+    nonnegative integer with a ``ValueError`` naming the field.
+    """
 
     master_seed: int
     run_index: int = 0
+
+    def __post_init__(self):
+        for name in ("master_seed", "run_index"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
     def streams(self):
         """(noise, schedule, magnitude) generators, independent by construction."""
@@ -71,6 +85,11 @@ class ShotNoiseSpec:
             raise ValueError(f"magnitude and window bounds must be integers, got {bounds}")
         if self.magnitude_low > self.magnitude_high:
             raise ValueError("magnitude_low must not exceed magnitude_high")
+        if self.magnitude_low < _INT64.min or self.magnitude_high > _INT64.max:
+            raise ValueError(
+                f"magnitude bounds must lie in [{_INT64.min}, {_INT64.max}], "
+                f"got [{self.magnitude_low}, {self.magnitude_high}]"
+            )
         if not 1 <= self.window_start <= self.window_end:
             raise ValueError(
                 f"bad window [{self.window_start}, {self.window_end}]"
@@ -128,7 +147,10 @@ def _simulate(models, init, horizon, seeds, shot):
     run's ``((process steps, magnitudes), (measurement steps, magnitudes))``.
     Each distinct model of the ``_ModelStack`` is paired with ``init`` by
     ``validate_model`` first; its runs draw from its Q and R factors and
-    ``init.factor``.
+    ``init.factor``. ``G w``, the truth recursion and ``H x`` are each one
+    stacked ``np.matvec``, which gives each run the bits of its one-run
+    product; ``tests/test_sim.py`` checks every run bit for bit against the
+    per-step oracle ``simulate_per_step`` in ``tests/oracles.py``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

@@ -50,6 +50,22 @@ def test_equivalence_small_run_passes(tmp_path):
     assert len(diff) == 41
 
 
+def test_equivalence_of_sr1b_with_the_dense_oracle_at_weight_1(tmp_path, capsys):
+    # the dense oracle runs batched like the weighted filters; with the weight
+    # pinned to 1 (sigma = inf) sr1b agrees with it
+    out = tmp_path / "eq_kf"
+    code = main([
+        "equivalence", "--out", str(out), "--runs", "2", "--set", "monte_carlo.horizon=40",
+        "--set", "kernel.sigma=inf", "--algorithms", "sr1b,kf_reference",
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diff.csv", "meta.txt", "rmse_kf_reference.csv", "rmse_sr1b.csv"
+    ]
+    assert len((out / "rmse_kf_reference.csv").read_text().splitlines()) == 41
+
+
 def test_equivalence_zero_tolerance_fails(tmp_path):
     code = main(["equivalence", "--out", str(tmp_path / "eq0"), "--tolerance", "0", *FAST])
     assert code == 1
@@ -141,10 +157,12 @@ def test_simulate_non_finite_trajectory_exits_1(tmp_path, capsys):
     ],
 )
 def test_non_finite_model_value_exits_2(tmp_path, capsys, command, key, value, reason):
-    code = main([command, "--out", str(tmp_path / "x"), "--set", f"model.{key}={value}", *FAST])
+    out = tmp_path / "x"
+    code = main([command, "--out", str(out), "--set", f"model.{key}={value}", *FAST])
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"config error: bad value for model.{key}: {value!r} ({reason})\n"
+    assert not out.exists()
 
 
 def test_example1_exits_1_when_runs_diverge(tmp_path, capsys):
@@ -246,6 +264,14 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("sweep", ["--runs", "0"], "monte_carlo.runs must be >= 1, got 0"),
         ("example1", ["--set", "kernel.sigma=1e-170"], "kernel bandwidth must be"),
         ("example1", ["--set", "kernel.sigma=1e200"], "kernel bandwidth must be"),
+        (
+            "example1", ["--set", "shot_noise.magnitude_high=9223372036854775808"],
+            "magnitude bounds must lie in [-9223372036854775808, 9223372036854775807]",
+        ),
+        (
+            "example1", ["--set", "shot_noise.magnitude_low=-9223372036854775809"],
+            "magnitude bounds must lie in [-9223372036854775808, 9223372036854775807]",
+        ),
     ],
     ids=[
         "no_equals", "no_dot", "empty_value", "unreadable_config",
@@ -255,6 +281,7 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         "unknown_algorithm", "duplicate_algorithm-example1", "duplicate_algorithm-sweep",
         "too_few_algorithms", "empty_algorithms", "negative_seed", "zero_runs-example1",
         "zero_runs-sweep", "underflowing_sigma", "overflowing_sigma",
+        "magnitude_high_beyond_int64", "magnitude_low_beyond_int64",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, message):
@@ -293,14 +320,16 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, mes
         ),
         *(
             (command, "model.maneuver_var_1=-1", "model validation failed: Q not positive")
-            for command in ("sweep", "simulate")
+            for command in ("example1", "sweep", "simulate")
         ),
+        ("sweep", "model.maneuver_var_2=0", "model validation failed: Q not positive"),
     ],
     ids=[
         "huge_delta", "tiny_period-example1", "tiny_period-simulate",
         "small_period-equivalence", "small_period-example1", "small_period-simulate",
         "singular_r-example1", "negative_r-equivalence", "negative_r-example1",
-        "negative_r-simulate", "negative_q-sweep", "negative_q-simulate",
+        "negative_r-simulate", "negative_q-example1", "negative_q-sweep", "negative_q-simulate",
+        "singular_q-sweep",
     ],
 )
 def test_unusable_model_values_exit_2_with_one_line(tmp_path, capsys, command, key, message):

@@ -1,9 +1,12 @@
-"""The package's public surface: the README's Library names plus the errors."""
+"""The package's public surface: the README's Library names plus the errors,
+and the README's per-command options."""
 
+import argparse
 import re
 from pathlib import Path
 
 import mcckf
+from mcckf.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ERRORS = {
@@ -43,3 +46,29 @@ def test_every_all_entry_is_an_attribute():
     missing = [name for name in mcckf.__all__ if not hasattr(mcckf, name)]
     assert missing == []
 
+
+def readme_command_options() -> dict[str, set[str]]:
+    """Each row of the README's ``| command | its own options |`` table."""
+    table = README.read_text().split("| command | its own options |\n| --- | --- |\n", 1)[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("| `"):
+            break
+        command, options = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        rows[command] = set(re.findall(r"--[a-z]+", options))
+    return rows
+
+
+def test_readme_options_table_matches_the_parser():
+    (commands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    common = {"-h", "--help", "--config", "--out", "--seed", "--set"}
+    parsed = {
+        name: {option for action in command._actions for option in action.option_strings}
+        - common
+        for name, command in commands.items()
+    }
+    assert readme_command_options() == parsed

@@ -196,6 +196,12 @@ def test_shot_spec_validation():
         ShotNoiseSpec(window_start=0)
     with pytest.raises(ValueError):
         ShotNoiseSpec(targets="everything")
+    # int64's range, which Generator.integers takes: once accepted, then
+    # rejected inside simulate
+    with pytest.raises(ValueError, match="magnitude bounds must lie in"):
+        ShotNoiseSpec(magnitude_high=2**63)
+    with pytest.raises(ValueError, match="magnitude bounds must lie in"):
+        ShotNoiseSpec(magnitude_low=-(2**63) - 1)
 
 
 @pytest.mark.parametrize(
@@ -217,6 +223,35 @@ def test_shot_spec_bounds_must_be_integers(bounds):
 def test_shot_spec_accepts_numpy_integers():
     spec = ShotNoiseSpec(magnitude_high=np.int64(3), window_end=np.int32(40))
     assert spec.corrupted_count(60) == 4
+
+
+def test_shot_spec_int64_extremes_simulate():
+    model, init, _ = build_example1()
+    shot = ShotNoiseSpec(magnitude_low=-(2**63), magnitude_high=2**63 - 1)
+    traj = simulate(model, init, 40, SeedSpec(1, 0), shot)
+    assert all(-(2**63) <= magnitude < 2**63 for _, _, magnitude in traj.outlier_log)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1.5,), "master_seed"),
+        (("1",), "master_seed"),
+        ((-1,), "master_seed"),
+        ((1, -1), "run_index"),
+        ((1, 2.0), "run_index"),
+    ],
+)
+def test_seed_spec_rejects_a_non_integer_or_negative_field(args, name):
+    # once accepted, then rejected by numpy inside simulate
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got "):
+        SeedSpec(*args)
+
+
+def test_seed_spec_accepts_numpy_integers():
+    noise, _, _ = SeedSpec(np.int64(5), np.int32(3)).streams()
+    same, _, _ = SeedSpec(5, 3).streams()
+    assert noise.random() == same.random()
 
 
 class TestDrawGaussian:
