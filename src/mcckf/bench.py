@@ -21,7 +21,7 @@ import os
 import pickle
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class RadarConstants:
     Maps one-to-one onto the ``[model]`` section of the experiment
     configuration file plus ``horizon`` from ``[monte_carlo]``
     (see ``mcckf.config`` and the README for the full schema).
+
+    Construction rejects a float constant that is not finite, and a sampling
+    period that is not positive or whose square is 0 or overflows, with a
+    ``ValueError``. The model's Q and R check the variances' signs.
     """
 
     rho: float = 0.5
@@ -75,6 +79,19 @@ class RadarConstants:
     maneuver_var_1: float = (103.0 / 3.0) ** 2
     maneuver_var_2: float = 1.3e-8
     horizon: int = 300
+
+    def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(item.default, float) and not math.isfinite(value):
+                raise ValueError(f"{item.name} must be finite, got {value!r}")
+        t = self.sampling_period
+        if not t > 0.0:
+            raise ValueError(f"sampling_period must be positive, got {t!r}")
+        if not 0.0 < t * t < math.inf:
+            raise ValueError(
+                f"initial covariance is not finite: sampling period {t:g} squared is {t * t:g}"
+            )
 
 
 def _radar_dynamics(c: RadarConstants):
@@ -113,8 +130,6 @@ def build_example1(
     h[1, 3] = 1.0
     r = np.diag([c.range_noise_var, c.bearing_noise_var])
     t = c.sampling_period
-    if t**2 == 0.0:  # the 1/t**2 entries below would divide by zero
-        raise ValueError(f"initial covariance is not finite: sampling period {t:g} squared is 0")
     # built first, so a negative bearing variance fails as R, not as its root
     model = StateSpaceModel(F=f, G=g, H=h, Q=q, R=r)
     sr2 = c.range_noise_var
@@ -343,8 +358,6 @@ def _evaluate(algorithms, models, init, horizon, shot, runs: int, master_seed: i
     gets alone, bit for bit.
     """
     algorithms = list(algorithms)
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
     _check_algorithms(algorithms)
     run_models = [model for model in models for _ in range(runs)]
     seeds = [SeedSpec(master_seed, run_index) for _ in models for run_index in range(runs)]
@@ -404,6 +417,17 @@ class SweepReport:
     breakdown_delta: dict
 
 
+def _delta_grid(deltas) -> list[float]:
+    """``deltas`` as floats, or a ``ValueError`` unless they are non-empty,
+    finite, positive and strictly decreasing: inf > d_1 > d_2 > ... > 0."""
+    grid = [float(d) for d in deltas]
+    if not grid or not all(0.0 < b < a for a, b in zip([math.inf, *grid], grid)):
+        raise ValueError(
+            f"delta grid must be non-empty, finite, positive and strictly decreasing, got {grid}"
+        )
+    return grid
+
+
 def run_conditioning_sweep(
     algorithms,
     delta_grid,
@@ -422,11 +446,7 @@ def run_conditioning_sweep(
     ``BLOWUP_FACTOR`` times the same algorithm's value at the first
     (largest) grid point.
     """
-    delta_grid = [float(d) for d in delta_grid]
-    if not delta_grid:
-        raise ValueError("delta grid must not be empty")
-    if any(b >= a for a, b in zip(delta_grid, delta_grid[1:])):
-        raise ValueError("delta grid must be strictly decreasing")
+    delta_grid = _delta_grid(delta_grid)
     pairs = [build_example2(delta, constants) for delta in delta_grid]
     # build_example2 hands every delta the same initial condition
     models, init = [model for model, _ in pairs], pairs[0][1]

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
-from .bench import RadarConstants
+from .bench import RadarConstants, _delta_grid
 from .correntropy import KernelSpec
 from .sim import ShotNoiseSpec
 
@@ -25,32 +25,16 @@ class ConfigError(Exception):
     """Invalid, unknown or missing configuration."""
 
 
-def _finite(value: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError("must be finite")
-    return number
-
-
-def _positive(value: str) -> float:
-    number = _finite(value)
-    if not number > 0.0:
-        raise ValueError("must be positive")
-    return number
-
-
 # Each [model] and [shot_noise] key: the RadarConstants or ShotNoiseSpec
 # field it sets and the parser of its value. DEFAULTS, radar_constants() and
-# shot_spec() are built from this table, so a new parameter is a dataclass
-# field plus one row here.
+# shot_spec() are built from this table. Every float field of RadarConstants
+# is the [model] key of its name; a new [shot_noise] parameter is a
+# ShotNoiseSpec field plus one row here.
 _FIELDS = {
     "model": {
-        "rho": ("rho", _finite),
-        "sampling_period": ("sampling_period", _positive),
-        "range_noise_var": ("range_noise_var", _finite),
-        "bearing_noise_var": ("bearing_noise_var", _finite),
-        "maneuver_var_1": ("maneuver_var_1", _finite),
-        "maneuver_var_2": ("maneuver_var_2", _finite),
+        item.name: (item.name, float)
+        for item in fields(RadarConstants)
+        if isinstance(item.default, float)
     },
     "shot_noise": {
         "fraction": ("corrupted_fraction", float),
@@ -61,6 +45,14 @@ _FIELDS = {
         "targets": ("targets", str),
     },
 }
+
+
+def _built(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, which checks its values, or a ConfigError naming ``name``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
 
 
 def _defaults_of(section: str, default) -> dict:
@@ -141,20 +133,13 @@ class ExperimentConfig:
         return {field: self._get(section, key, parse) for key, (field, parse) in table}
 
     def radar_constants(self) -> RadarConstants:
-        return RadarConstants(**self._fields("model"), horizon=self.horizon())
+        return _built("[model]", RadarConstants, **self._fields("model"), horizon=self.horizon())
 
     def kernel_spec(self) -> KernelSpec:
-        sigma = self._get("kernel", "sigma", float)
-        try:
-            return KernelSpec(sigma=sigma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built("[kernel]", KernelSpec, sigma=self._get("kernel", "sigma", float))
 
     def shot_spec(self) -> ShotNoiseSpec:
-        try:
-            return ShotNoiseSpec(**self._fields("shot_noise"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built("[shot_noise]", ShotNoiseSpec, **self._fields("shot_noise"))
 
     def _count(self, key: str, minimum: int) -> int:
         value = self._get("monte_carlo", key, int)
@@ -177,13 +162,7 @@ class ExperimentConfig:
             deltas = [float(tok) for tok in text.split()]
         except ValueError as exc:
             raise ConfigError(f"bad sweep.deltas {text!r}: {exc}") from exc
-        if not deltas:
-            raise ConfigError("sweep.deltas must not be empty")
-        if any(b >= a for a, b in zip(deltas, deltas[1:])) or not all(
-            0.0 < d < math.inf for d in deltas
-        ):
-            raise ConfigError("sweep.deltas must be finite, positive and strictly decreasing")
-        return deltas
+        return _built("sweep.deltas", _delta_grid, deltas)
 
     def sha256(self) -> str:
         lines = [

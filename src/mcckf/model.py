@@ -76,11 +76,10 @@ class StateSpaceModel:
     - ``r_sqrt_inv``: R_sqrt^{-1}, which whitens the innovation in the
       weight. It is the exception: multiplying by it rounds differently
       from a substitution against ``r_sqrt``.
-    - ``r_inv``: R^{-1}, assembled from the inverse R factor.
     - ``g_q_sqrt``: G Q_sqrt, the noise block of the square-root time update.
     - ``g_q_g``: G Q G^T.
     - ``ht_r_inv``: H^T R^{-1}, the right-hand side of the information-form
-      gain.
+      gain, with R^{-1} assembled from the inverse R factor.
     - ``ht_r_inv_h``: H^T R^{-1} H.
     - ``r_sqrt_inv_h``: R_sqrt^{-1} H, the measurement block of the sr1a
       pre-array.
@@ -114,10 +113,10 @@ class StateSpaceModel:
             object.__setattr__(self, name, _frozen(value))
 
         term("r_sqrt_inv", linalg.triangular_inverse(self.r_sqrt))
-        term("r_inv", self.r_sqrt_inv.mT @ self.r_sqrt_inv)
         term("g_q_sqrt", self.G @ self.q_sqrt)
         term("g_q_g", self.G @ self.Q @ self.G.mT)
-        term("ht_r_inv", self.H.mT @ self.r_inv)
+        r_inv = self.r_sqrt_inv.mT @ self.r_sqrt_inv
+        term("ht_r_inv", self.H.mT @ r_inv)
         term("ht_r_inv_h", self.ht_r_inv @ self.H)
         term("r_sqrt_inv_h", linalg.triangular_solve(self.r_sqrt, self.H))
 

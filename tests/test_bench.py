@@ -4,6 +4,7 @@ import csv
 import errno
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -82,6 +83,21 @@ class TestBuildExample1:
         # its square root was once taken first, which raised a math domain error
         with pytest.raises(ValueError, match="^model validation failed: R not positive definite$"):
             build_example1(RadarConstants(bearing_noise_var=-1.0))
+
+    @pytest.mark.parametrize(
+        "constant, value, message",
+        [
+            ("rho", math.nan, "rho must be finite, got nan"),
+            ("maneuver_var_2", math.inf, "maneuver_var_2 must be finite, got inf"),
+            ("sampling_period", -10.0, "sampling_period must be positive, got -10.0"),
+            ("sampling_period", 1e-200, "sampling period 1e-200 squared is 0"),
+            ("sampling_period", 1e200, "sampling period 1e+200 squared is inf"),
+        ],
+    )
+    def test_constants_check_themselves(self, constant, value, message):
+        # the library refuses what the CLI refuses, before any model is built
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RadarConstants(**{constant: value})
 
     def test_shot_spec_defaults(self):
         _, _, shot = build_example1()
@@ -277,9 +293,11 @@ class TestRunMonteCarlo:
         for status in reports["conventional"].statuses:
             assert status.failed_step == 3
             assert status.reason.startswith("step 3: NotPositiveDefinite: pivot ")
+        # sr1a's step depends on the BLAS kernel: 46 under SkylakeX, 179 under
+        # Haswell, 29 under Sandybridge; its class and place in the order do not
         for status in reports["sr1a"].statuses:
-            assert status.failed_step == 46
-            assert status.reason == "step 46: estimate magnitude exceeded 1e+12"
+            assert status.failed_step > 3
+            assert status.reason == f"step {status.failed_step}: estimate magnitude exceeded 1e+12"
         assert all(status.completed for status in reports["sr1b"].statuses)
 
     def test_noise_factors_are_computed_once_for_every_filter(self, monkeypatch):
@@ -325,8 +343,10 @@ class TestRunMonteCarlo:
         assert str(info.value) == f"model validation failed: {violation}"
 
     def test_rejects_bad_runs_and_duplicates(self):
-        with pytest.raises(ValueError):
-            run_monte_carlo(["sr1b"], tiny_scenario(), 0, 1, KernelSpec(1.0))
+        # the rule has one home, the batch's model stack, which _simulate builds
+        for runs in (0, -1):
+            with pytest.raises(ValueError, match="^at least one run is required$"):
+                run_monte_carlo(["sr1b"], tiny_scenario(), runs, 1, KernelSpec(1.0))
         with pytest.raises(ValueError):
             run_monte_carlo(["sr1b", "sr1b"], tiny_scenario(), 1, 1, KernelSpec(1.0))
         with pytest.raises(ValueError, match=r"expected distinct algorithm .*got \['fancy'\]"):
@@ -462,6 +482,9 @@ class TestConditioningSweep:
             run_conditioning_sweep(["sr1b"], [], 1, 1, KernelSpec(1.0))
         with pytest.raises(ValueError):
             run_conditioning_sweep(["sr1b"], [1e-3, 1e-2], 1, 1, KernelSpec(1.0))
+        for grid in ([1e-1, math.nan], [math.inf, 1e-1], [1e-1, -1e-2], [1e-1, 1e-1]):
+            with pytest.raises(ValueError, match="finite, positive and strictly decreasing"):
+                run_conditioning_sweep(["sr1b"], grid, 1, 1, KernelSpec(1.0))
 
 
 def assert_same_reports(a: dict, b: dict) -> None:
@@ -820,12 +843,16 @@ class TestWriteCsv:
         ]
         sets = [arg for key in overrides for arg in ("--set", key)]
         args = ["sweep", "--out", str(tmp_path), "--algorithms", "conventional,sr1b", *sets]
-        assert main(args) == 1  # both break at 1e-13, so the ordering check fails
         cfg = ExperimentConfig.load(None, overrides, profile="sweep")
         report = run_conditioning_sweep(
             ["conventional", "sr1b"], cfg.sweep_deltas(), 2, 3, cfg.kernel_spec(),
             cfg.radar_constants(),
         )
+        # the ordering check fails unless sr1b breaks at a smaller delta than
+        # conventional, or never; both break at 1e-13 under the kernels measured
+        broke = report.breakdown_delta
+        violated = broke["sr1b"] is not None and (broke["conventional"] or 0.0) <= broke["sr1b"]
+        assert main(args) == int(violated)
         header, *rows = csv.reader((tmp_path / "sweep.csv").read_text().splitlines())
         assert header == ["delta", "algorithm", "scalar_rmse", "status", "breakdown_flag"]
         assert len(rows) == 2 * 2  # one row per (delta, algorithm)
@@ -835,7 +862,9 @@ class TestWriteCsv:
             runs = f"{entry.diverged_runs}/{entry.diverged_runs + entry.completed_runs}"
             assert status == (f"diverged {runs}" if entry.diverged_runs else "ok")
             assert flag == str(int(entry.blown_up))
-        assert [row[3] for row in rows] == ["ok", "ok", "diverged 2/2", "diverged 2/2"]
+        # one of sr1b's two runs at 1e-13 completes under Haswell
+        assert [row[3] for row in rows[:3]] == ["ok", "ok", "diverged 2/2"]
+        assert rows[3][3].startswith("diverged ")
 
     def test_floats_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from mcckf.bench import RadarConstants
-from mcckf.config import DEFAULTS, ExperimentConfig
+from mcckf.config import DEFAULTS, ConfigError, ExperimentConfig
 from mcckf.sim import ShotNoiseSpec
 
 
@@ -90,3 +90,24 @@ def test_defaults_and_shipped_profile_hashes_are_pinned():
         ExperimentConfig.load(profile="sweep").sha256()
         == "3b0a88c5d34054736415801eb2909ea7d89f85bb6e45e96bd90035c8039b9899"
     )
+
+
+@pytest.mark.parametrize(
+    "override, accessor, message",
+    [
+        ("model.rho=nan", "radar_constants", "bad [model]: rho must be finite, got nan"),
+        ("kernel.sigma=-1", "kernel_spec", "bad [kernel]: kernel bandwidth must be inf or"),
+        ("shot_noise.fraction=2", "shot_spec", "bad [shot_noise]: fraction must lie in [0, 1]"),
+        (
+            "sweep.deltas=1e-1 1e-1", "sweep_deltas",
+            "bad sweep.deltas: delta grid must be non-empty, finite, positive and strictly",
+        ),
+    ],
+)
+def test_a_value_the_library_refuses_is_a_config_error(override, accessor, message):
+    # config only parses; the object a section builds checks its values
+    cfg = ExperimentConfig.load(profile="sweep", overrides=[override])
+    with pytest.raises(ConfigError) as info:
+        getattr(cfg, accessor)()
+    assert str(info.value).startswith(message)
+    assert isinstance(info.value.__cause__, ValueError)

@@ -571,8 +571,13 @@ class TestRunBatch:
         for algorithm in ("conventional", "sr1a", "sr1b", "kf_reference"):
             batch = assert_batch_matches_each_run(algorithm, model, init, ys, spec)
             if delta == 1e-13 and algorithm == "sr1b":
-                # runs leave the batch at different steps
-                assert {s.failed_step for s in batch.statuses} == {19, 39}
+                # every run fails on the estimate bound, after the step-1
+                # failures of conventional and sr1a; the steps depend on the
+                # BLAS kernel ({19, 39} under SkylakeX, {9} under Haswell,
+                # {17, 20} under Sandybridge)
+                for status in batch.statuses:
+                    assert status.failed_step > 1
+                    assert "estimate magnitude exceeded" in status.reason
             assert_batch_matches_each_run(algorithm, model, init, ys[:1], spec)
 
     def test_sweep_deltas_in_one_batch_are_bit_identical(self):
@@ -596,8 +601,14 @@ class TestRunBatch:
         for algorithm in ("conventional", "sr1a"):
             assert list(failed[algorithm]) == [d for d in deltas if d <= 1e-5]
             assert 1 <= min(failed[algorithm].values())
-            assert max(failed[algorithm].values()) <= 96
-        assert failed["sr1b"] == {1e-13: 19, 1e-14: 5}
+        # the steps depend on the BLAS kernel (sr1a at 1e-5: 46, 179 or 29;
+        # sr1b at 1e-13 and 1e-14: 19 and 5, 9 and 7, or 20 and 7 under
+        # SkylakeX, Haswell and Sandybridge); the order of the forms does not
+        for delta, step in failed["sr1a"].items():
+            assert step >= failed["conventional"][delta]
+        assert list(failed["sr1b"]) == [1e-13, 1e-14]
+        for delta, step in failed["sr1b"].items():
+            assert step > max(failed["conventional"][delta], failed["sr1a"][delta])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_models_one_per_run_are_bit_identical(self, seed):
@@ -764,7 +775,7 @@ class TestRunBatch:
     def test_each_factor_is_checked_once_per_step(self, monkeypatch, algorithm, checked):
         model, init, shot = build_example1()
         ys = batch_measurements(model, init, 20, 4, 1, shot)[0]
-        model.r_inv, model.r_sqrt_inv_h  # the model's terms solve once
+        model.ht_r_inv, model.r_sqrt_inv_h  # the model's terms solve once
         calls = []
         solve = linalg_module.triangular_solve
 

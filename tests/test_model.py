@@ -21,7 +21,7 @@ from mcckf.sim import SeedSpec, _simulate
 
 # the factors and products a model sets when it is made, which the filters and
 # the simulator read
-TERMS = "q_sqrt r_sqrt r_sqrt_inv r_inv g_q_sqrt g_q_g ht_r_inv ht_r_inv_h r_sqrt_inv_h".split()
+TERMS = "q_sqrt r_sqrt r_sqrt_inv g_q_sqrt g_q_g ht_r_inv ht_r_inv_h r_sqrt_inv_h".split()
 
 
 def tiny_model(q_var=1.0, r_var=1.0):
@@ -232,8 +232,8 @@ def test_cached_factors_match_direct_factorization():
     model, _, _ = build_example1()
     np.testing.assert_array_equal(model.q_sqrt, cholesky_lower(np.asarray(model.Q)))
     np.testing.assert_array_equal(model.r_sqrt, cholesky_lower(np.asarray(model.R)))
-    assert model.r_inv is model.r_inv
-    np.testing.assert_allclose(model.r_inv @ np.asarray(model.R), np.eye(2), atol=1e-12)
+    assert model.ht_r_inv is model.ht_r_inv
+    np.testing.assert_allclose(model.ht_r_inv @ np.asarray(model.R), model.H.T, atol=1e-12)
 
 
 def test_r_inv_is_built_from_the_cached_inverse_r_factor():
@@ -244,8 +244,9 @@ def test_r_inv_is_built_from_the_cached_inverse_r_factor():
         inv_factor = triangular_inverse(cholesky_lower(np.asarray(mdl.R)))
         np.testing.assert_array_equal(mdl.r_sqrt_inv, inv_factor)
         assert mdl.r_sqrt_inv is mdl.r_sqrt_inv
-        # r_inv's formula before the inverse factor was cached, bit for bit
-        np.testing.assert_array_equal(mdl.r_inv, inv_factor.mT @ inv_factor)
+        # R^-1 by its formula before the inverse factor was cached, then
+        # H^T R^-1, bit for bit
+        np.testing.assert_array_equal(mdl.ht_r_inv, mdl.H.mT @ (inv_factor.mT @ inv_factor))
 
 
 def dims_model(n, q, m):
