@@ -408,12 +408,13 @@ class SweepEntry:
 class SweepReport:
     """Per-delta summaries and the breakdown delta of each algorithm.
 
-    ``breakdown_delta[name]`` is the largest delta at which the algorithm
-    diverged or exceeded the blow-up threshold, or None if it never did.
+    ``entries`` holds one ``SweepEntry`` per (delta, algorithm) cell, delta
+    by delta down the grid. ``breakdown_delta[name]`` is the largest delta
+    at which the algorithm diverged or exceeded the blow-up threshold, or
+    None if it never did.
     """
 
     entries: list
-    baseline: dict
     breakdown_delta: dict
 
 
@@ -477,4 +478,4 @@ def run_conditioning_sweep(
             # the grid is decreasing, so the first blown delta is the largest
             if blown and breakdown[name] is None:
                 breakdown[name] = delta
-    return SweepReport(entries=entries, baseline=baseline, breakdown_delta=breakdown)
+    return SweepReport(entries=entries, breakdown_delta=breakdown)

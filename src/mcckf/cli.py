@@ -44,7 +44,6 @@ _OPTIONS = {
         "default": ",".join(WEIGHTED_FILTERS),
         "help": f"comma-separated subset of: {','.join(ALGORITHMS)} (default: %(default)s)",
     },
-    "--verbose": {"action": "store_true", "help": "print per-cell detail"},
     "--tolerance": {
         "type": float,
         "default": 1e-6,
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "equivalence", cmd_equivalence, "example1",
             "run the radar benchmark with every algorithm and check curve agreement",
-            ["--runs", "--algorithms", "--verbose", "--tolerance"],
+            ["--runs", "--algorithms", "--tolerance"],
         ),
         (
             "example1", cmd_example1, "example1",
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "sweep", cmd_sweep, "sweep",
             "ill-conditioning breakdown sweep over delta",
-            ["--runs", "--algorithms", "--verbose"],
+            ["--runs", "--algorithms"],
         ),
         ("simulate", cmd_simulate, "example1", "emit one simulated trajectory as CSV", []),
     ]
@@ -178,9 +177,6 @@ def cmd_equivalence(args) -> int:
         ([k, *row] for k, row in enumerate(zip(*diffs.values()), start=1)),
     )
     max_diff = max(float(d.max()) for d in diffs.values())
-    if args.verbose:
-        for (a, b), d in diffs.items():
-            print(f"  {a} vs {b}: max relative difference {float(d.max()):.3e}")
     print(f"max relative total-RMSE difference: {max_diff:.3e} (tolerance {args.tolerance:g})")
     return status or (0 if max_diff < args.tolerance else 1)
 
@@ -224,13 +220,6 @@ def cmd_sweep(args) -> int:
         ),
     )
     _write_meta(out, "sweep", cfg, seed)
-    if args.verbose:
-        for entry in report.entries:
-            print(
-                f"  delta={entry.delta:g} {entry.algorithm}: rmse={entry.scalar_rmse:.6g} "
-                f"diverged={entry.diverged_runs}/{entry.diverged_runs + entry.completed_runs} "
-                f"blown_up={int(entry.blown_up)}"
-            )
     print("algorithm      breakdown_delta")
     for name in names:
         broke = report.breakdown_delta[name]

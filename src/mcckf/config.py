@@ -96,8 +96,9 @@ class ExperimentConfig:
             parser.read_string(source.read_text(), source=str(source))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {source}: {exc.strerror}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config {source}: {exc}") from exc
+        except configparser.Error as exc:  # its message spans several lines
+            message = " ".join(line.strip() for line in str(exc).splitlines())
+            raise ConfigError(f"cannot parse config {source}: {message}") from exc
         entries = [(section, parser.items(section)) for section in parser.sections()]
         for item in overrides:
             if "=" not in item:

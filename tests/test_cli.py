@@ -279,6 +279,9 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         ("sweep", ["--algorithms", "sr1b,sr1b"], "expected distinct algorithm names"),
         ("equivalence", ["--algorithms", "sr1b"], "need at least 2 algorithm(s)"),
         ("example1", ["--algorithms", ""], "need at least 1 algorithm(s), got []"),
+        ("example1", ["--config", "{tmp}/headless.ini"], "File contains no section headers."),
+        ("example1", ["--config", "{tmp}/keyless.ini"], "Source contains parsing errors:"),
+        ("example1", ["--set", "monte_carlo.runs=abc"], "bad value for monte_carlo.runs: 'abc' ("),
         ("example1", ["--seed", "-1"], "monte_carlo.seed must be >= 0, got -1"),
         ("example1", ["--runs", "0"], "monte_carlo.runs must be >= 1, got 0"),
         ("sweep", ["--runs", "0"], "monte_carlo.runs must be >= 1, got 0"),
@@ -299,13 +302,16 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, key):
         "unknown_override_section", "empty_value_of_an_unknown_key",
         "zero_horizon", "bad_deltas", "increasing_deltas", "infinite_delta", "nan_delta",
         "unknown_algorithm", "duplicate_algorithm-example1", "duplicate_algorithm-sweep",
-        "too_few_algorithms", "empty_algorithms", "negative_seed", "zero_runs-example1",
+        "too_few_algorithms", "empty_algorithms", "config_without_section_header",
+        "config_line_without_value", "non_integer_runs", "negative_seed", "zero_runs-example1",
         "zero_runs-sweep", "underflowing_sigma", "overflowing_sigma",
         "magnitude_high_beyond_int64", "magnitude_low_beyond_int64",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, args, message):
     (tmp_path / "unknown.ini").write_text("[filter]\nname = sr1b\n")
+    (tmp_path / "headless.ini").write_text("rho = 0.5\n")
+    (tmp_path / "keyless.ini").write_text("[model]\nrho\n")
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     out = tmp_path / "x"
     assert main([command, "--out", str(out), *args]) == 2
@@ -482,10 +488,15 @@ def test_unknown_subcommand_usage_error():
     [
         ("simulate", ["--runs", "2"]),
         ("simulate", ["--algorithms", "sr1b"]),
-        ("simulate", ["--verbose"]),
-        ("example1", ["--verbose"]),
+        ("simulate", ["--tolerance", "0.1"]),
+        ("example1", ["--tolerance", "0.1"]),
+        ("equivalence", ["--verbose"]),
+        ("sweep", ["--verbose"]),
     ],
-    ids=["simulate-runs", "simulate-algorithms", "simulate-verbose", "example1-verbose"],
+    ids=[
+        "simulate-runs", "simulate-algorithms", "simulate-tolerance", "example1-tolerance",
+        "equivalence-verbose", "sweep-verbose",
+    ],
 )
 def test_option_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
     # once accepted and ignored: each command takes only the options it reads

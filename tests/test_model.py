@@ -8,7 +8,7 @@ import pytest
 
 from mcckf.bench import build_example1
 from mcckf.correntropy import KernelSpec
-from mcckf.filters import run_batch
+from mcckf.filters import run_batch, run_filter
 from mcckf.linalg import cholesky_lower, triangular_inverse
 from mcckf.model import (
     InitialCondition,
@@ -16,7 +16,7 @@ from mcckf.model import (
     _ModelStack,
     validate_model,
 )
-from mcckf.sim import SeedSpec, _simulate
+from mcckf.sim import SeedSpec, _simulate, simulate
 
 
 # the factors and products a model sets when it is made, which the filters and
@@ -145,6 +145,19 @@ def test_init_dimension_mismatch_reported():
     for n in (1, 3):
         report = validate_model(model, InitialCondition(np.zeros(n), np.eye(n)))
         assert report == [f"initial mean length {n} does not match state dim 2"]
+
+
+def test_filters_and_simulate_raise_the_dimension_mismatch():
+    model, _, _ = build_example1()
+    init = InitialCondition(np.zeros(4), np.eye(4))
+    for call in (
+        lambda: run_filter("sr1b", model, init, np.zeros((3, 2)), KernelSpec(3e4)),
+        lambda: run_batch("sr1b", model, init, np.zeros((2, 3, 2)), KernelSpec(3e4)),
+        lambda: simulate(model, init, 3, SeedSpec(1, 0)),
+    ):
+        assert rejection(call) == (
+            "model validation failed: initial mean length 4 does not match state dim 6"
+        )
 
 
 @pytest.mark.parametrize("mean", [np.zeros((2, 3)), np.zeros((6, 1)), [[0.0]]])
