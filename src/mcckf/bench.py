@@ -166,8 +166,8 @@ def build_example2(
         variance = delta**2
     except OverflowError:
         variance = math.inf
-    if not 0.0 < delta < math.inf or variance == math.inf:
-        raise ValueError(f"delta must be positive with a finite square, got {delta:g}")
+    if not (0.0 < delta < math.inf and 0.0 < variance < math.inf):
+        raise ValueError(f"delta must be positive with a positive finite square, got {delta:g}")
     f, g, q = _radar_dynamics(constants)
     h = np.ones((2, 6))
     h[1, 5] = 1.0 + delta

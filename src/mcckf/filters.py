@@ -267,9 +267,9 @@ def mcckf_measurement_update(
     inv_factor = linalg._inverse_unchecked(p_factor)
     p_inv = inv_factor.mT @ inv_factor
     # info is symmetric in exact arithmetic: its symmetric part is factored
-    # after cholesky_lower's finiteness check, without its symmetry check
+    # after a finiteness check, without cholesky_lower's symmetry check
     info = p_inv + _times(lam, model.ht_r_inv_h)
-    linalg._require_finite(info)
+    linalg._require_finite(info, "non-finite information matrix")
     info_factor = linalg._cholesky_unchecked(linalg.symmetrize(info))
     gain = _information_gain(model, info_factor, lam, linalg._solve_unchecked)
     i_kh = linalg._identity(model.H.shape[-1]) - gain @ model.H

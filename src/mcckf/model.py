@@ -83,6 +83,8 @@ class StateSpaceModel:
     - ``ht_r_inv_h``: H^T R^{-1} H.
     - ``r_sqrt_inv_h``: R_sqrt^{-1} H, the measurement block of the sr1a
       pre-array.
+    An R whose inverse overflows, such as 1e-320 I, still builds; ``ht_r_inv``
+    and ``ht_r_inv_h`` are then non-finite, which the filters report at step 1.
     """
 
     F: np.ndarray
@@ -115,9 +117,10 @@ class StateSpaceModel:
         term("r_sqrt_inv", linalg.triangular_inverse(self.r_sqrt))
         term("g_q_sqrt", self.G @ self.q_sqrt)
         term("g_q_g", self.G @ self.Q @ self.G.mT)
-        r_inv = self.r_sqrt_inv.mT @ self.r_sqrt_inv
-        term("ht_r_inv", self.H.mT @ r_inv)
-        term("ht_r_inv_h", self.ht_r_inv @ self.H)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_inv = self.r_sqrt_inv.mT @ self.r_sqrt_inv
+            term("ht_r_inv", self.H.mT @ r_inv)
+            term("ht_r_inv_h", self.ht_r_inv @ self.H)
         term("r_sqrt_inv_h", linalg.triangular_solve(self.r_sqrt, self.H))
 
     def __reduce__(self):

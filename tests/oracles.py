@@ -3,7 +3,11 @@ number, the one-matrix Cholesky and substitution loops as they were first
 written, one ``@`` per element or row, the simulation's per-step noise
 draws, the per-run RMSE accumulation, and the array square-root Kalman
 filter: in extended precision, at weight 1 or at pinned weights, to measure
-the filters' roundoff, and in double precision, as the textbook baseline."""
+the filters' roundoff, and in double precision, as the textbook baseline.
+
+It also holds the builders that several test files share: the one-state
+model, a model of given dimensions, and a random SPD matrix with uniform
+eigenvalues."""
 
 import numpy as np
 
@@ -18,7 +22,24 @@ from mcckf.linalg import (
     symmetrize,
     triangular_solve,
 )
+from mcckf.model import StateSpaceModel
 from mcckf.sim import _impulse_schedule, draw_gaussian
+
+
+def scalar_model(f=1.0, g=1.0, h=1.0, q=1.0, r=1.0) -> StateSpaceModel:
+    return StateSpaceModel(F=[[f]], G=[[g]], H=[[h]], Q=[[q]], R=[[r]])
+
+
+def dims_model(n: int, q: int, m: int) -> StateSpaceModel:
+    return StateSpaceModel(
+        F=np.eye(n), G=np.ones((n, q)), H=np.ones((m, n)), Q=np.eye(q), R=np.eye(m)
+    )
+
+
+def random_spd(rng, n: int, low: float = 0.5, high: float = 2.0) -> np.ndarray:
+    """A random rotation of eigenvalues drawn uniformly from [low, high)."""
+    o, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return o @ np.diag(rng.uniform(low, high, n)) @ o.T
 
 
 def gain_information_form(p, h, r, lam: float) -> np.ndarray:

@@ -35,9 +35,9 @@ from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import ALGORITHMS, WEIGHTED_FILTERS, RunStatus, run_batch, run_filter
 from mcckf.linalg import NotPositiveDefinite
-from mcckf.model import InitialCondition, StateSpaceModel, validate_model
+from mcckf.model import InitialCondition, validate_model
 from mcckf.sim import SeedSpec, ShotNoiseSpec, _simulate, simulate
-from oracles import condition_estimate, rmse_loop
+from oracles import condition_estimate, rmse_loop, scalar_model
 
 
 class TestBuildExample1:
@@ -80,7 +80,6 @@ class TestBuildExample1:
         assert validate_model(model, init) == []
 
     def test_negative_bearing_variance_fails_as_r(self):
-        # its square root was once taken first, which raised a math domain error
         with pytest.raises(ValueError, match="^model validation failed: R not positive definite$"):
             build_example1(RadarConstants(bearing_noise_var=-1.0))
 
@@ -129,7 +128,7 @@ class TestBuildExample2:
 
 
 def tiny_scenario(horizon=4):
-    model = StateSpaceModel(F=[[1.0]], G=[[1.0]], H=[[1.0]], Q=[[0.5]], R=[[0.2]])
+    model = scalar_model(q=0.5, r=0.2)
     init = InitialCondition(np.zeros(1), np.eye(1))
     return Scenario("tiny", model, init, horizon)
 
@@ -313,35 +312,6 @@ class TestRunMonteCarlo:
         run_monte_carlo(WEIGHTED_FILTERS, scenario, 4, 1, KernelSpec(3e4))
         assert factored == []
 
-    @pytest.mark.parametrize(
-        "build, violation",
-        [
-            (
-                lambda: Scenario(
-                    "asymmetric_q",
-                    StateSpaceModel(
-                        F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=[[1, 0.5], [0, 1]], R=np.eye(2)
-                    ),
-                    InitialCondition(np.zeros(2), np.eye(2)),
-                    5,
-                ),
-                "Q not symmetric",
-            ),
-            (
-                lambda: radar_scenario(RadarConstants(sampling_period=1e-160, horizon=5)),
-                "initial covariance contains non-finite entries",
-            ),
-        ],
-        ids=["asymmetric_q", "tiny_period"],
-    )
-    def test_unusable_scenario_fails_validation_before_it_is_simulated(self, build, violation):
-        # building the scenario's model or initial condition checks it, so a
-        # library caller gets the filters' message, not a kernel's unnamed
-        # error, and no scenario to simulate
-        with pytest.raises(ValueError) as info:
-            run_monte_carlo(["sr1b"], build(), 2, 1, KernelSpec(3e4))
-        assert str(info.value) == f"model validation failed: {violation}"
-
     def test_rejects_bad_runs_and_duplicates(self):
         # the rule has one home, the batch's model stack, which _simulate builds
         for runs in (0, -1):
@@ -471,7 +441,7 @@ class TestConditioningSweep:
         sr1b = run_batch("sr1b", model, init, measurements, spec)
         assert all(status.completed for status in sr1b.statuses)
 
-    def test_unusable_constants_fail_validation(self):
+    def test_unusable_constants_fail_as_the_models_are_built(self):
         with pytest.raises(ValueError, match="^model validation failed: Q not positive definite$"):
             run_conditioning_sweep(
                 ["sr1b"], [1e-1], 1, 1, KernelSpec(1.0), RadarConstants(maneuver_var_1=-1.0)

@@ -12,6 +12,7 @@ from mcckf.correntropy import KernelSpec, compute_lambda
 from mcckf.linalg import cholesky_lower, triangular_inverse
 from mcckf.model import InitialCondition
 from mcckf.sim import SeedSpec, ShotNoiseSpec, simulate
+from oracles import random_spd
 
 RNG = np.random.default_rng(99)
 
@@ -19,11 +20,6 @@ RNG = np.random.default_rng(99)
 def inverse_factor(w):
     """R_sqrt^{-1} of an SPD w, as the model's cached ``r_sqrt_inv`` is computed."""
     return triangular_inverse(cholesky_lower(np.asarray(w, dtype=float)))
-
-
-def random_spd(dim, low=0.1, high=10.0):
-    q, _ = np.linalg.qr(RNG.standard_normal((dim, dim)))
-    return q @ np.diag(RNG.uniform(low, high, dim)) @ q.T
 
 
 def overflowing_inverse_factor(m=8):
@@ -62,7 +58,7 @@ class TestComputeLambda:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_batch_matches_each_run(self, dim):
         spec = KernelSpec(1.5)
-        factors = np.array([inverse_factor(random_spd(dim)) for _ in range(4)])
+        factors = np.array([inverse_factor(random_spd(RNG, dim, 0.1, 10.0)) for _ in range(4)])
         innovations = RNG.standard_normal((4, dim)) * 3
         innovations[1] = 0.0
         weights = compute_lambda(spec, innovations, factors)
@@ -76,7 +72,7 @@ class TestComputeLambda:
     @pytest.mark.parametrize("size", [4, 32, 33, 1000])
     def test_a_batch_of_any_size_gives_each_run_its_weight(self, size, overflow):
         spec = KernelSpec(2.0)
-        factors = np.array([inverse_factor(random_spd(8))] * size)
+        factors = np.array([inverse_factor(random_spd(RNG, 8, 0.1, 10.0))] * size)
         beyond = np.zeros(8)
         if overflow == "inf":
             beyond[0] = 1e200
@@ -95,7 +91,7 @@ class TestComputeLambda:
             assert np.array_equal(weights, alone)
 
     def test_zero_innovation_gives_one(self):
-        w = inverse_factor(random_spd(3))
+        w = inverse_factor(random_spd(RNG, 3, 0.1, 10.0))
         for sigma in (0.1, 1.0, 3.0, 1e6):
             assert compute_lambda(KernelSpec(sigma), np.zeros(2), np.eye(2)) == 1.0
             assert compute_lambda(KernelSpec(sigma), np.zeros(3), w) == 1.0
@@ -112,7 +108,7 @@ class TestComputeLambda:
     def test_matches_dense_inverse_on_random_covariances(self, dim):
         spec = KernelSpec(2.0)
         for _ in range(20):
-            r = random_spd(dim)
+            r = random_spd(RNG, dim, 0.1, 10.0)
             e = RNG.standard_normal(dim)
             oracle = np.exp(-(e @ np.linalg.inv(r) @ e) / (2.0 * spec.sigma**2))
             assert compute_lambda(spec, e, inverse_factor(r)) == pytest.approx(oracle, rel=1e-10)
@@ -129,7 +125,7 @@ class TestComputeLambda:
         assert compute_lambda(spec, np.zeros(2), np.eye(2)) == 1.0
         # any innovation that does not underflow the exponent drops it below 1
         assert compute_lambda(spec, np.array([1e-3, 0.0]), np.eye(2)) < 1.0
-        w = inverse_factor(random_spd(4))
+        w = inverse_factor(random_spd(RNG, 4, 0.1, 10.0))
         for _ in range(50):
             assert compute_lambda(spec, RNG.standard_normal(4) * 1e-3, w) < 1.0
 
@@ -183,7 +179,7 @@ class TestComputeLambda:
             compute_lambda(None, np.ones(2), np.eye(2))
 
     def test_whitens_without_a_substitution(self, monkeypatch):
-        w = inverse_factor(random_spd(5))
+        w = inverse_factor(random_spd(RNG, 5, 0.1, 10.0))
         calls = []
         solve = linalg_module.triangular_solve
 

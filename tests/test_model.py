@@ -1,4 +1,4 @@
-"""Model containers and assumption validation."""
+"""Model containers: the checks they make when built, and the pairing check."""
 
 import copy
 import pickle
@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from mcckf.bench import build_example1
+from mcckf.bench import build_example1, build_example2
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import run_batch, run_filter
 from mcckf.linalg import cholesky_lower, triangular_inverse
@@ -17,17 +17,12 @@ from mcckf.model import (
     validate_model,
 )
 from mcckf.sim import SeedSpec, _simulate, simulate
+from oracles import dims_model, scalar_model
 
 
 # the factors and products a model sets when it is made, which the filters and
 # the simulator read
 TERMS = "q_sqrt r_sqrt r_sqrt_inv g_q_sqrt g_q_g ht_r_inv ht_r_inv_h r_sqrt_inv_h".split()
-
-
-def tiny_model(q_var=1.0, r_var=1.0):
-    return StateSpaceModel(
-        F=[[1.0]], G=[[1.0]], H=[[1.0]], Q=[[q_var]], R=[[r_var]]
-    )
 
 
 def rejection(build) -> str:
@@ -49,16 +44,8 @@ def test_radar_init_blocks_positive_determinants():
     assert np.linalg.det(pi0[3:5, 3:5]) > 0
 
 
-def test_spd_inputs_factor_after_validation():
-    model, init, _ = build_example1()
-    assert validate_model(model, init) == []
-    cholesky_lower(np.asarray(init.covariance))
-    cholesky_lower(np.asarray(model.Q))
-    cholesky_lower(np.asarray(model.R))
-
-
 def test_zero_q_reported():
-    assert rejection(lambda: tiny_model(q_var=0.0)) == (
+    assert rejection(lambda: scalar_model(q=0.0)) == (
         "model validation failed: Q not positive definite"
     )
 
@@ -162,26 +149,25 @@ def test_filters_and_simulate_raise_the_dimension_mismatch():
 
 @pytest.mark.parametrize("mean", [np.zeros((2, 3)), np.zeros((6, 1)), [[0.0]]])
 def test_initial_mean_with_more_than_one_dimension_rejected(mean):
-    # a (2, 3) mean was once flattened and passed for a six-state model
+    # flattened, a (2, 3) mean would pass for a six-state model
     with pytest.raises(ValueError, match=r"mean must be a vector, got shape \("):
         InitialCondition(mean, np.eye(np.size(mean)))
 
 
 def test_validation_is_pure():
-    model = tiny_model()
+    model = scalar_model()
     init = InitialCondition(np.zeros(2), np.eye(2))
     assert validate_model(model, init) == validate_model(model, init) != []
 
 
 def test_matrices_are_frozen():
-    model = tiny_model()
+    model = scalar_model()
     with pytest.raises(ValueError):
         model.F[0, 0] = 2.0
 
 
 def test_construction_sets_every_term():
-    # the products were once cached on first use, so a forked evaluation child
-    # derived its own; now the model holds every term as soon as it is made
+    # a forked evaluation child then inherits every term, not derives its own
     model = StateSpaceModel(
         F=np.eye(3), G=np.ones((3, 2)), H=np.ones((2, 3)), Q=np.eye(2), R=2.0 * np.eye(2)
     )
@@ -201,7 +187,7 @@ def test_cached_terms_are_read_only(name):
 
 
 def test_a_cached_factor_cannot_go_stale():
-    # a matrix reassigned after validation would leave its factor cached
+    # a matrix reassigned after construction would leave a stale factor
     model, init, _ = build_example1()
     assert validate_model(model, init) == []
     for owner, name in ((model, "R"), (init, "covariance")):
@@ -212,8 +198,7 @@ def test_a_cached_factor_cannot_go_stale():
     assert validate_model(model, init) == []
 
 
-def test_initial_factor_is_cached_and_checked_by_validation():
-    # construction is the check: it factors the covariance and keeps the factor
+def test_construction_sets_the_initial_factor():
     model, init, _ = build_example1()
     np.testing.assert_array_equal(init.factor, cholesky_lower(init.covariance))
     assert init.factor is init.factor
@@ -227,7 +212,7 @@ def test_initial_factor_is_cached_and_checked_by_validation():
     ids=["deepcopy", "pickle"],
 )
 def test_a_copy_is_built_and_so_checked_again(duplicate):
-    # a copy once restored the arrays writable, past the constructor's checks
+    # a copy that skipped the constructor would hand out writable arrays
     model, init, _ = build_example1()
     for owner, names in (
         (model, [*"FGHQR", *TERMS]),
@@ -257,15 +242,25 @@ def test_r_inv_is_built_from_the_cached_inverse_r_factor():
         inv_factor = triangular_inverse(cholesky_lower(np.asarray(mdl.R)))
         np.testing.assert_array_equal(mdl.r_sqrt_inv, inv_factor)
         assert mdl.r_sqrt_inv is mdl.r_sqrt_inv
-        # R^-1 by its formula before the inverse factor was cached, then
-        # H^T R^-1, bit for bit
+        # R^-1 assembled from the inverse factor, then H^T R^-1, bit for bit
         np.testing.assert_array_equal(mdl.ht_r_inv, mdl.H.mT @ (inv_factor.mT @ inv_factor))
 
 
-def dims_model(n, q, m):
-    return StateSpaceModel(
-        F=np.eye(n), G=np.ones((n, q)), H=np.ones((m, n)), Q=np.eye(q), R=np.eye(m)
-    )
+def test_a_model_whose_r_inverse_overflows_builds_quietly_and_fails_at_step_1():
+    # R = 1e-320 I is positive definite, but R^-1 overflows; the filters name
+    # what that leaves non-finite
+    model, init = build_example2(1e-160)
+    assert not np.isfinite(model.ht_r_inv).any() and not np.isfinite(model.ht_r_inv_h).any()
+    ys = np.zeros((3, 2))
+    with np.errstate(invalid="ignore"):  # sr1a's first gain solve meets inf - inf
+        reasons = [
+            run_filter(a, model, init, ys, KernelSpec(3e4)).status.reason
+            for a in ("conventional", "sr1a")
+        ]
+    assert reasons == [
+        "step 1: NonFiniteInput: non-finite information matrix",
+        "step 1: NonFiniteInput: non-finite estimate",
+    ]
 
 
 class TestModelStack:
