@@ -365,6 +365,10 @@ def test_example1_single_algorithm(tmp_path):
     assert not (out / "rmse_conventional.csv").exists()
 
 
+def test_example1_zero_runs_exits_2(tmp_path):
+    assert main(["example1", "--runs", "0", "--out", str(tmp_path / "x")]) == 2
+
+
 def test_shipped_profile_as_config_file_writes_the_same_bytes(tmp_path):
     """``--config`` with the shipped profile's own path reads it like the
     default: every output file, meta.txt and its config hash included, is
