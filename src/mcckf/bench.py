@@ -156,22 +156,33 @@ def build_example1(
 _STANDARD_NORMAL = InitialCondition(mean=np.zeros(6), covariance=np.eye(6))
 
 
+def _delta_grid(deltas) -> list[float]:
+    """``deltas`` as floats, or a ``ValueError`` unless they are non-empty,
+    finite, positive and strictly decreasing, each with a positive finite
+    square. That is every rule ``build_example2`` has for a delta: R = d^2 I
+    is then positive definite, subnormal or not, and the model's other terms
+    come from the constants."""
+    grid = [float(d) for d in deltas]
+    bounds = zip([math.inf, *grid], grid)
+    if not grid or not all(0.0 < b < a and 0.0 < b * b < math.inf for a, b in bounds):
+        raise ValueError(
+            "delta grid must be non-empty, finite, positive and strictly decreasing, "
+            f"each with a positive finite square, got {grid}"
+        )
+    return grid
+
+
 def build_example2(
     delta: float, constants: RadarConstants = RadarConstants()
 ) -> tuple[StateSpaceModel, InitialCondition]:
     """Ill-conditioned variant: all-ones measurement rows differing by delta
     in the last column, R = delta^2 I, and the standard normal initial state
-    that every delta shares."""
-    try:
-        variance = delta**2
-    except OverflowError:
-        variance = math.inf
-    if not (0.0 < delta < math.inf and 0.0 < variance < math.inf):
-        raise ValueError(f"delta must be positive with a positive finite square, got {delta:g}")
+    that every delta shares; a delta ``_delta_grid`` rejects raises its error."""
+    (delta,) = _delta_grid([delta])
     f, g, q = _radar_dynamics(constants)
     h = np.ones((2, 6))
     h[1, 5] = 1.0 + delta
-    r = variance * np.eye(2)
+    r = delta * delta * np.eye(2)
     return StateSpaceModel(F=f, G=g, H=h, Q=q, R=r), _STANDARD_NORMAL
 
 
@@ -416,17 +427,6 @@ class SweepReport:
 
     entries: list
     breakdown_delta: dict
-
-
-def _delta_grid(deltas) -> list[float]:
-    """``deltas`` as floats, or a ``ValueError`` unless they are non-empty,
-    finite, positive and strictly decreasing: inf > d_1 > d_2 > ... > 0."""
-    grid = [float(d) for d in deltas]
-    if not grid or not all(0.0 < b < a for a, b in zip([math.inf, *grid], grid)):
-        raise ValueError(
-            f"delta grid must be non-empty, finite, positive and strictly decreasing, got {grid}"
-        )
-    return grid
 
 
 def run_conditioning_sweep(

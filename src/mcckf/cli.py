@@ -195,12 +195,10 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     names = _algorithm_list(args)
     spec, runs, seed = cfg.kernel_spec(), cfg.runs(), cfg.seed()
-    deltas = cfg.sweep_deltas()
-    constants = cfg.radar_constants()
-    # build each delta's model first, which checks it, so a bad delta leaves
-    # no output directory behind, and an unusable --out fails before the sweep runs
-    for delta in deltas:
-        build_example2(delta, constants)
+    deltas, constants = cfg.sweep_deltas(), cfg.radar_constants()
+    # the grid rule has checked every delta, and the rest of a delta's model
+    # comes from the constants, so one model checks them all before --out is made
+    build_example2(deltas[0], constants)
     out = _out_dir(args)
     report = run_conditioning_sweep(names, deltas, runs, seed, spec, constants)
     _write_rows(

@@ -321,7 +321,8 @@ def sr1a_measurement_update(
     lam = compute_lambda(spec, innovation, model.r_sqrt_inv, pin_weight)
     pred_inv = linalg.triangular_inverse(pred.factor)
     pre = np.concatenate([pred_inv.mT, _times(np.sqrt(lam), model.r_sqrt_inv_h.mT)], axis=-1)
-    _require_finite(pred.runs, **{"information pre-array": pre})
+    # H^T R^-1 is checked too: the gain solves read it, and R^-1 may overflow
+    _require_finite(pred.runs, **{"information pre-array": pre, "H^T R^-1": model.ht_r_inv})
     # pre is finite on the line above; a rank-deficient pre gives a zero
     # diagonal in info_factor, which the first gain solve still checks
     info_factor = linalg._triangularize(pre)

@@ -122,9 +122,20 @@ class TestBuildExample2:
         model, _ = build_example2(1e-4)
         assert condition_estimate(np.asarray(model.H) @ np.asarray(model.H).T) >= 1e7
 
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            build_example2(0.0)
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-170])
+    def test_rejects_a_delta_the_grid_rejects(self, delta):
+        # one rule for a delta, the grid's: a model and a sweep reject it alike
+        message = (
+            "delta grid must be non-empty, finite, positive and strictly decreasing, "
+            f"each with a positive finite square, got [{delta!r}]"
+        )
+        for build in (
+            lambda: build_example2(delta),
+            lambda: run_conditioning_sweep(["sr1b"], [delta], 1, 1, KernelSpec(1.0)),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
 
 
 def tiny_scenario(horizon=4):
@@ -346,11 +357,11 @@ def test_an_evaluation_factors_its_initial_covariance_once(monkeypatch):
 
 def test_shipped_sweep_factors_only_the_noise_covariances(tmp_path, monkeypatch):
     # every delta shares one initial condition, so the shipped sweep factors no
-    # 6x6 matrix; each delta's model is built, and so factors its 2x2 Q and R,
-    # once in the check before --out is made and once in the sweep
+    # 6x6 matrix; a built model factors its 2x2 Q and R: one model for the
+    # check before --out is made, then each of the 14 deltas' in the sweep
     factored = counted_cholesky(monkeypatch)
     assert main(["sweep", "--out", str(tmp_path / "sweep"), "--runs", "1"]) == 0
-    assert [a.shape for a in factored] == [(2, 2)] * 56
+    assert [a.shape for a in factored] == [(2, 2)] * 30
 
 
 class TestConditioningSweep:
