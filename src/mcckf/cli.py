@@ -3,9 +3,10 @@
 Exit codes are a stable contract for CI: 0 when the run's success criterion
 holds, 1 when it is violated, 2 on usage or configuration errors. All outputs
 land under the chosen output directory alongside a meta.txt recording the
-merged-config hash, the seed, the library version and the numpy version;
-every output file is written here, each CSV through one writer. A usage or
-configuration error is found before the output directory is made.
+merged-config hash, the seed, the library version, the numpy version and the
+OpenBLAS kernel that numpy's bundled library runs; every output file is
+written here, each CSV through one writer. A usage or configuration error is
+found before the output directory is made.
 """
 
 from __future__ import annotations
@@ -124,6 +125,21 @@ def _write_rows(path, header, rows) -> None:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
 
 
+def openblas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked, or ``unknown``."""
+    import ctypes  # local: only this lookup needs it
+
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _write_meta(out: Path, command: str, cfg: ExperimentConfig, seed: int) -> None:
     lines = [
         f"command={command}",
@@ -131,6 +147,7 @@ def _write_meta(out: Path, command: str, cfg: ExperimentConfig, seed: int) -> No
         f"seed={seed}",
         f"version={__version__}",
         f"numpy={np.__version__}",
+        f"openblas_kernel={openblas_kernel()}",
     ]
     (out / "meta.txt").write_text("\n".join(lines) + "\n")
 

@@ -51,7 +51,7 @@ from . import linalg
 # the steps call the weight by this module-level name, so a wrapper bound to
 # it (a tracer, a test double) sees every call
 from .correntropy import KernelSpec, compute_lambda
-from .model import InitialCondition, _ModelStack, _require_valid
+from .model import InitialCondition, _ModelStack, validate_model
 
 __all__ = [
     "ALGORITHMS",
@@ -264,8 +264,10 @@ def mcckf_measurement_update(
     # p_factor and info_factor skip the singular-diagonal check: a pivot above
     # its floor (>= 0) is at least 4.9e-324, so its root, the diagonal entry,
     # is at least 2.2e-162, far above the smallest normal double.
-    inv_factor = linalg._inverse_unchecked(p_factor)
+    inv_factor = linalg._solve_unchecked(p_factor, linalg._eye_like(p_factor))
     p_inv = inv_factor.mT @ inv_factor
+    # H^T R^-1 H is checked before a weight of 0 can multiply it: R^-1 may overflow
+    linalg._require_finite(model.ht_r_inv_h, "non-finite H^T R^-1 H")
     # info is symmetric in exact arithmetic: its symmetric part is factored
     # after a finiteness check, without cholesky_lower's symmetry check
     info = p_inv + _times(lam, model.ht_r_inv_h)
@@ -458,7 +460,7 @@ def _check_algorithms(names: list) -> None:
 
 def _check_inputs(algorithm, model, init, measurements) -> None:
     _check_algorithms([algorithm])
-    _require_valid(model, init)
+    validate_model(model, init)
     m = model.obs_dim
     if measurements.shape[-1] != m:
         raise ValueError(
@@ -487,8 +489,8 @@ def run_filter(
         model: state-space model.
         init: initial mean and positive definite covariance, factored when
             it was made; the square-root variants start from that factor,
-            ``init.factor``. ``validate_model`` checks that its mean fits
-            the model.
+            ``init.factor``. ``validate_model`` raises ``ValueError`` if
+            its mean does not fit the model.
         measurements: sequence of measurement vectors, one per step
             k = 1..N, each with the model's output dimension (or a scalar
             per step for a one-output model).
@@ -531,11 +533,12 @@ def run_batch(
 
     ``measurements`` has shape (runs, steps, m). ``model`` is one model for
     every run, or a sequence with one model per run; per-run models must
-    have equal dimensions and share ``init``. The runs advance together,
-    one numpy call per operation for the whole batch, and each run's
-    estimates and status equal, bit for bit, what ``run_filter`` returns for
-    it alone with its model. Arguments are as for ``run_filter``, without a
-    pinned weight.
+    have equal dimensions and share ``init``, so the algorithm name, the
+    pairing (``validate_model``) and the measurement width are checked once,
+    against the first model. The runs advance together, one numpy call per
+    operation for the whole batch, and each run's estimates and status
+    equal, bit for bit, what ``run_filter`` returns for it alone with its
+    model. Arguments are as for ``run_filter``, without a pinned weight.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim != 3:
@@ -544,8 +547,7 @@ def run_batch(
         raise ValueError(f"measurements must hold at least one run, got shape {ys.shape}")
     runs, horizon, _ = ys.shape
     stack = _ModelStack(model, runs)
-    for distinct in stack.distinct:
-        _check_inputs(algorithm, distinct, init, ys)
+    _check_inputs(algorithm, stack.distinct[0], init, ys)
     estimates = np.full((runs, horizon, stack.distinct[0].state_dim), np.nan)
     statuses = [None] * runs
     initial = _initial_state(algorithm, init)

@@ -50,8 +50,9 @@ established what a check tests, they call a private entry point without it:
   covariance, which its time update has symmetrized and checked for
   finiteness, and, after ``_require_finite`` and ``symmetrize``, for its
   information matrix, which is symmetric in exact arithmetic;
-* ``_solve_unchecked`` and ``_inverse_unchecked`` against the conventional
-  filter's two Cholesky factors: a pivot above its floor (which is at least
+* ``_solve_unchecked`` against the conventional filter's two Cholesky
+  factors, with the identity (``_eye_like``) as right-hand side for the
+  inverse of the predicted one: a pivot above its floor (which is at least
   0) is at least 4.9e-324, so its root on the diagonal is at least 2.2e-162
   and cannot trip the singular-diagonal check;
 * ``_solve_unchecked`` for the second solve against a QR-produced factor
@@ -463,8 +464,3 @@ def triangular_inverse(l: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: factor {l.shape} is not square")
     return triangular_solve(l, _eye_like(l))
 
-
-def _inverse_unchecked(l: np.ndarray) -> np.ndarray:
-    """``triangular_inverse`` of a float factor or stack without the
-    singular-diagonal check, as ``_solve_unchecked``."""
-    return _solve_unchecked(l, _eye_like(l))

@@ -10,11 +10,12 @@ violation. A model also sets the products that the filters reuse when it is
 made. Both are frozen, and their matrices, factors and products read-only,
 so they can be shared freely across runs, and a forked evaluation child
 inherits them all; a copy or an unpickled object is built, and so checked,
-again. ``validate_model`` checks only what neither
-object knows alone: that the mean's length matches the model's state
-dimension. A batch of runs reads its models through one ``_ModelStack``,
+again. ``validate_model`` checks only what neither object knows alone, that
+the mean's length matches the model's state dimension, and raises
+``ValueError`` when it does not; the filters and the simulator call it once
+per batch. A batch of runs reads its models through one ``_ModelStack``,
 which the simulator and the filters both build: it decides which runs share
-a model and stacks each run's own arrays.
+a model, with equal dimensions, and stacks each run's own arrays.
 """
 
 from __future__ import annotations
@@ -205,22 +206,16 @@ class _ModelStack:
         return _ModelStack(kept, len(kept))
 
 
-def validate_model(model, init: InitialCondition) -> list[str]:
-    """Check that ``init`` fits ``model``; return a list of violations
-    (empty = usable).
+def validate_model(model, init: InitialCondition) -> None:
+    """Check that ``init`` fits ``model``, or raise ``ValueError`` naming
+    the violation.
 
     Each object checked its own matrices when it was made, so only the
     pairing is left: the initial mean's length against the model's state
-    dimension. Never raises for a bad pairing.
+    dimension.
     """
     n, length = model.state_dim, init.mean.shape[0]
     if length != n:
-        return [f"initial mean length {length} does not match state dim {n}"]
-    return []
-
-
-def _require_valid(model, init: InitialCondition) -> None:
-    """Raise ``ValueError`` listing the violations ``validate_model`` reports."""
-    violations = validate_model(model, init)
-    if violations:
-        raise ValueError("model validation failed: " + "; ".join(violations))
+        raise ValueError(
+            f"model validation failed: initial mean length {length} does not match state dim {n}"
+        )

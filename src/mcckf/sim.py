@@ -5,12 +5,12 @@ child streams spawned from one seed, so the impulse schedule depends only on
 the seed and the shot-noise parameters, never on model values, and disabling
 shot noise leaves the Gaussian draws untouched. A model and an initial
 condition check and factor their covariances when they are made; a
-simulation checks only their pairing, with ``validate_model`` as the filters
-do, and draws from the factors the filters read: the model's Q and R factors
-and the initial condition's factor. The Monte Carlo evaluation simulates all
-of its runs at once, each from its own seed, and hands the stacked arrays to
-the filters; ``simulate`` is the one-run case and the only one that builds a
-``Trajectory`` with its outlier log.
+simulation checks only their pairing, once per batch, with the filters'
+raising ``validate_model``, and draws from the factors the filters read: the
+model's Q and R factors and the initial condition's factor. The Monte Carlo
+evaluation simulates all of its runs at once, each from its own seed, and
+hands the stacked arrays to the filters; ``simulate`` is the one-run case and
+the only one that builds a ``Trajectory`` with its outlier log.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InitialCondition, _ModelStack, _require_valid
+from .model import InitialCondition, _ModelStack, validate_model
 
 __all__ = [
     "SeedSpec",
@@ -145,19 +145,19 @@ def _simulate(models, init, horizon, seeds, shot):
     ``seeds[i]``, every run at once: the stacked initial states (runs, n),
     truth (runs, horizon, n) and measurements (runs, horizon, m), and each
     run's ``((process steps, magnitudes), (measurement steps, magnitudes))``.
-    Each distinct model of the ``_ModelStack`` is paired with ``init`` by
-    ``validate_model`` first; its runs draw from its Q and R factors and
-    ``init.factor``. ``G w``, the truth recursion and ``H x`` are each one
-    stacked ``np.matvec``, which gives each run the bits of its one-run
-    product; ``tests/test_sim.py`` checks every run bit for bit against the
-    per-step oracle ``simulate_per_step`` in ``tests/oracles.py``.
+    The models of the ``_ModelStack`` share their dimensions, so
+    ``validate_model`` pairs the first with ``init``, once; each run draws
+    from its model's Q and R factors and ``init.factor``. ``G w``, the truth
+    recursion and ``H x`` are each one stacked ``np.matvec``, which gives
+    each run the bits of its one-run product; ``tests/test_sim.py`` checks
+    every run bit for bit against the per-step oracle ``simulate_per_step``
+    in ``tests/oracles.py``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     seeds = list(seeds)
     stack = _ModelStack(models, len(seeds))
-    for model in stack.distinct:
-        _require_valid(model, init)
+    validate_model(stack.distinct[0], init)
     (runs, n, q_dim), m_dim = stack.G.shape, stack.H.shape[1]
     no_shots = (np.empty(0, dtype=int), np.empty((0, 0), dtype=int))
     initial_state = np.empty((runs, n))
@@ -209,8 +209,8 @@ def simulate(
     noise groups receive additive integer impulses on the scheduled steps,
     which ``outlier_log`` lists as (step, channel, magnitude). Identical
     ``SeedSpec`` inputs reproduce the trajectory bit for bit. An ``init``
-    whose mean does not fit the model raises ``validate_model``'s violation
-    as ``ValueError``, as the filters do. This is the one-run case of the
+    whose mean does not fit the model raises ``validate_model``'s
+    ``ValueError``, as the filters do. This is the one-run case of the
     batch simulation the Monte Carlo evaluation makes.
     """
     (x0,), (truth,), (measurements,), ((process, measurement),) = _simulate(

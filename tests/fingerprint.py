@@ -21,32 +21,18 @@ statuses of its runs with their reasons:
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
 import math
-from pathlib import Path
 
 import numpy as np
 
 from mcckf import bench
+from mcckf.cli import openblas_kernel
 from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import ALGORITHMS, run_filter
 from mcckf.model import InitialCondition, StateSpaceModel
 from mcckf.sim import SeedSpec, simulate
-
-
-def openblas_kernel() -> str:
-    """The kernel numpy's bundled OpenBLAS picked, or ``unknown``."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 class _Digest:

@@ -77,7 +77,7 @@ class TestBuildExample1:
 
     def test_validates_clean(self):
         model, init, _ = build_example1()
-        assert validate_model(model, init) == []
+        assert validate_model(model, init) is None
 
     def test_negative_bearing_variance_fails_as_r(self):
         with pytest.raises(ValueError, match="^model validation failed: R not positive definite$"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcckf.bench import Scenario, run_monte_carlo
-from mcckf.cli import main
+from mcckf.cli import main, openblas_kernel
 from mcckf.config import shipped_config_path
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import ALGORITHMS, run_filter
@@ -29,8 +29,10 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert (out_a / "meta.txt").read_bytes() == (out_b / "meta.txt").read_bytes()
     meta = (out_a / "meta.txt").read_text()
     assert "config_sha256=" in meta and "seed=7" in meta and "version=" in meta
-    # output bits can depend on the numpy version
-    assert meta.splitlines()[4:] == [f"numpy={np.__version__}"]
+    # output bits can depend on the numpy version and the BLAS kernel
+    assert meta.splitlines()[4:] == [
+        f"numpy={np.__version__}", f"openblas_kernel={openblas_kernel()}"
+    ]
 
 
 def test_simulate_different_seed_differs(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mcckf.bench import build_example1, build_example2
+from mcckf.config import ExperimentConfig
 from mcckf.correntropy import KernelSpec
 from mcckf.filters import run_batch, run_filter
 from mcckf.linalg import cholesky_lower, triangular_inverse
@@ -125,8 +126,11 @@ def test_init_dimension_mismatch_reported():
     # by the mean, so only the mean's length is reported
     model = StateSpaceModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2), R=np.eye(2))
     for n in (1, 3):
-        report = validate_model(model, InitialCondition(np.zeros(n), np.eye(n)))
-        assert report == [f"initial mean length {n} does not match state dim 2"]
+        init = InitialCondition(np.zeros(n), np.eye(n))
+        assert rejection(lambda: validate_model(model, init)) == (
+            f"model validation failed: initial mean length {n} does not match state dim 2"
+        )
+    assert validate_model(model, InitialCondition(np.zeros(2), np.eye(2))) is None
 
 
 def test_filters_and_simulate_raise_the_dimension_mismatch():
@@ -142,6 +146,29 @@ def test_filters_and_simulate_raise_the_dimension_mismatch():
         )
 
 
+def test_a_batch_checks_the_pairing_once(monkeypatch):
+    # the models of a batch share their dimensions, so the simulation and each
+    # filter's batch pair the first with the initial condition, whatever the
+    # number of models: once each for the shipped sweep's 14
+    cfg = ExperimentConfig.load(profile="sweep")
+    built = [build_example2(delta, cfg.radar_constants()) for delta in cfg.sweep_deltas()]
+    models, init = [model for model, _ in built], built[0][1]
+    checked = []
+
+    def counted(model, init):
+        checked.append(model)
+        return validate_model(model, init)
+
+    # every module-level name the package calls it by
+    for module in ("model", "filters", "sim"):
+        monkeypatch.setattr(f"mcckf.{module}.validate_model", counted, raising=False)
+    seeds = [SeedSpec(1, run) for run in range(len(models))]
+    _, _, ys, _ = _simulate(models, init, 2, seeds, None)
+    assert len(models) == 14 and checked == [models[0]]
+    run_batch("sr1b", models, init, ys, cfg.kernel_spec())
+    assert checked == [models[0]] * 2
+
+
 @pytest.mark.parametrize("mean", [np.zeros((2, 3)), np.zeros((6, 1)), [[0.0]]])
 def test_initial_mean_with_more_than_one_dimension_rejected(mean):
     # flattened, a (2, 3) mean would pass for a six-state model
@@ -152,7 +179,8 @@ def test_initial_mean_with_more_than_one_dimension_rejected(mean):
 def test_validation_is_pure():
     model = scalar_model()
     init = InitialCondition(np.zeros(2), np.eye(2))
-    assert validate_model(model, init) == validate_model(model, init) != []
+    first = rejection(lambda: validate_model(model, init))
+    assert rejection(lambda: validate_model(model, init)) == first
 
 
 def test_matrices_are_frozen():
@@ -184,20 +212,20 @@ def test_cached_terms_are_read_only(name):
 def test_a_cached_factor_cannot_go_stale():
     # a matrix reassigned after construction would leave a stale factor
     model, init, _ = build_example1()
-    assert validate_model(model, init) == []
+    assert validate_model(model, init) is None
     for owner, name in ((model, "R"), (init, "covariance")):
         before = getattr(owner, name)
         with pytest.raises(AttributeError):
             setattr(owner, name, -before)
         assert getattr(owner, name) is before
-    assert validate_model(model, init) == []
+    assert validate_model(model, init) is None
 
 
 def test_construction_sets_the_initial_factor():
     model, init, _ = build_example1()
     np.testing.assert_array_equal(init.factor, cholesky_lower(init.covariance))
     fresh = InitialCondition(init.mean, init.covariance)
-    assert "factor" in vars(fresh) and validate_model(model, fresh) == []
+    assert "factor" in vars(fresh) and validate_model(model, fresh) is None
 
 
 @pytest.mark.parametrize(
@@ -241,22 +269,26 @@ def test_r_inv_is_built_from_the_cached_inverse_r_factor():
 def test_a_model_whose_r_inverse_overflows_builds_quietly_and_fails_at_step_1():
     # R = 1e-320 I is positive definite, but R^-1 overflows; the filters that
     # read an R^-1 term name it, with no numpy warning (the suite makes one an
-    # error), and sr1b, which reads none, runs the model
+    # error), and sr1b, which reads none, runs the model. A nonzero innovation
+    # overflows the whitened norm, so the weight is 0 and would meet an
+    # infinite term in 0 * inf
     model, init = build_example2(1e-160)
     assert not np.isfinite(model.ht_r_inv).any() and not np.isfinite(model.ht_r_inv_h).any()
     reasons = {
-        "conventional": "step 1: NonFiniteInput: non-finite information matrix",
+        "conventional": "step 1: NonFiniteInput: non-finite H^T R^-1 H",
         "sr1a": "step 1: NonFiniteInput: non-finite H^T R^-1",
     }
     spec = KernelSpec(3e4)
-    for algorithm, reason in reasons.items():
-        assert run_filter(algorithm, model, init, np.zeros((3, 2)), spec).status.reason == reason
     models = [build_example2(1e-1)[0], model]
-    for algorithm in ("conventional", "sr1a", "sr1b"):
-        statuses = run_batch(algorithm, models, init, np.zeros((2, 3, 2)), spec).statuses
-        assert statuses[0].completed
-        assert statuses[1].completed == (algorithm == "sr1b")
-        assert statuses[1].reason == reasons.get(algorithm)
+    for value in (0.0, 1.0):
+        ys = np.full((3, 2), value)
+        for algorithm, reason in reasons.items():
+            assert run_filter(algorithm, model, init, ys, spec).status.reason == reason
+        for algorithm in ("conventional", "sr1a", "sr1b"):
+            statuses = run_batch(algorithm, models, init, np.stack([ys, ys]), spec).statuses
+            assert statuses[0].completed
+            assert statuses[1].completed == (algorithm == "sr1b")
+            assert statuses[1].reason == reasons.get(algorithm)
 
 
 class TestModelStack:
